@@ -2,6 +2,8 @@
 between information gain and state reversibility (6*gmax + prev = 4 on the
 boundary of the parameter square)."""
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .qubit import (
     DensityMatrix,
@@ -13,7 +15,6 @@ from .qubit import (
     apply_operator,
     density_from_stokes,
     density_of_state,
-    make_state,
     pure_overlap,
     state_fidelity,
     stokes_of_state,
@@ -34,17 +35,12 @@ from .measurement import (
 from .bench import (
     CountRecord,
     EstimationError,
-    HwpSettings,
     NoiseModel,
     TomographyResult,
-    angles_from_wm,
-    complementary_settings,
     estimate_gmax_from_counts,
     estimate_prev_from_counts,
-    reversal_settings,
     simulate_counts,
     simulate_tomography,
-    wm_from_angles,
     zeta,
 )
 from .sweeps import (
@@ -62,56 +58,8 @@ from .sweeps import (
     verify,
 )
 
-__all__ = [
-    "__version__",
-    "DensityMatrix",
-    "Operator2",
-    "PureState",
-    "STATE_H",
-    "STATE_V",
-    "StokesVector",
-    "apply_operator",
-    "density_from_stokes",
-    "density_of_state",
-    "make_state",
-    "pure_overlap",
-    "state_fidelity",
-    "stokes_of_state",
-    "OutcomeRecord",
-    "WeakMeasurement",
-    "analytic_gmax",
-    "analytic_prev",
-    "kraus_pair",
-    "optimal_guess",
-    "outcome_distribution",
-    "per_state_gain",
-    "per_state_reversal_prob",
-    "reversal_operator",
-    "tradeoff_sum",
-    "CountRecord",
-    "EstimationError",
-    "HwpSettings",
-    "NoiseModel",
-    "TomographyResult",
-    "angles_from_wm",
-    "complementary_settings",
-    "estimate_gmax_from_counts",
-    "estimate_prev_from_counts",
-    "reversal_settings",
-    "simulate_counts",
-    "simulate_tomography",
-    "wm_from_angles",
-    "zeta",
-    "CheckResult",
-    "OperatorGrid",
-    "OracleEstimate",
-    "StateGrid",
-    "SweepReport",
-    "TradeoffPoint",
-    "cross_section",
-    "grid_sweep",
-    "haar_average_oracle",
-    "reversal_fidelity_sweep",
-    "state_sweep",
-    "verify",
-]
+__all__ = ["__version__"] + sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -7,12 +7,12 @@ counting is simulated at the probability level: each configured channel is an
 independent run of N photons drawn from a binomial law, reproducible through
 per-channel random substreams derived from one master seed.
 
-Angle conventions: a half-wave plate at angle ``t`` transmits the signed
-amplitude cos(2t) into the monitored output, so the primary setting (a, b)
-carries the arm amplitudes (cos 2a, cos 2b) with cos 2b <= 0 on the allowed
-branch. Signs are retained in the operator model and cancel in the
-measurement-then-reversal composition; all probabilities use magnitudes
-squared.
+The model works with arm transmissions only: (1 - epsilon, 1 - eta) on the
+primary branch and (epsilon, eta) on the complementary one, exchanged in the
+reversal interferometer. These are the squared magnitudes of the waveplate
+amplitudes (epsilon = sin^2 2a, eta = sin^2 2b), so the angles and the
+amplitude signs, which cancel in the measurement-then-reversal composition,
+never enter a count.
 """
 
 from __future__ import annotations
@@ -24,17 +24,11 @@ import numpy as np
 
 from .qubit import (
     DensityMatrix,
-    Operator2,
     PureState,
     state_fidelity,
     stokes_of_state,
 )
 from .measurement import TIE_ATOL, WeakMeasurement
-
-ANGLE_ATOL = 1e-12
-
-A_MIN, A_MAX = 0.0, math.pi / 4.0
-B_MIN, B_MAX = math.pi / 4.0, math.pi / 2.0
 
 # Substream keys: which angle setting and which bench configuration a count
 # channel belongs to.
@@ -49,25 +43,6 @@ MIN_TOMOGRAPHY_COUNTS = 100
 
 class EstimationError(RuntimeError):
     """Raised when count records cannot support a ratio estimate."""
-
-
-@dataclass(frozen=True)
-class HwpSettings:
-    """Half-wave plate angles of the measurement interferometer (radians)."""
-
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        a, b = float(self.a), float(self.b)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError("waveplate angles must be finite")
-        if a < A_MIN - ANGLE_ATOL or a > A_MAX + ANGLE_ATOL:
-            raise ValueError(f"angle a must lie in [0, pi/4], got {a!r}")
-        if b < B_MIN - ANGLE_ATOL or b > B_MAX + ANGLE_ATOL:
-            raise ValueError(f"angle b must lie in [pi/4, pi/2], got {b!r}")
-        object.__setattr__(self, "a", min(max(a, A_MIN), A_MAX))
-        object.__setattr__(self, "b", min(max(b, B_MIN), B_MAX))
 
 
 @dataclass(frozen=True)
@@ -144,55 +119,6 @@ class TomographyResult:
     reconstructed: DensityMatrix
     fidelity_vs_input: float
     counts_per_basis: int
-
-
-def wm_from_angles(settings: HwpSettings) -> WeakMeasurement:
-    """Measurement parameters (sin^2 2a, sin^2 2b) of an angle setting."""
-    return WeakMeasurement(
-        math.sin(2.0 * settings.a) ** 2,
-        math.sin(2.0 * settings.b) ** 2,
-    )
-
-
-def angles_from_wm(wm: WeakMeasurement) -> HwpSettings:
-    """Angle setting realizing a measurement; inverse of ``wm_from_angles``.
-
-    The eta inversion takes the descending branch b = (pi - asin(sqrt(eta)))/2
-    so that b stays in [pi/4, pi/2].
-    """
-    a = 0.5 * math.asin(math.sqrt(wm.epsilon))
-    b = 0.5 * (math.pi - math.asin(math.sqrt(wm.eta)))
-    return HwpSettings(a, b)
-
-
-def complementary_settings(settings: HwpSettings) -> tuple[float, float]:
-    """Raw angle pair (pi/4 - a, 3*pi/4 - b) realizing the second branch."""
-    return (math.pi / 4.0 - settings.a, 3.0 * math.pi / 4.0 - settings.b)
-
-
-def reversal_settings(settings: HwpSettings, r: int) -> tuple[float, float]:
-    """Raw angle pair of the reversal interferometer for branch ``r``.
-
-    The arms are exchanged relative to the measurement: (b, a) reverses the
-    primary branch and (3*pi/4 - b, pi/4 - a) the complementary one.
-    """
-    if r == 1:
-        return (settings.b, settings.a)
-    if r == 2:
-        return (3.0 * math.pi / 4.0 - settings.b, math.pi / 4.0 - settings.a)
-    raise ValueError(f"outcome index must be 1 or 2, got {r!r}")
-
-
-def signed_arm_amplitudes(angle_pair: tuple[float, float]) -> tuple[float, float]:
-    """Signed transmitted amplitudes (cos 2u, cos 2v) of a raw angle pair."""
-    u, v = angle_pair
-    return (math.cos(2.0 * u), math.cos(2.0 * v))
-
-
-def operator_from_angles(angle_pair: tuple[float, float]) -> Operator2:
-    """Diagonal operator carried by an angle pair, signs included."""
-    top, bottom = signed_arm_amplitudes(angle_pair)
-    return Operator2.diagonal(top, bottom)
 
 
 def zeta(state_index: int, wm: WeakMeasurement) -> float:

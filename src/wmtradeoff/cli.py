@@ -18,6 +18,7 @@ from .bench import NoiseModel
 from .measurement import WeakMeasurement
 from . import tables
 from .sweeps import (
+    CheckResult,
     corrupted_reversal_operator,
     cross_section,
     grid_sweep,
@@ -30,7 +31,10 @@ EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
 EXIT_VERIFY_FAIL = 2
 
-SUBCOMMANDS = ("verify", "sweep-states", "sweep-grid", "cross-section", "reversal-fidelity")
+# Largest accepted lattice side. A sweep holds grid_size^2 cells of 51 states
+# each, and a sampled 64 x 64 lattice already takes ~20 s; 256 is 16 times
+# that many cells, and anything larger is refused before it is allocated.
+MAX_GRID_SIZE = 256
 
 
 class ConfigError(ValueError):
@@ -109,7 +113,10 @@ _FIELD_SPECS = {
         _parse_float,
         lambda v: _check_range("detector_efficiency", v, 0.0, 1.0, "(0, 1]", low_open=True),
     ),
-    "grid_size": (_parse_int, lambda v: _check_range("grid_size", v, 2, 2**31, "[2, inf)")),
+    "grid_size": (
+        _parse_int,
+        lambda v: _check_range("grid_size", v, 2, MAX_GRID_SIZE, f"[2, {MAX_GRID_SIZE}]"),
+    ),
     "exact_mode": (_parse_bool, lambda v: None),
     "output_path": (lambda name, text: text, lambda v: None),
     "output_format": (_parse_format, lambda v: None),
@@ -194,94 +201,69 @@ def _metadata(config: RunConfig) -> dict:
     return {"seed": config.seed, "version": __version__, "config": asdict(config)}
 
 
+# subcommand -> (run(config, noise, wm, mutate_reversal) -> rows, column spec,
+# JSON rows key, default format). Each runner looks its sweep up by name when
+# it runs, so a patched module attribute takes effect.
+_PRODUCTS = {
+    "verify": (
+        lambda c, noise, wm, mutate: verify(
+            c.photons_per_setting, noise, c.seed, c.grid_size, c.exact_mode,
+            reversal_fn=corrupted_reversal_operator if mutate else None,
+        ).verdicts,
+        tables.VERIFY, "checks", "json",
+    ),
+    "sweep-states": (
+        lambda c, noise, wm, mutate: state_sweep(
+            wm, c.photons_per_setting, noise, c.seed, c.exact_mode
+        ),
+        tables.STATES, "rows", "csv",
+    ),
+    "sweep-grid": (
+        lambda c, noise, wm, mutate: grid_sweep(
+            c.grid_size, c.photons_per_setting, noise, c.seed, c.exact_mode
+        ),
+        tables.GRID, "rows", "csv",
+    ),
+    "cross-section": (
+        lambda c, noise, wm, mutate: cross_section(
+            np.linspace(0.0, 1.0, c.grid_size), c.photons_per_setting, noise, c.seed,
+            c.exact_mode,
+        ),
+        tables.CROSS_SECTION, "rows", "csv",
+    ),
+    "reversal-fidelity": (
+        lambda c, noise, wm, mutate: reversal_fidelity_sweep(
+            wm, c.counts_per_basis, noise, c.seed, c.exact_mode
+        ),
+        tables.FIDELITIES, "rows", "csv",
+    ),
+}
+SUBCOMMANDS = tuple(_PRODUCTS)
+
+
 def dispatch(subcommand: str, config: RunConfig, mutate_reversal: bool = False) -> int:
     """Run one subcommand and write its product; returns the exit code."""
-    noise = NoiseModel(config.pbs_leakage, config.detector_efficiency)
-    fmt = config.output_format or ("json" if subcommand == "verify" else "csv")
-    wm = WeakMeasurement(config.epsilon, config.eta)
-
-    if subcommand == "verify":
-        report = verify(
-            photons_per_setting=config.photons_per_setting,
-            noise=noise,
-            seed=config.seed,
-            grid_size=config.grid_size,
-            exact_mode=config.exact_mode,
-            reversal_fn=corrupted_reversal_operator if mutate_reversal else None,
-        )
-        if fmt == "csv":
-            text = tables.verify_csv(report.verdicts)
-        else:
-            text = tables.json_document(
-                _metadata(config), "checks", tables.verify_json_rows(report.verdicts)
-            )
-        try:
-            _emit(text, config.output_path)
-        except OSError as exc:
-            print(f"cannot write output: {exc}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
-        if not report.passed:
-            failing = ", ".join(v.name for v in report.verdicts if not v.passed)
-            print(f"verification FAILED: {failing}", file=sys.stderr)
-            return EXIT_VERIFY_FAIL
-        return EXIT_OK
-
-    if subcommand == "sweep-states":
-        rows = state_sweep(
-            wm, config.photons_per_setting, noise, config.seed, config.exact_mode
-        )
-        text = (
-            tables.states_csv(rows)
-            if fmt == "csv"
-            else tables.json_document(_metadata(config), "rows", tables.states_json_rows(rows))
-        )
-    elif subcommand == "sweep-grid":
-        points = grid_sweep(
-            grid_size=config.grid_size,
-            photons_per_setting=config.photons_per_setting,
-            noise=noise,
-            seed=config.seed,
-            exact_mode=config.exact_mode,
-        )
-        text = (
-            tables.grid_csv(points)
-            if fmt == "csv"
-            else tables.json_document(_metadata(config), "rows", tables.grid_json_rows(points))
-        )
-    elif subcommand == "cross-section":
-        rows = cross_section(
-            np.linspace(0.0, 1.0, config.grid_size),
-            photons_per_setting=config.photons_per_setting,
-            noise=noise,
-            seed=config.seed,
-            exact_mode=config.exact_mode,
-        )
-        text = (
-            tables.cross_section_csv(rows)
-            if fmt == "csv"
-            else tables.json_document(
-                _metadata(config), "rows", tables.cross_section_json_rows(rows)
-            )
-        )
-    elif subcommand == "reversal-fidelity":
-        rows = reversal_fidelity_sweep(
-            wm, config.counts_per_basis, noise, config.seed, config.exact_mode
-        )
-        text = (
-            tables.fidelities_csv(rows)
-            if fmt == "csv"
-            else tables.json_document(
-                _metadata(config), "rows", tables.fidelities_json_rows(rows)
-            )
-        )
-    else:
+    if subcommand not in _PRODUCTS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+    run, spec, rows_key, default_format = _PRODUCTS[subcommand]
+    noise = NoiseModel(config.pbs_leakage, config.detector_efficiency)
+    wm = WeakMeasurement(config.epsilon, config.eta)
+    rows = run(config, noise, wm, mutate_reversal)
 
+    if (config.output_format or default_format) == "csv":
+        text = tables.csv_table(spec, rows)
+    else:
+        text = tables.json_document(_metadata(config), rows_key, tables.json_rows(spec, rows))
     try:
         _emit(text, config.output_path)
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+
+    failing = [r.name for r in rows if isinstance(r, CheckResult) and not r.passed]
+    if failing:
+        print(f"verification FAILED: {', '.join(failing)}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
     return EXIT_OK
 
 

@@ -183,11 +183,6 @@ class StokesVector:
         return (self.s1, self.s2, self.s3)
 
 
-def make_state(alpha_weight: float, phase: float = 0.0) -> PureState:
-    """Build a normalized pure state from H-weight and relative phase."""
-    return PureState(alpha_weight, phase)
-
-
 def pure_overlap(a: PureState, b: PureState) -> float:
     """Squared overlap |<a|b>|^2 of two pure states."""
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)

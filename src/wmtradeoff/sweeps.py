@@ -4,14 +4,15 @@ The drivers here reproduce the standard campaigns: a 51-state input traversal
 at a fixed measurement, a full operator-lattice sweep of tradeoff points, the
 epsilon = 0 cross section, and the reversed-state fidelity sweep. Everything
 is seed-pinned: identical configuration and seed produce byte-identical rows,
-and parallel evaluation of lattice cells equals serial evaluation because all
-randomness flows through per-cell substreams.
+and each lattice cell's rows do not depend on the order in which cells are
+evaluated, because all randomness flows through per-cell substreams.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import traceback
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -61,6 +62,10 @@ DEFAULT_SEED = 42
 # continuous closed form; the gap scales with |eta - epsilon| and peaks at
 # the projective corners.
 DISCRETE_GAIN_GAP = 0.0067
+
+# Expected reversed-photon yield below which a fidelity row is flagged
+# LOW_STATS instead of fitted.
+LOW_STATS_FLOOR = 100
 
 
 @dataclass(frozen=True)
@@ -127,24 +132,23 @@ class OperatorGrid:
 
 @dataclass(frozen=True)
 class TradeoffPoint:
-    """One lattice cell with analytic and (optionally) estimated columns."""
+    """One lattice cell with analytic and estimated columns."""
 
     epsilon: float
     eta: float
     gmax_analytic: float
     prev_analytic: float
     sum_analytic: float
-    gmax_estimated: float | None
-    prev_estimated: float | None
-    sum_estimated: float | None
+    gmax_estimated: float
+    prev_estimated: float
+    sum_estimated: float
     diagonal_flag: bool
 
     def __post_init__(self) -> None:
         if abs(self.sum_analytic - (6.0 * self.gmax_analytic + self.prev_analytic)) > 1e-12:
             raise ValueError("analytic sum must equal 6*gmax + prev")
-        if self.sum_estimated is not None:
-            if abs(self.sum_estimated - (6.0 * self.gmax_estimated + self.prev_estimated)) > 1e-12:
-                raise ValueError("estimated sum must equal 6*gmax + prev")
+        if abs(self.sum_estimated - (6.0 * self.gmax_estimated + self.prev_estimated)) > 1e-12:
+            raise ValueError("estimated sum must equal 6*gmax + prev")
 
 
 @dataclass(frozen=True)
@@ -260,22 +264,18 @@ def _cell_point(
     noise: NoiseModel | None,
     seed: int,
     exact_mode: bool,
-    monte_carlo: bool,
 ) -> TradeoffPoint:
     g = analytic_gmax(wm)
     p = analytic_prev(wm)
-    ge = pe = se = None
-    if monte_carlo:
-        records = [
-            simulate_counts(
-                i, st, wm, photons_per_setting, noise, seed,
-                cell_key=cell_index, exact_mode=exact_mode,
-            )
-            for i, st in enumerate(states)
-        ]
-        ge = estimate_gmax_from_counts(records, wm)
-        pe = estimate_prev_from_counts(records)
-        se = 6.0 * ge + pe
+    records = [
+        simulate_counts(
+            i, st, wm, photons_per_setting, noise, seed,
+            cell_key=cell_index, exact_mode=exact_mode,
+        )
+        for i, st in enumerate(states)
+    ]
+    ge = estimate_gmax_from_counts(records, wm)
+    pe = estimate_prev_from_counts(records)
     return TradeoffPoint(
         epsilon=wm.epsilon,
         eta=wm.eta,
@@ -284,7 +284,7 @@ def _cell_point(
         sum_analytic=6.0 * g + p,
         gmax_estimated=ge,
         prev_estimated=pe,
-        sum_estimated=se,
+        sum_estimated=6.0 * ge + pe,
         diagonal_flag=wm.is_diagonal_degenerate,
     )
 
@@ -295,29 +295,17 @@ def grid_sweep(
     noise: NoiseModel | None = None,
     seed: int = DEFAULT_SEED,
     exact_mode: bool = False,
-    monte_carlo: bool = True,
-    parallel: bool = False,
 ) -> list[TradeoffPoint]:
     """Tradeoff points over the full operator lattice.
 
     Diagonal (beam-splitter) cells are flagged, never dropped, so downstream
-    consumers can mask them. Parallel evaluation returns rows identical to
-    serial evaluation.
+    consumers can mask them.
     """
-    grid = OperatorGrid.uniform(grid_size)
     states = StateGrid.standard()
-
-    def evaluate(item: tuple[int, WeakMeasurement]) -> TradeoffPoint:
-        idx, wm = item
-        return _cell_point(
-            idx, wm, states, photons_per_setting, noise, seed, exact_mode, monte_carlo
-        )
-
-    items = list(enumerate(grid))
-    if parallel:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            return list(pool.map(evaluate, items))
-    return [evaluate(item) for item in items]
+    return [
+        _cell_point(idx, wm, states, photons_per_setting, noise, seed, exact_mode)
+        for idx, wm in enumerate(OperatorGrid.uniform(grid_size))
+    ]
 
 
 def cross_section(
@@ -358,13 +346,12 @@ def reversal_fidelity_sweep(
     noise: NoiseModel | None = None,
     seed: int = DEFAULT_SEED,
     exact_mode: bool = False,
-    low_stats_floor: int = 100,
 ) -> list[FidelityRow]:
     """Tomography fidelity of the reversed output for each traversal state.
 
     Both branch chains are exercised and their analyzer records pooled: every
     chain whose expected reversed-photon yield (from a ``counts_per_basis``
-    source budget) reaches ``low_stats_floor`` integrates until it has
+    source budget) reaches ``LOW_STATS_FLOOR`` integrates until it has
     recorded ``counts_per_basis`` reversed photons per basis. States whose
     total expected yield falls below the floor are flagged LOW_STATS instead
     of fitted.
@@ -375,10 +362,10 @@ def reversal_fidelity_sweep(
         yields = [
             counts_per_basis * reversal_chain_survival(state, wm, r, noise) for r in (1, 2)
         ]
-        if sum(yields) < low_stats_floor:
+        if sum(yields) < LOW_STATS_FLOOR:
             rows.append(FidelityRow(state.alpha_weight, None, True))
             continue
-        live_chains = max(1, sum(y >= low_stats_floor for y in yields))
+        live_chains = max(1, sum(y >= LOW_STATS_FLOOR for y in yields))
         rng = _substream(seed, 0, i, 0, CONFIG_TOMOGRAPHY)
         result = simulate_tomography(
             state, live_chains * counts_per_basis, noise, rng, exact_mode=exact_mode
@@ -674,14 +661,18 @@ def _check_estimator_consistency(
 
 def _check_rng_determinism(noise: NoiseModel | None, seed: int) -> CheckResult:
     wm = WeakMeasurement(0.25, 0.75)
-    rows_a = state_sweep(wm, 20_000, noise, seed)
-    rows_b = state_sweep(wm, 20_000, noise, seed)
-    identical = rows_a == rows_b
-    identical = identical and tables.states_csv(rows_a) == tables.states_csv(rows_b)
-    serial = grid_sweep(4, 2_000, noise, seed, parallel=False)
-    concurrent = grid_sweep(4, 2_000, noise, seed, parallel=True)
-    identical = identical and serial == concurrent
-    identical = identical and tables.grid_csv(serial) == tables.grid_csv(concurrent)
+    # Cells evaluated one at a time in reverse order must reproduce the
+    # sweep: no cell's stream may depend on the cells drawn before it.
+    states = StateGrid.standard()
+    cells = reversed(list(enumerate(OperatorGrid.uniform(4))))
+    reordered = [_cell_point(i, cell, states, 2_000, noise, seed, False) for i, cell in cells]
+    pairs = (
+        (tables.STATES, state_sweep(wm, 20_000, noise, seed), state_sweep(wm, 20_000, noise, seed)),
+        (tables.GRID, grid_sweep(4, 2_000, noise, seed), reordered[::-1]),
+    )
+    identical = all(
+        a == b and tables.csv_table(spec, a) == tables.csv_table(spec, b) for spec, a, b in pairs
+    )
     dev = 0.0 if identical else 1.0
     return CheckResult("rng_determinism", identical, dev, 0.0)
 
@@ -705,29 +696,34 @@ def verify(
     started = _utcnow()
     reversal_fn = reversal_fn or reversal_operator
     runners = [
-        _check_kraus_completeness,
-        lambda: _check_boundary_law(grid_size),
-        lambda: _check_center_minimum(grid_size),
-        _check_pvnm_corners,
-        _check_range_bounds,
-        lambda: _check_parameter_symmetries(seed),
-        _check_phase_invariance,
-        lambda: _check_reversal_exactness(seed, reversal_fn),
-        lambda: _check_prev_constancy(seed),
-        lambda: _check_state_grid_prev_mean(grid_size),
-        lambda: _check_state_grid_gain_gap(grid_size),
-        lambda: _check_cross_section_monotonicity(grid_size),
-        lambda: _check_oracle_agreement(seed, stderr_multiplier),
-        lambda: _check_estimator_consistency(photons_per_setting, noise, seed, exact_mode),
-        lambda: _check_rng_determinism(noise, seed),
+        ("kraus_completeness", _check_kraus_completeness),
+        ("boundary_law", lambda: _check_boundary_law(grid_size)),
+        ("center_minimum", lambda: _check_center_minimum(grid_size)),
+        ("pvnm_corners", _check_pvnm_corners),
+        ("range_bounds", _check_range_bounds),
+        ("parameter_symmetries", lambda: _check_parameter_symmetries(seed)),
+        ("phase_invariance", _check_phase_invariance),
+        ("reversal_exactness", lambda: _check_reversal_exactness(seed, reversal_fn)),
+        ("reversal_state_constancy", lambda: _check_prev_constancy(seed)),
+        ("state_grid_prev_mean", lambda: _check_state_grid_prev_mean(grid_size)),
+        ("state_grid_gain_gap", lambda: _check_state_grid_gain_gap(grid_size)),
+        ("cross_section_monotonicity", lambda: _check_cross_section_monotonicity(grid_size)),
+        ("oracle_agreement", lambda: _check_oracle_agreement(seed, stderr_multiplier)),
+        (
+            "estimator_consistency",
+            lambda: _check_estimator_consistency(photons_per_setting, noise, seed, exact_mode),
+        ),
+        ("rng_determinism", lambda: _check_rng_determinism(noise, seed)),
     ]
     verdicts = []
-    for runner in runners:
+    for name, runner in runners:
         try:
             verdicts.append(runner())
         except Exception as exc:  # a crashed check is a failed check
-            name = getattr(runner, "__name__", "check").lstrip("_")
-            verdicts.append(CheckResult(name, False, math.inf, 0.0, detail=repr(exc)))
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+            detail = f"{type(exc).__name__}: {exc} at {where}"
+            verdicts.append(CheckResult(name, False, math.inf, 0.0, detail=detail))
 
     effective_noise = noise or NoiseModel()
     return SweepReport.create(

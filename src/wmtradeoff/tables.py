@@ -1,8 +1,10 @@
 """Fixed CSV and JSON table schemas shared by the sweep drivers and the CLI.
 
-Headers are bit-exact contracts; numeric fields print with nine digits after
-the decimal point and flags print as 0/1. JSON documents mirror the CSV rows
-as objects under a stable metadata header.
+Each product has one column spec: a tuple of (column name, row attribute,
+kind). Headers are bit-exact contracts; numeric fields print with nine digits
+after the decimal point and flags print as 0/1. JSON documents carry the
+same columns as objects under a stable metadata header, with non-finite
+numbers as null; ``NOTE`` columns appear in JSON only.
 """
 
 from __future__ import annotations
@@ -10,14 +12,7 @@ from __future__ import annotations
 import json
 import math
 
-GRID_HEADER = (
-    "epsilon,eta,gmax_analytic,prev_analytic,sum_analytic,"
-    "gmax_mc,prev_mc,sum_mc,diagonal_flag"
-)
-STATES_HEADER = "alpha,gain_analytic,rev_analytic,gain_mc,rev_mc"
-CROSS_SECTION_HEADER = "eta,six_gmax,prev,sum"
-FIDELITIES_HEADER = "alpha,fidelity,low_stats_flag"
-VERIFY_HEADER = "check,verdict,deviation,tolerance"
+NUMBER, FLAG, TEXT, NOTE = "number", "flag", "text", "note"
 
 
 def format_number(value: float | None) -> str:
@@ -27,124 +22,66 @@ def format_number(value: float | None) -> str:
     return f"{float(value) + 0.0:.9f}"
 
 
-def _flag(value: bool) -> str:
-    return "1" if value else "0"
+def _json_number(value: float | None) -> float | None:
+    return value if value is not None and math.isfinite(value) else None
 
 
-def grid_csv(points) -> str:
-    lines = [GRID_HEADER]
-    for p in points:
-        lines.append(
-            ",".join(
-                [
-                    format_number(p.epsilon),
-                    format_number(p.eta),
-                    format_number(p.gmax_analytic),
-                    format_number(p.prev_analytic),
-                    format_number(p.sum_analytic),
-                    format_number(p.gmax_estimated),
-                    format_number(p.prev_estimated),
-                    format_number(p.sum_estimated),
-                    _flag(p.diagonal_flag),
-                ]
-            )
-        )
+# kind -> (CSV cell, or None for a JSON-only column; JSON value)
+_KINDS = {
+    NUMBER: (format_number, _json_number),
+    FLAG: (lambda v: "1" if v else "0", int),
+    TEXT: (str, str),
+    NOTE: (None, str),
+}
+
+GRID = (
+    ("epsilon", "epsilon", NUMBER),
+    ("eta", "eta", NUMBER),
+    ("gmax_analytic", "gmax_analytic", NUMBER),
+    ("prev_analytic", "prev_analytic", NUMBER),
+    ("sum_analytic", "sum_analytic", NUMBER),
+    ("gmax_mc", "gmax_estimated", NUMBER),
+    ("prev_mc", "prev_estimated", NUMBER),
+    ("sum_mc", "sum_estimated", NUMBER),
+    ("diagonal_flag", "diagonal_flag", FLAG),
+)
+STATES = (
+    ("alpha", "alpha", NUMBER),
+    ("gain_analytic", "gain_analytic", NUMBER),
+    ("rev_analytic", "rev_analytic", NUMBER),
+    ("gain_mc", "gain_mc", NUMBER),
+    ("rev_mc", "rev_mc", NUMBER),
+)
+CROSS_SECTION = (
+    ("eta", "eta", NUMBER),
+    ("six_gmax", "six_gmax", NUMBER),
+    ("prev", "prev", NUMBER),
+    ("sum", "total", NUMBER),
+)
+FIDELITIES = (
+    ("alpha", "alpha", NUMBER),
+    ("fidelity", "fidelity", NUMBER),
+    ("low_stats_flag", "low_stats", FLAG),
+)
+VERIFY = (
+    ("check", "name", TEXT),
+    ("verdict", "verdict", TEXT),
+    ("deviation", "deviation", NUMBER),
+    ("tolerance", "tolerance", NUMBER),
+    ("detail", "detail", NOTE),
+)
+
+
+def csv_table(spec, rows) -> str:
+    columns = [(name, attr, _KINDS[kind][0]) for name, attr, kind in spec if _KINDS[kind][0]]
+    lines = [",".join(name for name, _, _ in columns)]
+    lines += [",".join(cell(getattr(r, attr)) for _, attr, cell in columns) for r in rows]
     return "\n".join(lines) + "\n"
 
 
-def states_csv(rows) -> str:
-    lines = [STATES_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                format_number(v)
-                for v in (r.alpha, r.gain_analytic, r.rev_analytic, r.gain_mc, r.rev_mc)
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def cross_section_csv(rows) -> str:
-    lines = [CROSS_SECTION_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(format_number(v) for v in (r.eta, r.six_gmax, r.prev, r.total))
-        )
-    return "\n".join(lines) + "\n"
-
-
-def fidelities_csv(rows) -> str:
-    lines = [FIDELITIES_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join([format_number(r.alpha), format_number(r.fidelity), _flag(r.low_stats)])
-        )
-    return "\n".join(lines) + "\n"
-
-
-def verify_csv(verdicts) -> str:
-    lines = [VERIFY_HEADER]
-    for v in verdicts:
-        lines.append(
-            ",".join([v.name, v.verdict, format_number(v.deviation), format_number(v.tolerance)])
-        )
-    return "\n".join(lines) + "\n"
-
-
-def grid_json_rows(points) -> list[dict]:
+def json_rows(spec, rows) -> list[dict]:
     return [
-        {
-            "epsilon": p.epsilon,
-            "eta": p.eta,
-            "gmax_analytic": p.gmax_analytic,
-            "prev_analytic": p.prev_analytic,
-            "sum_analytic": p.sum_analytic,
-            "gmax_mc": p.gmax_estimated,
-            "prev_mc": p.prev_estimated,
-            "sum_mc": p.sum_estimated,
-            "diagonal_flag": int(p.diagonal_flag),
-        }
-        for p in points
-    ]
-
-
-def states_json_rows(rows) -> list[dict]:
-    return [
-        {
-            "alpha": r.alpha,
-            "gain_analytic": r.gain_analytic,
-            "rev_analytic": r.rev_analytic,
-            "gain_mc": r.gain_mc,
-            "rev_mc": r.rev_mc,
-        }
-        for r in rows
-    ]
-
-
-def cross_section_json_rows(rows) -> list[dict]:
-    return [
-        {"eta": r.eta, "six_gmax": r.six_gmax, "prev": r.prev, "sum": r.total}
-        for r in rows
-    ]
-
-
-def fidelities_json_rows(rows) -> list[dict]:
-    return [
-        {"alpha": r.alpha, "fidelity": r.fidelity, "low_stats_flag": int(r.low_stats)}
-        for r in rows
-    ]
-
-
-def verify_json_rows(verdicts) -> list[dict]:
-    return [
-        {
-            "check": v.name,
-            "verdict": v.verdict,
-            "deviation": None if math.isinf(v.deviation) else v.deviation,
-            "tolerance": v.tolerance,
-            "detail": v.detail,
-        }
-        for v in verdicts
+        {name: _KINDS[kind][1](getattr(r, attr)) for name, attr, kind in spec} for r in rows
     ]
 
 

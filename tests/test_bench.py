@@ -16,22 +16,15 @@ from wmtradeoff.measurement import (
 from wmtradeoff.bench import (
     CountRecord,
     EstimationError,
-    HwpSettings,
     NoiseModel,
-    angles_from_wm,
-    complementary_settings,
     estimate_gmax_from_counts,
     estimate_prev_from_counts,
     gain_term_from_counts,
     measurement_survival,
-    operator_from_angles,
     rev_term_from_counts,
     reversal_chain_survival,
-    reversal_settings,
-    signed_arm_amplitudes,
     simulate_counts,
     simulate_tomography,
-    wm_from_angles,
     zeta,
 )
 
@@ -66,98 +59,49 @@ def run_records(wm, photons, noise=None, seed=0, exact=False):
     ]
 
 
-class TestAngleMaps:
-    def test_wm_from_angles_endpoints(self):
-        wm = wm_from_angles(HwpSettings(0.0, PI / 2))
-        assert (wm.epsilon, wm.eta) == pytest.approx((0.0, 0.0), abs=1e-12)
+def signed_arm_operators(wm):
+    """Measurement and reversal operators of the bench's waveplate angles.
 
-    def test_wm_from_angles_half_and_full(self):
-        wm = wm_from_angles(HwpSettings(PI / 8, PI / 4))
-        assert (wm.epsilon, wm.eta) == pytest.approx((0.5, 1.0), abs=1e-12)
+    The primary setting is a = asin(sqrt(e))/2, b = (pi - asin(sqrt(h)))/2 (the
+    descending branch keeps b in [pi/4, pi/2]); the complementary setting is
+    (pi/4 - a, 3pi/4 - b); each reversal exchanges its branch's arms. A plate
+    at angle t transmits the signed amplitude cos 2t.
+    """
+    a = 0.5 * math.asin(math.sqrt(wm.epsilon))
+    b = 0.5 * (PI - math.asin(math.sqrt(wm.eta)))
 
-    def test_naive_b_branch_gives_quarter_not_three_quarters(self):
-        # sin^2(2 * 5pi/12) = sin^2(5pi/6) = 0.25, so eta = 0.75 needs the
-        # descending branch b = (pi - asin(sqrt(eta)))/2 instead.
-        wm = wm_from_angles(HwpSettings(PI / 12, 5 * PI / 12))
-        assert (wm.epsilon, wm.eta) == pytest.approx((0.25, 0.25), abs=1e-12)
-        b = angles_from_wm(FLAGSHIP).b
-        assert b == pytest.approx(0.5 * (PI - math.asin(math.sqrt(0.75))), abs=1e-15)
-        assert b == pytest.approx(PI / 3, abs=1e-12)
+    def arms(u, v):
+        return np.diag([math.cos(2 * u), math.cos(2 * v)])
 
-    def test_angles_from_wm_endpoints(self):
-        s = angles_from_wm(WeakMeasurement(0.0, 0.0))
-        assert (s.a, s.b) == pytest.approx((0.0, PI / 2), abs=1e-12)
-        s = angles_from_wm(WeakMeasurement(1.0, 1.0))
-        assert (s.a, s.b) == pytest.approx((PI / 4, PI / 4), abs=1e-12)
-
-    def test_round_trip_on_grid(self):
-        for e in np.linspace(0.0, 1.0, 21):
-            for h in np.linspace(0.0, 1.0, 21):
-                wm = WeakMeasurement(float(e), float(h))
-                back = wm_from_angles(angles_from_wm(wm))
-                assert back.epsilon == pytest.approx(wm.epsilon, abs=1e-12)
-                assert back.eta == pytest.approx(wm.eta, abs=1e-12)
-
-    def test_angle_ranges_enforced(self):
-        with pytest.raises(ValueError):
-            HwpSettings(-0.1, PI / 3)
-        with pytest.raises(ValueError):
-            HwpSettings(0.1, PI / 8)
-
-
-class TestComplementarySettings:
-    def test_endpoint(self):
-        assert complementary_settings(HwpSettings(0.0, PI / 2)) == pytest.approx(
-            (PI / 4, PI / 4), abs=1e-12
-        )
-
-    def test_center_fixed_point(self):
-        assert complementary_settings(HwpSettings(PI / 8, 3 * PI / 8)) == pytest.approx(
-            (PI / 8, 3 * PI / 8), abs=1e-12
-        )
-
-    def test_signed_amplitudes_and_per_arm_completeness(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            s = HwpSettings(rng.uniform(0, PI / 4), rng.uniform(PI / 4, PI / 2))
-            primary = signed_arm_amplitudes((s.a, s.b))
-            comp = signed_arm_amplitudes(complementary_settings(s))
-            assert primary == pytest.approx((math.cos(2 * s.a), math.cos(2 * s.b)), abs=1e-12)
-            assert comp == pytest.approx((math.sin(2 * s.a), -math.sin(2 * s.b)), abs=1e-12)
-            for p, c in zip(primary, comp):
-                assert p * p + c * c == pytest.approx(1.0, abs=1e-12)
+    measure = (arms(a, b), arms(PI / 4 - a, 3 * PI / 4 - b))
+    reverse = (arms(b, a), arms(3 * PI / 4 - b, PI / 4 - a))
+    return measure, reverse
 
 
 class TestReversalSettings:
-    def test_exchange_for_first_branch(self):
-        s = HwpSettings(PI / 12, PI / 3)
-        assert reversal_settings(s, 1) == (s.b, s.a)
-
-    def test_second_branch_endpoint(self):
-        assert reversal_settings(HwpSettings(0.0, PI / 2), 2) == pytest.approx(
-            (PI / 4, PI / 4), abs=1e-12
-        )
-
     def test_composition_proportional_to_identity(self):
-        s = angles_from_wm(FLAGSHIP)
-        measure = operator_from_angles((s.a, s.b))
-        reverse = operator_from_angles(reversal_settings(s, 1))
-        product = reverse.matrix @ measure.matrix
-        np.testing.assert_allclose(np.abs(product), math.sqrt(0.1875) * np.eye(2), atol=1e-12)
-        # the two arms carry the same signed product (sign cancellation)
-        assert product[0, 0] == pytest.approx(product[1, 1], abs=1e-12)
-
-        comp = operator_from_angles(complementary_settings(s))
-        rev2 = operator_from_angles(reversal_settings(s, 2))
-        product2 = rev2.matrix @ comp.matrix
-        np.testing.assert_allclose(
-            np.abs(product2), math.sqrt(0.25 * 0.75) * np.eye(2), atol=1e-12
-        )
-        assert product2[0, 0] == pytest.approx(product2[1, 1], abs=1e-12)
-
-    def test_invalid_branch(self):
-        with pytest.raises(ValueError):
-            reversal_settings(HwpSettings(0.1, 1.0), 0)
+        for e in np.linspace(0.0, 1.0, 11):
+            for h in np.linspace(0.0, 1.0, 11):
+                wm = WeakMeasurement(float(e), float(h))
+                measure, reverse = signed_arm_operators(wm)
+                for r in (1, 2):
+                    m, rev = measure[r - 1], reverse[r - 1]
+                    np.testing.assert_allclose(
+                        np.abs(m), np.abs(kraus_pair(wm)[r - 1].matrix), atol=1e-12
+                    )
+                    np.testing.assert_allclose(
+                        np.abs(rev), np.abs(reversal_operator(wm, r).matrix), atol=1e-12
+                    )
+                    # the signs cancel: both arms carry the same signed product
+                    product = rev @ m
+                    assert product[0, 1] == product[1, 0] == 0.0
+                    assert product[0, 0] == pytest.approx(product[1, 1], abs=1e-12)
+        measure, reverse = signed_arm_operators(FLAGSHIP)
+        for r in (1, 2):
+            np.testing.assert_allclose(
+                np.abs(reverse[r - 1] @ measure[r - 1]), math.sqrt(0.1875) * np.eye(2),
+                atol=1e-12,
+            )
 
 
 class TestZeta:

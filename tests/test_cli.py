@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from wmtradeoff import tables
+from wmtradeoff import cli
 from wmtradeoff.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -16,6 +16,8 @@ from wmtradeoff.cli import (
     main,
     parse_config,
 )
+
+STATES_HEADER = "alpha,gain_analytic,rev_analytic,gain_mc,rev_mc"
 
 
 class TestParseConfig:
@@ -51,6 +53,19 @@ class TestParseConfig:
     def test_out_of_range_names_field_and_range(self):
         with pytest.raises(ConfigError, match=r"epsilon must lie in \[0, 1\]"):
             parse_config(["verify", "--epsilon", "1.5"])
+
+    @pytest.mark.parametrize("size", ["257", "2147483648"])
+    def test_grid_size_capped(self, size, tmp_path, capsys, monkeypatch):
+        def unreachable(**kwargs):
+            raise AssertionError("sweep ran on a rejected grid size")
+
+        monkeypatch.setattr(cli, "grid_sweep", unreachable)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"grid_size = {size}\n")
+        for argv in (["--grid-size", size], ["--config", str(cfg)]):
+            assert main(["sweep-grid", *argv]) == EXIT_CONFIG_ERROR
+            assert f"grid_size must lie in [2, 256], got {size}" in capsys.readouterr().err
+        assert parse_config(["sweep-grid", "--grid-size", "256"])[1].grid_size == 256
 
     def test_bool_values(self):
         _, config, _ = parse_config(["verify", "--exact-mode", "true"])
@@ -91,7 +106,7 @@ class TestDispatchProducts:
         code = main(["cross-section", "--exact-mode", "true", "--output-path", str(out)])
         assert code == EXIT_OK
         lines = out.read_text().splitlines()
-        assert lines[0] == tables.CROSS_SECTION_HEADER
+        assert lines[0] == "eta,six_gmax,prev,sum"
         assert len(lines) == 17
         assert all(line.split(",")[3] == "4.000000000" for line in lines[1:])
 
@@ -100,7 +115,10 @@ class TestDispatchProducts:
         code = main(["sweep-grid", "--exact-mode", "true", "--output-path", str(out)])
         assert code == EXIT_OK
         lines = out.read_text().splitlines()
-        assert lines[0] == tables.GRID_HEADER
+        assert lines[0] == (
+            "epsilon,eta,gmax_analytic,prev_analytic,sum_analytic,"
+            "gmax_mc,prev_mc,sum_mc,diagonal_flag"
+        )
         assert len(lines) == 257
         eps_column = [line.split(",")[0] for line in lines[1:]]
         assert eps_column == sorted(eps_column)  # row-major by epsilon
@@ -114,7 +132,7 @@ class TestDispatchProducts:
         )
         assert code == EXIT_OK
         lines = out.read_text().splitlines()
-        assert lines[0] == tables.STATES_HEADER
+        assert lines[0] == STATES_HEADER
         assert len(lines) == 52
 
     def test_reversal_fidelity_schema_and_flags(self, tmp_path):
@@ -132,7 +150,7 @@ class TestDispatchProducts:
         )
         assert code == EXIT_OK
         lines = out.read_text().splitlines()
-        assert lines[0] == tables.FIDELITIES_HEADER
+        assert lines[0] == "alpha,fidelity,low_stats_flag"
         assert len(lines) == 52
         assert all(line.split(",")[2] in ("0", "1") for line in lines[1:])
 
@@ -173,7 +191,7 @@ class TestDispatchProducts:
         assert set(doc) == {"metadata", "rows"}
         assert len(doc["rows"]) == 51
         assert doc["metadata"]["config"]["exact_mode"] is True
-        assert set(doc["rows"][0]) == set(tables.STATES_HEADER.split(","))
+        assert set(doc["rows"][0]) == set(STATES_HEADER.split(","))
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a = tmp_path / "a.csv"
@@ -211,7 +229,7 @@ class TestProcessLevelExitCodes:
     def test_exit_zero_on_success(self):
         proc = self.run_cli("cross-section", "--exact-mode", "true")
         assert proc.returncode == EXIT_OK
-        assert proc.stdout.startswith(tables.CROSS_SECTION_HEADER)
+        assert proc.stdout.startswith("eta,six_gmax,prev,sum")
 
     def test_exit_one_on_config_error(self):
         proc = self.run_cli("verify", "--epsilon", "1.5")

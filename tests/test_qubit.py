@@ -15,7 +15,6 @@ from wmtradeoff.qubit import (
     apply_operator,
     density_from_stokes,
     density_of_state,
-    make_state,
     pure_overlap,
     state_fidelity,
     stokes_of_state,
@@ -24,27 +23,27 @@ from wmtradeoff.qubit import (
 
 class TestPureState:
     def test_h_endpoint(self):
-        st = make_state(1.0, 0.0)
+        st = PureState(1.0, 0.0)
         np.testing.assert_allclose(st.amplitudes, [1.0, 0.0], atol=1e-15)
 
     def test_v_endpoint_ignores_phase(self):
-        st = make_state(0.0, 1.3)
+        st = PureState(0.0, 1.3)
         assert st.phase == 0.0
         assert abs(st.amplitudes[1]) ** 2 == pytest.approx(1.0, abs=1e-15)
 
     def test_diagonal_state_weight(self):
-        st = make_state(0.5, 0.0)
+        st = PureState(0.5, 0.0)
         assert abs(st.amplitudes[0]) ** 2 == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan, math.inf])
     def test_out_of_range_weight_rejected(self, bad):
         with pytest.raises(ValueError):
-            make_state(bad, 0.0)
+            PureState(bad, 0.0)
 
     def test_phase_reduced_mod_two_pi(self):
-        st = make_state(0.3, 2.0 * math.pi + 0.25)
+        st = PureState(0.3, 2.0 * math.pi + 0.25)
         assert st.phase == pytest.approx(0.25, abs=1e-12)
-        st = make_state(0.3, -0.25)
+        st = PureState(0.3, -0.25)
         assert st.phase == pytest.approx(2.0 * math.pi - 0.25, abs=1e-12)
 
     def test_amplitudes_unit_norm(self):

@@ -13,6 +13,7 @@ from wmtradeoff.measurement import (
     per_state_gain,
     per_state_reversal_prob,
 )
+from wmtradeoff import sweeps, tables
 from wmtradeoff.bench import NoiseModel
 from wmtradeoff.sweeps import (
     OperatorGrid,
@@ -32,7 +33,7 @@ FLAGSHIP = WeakMeasurement(0.25, 0.75)
 
 @pytest.fixture(scope="module")
 def analytic_points():
-    return grid_sweep(monte_carlo=False)
+    return grid_sweep(exact_mode=True)
 
 
 @pytest.fixture(scope="module")
@@ -157,12 +158,6 @@ class TestGridSweep:
         assert (round(7 / 15, 12), round(7 / 15, 12)) in argmin
         assert (round(8 / 15, 12), round(8 / 15, 12)) in argmin
 
-    def test_estimated_columns_absent_without_monte_carlo(self, analytic_points):
-        for p in analytic_points:
-            assert p.gmax_estimated is None
-            assert p.prev_estimated is None
-            assert p.sum_estimated is None
-
     def test_diagonal_flags(self, analytic_points):
         for p in analytic_points:
             expected = abs(p.epsilon - p.eta) < 1e-12 and p.epsilon not in (0.0, 1.0)
@@ -177,10 +172,16 @@ class TestGridSweep:
             assert p.prev_estimated == pytest.approx(p.prev_analytic, abs=1e-12)
             assert abs(p.gmax_estimated - p.gmax_analytic) <= 0.0067 + 1e-12
 
-    def test_parallel_equals_serial(self):
-        serial = grid_sweep(grid_size=5, photons_per_setting=3000, seed=11, parallel=False)
-        concurrent = grid_sweep(grid_size=5, photons_per_setting=3000, seed=11, parallel=True)
-        assert serial == concurrent
+    def test_reversed_cell_order_equals_sweep(self):
+        rows = grid_sweep(grid_size=5, photons_per_setting=3000, seed=11)
+        states = StateGrid.standard()
+        cells = list(enumerate(OperatorGrid.uniform(5)))
+        reordered = [
+            sweeps._cell_point(idx, wm, states, 3000, None, 11, False)
+            for idx, wm in reversed(cells)
+        ][::-1]
+        assert rows == reordered
+        assert tables.csv_table(tables.GRID, rows) == tables.csv_table(tables.GRID, reordered)
 
 
 class TestStateGridMeans:
@@ -316,6 +317,28 @@ class TestVerify:
         outcomes = {v.name: v.passed for v in report.verdicts}
         assert outcomes["oracle_agreement"] is False
         assert outcomes["kraus_completeness"] is True
+
+    def test_crashed_checks_name_themselves(self, monkeypatch):
+        def boom(*args):
+            raise ZeroDivisionError("injected")
+
+        # one check the battery runs through a lambda, one it calls directly
+        monkeypatch.setattr(sweeps, "_check_state_grid_prev_mean", boom)
+        monkeypatch.setattr(sweeps, "_check_kraus_completeness", boom)
+        report = verify(photons_per_setting=2_000, seed=42, grid_size=4)
+        assert [v.name for v in report.verdicts] == [
+            "kraus_completeness", "boundary_law", "center_minimum", "pvnm_corners",
+            "range_bounds", "parameter_symmetries", "phase_invariance",
+            "reversal_exactness", "reversal_state_constancy", "state_grid_prev_mean",
+            "state_grid_gain_gap", "cross_section_monotonicity", "oracle_agreement",
+            "estimator_consistency", "rng_determinism",
+        ]
+        crashed = {v.name: v for v in report.verdicts if v.deviation == math.inf}
+        assert set(crashed) == {"kraus_completeness", "state_grid_prev_mean"}
+        for v in crashed.values():
+            assert not v.passed
+            assert v.detail.startswith("ZeroDivisionError: injected at test_sweeps.py:")
+            assert v.detail.endswith(" in boom")
 
     def test_mutated_reversal_fails_exactness(self):
         report = verify(photons_per_setting=20_000, seed=42, reversal_fn=corrupted_reversal_operator)
