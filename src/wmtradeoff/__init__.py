@@ -20,13 +20,10 @@ from .qubit import (
     stokes_of_state,
 )
 from .measurement import (
-    OutcomeRecord,
     WeakMeasurement,
     analytic_gmax,
     analytic_prev,
     kraus_pair,
-    optimal_guess,
-    outcome_distribution,
     per_state_gain,
     per_state_reversal_prob,
     reversal_operator,

@@ -28,7 +28,7 @@ from .qubit import (
     state_fidelity,
     stokes_of_state,
 )
-from .measurement import TIE_ATOL, WeakMeasurement
+from .measurement import WeakMeasurement, first_guess_is_v
 
 # Substream keys: which angle setting and which bench configuration a count
 # channel belongs to.
@@ -124,13 +124,13 @@ class TomographyResult:
 def zeta(state_index: int, wm: WeakMeasurement) -> float:
     """Guess fidelity weight of traversal state ``i`` for the primary channel.
 
-    Equals 0.02*i when epsilon < eta (guess |H> on the primary branch) and
-    1 - 0.02*i when epsilon > eta; ties fall to the first branch.
+    Equals 0.02*i where the primary branch guesses |H> and 1 - 0.02*i where
+    it guesses |V>, by the package's one guess rule ``first_guess_is_v``.
     """
     if not 0 <= state_index < N_TRAVERSAL_STATES:
         raise ValueError(f"state_index must lie in [0, 50], got {state_index!r}")
     base = ALPHA_SPACING * state_index
-    if wm.epsilon - wm.eta > TIE_ATOL:
+    if first_guess_is_v(wm.epsilon, wm.eta):
         return 1.0 - base
     return base
 

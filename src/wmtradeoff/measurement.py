@@ -8,6 +8,16 @@ flipping the two diagonal coefficients of the branch operator, without any
 rescaling: this is the convention under which the mean reversal probability
 equals (1-epsilon)(1-eta) + epsilon*eta for every input state.
 
+Guess rule: outcome 1 guesses |V> when epsilon - eta > TIE_ATOL and |H>
+otherwise; outcome 2 guesses the other basis state. A tie therefore guesses
+|H> on outcome 1 and |V> on outcome 2, the rule the bench's count-ratio
+estimator applies too.
+
+``branch_terms`` is the one place the per-state arithmetic happens: over
+broadcast (epsilon, eta, alpha, phase) arrays it returns each outcome's
+probability, guess fidelity and reversal term from the complex amplitudes.
+``per_state_gain`` and ``per_state_reversal_prob`` are its scalar views.
+
 Closed forms implemented here:
 
     gmax(epsilon, eta) = (3 + |eta - epsilon|) / 6
@@ -27,10 +37,6 @@ from .qubit import (
     CONSTRUCTION_ATOL,
     Operator2,
     PureState,
-    STATE_H,
-    STATE_V,
-    apply_operator,
-    pure_overlap,
 )
 
 # Parameter pairs closer than this count as a degenerate (beam-splitter) tie.
@@ -61,33 +67,12 @@ class WeakMeasurement:
         return self.epsilon not in (0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class OutcomeRecord:
-    """One measurement branch: probability, post state, and optimal guess.
+def first_guess_is_v(epsilon, eta):
+    """True where outcome 1 guesses |V>; outcome 2 then guesses |H>.
 
-    ``post_state`` is ``None`` when the branch annihilates the input.
-    ``guess_fidelity`` is the squared overlap of the guess with the input
-    state (not with the post-measurement state).
+    Works on floats and on numpy arrays alike.
     """
-
-    outcome_index: int
-    probability: float
-    post_state: PureState | None
-    guess: PureState
-    guess_fidelity: float
-
-    def __post_init__(self) -> None:
-        if self.outcome_index not in (1, 2):
-            raise ValueError(f"outcome index must be 1 or 2, got {self.outcome_index!r}")
-        for name in ("probability", "guess_fidelity"):
-            v = float(getattr(self, name))
-            if not -CONSTRUCTION_ATOL <= v <= 1.0 + CONSTRUCTION_ATOL:
-                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-
-
-def _check_outcome_index(r: int) -> None:
-    if r not in (1, 2):
-        raise ValueError(f"outcome index must be 1 or 2, got {r!r}")
+    return epsilon - eta > TIE_ATOL
 
 
 def kraus_pair(wm: WeakMeasurement) -> tuple[Operator2, Operator2]:
@@ -98,41 +83,40 @@ def kraus_pair(wm: WeakMeasurement) -> tuple[Operator2, Operator2]:
     return first, second
 
 
-def optimal_guess(wm: WeakMeasurement, r: int) -> PureState:
-    """Best basis-state guess given the observed outcome.
+def branch_terms(epsilon, eta, alpha, phase=0.0):
+    """Probability, guess fidelity and reversal term of both outcomes.
 
-    Outcome 1 weights H more heavily when epsilon < eta, so the guess is |H>
-    there and |V> when epsilon > eta; outcome 2 guesses the opposite branch.
-    Within the tie tolerance both rules fall back to |H>, which makes the
-    per-state gain of a degenerate measurement equal the H-weight itself.
+    The four arguments broadcast against each other; the input state is
+    sqrt(alpha)|H> + exp(i*phase)*sqrt(1-alpha)|V>, used as given. Each of
+    the three returned arrays has the broadcast shape plus a last axis of
+    length 2 for outcomes 1 and 2, holding p(r) = ||A_r phi||^2, the squared
+    overlap |<guess_r|phi>|^2 and |<phi|R_r A_r|phi>|^2. The last is
+    p(r) * |<phi|R_r|phi_r>|^2 with |phi_r> the normalized post state, and
+    vanishes on an annihilated branch. Arguments are not validated.
     """
-    _check_outcome_index(r)
-    if wm.epsilon < wm.eta - TIE_ATOL:
-        return STATE_H if r == 1 else STATE_V
-    if wm.epsilon > wm.eta + TIE_ATOL:
-        return STATE_V if r == 1 else STATE_H
-    return STATE_H
-
-
-def outcome_distribution(
-    wm: WeakMeasurement, state: PureState
-) -> tuple[OutcomeRecord, OutcomeRecord]:
-    """Both measurement branches for one input state.
-
-    Branch probabilities always sum to 1; annihilated branches carry a
-    ``None`` post state and a vanishing probability.
-    """
-    records = []
-    for r, op in zip((1, 2), kraus_pair(wm)):
-        prob, post = apply_operator(op, state)
-        guess = optimal_guess(wm, r)
-        records.append(OutcomeRecord(r, prob, post, guess, pure_overlap(guess, state)))
-    return records[0], records[1]
+    e, h, a, ph = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (epsilon, eta, alpha, phase))
+    )
+    amps = np.stack((np.sqrt(a) + 0j, np.exp(1j * ph) * np.sqrt(1.0 - a)), axis=-1)
+    # kraus[..., r, k]: coefficient of basis state k in the operator of outcome r + 1.
+    kraus = np.sqrt(np.stack((1.0 - e, 1.0 - h, e, h), axis=-1)).reshape(*e.shape, 2, 2)
+    images = kraus * amps[..., None, :]
+    # A stacked matmul adds the terms in the order np.vdot does, so the
+    # probabilities equal those of apply_operator bit for bit.
+    prob = (images.conj()[..., None, :] @ images[..., :, None])[..., 0, 0].real
+    basis_fidelity = np.abs(amps) ** 2
+    guess_fidelity = np.where(
+        first_guess_is_v(e, h)[..., None], basis_fidelity[..., ::-1], basis_fidelity
+    )
+    # Each reversal operator flips the two coefficients of its branch operator.
+    overlap = np.sum(amps.conj()[..., None, :] * kraus[..., ::-1] * images, axis=-1)
+    return prob, guess_fidelity, np.abs(overlap) ** 2
 
 
 def per_state_gain(wm: WeakMeasurement, state: PureState) -> float:
     """Outcome-averaged guess fidelity sum_r p(r) * |<guess_r|phi>|^2."""
-    return sum(rec.probability * rec.guess_fidelity for rec in outcome_distribution(wm, state))
+    prob, guess_fidelity, _ = branch_terms(wm.epsilon, wm.eta, state.alpha_weight, state.phase)
+    return float((prob * guess_fidelity).sum())
 
 
 def analytic_gmax(wm: WeakMeasurement) -> float:
@@ -147,7 +131,8 @@ def reversal_operator(wm: WeakMeasurement, r: int) -> Operator2:
     sqrt((1-e)(1-h)) * I for outcome 1 and sqrt(e*h) * I for outcome 2. No
     rescaling to unit largest singular value is applied.
     """
-    _check_outcome_index(r)
+    if r not in (1, 2):
+        raise ValueError(f"outcome index must be 1 or 2, got {r!r}")
     e, h = wm.epsilon, wm.eta
     if r == 1:
         return Operator2.diagonal(math.sqrt(1.0 - h), math.sqrt(1.0 - e))
@@ -157,20 +142,11 @@ def reversal_operator(wm: WeakMeasurement, r: int) -> Operator2:
 def per_state_reversal_prob(wm: WeakMeasurement, state: PureState) -> float:
     """Success probability of reversing the measurement on one input state.
 
-    Evaluates sum_r p(r) * |<phi|R_r|phi_r>|^2 with |phi_r> the normalized
-    post state of branch r. Annihilated branches contribute zero. The result
+    Evaluates sum_r |<phi|R_r A_r|phi>|^2 (see ``branch_terms``). The result
     is state independent and equals ``analytic_prev``.
     """
-    amps = state.amplitudes
-    total = 0.0
-    for r, op in zip((1, 2), kraus_pair(wm)):
-        prob, post = apply_operator(op, state)
-        if post is None:
-            continue
-        rev = reversal_operator(wm, r)
-        amp = np.vdot(amps, rev.matrix @ post.amplitudes)
-        total += prob * float(abs(amp) ** 2)
-    return total
+    _, _, reversal = branch_terms(wm.epsilon, wm.eta, state.alpha_weight, state.phase)
+    return float(reversal.sum())
 
 
 def analytic_prev(wm: WeakMeasurement) -> float:

@@ -32,6 +32,7 @@ from .measurement import (
     WeakMeasurement,
     analytic_gmax,
     analytic_prev,
+    branch_terms,
     kraus_pair,
     per_state_gain,
     per_state_reversal_prob,
@@ -138,17 +139,17 @@ class TradeoffPoint:
     eta: float
     gmax_analytic: float
     prev_analytic: float
-    sum_analytic: float
     gmax_estimated: float
     prev_estimated: float
-    sum_estimated: float
     diagonal_flag: bool
 
-    def __post_init__(self) -> None:
-        if abs(self.sum_analytic - (6.0 * self.gmax_analytic + self.prev_analytic)) > 1e-12:
-            raise ValueError("analytic sum must equal 6*gmax + prev")
-        if abs(self.sum_estimated - (6.0 * self.gmax_estimated + self.prev_estimated)) > 1e-12:
-            raise ValueError("estimated sum must equal 6*gmax + prev")
+    @property
+    def sum_analytic(self) -> float:
+        return 6.0 * self.gmax_analytic + self.prev_analytic
+
+    @property
+    def sum_estimated(self) -> float:
+        return 6.0 * self.gmax_estimated + self.prev_estimated
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,10 @@ class CrossSectionRow:
     eta: float
     six_gmax: float
     prev: float
-    total: float
+
+    @property
+    def total(self) -> float:
+        return self.six_gmax + self.prev
 
 
 @dataclass(frozen=True)
@@ -265,8 +269,6 @@ def _cell_point(
     seed: int,
     exact_mode: bool,
 ) -> TradeoffPoint:
-    g = analytic_gmax(wm)
-    p = analytic_prev(wm)
     records = [
         simulate_counts(
             i, st, wm, photons_per_setting, noise, seed,
@@ -274,17 +276,13 @@ def _cell_point(
         )
         for i, st in enumerate(states)
     ]
-    ge = estimate_gmax_from_counts(records, wm)
-    pe = estimate_prev_from_counts(records)
     return TradeoffPoint(
         epsilon=wm.epsilon,
         eta=wm.eta,
-        gmax_analytic=g,
-        prev_analytic=p,
-        sum_analytic=6.0 * g + p,
-        gmax_estimated=ge,
-        prev_estimated=pe,
-        sum_estimated=6.0 * ge + pe,
+        gmax_analytic=analytic_gmax(wm),
+        prev_analytic=analytic_prev(wm),
+        gmax_estimated=estimate_gmax_from_counts(records, wm),
+        prev_estimated=estimate_prev_from_counts(records),
         diagonal_flag=wm.is_diagonal_degenerate,
     )
 
@@ -336,7 +334,7 @@ def cross_section(
             ]
             six = 6.0 * estimate_gmax_from_counts(records, wm)
             prev = estimate_prev_from_counts(records)
-        rows.append(CrossSectionRow(eta, six, prev, six + prev))
+        rows.append(CrossSectionRow(eta, six, prev))
     return rows
 
 
@@ -514,19 +512,12 @@ def _check_parameter_symmetries(seed: int) -> CheckResult:
 
 def _check_phase_invariance() -> CheckResult:
     phases = (0.0, math.pi / 3.0, math.pi / 2.0, math.pi, 1.7)
-    alphas = (0.0, 0.3, 0.5, 0.77, 1.0)
-    wms = (
-        WeakMeasurement(0.25, 0.75),
-        WeakMeasurement(0.7, 0.2),
-        WeakMeasurement(0.5, 0.5),
-        WeakMeasurement(0.0, 1.0),
-    )
-    dev = 0.0
-    for wm in wms:
-        for a in alphas:
-            gains = [per_state_gain(wm, PureState(a, ph)) for ph in phases]
-            revs = [per_state_reversal_prob(wm, PureState(a, ph)) for ph in phases]
-            dev = max(dev, max(gains) - min(gains), max(revs) - min(revs))
+    alphas = np.array([0.0, 0.3, 0.5, 0.77, 1.0])[:, None]
+    epsilons, etas = np.array([(0.25, 0.75), (0.7, 0.2), (0.5, 0.5), (0.0, 1.0)]).T[..., None, None]
+    prob, guess_fidelity, reversal = branch_terms(epsilons, etas, alphas, phases)
+    per_state = ((prob * guess_fidelity).sum(axis=-1), reversal.sum(axis=-1))
+    # Largest spread over the phases of any (measurement, alpha) pair.
+    dev = float(max(np.ptp(terms, axis=-1).max() for terms in per_state))
     return CheckResult("phase_invariance", dev <= 1e-12, dev, 1e-12)
 
 
@@ -552,30 +543,41 @@ def _check_reversal_exactness(seed: int, reversal_fn) -> CheckResult:
 
 def _check_prev_constancy(seed: int) -> CheckResult:
     rng = _substream(seed, 1003)
-    dev = 0.0
-    for _ in range(40):
-        wm = WeakMeasurement(float(rng.uniform()), float(rng.uniform()))
-        expected = analytic_prev(wm)
-        for _ in range(5):
-            state = PureState(float(rng.uniform()), float(rng.uniform(0.0, TWO_PI)))
-            dev = max(dev, abs(per_state_reversal_prob(wm, state) - expected))
+    # Each row draws epsilon, eta, then five (alpha, phase) states, in that order.
+    draws = rng.uniform(0.0, (1.0, 1.0) + (1.0, TWO_PI) * 5, size=(40, 12))
+    _, _, reversal = branch_terms(draws[:, :1], draws[:, 1:2], draws[:, 2::2], draws[:, 3::2])
+    expected = [[analytic_prev(WeakMeasurement(e, h))] for e, h in draws[:, :2]]
+    dev = float(np.max(np.abs(reversal.sum(axis=-1) - expected)))
     return CheckResult("reversal_state_constancy", dev <= 1e-12, dev, 1e-12)
 
 
+def _state_grid_means(grid_size: int) -> tuple[OperatorGrid, np.ndarray, np.ndarray]:
+    """Per-cell means of the per-state gain and reversal probability over the 51 states.
+
+    One kernel call per epsilon row keeps memory linear in the grid size (a
+    single call over a 256 x 256 lattice would hold about 1 GB).
+    """
+    values = np.linspace(0.0, 1.0, grid_size)
+    alphas = [[st.alpha_weight] for st in StateGrid.standard()]
+    gains, revs = [], []
+    for e in values:
+        prob, guess_fidelity, reversal = branch_terms(e, values, alphas)
+        # The builtin sum adds the states one after another, as a per-cell loop would.
+        gains.append(sum((prob * guess_fidelity).sum(axis=-1)) / N_TRAVERSAL_STATES)
+        revs.append(sum(reversal.sum(axis=-1)) / N_TRAVERSAL_STATES)
+    return OperatorGrid.uniform(grid_size), np.concatenate(gains), np.concatenate(revs)
+
+
 def _check_state_grid_prev_mean(grid_size: int) -> CheckResult:
-    states = StateGrid.standard()
-    dev = 0.0
-    for wm in OperatorGrid.uniform(grid_size):
-        mean = sum(per_state_reversal_prob(wm, st) for st in states) / len(states)
-        dev = max(dev, abs(mean - analytic_prev(wm)))
+    cells, _, means = _state_grid_means(grid_size)
+    dev = max(abs(mean - analytic_prev(wm)) for wm, mean in zip(cells, means.tolist()))
     return CheckResult("state_grid_prev_mean", dev <= 1e-12, dev, 1e-12)
 
 
 def _check_state_grid_gain_gap(grid_size: int) -> CheckResult:
-    states = StateGrid.standard()
+    cells, means, _ = _state_grid_means(grid_size)
     parts = []
-    for wm in OperatorGrid.uniform(grid_size):
-        mean = sum(per_state_gain(wm, st) for st in states) / len(states)
+    for wm, mean in zip(cells, means.tolist()):
         if abs(wm.epsilon - wm.eta) < TIE_ATOL:
             parts.append((abs(mean - 0.5), 1e-12))
         else:

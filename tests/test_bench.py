@@ -9,8 +9,8 @@ from wmtradeoff.qubit import PureState, STATE_H, density_of_state, state_fidelit
 from wmtradeoff.measurement import (
     WeakMeasurement,
     analytic_prev,
+    branch_terms,
     kraus_pair,
-    outcome_distribution,
     reversal_operator,
 )
 from wmtradeoff.bench import (
@@ -46,9 +46,9 @@ def discrete_gain_expectation(wm):
     """Exact expectation of the count-ratio estimator over the 51-state grid."""
     total = 0.0
     for i, st in enumerate(traversal_states()):
-        rec1, rec2 = outcome_distribution(wm, st)
+        p1, p2 = branch_terms(wm.epsilon, wm.eta, st.alpha_weight, st.phase)[0]
         z = zeta(i, wm)
-        total += z * rec1.probability + (1.0 - z) * rec2.probability
+        total += z * p1 + (1.0 - z) * p2
     return total / 51.0
 
 
@@ -169,9 +169,8 @@ class TestSimulateCounts:
                 assert reversal_chain_survival(st, wm, r) == pytest.approx(
                     chain_survival_oracle(wm, st, r), abs=1e-12
                 )
-                rec1, rec2 = outcome_distribution(wm, st)
-                probs = {1: rec1.probability, 2: rec2.probability}
-                assert measurement_survival(st, wm, r) == pytest.approx(probs[r], abs=1e-12)
+                probs = branch_terms(wm.epsilon, wm.eta, st.alpha_weight, st.phase)[0]
+                assert measurement_survival(st, wm, r) == pytest.approx(probs[r - 1], abs=1e-12)
 
     def test_binomial_concentration(self):
         st = PureState(0.3)

@@ -135,6 +135,17 @@ class TestDispatchProducts:
         assert lines[0] == STATES_HEADER
         assert len(lines) == 52
 
+    @pytest.mark.parametrize("value", ["0", "0.3", "1"])
+    def test_exact_tie_gain_columns_agree(self, value, capsys):
+        # The kernel and the count-ratio estimator apply one guess rule.
+        argv = ["sweep-states", "--epsilon", value, "--eta", value, "--exact-mode", "true"]
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == STATES_HEADER
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 51
+        assert all(row[1] == row[3] for row in rows)
+
     def test_reversal_fidelity_schema_and_flags(self, tmp_path):
         out = tmp_path / "fid.csv"
         code = main(

@@ -4,15 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from wmtradeoff.qubit import PureState, STATE_H, STATE_V, apply_operator, pure_overlap
 from wmtradeoff.measurement import (
+    TIE_ATOL,
     WeakMeasurement,
     analytic_gmax,
     analytic_prev,
+    branch_terms,
     kraus_pair,
-    optimal_guess,
-    outcome_distribution,
     per_state_gain,
     per_state_reversal_prob,
     reversal_operator,
@@ -31,6 +32,16 @@ def brute_force_branch_probability(wm, state, r):
     )
     image = np.array(diag) * state.amplitudes
     return float(np.sum(np.abs(image) ** 2))
+
+
+def kernel_probabilities(wm, state):
+    return branch_terms(wm.epsilon, wm.eta, state.alpha_weight, state.phase)[0]
+
+
+def kernel_guesses(wm):
+    """Basis state each outcome guesses, read off the kernel's guess fidelities."""
+    _, fidelity, _ = branch_terms(wm.epsilon, wm.eta, 0.3, 1.1)
+    return tuple("H" if f == pytest.approx(0.3, abs=1e-12) else "V" for f in fidelity)
 
 
 class TestWeakMeasurement:
@@ -82,26 +93,18 @@ class TestKrausPair:
 
 class TestOptimalGuess:
     def test_flagship_guesses(self):
-        wm = WeakMeasurement(0.25, 0.75)
-        assert optimal_guess(wm, 1) == STATE_H
-        assert optimal_guess(wm, 2) == STATE_V
+        assert kernel_guesses(WeakMeasurement(0.25, 0.75)) == ("H", "V")
 
     def test_mirrored_guesses(self):
-        wm = WeakMeasurement(0.75, 0.25)
-        assert optimal_guess(wm, 1) == STATE_V
-        assert optimal_guess(wm, 2) == STATE_H
+        assert kernel_guesses(WeakMeasurement(0.75, 0.25)) == ("V", "H")
 
     def test_projective_outcome_identifies_state(self):
-        assert optimal_guess(WeakMeasurement(0.0, 1.0), 2) == STATE_V
+        assert kernel_guesses(WeakMeasurement(0.0, 1.0))[1] == "V"
 
-    def test_tie_collapses_to_h(self):
-        wm = WeakMeasurement(0.4, 0.4)
-        assert optimal_guess(wm, 1) == STATE_H
-        assert optimal_guess(wm, 2) == STATE_H
-
-    def test_invalid_outcome_index(self):
-        with pytest.raises(ValueError):
-            optimal_guess(WeakMeasurement(0.2, 0.8), 3)
+    def test_tie_guesses_h_then_v(self):
+        # The bench's count-ratio estimator applies the same tie rule.
+        for eps in (0.0, 0.4, 1.0):
+            assert kernel_guesses(WeakMeasurement(eps, eps)) == ("H", "V")
 
     @pytest.mark.parametrize("eps,eta", [(0.25, 0.75), (0.75, 0.25), (0.1, 0.9)])
     def test_guess_maximizes_haar_objective(self, eps, eta):
@@ -120,18 +123,15 @@ class TestOptimalGuess:
                     ]
                 )
             best = max(scores, key=scores.get)
-            chosen = "H" if optimal_guess(wm, r) == STATE_H else "V"
-            assert chosen == best
+            assert kernel_guesses(wm)[r - 1] == best
             assert abs(scores["H"] - scores["V"]) > 0.01  # comfortable separation
 
 
 class TestOutcomeDistribution:
     def test_eigenstate_probabilities(self):
-        rec1, rec2 = outcome_distribution(WeakMeasurement(0.25, 0.75), STATE_H)
-        assert rec1.probability == pytest.approx(0.75, abs=1e-12)
-        assert rec2.probability == pytest.approx(0.25, abs=1e-12)
-        assert rec1.post_state.isclose(STATE_H)
-        assert rec2.post_state.isclose(STATE_H)
+        p1, p2 = kernel_probabilities(WeakMeasurement(0.25, 0.75), STATE_H)
+        assert p1 == pytest.approx(0.75, abs=1e-12)
+        assert p2 == pytest.approx(0.25, abs=1e-12)
 
     def test_balanced_state_probability(self):
         # Hand expansion: p(1) = 1 - (eps + eta)/2 at alpha = 0.5, also
@@ -140,31 +140,25 @@ class TestOutcomeDistribution:
         st = PureState(0.5, 0.0)
         for _ in range(50):
             wm = WeakMeasurement(rng.uniform(), rng.uniform())
-            rec1, rec2 = outcome_distribution(wm, st)
-            assert rec1.probability == pytest.approx(
-                1.0 - (wm.epsilon + wm.eta) / 2.0, abs=1e-12
-            )
-            assert rec1.probability == pytest.approx(
-                brute_force_branch_probability(wm, st, 1), abs=1e-12
-            )
-            assert rec1.probability + rec2.probability == pytest.approx(1.0, abs=1e-12)
+            p1, p2 = kernel_probabilities(wm, st)
+            assert p1 == pytest.approx(1.0 - (wm.epsilon + wm.eta) / 2.0, abs=1e-12)
+            assert p1 == pytest.approx(brute_force_branch_probability(wm, st, 1), abs=1e-12)
+            assert p1 + p2 == pytest.approx(1.0, abs=1e-12)
 
     def test_projective_split(self):
-        rec1, rec2 = outcome_distribution(WeakMeasurement(0.0, 1.0), PureState(0.3))
-        assert rec1.probability == pytest.approx(0.3, abs=1e-12)
-        assert rec1.post_state.isclose(STATE_H)
-        assert rec2.probability == pytest.approx(0.7, abs=1e-12)
-        assert rec2.post_state.isclose(STATE_V)
+        p1, p2 = kernel_probabilities(WeakMeasurement(0.0, 1.0), PureState(0.3))
+        assert p1 == pytest.approx(0.3, abs=1e-12)
+        assert p2 == pytest.approx(0.7, abs=1e-12)
 
     def test_guess_fidelity_recomputable(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             wm = WeakMeasurement(rng.uniform(), rng.uniform())
             st = PureState(rng.uniform(), rng.uniform(0, 2 * math.pi))
-            for rec in outcome_distribution(wm, st):
-                assert rec.guess_fidelity == pytest.approx(
-                    pure_overlap(rec.guess, st), abs=1e-12
-                )
+            guesses = (STATE_V, STATE_H) if wm.epsilon > wm.eta else (STATE_H, STATE_V)
+            _, fidelity, _ = branch_terms(wm.epsilon, wm.eta, st.alpha_weight, st.phase)
+            for guess, f in zip(guesses, fidelity):
+                assert f == pytest.approx(pure_overlap(guess, st), abs=1e-12)
 
 
 class TestPerStateGain:
@@ -187,12 +181,13 @@ class TestPerStateGain:
                 expected, abs=1e-12
             )
 
-    def test_degenerate_gain_is_alpha_pointwise(self):
-        for eps in (0.0, 0.3, 0.8):
+    def test_degenerate_gain_pointwise(self):
+        # At a tie outcome 1 guesses |H> and outcome 2 |V>.
+        for eps in (0.0, 0.3, 0.8, 1.0):
             wm = WeakMeasurement(eps, eps)
             for alpha in (0.0, 0.2, 0.5, 0.9, 1.0):
                 assert per_state_gain(wm, PureState(alpha)) == pytest.approx(
-                    alpha, abs=1e-12
+                    alpha * (1.0 - eps) + (1.0 - alpha) * eps, abs=1e-12
                 )
 
     def test_degenerate_gain_mean_is_half(self):
@@ -267,6 +262,10 @@ class TestReversalOperator:
                 assert abs(product[1, 0]) <= 1e-15
                 assert abs(product[0, 0] - product[1, 1]) <= 1e-12
 
+    def test_invalid_outcome_index(self):
+        with pytest.raises(ValueError):
+            reversal_operator(WeakMeasurement(0.2, 0.8), 3)
+
     def test_physicality(self):
         for e in GRID:
             for h in GRID:
@@ -290,6 +289,31 @@ class TestReversalExactness:
                 continue
             assert pure_overlap(st, recovered) == pytest.approx(1.0, abs=1e-12)
             tested += 1
+
+
+UNIT = strategies.one_of(strategies.sampled_from([0.0, 1.0]), strategies.floats(0.0, 1.0))
+
+
+class TestBranchTerms:
+    @settings(max_examples=300, deadline=None)
+    @given(UNIT, UNIT, UNIT, strategies.floats(0.0, 2 * math.pi))
+    def test_matches_scalar_reference(self, eps, eta, alpha, phase):
+        # Reference: one branch at a time through the validated operator path.
+        wm = WeakMeasurement(eps, eta)
+        state = PureState(alpha, phase)
+        guesses = (STATE_V, STATE_H) if eps - eta > TIE_ATOL else (STATE_H, STATE_V)
+        expected = []
+        for r, (op, guess) in enumerate(zip(kraus_pair(wm), guesses), start=1):
+            prob, post = apply_operator(op, state)
+            reversal = 0.0
+            if post is not None:
+                prob_rev, recovered = apply_operator(reversal_operator(wm, r), post)
+                if recovered is not None:
+                    reversal = prob * prob_rev * pure_overlap(state, recovered)
+            expected.append((prob, pure_overlap(guess, state), reversal))
+        terms = np.stack(branch_terms(eps, eta, alpha, phase), axis=-1)
+        np.testing.assert_allclose(terms, expected, rtol=0.0, atol=1e-12)
+        assert terms[:, 0].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPerStateReversalProb:

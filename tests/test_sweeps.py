@@ -18,7 +18,6 @@ from wmtradeoff.bench import NoiseModel
 from wmtradeoff.sweeps import (
     OperatorGrid,
     StateGrid,
-    TradeoffPoint,
     corrupted_reversal_operator,
     cross_section,
     grid_sweep,
@@ -81,12 +80,6 @@ class TestOperatorGrid:
     def test_size_bound(self):
         with pytest.raises(ValueError):
             OperatorGrid.uniform(1)
-
-
-class TestTradeoffPoint:
-    def test_sum_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            TradeoffPoint(0.0, 0.0, 0.5, 1.0, 3.9, None, None, None, False)
 
 
 class TestStateSweep:
