@@ -30,15 +30,14 @@ from .measurement import (
     tradeoff_sum,
 )
 from .bench import (
-    CountRecord,
     EstimationError,
     NoiseModel,
     TomographyResult,
+    channel_probabilities,
     estimate_gmax_from_counts,
     estimate_prev_from_counts,
     simulate_counts,
     simulate_tomography,
-    zeta,
 )
 from .sweeps import (
     CheckResult,

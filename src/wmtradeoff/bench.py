@@ -3,9 +3,15 @@
 The bench realizes the measurement with one polarizing Sagnac interferometer
 (a half-wave plate in each arm, angles ``a`` and ``b``) and the reversal with
 a second, identical interferometer whose arm angles are exchanged. Photon
-counting is simulated at the probability level: each configured channel is an
-independent run of N photons drawn from a binomial law, reproducible through
-per-channel random substreams derived from one master seed.
+counting is simulated at the probability level by one array kernel:
+``channel_probabilities`` gives the four channel survivals (two measurement
+branches, two measurement-plus-reversal chains) over broadcast
+(epsilon, eta, alpha), and ``simulate_counts`` turns them into a
+(cells, 51, 4) count array, each channel an independent run of N photons
+drawn from a binomial law. Every cell draws its counts from its own random
+substream keyed by (seed, product, cell), so a cell's numbers do not depend
+on which cells are drawn with it; exact mode records the expected counts
+instead. The count-ratio estimators reduce that array over the 51 states.
 
 The model works with arm transmissions only: (1 - epsilon, 1 - eta) on the
 primary branch and (epsilon, eta) on the complementary one, exchanged in the
@@ -28,21 +34,22 @@ from .qubit import (
     state_fidelity,
     stokes_of_state,
 )
-from .measurement import WeakMeasurement, first_guess_is_v
-
-# Substream keys: which angle setting and which bench configuration a count
-# channel belongs to.
-SETTING_PRIMARY, SETTING_COMPLEMENT = 0, 1
-CONFIG_MEASURE, CONFIG_REVERSE, CONFIG_TOMOGRAPHY = 0, 1, 2
+from .measurement import first_guess_is_v
 
 # The input-state traversal uses 51 H-weights spaced by 0.02.
 N_TRAVERSAL_STATES = 51
 ALPHA_SPACING = 0.02
+TRAVERSAL_ALPHAS = ALPHA_SPACING * np.arange(N_TRAVERSAL_STATES)
 MIN_TOMOGRAPHY_COUNTS = 100
+
+# Version of the sampled random-stream scheme: one generator per
+# (seed, product, cell) draws all 51 x 4 counts of that cell. Sampled
+# products record it, so numbers drawn under another scheme are told apart.
+STREAM_SCHEME = "per-cell-v2"
 
 
 class EstimationError(RuntimeError):
-    """Raised when count records cannot support a ratio estimate."""
+    """Raised when counts cannot support a ratio estimate."""
 
 
 @dataclass(frozen=True)
@@ -79,40 +86,6 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class CountRecord:
-    """Detector counts for one input state at one measurement setting.
-
-    The four channels are independent N-photon runs: the two measurement-only
-    channels (flip mirror inserted) and the two measurement-plus-reversal
-    channels. Counts are integers when sampled and expected values (floats)
-    in exact mode.
-    """
-
-    state_index: int
-    counts_m_primary: float
-    counts_m_complement: float
-    counts_r_primary: float
-    counts_r_complement: float
-    photons_per_setting: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= int(self.state_index) < N_TRAVERSAL_STATES:
-            raise ValueError(f"state_index must lie in [0, 50], got {self.state_index!r}")
-        n = int(self.photons_per_setting)
-        if n < 1:
-            raise ValueError("photons_per_setting must be at least 1")
-        for name in (
-            "counts_m_primary",
-            "counts_m_complement",
-            "counts_r_primary",
-            "counts_r_complement",
-        ):
-            c = float(getattr(self, name))
-            if not 0.0 <= c <= n:
-                raise ValueError(f"{name} must lie in [0, {n}], got {c!r}")
-
-
-@dataclass(frozen=True)
 class TomographyResult:
     """Reconstruction of an analyzed state and its fidelity to the input."""
 
@@ -121,157 +94,122 @@ class TomographyResult:
     counts_per_basis: int
 
 
-def zeta(state_index: int, wm: WeakMeasurement) -> float:
-    """Guess fidelity weight of traversal state ``i`` for the primary channel.
-
-    Equals 0.02*i where the primary branch guesses |H> and 1 - 0.02*i where
-    it guesses |V>, by the package's one guess rule ``first_guess_is_v``.
-    """
-    if not 0 <= state_index < N_TRAVERSAL_STATES:
-        raise ValueError(f"state_index must lie in [0, 50], got {state_index!r}")
-    base = ALPHA_SPACING * state_index
-    if first_guess_is_v(wm.epsilon, wm.eta):
-        return 1.0 - base
-    return base
-
-
 def _substream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for one (cell, state, setting, configuration)."""
+    """Independent generator for one spawn key under the master seed."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(ss)
 
 
-def _mixed_transmissions(trans: tuple[float, float], swap_p: float) -> tuple[float, float]:
-    th, tv = trans
-    return ((1.0 - swap_p) * th + swap_p * tv, (1.0 - swap_p) * tv + swap_p * th)
+def channel_probabilities(epsilon, eta, alpha, noise: NoiseModel | None = None) -> np.ndarray:
+    """Survival probabilities of the four count channels.
 
-
-def _arm_transmissions(wm: WeakMeasurement, r: int, reverse: bool) -> tuple[float, float]:
-    e, h = wm.epsilon, wm.eta
-    if r == 1:
-        return (1.0 - h, 1.0 - e) if reverse else (1.0 - e, 1.0 - h)
-    if r == 2:
-        return (h, e) if reverse else (e, h)
-    raise ValueError(f"outcome index must be 1 or 2, got {r!r}")
-
-
-def measurement_survival(
-    state: PureState, wm: WeakMeasurement, r: int, noise: NoiseModel | None = None
-) -> float:
-    """Probability that a photon exits the measurement interferometer on branch ``r``."""
-    noise = noise or NoiseModel()
-    th, tv = _mixed_transmissions(
-        _arm_transmissions(wm, r, reverse=False), noise.interferometer_swap_probability
-    )
-    return state.alpha_weight * th + state.beta_weight * tv
-
-
-def reversal_chain_survival(
-    state: PureState, wm: WeakMeasurement, r: int, noise: NoiseModel | None = None
-) -> float:
-    """Probability of surviving measurement branch ``r`` and its reversal.
-
-    Ideal value is (1-e)(1-h) for branch 1 and e*h for branch 2, independent
-    of the input state; leakage mixes the orthogonal arm transmission in at
-    each interferometer.
+    ``epsilon``, ``eta`` and the input H-weight ``alpha`` broadcast against
+    each other; the last axis of the result holds, in this order, the chance
+    that a photon exits the measurement interferometer on branch 1 and on
+    branch 2, and the chance that it survives branch 1 and its reversal and
+    branch 2 and its reversal. Leakage mixes the orthogonal arm transmission
+    in at each interferometer: the ideal reversal-chain survivals,
+    (1-e)(1-h) and e*h, do not depend on the input state. Detector efficiency
+    is not applied.
     """
-    noise = noise or NoiseModel()
-    swap = noise.interferometer_swap_probability
-    m_h, m_v = _mixed_transmissions(_arm_transmissions(wm, r, reverse=False), swap)
-    r_h, r_v = _mixed_transmissions(_arm_transmissions(wm, r, reverse=True), swap)
-    return state.alpha_weight * m_h * r_h + state.beta_weight * m_v * r_v
+    swap = (noise or NoiseModel()).interferometer_swap_probability
+    e, h, alpha = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (epsilon, eta, alpha)))
+    beta = 1.0 - alpha
+    # arms[..., r, k]: transmission of arm k (H, V) on the branch of outcome r + 1.
+    arms = np.stack((1.0 - e, 1.0 - h, e, h), axis=-1).reshape(*e.shape, 2, 2)
+    mixed = (1.0 - swap) * arms + swap * arms[..., ::-1]
+    m_h, m_v = mixed[..., 0], mixed[..., 1]
+    # The reversal exchanges the arms, so its mixed H transmission is m_v.
+    measured = alpha[..., None] * m_h + beta[..., None] * m_v
+    chained = alpha[..., None] * m_h * m_v + beta[..., None] * m_v * m_h
+    return np.concatenate((measured, chained), axis=-1)
 
 
 def simulate_counts(
-    state_index: int,
-    state: PureState,
-    wm: WeakMeasurement,
+    epsilon,
+    eta,
     photons_per_setting: int,
     noise: NoiseModel | None = None,
     seed: int = 0,
-    cell_key: int = 0,
+    cell_keys=(),
     exact_mode: bool = False,
-) -> CountRecord:
-    """Simulate the four count channels for one traversal state.
+) -> np.ndarray:
+    """Counts of the four channels for every traversal state of every cell.
 
-    Each channel sends ``photons_per_setting`` photons through its own
-    configuration and records a Binomial(N, p * detector_efficiency) count
-    from a dedicated substream keyed by (seed, cell_key, state_index,
-    setting, configuration); exact mode records the expected values instead.
+    ``epsilon`` and ``eta`` broadcast to one value per cell. Each channel
+    sends ``photons_per_setting`` photons and records a
+    Binomial(N, p * detector_efficiency) count; the result has shape
+    (cells, 51, 4), channels ordered as in ``channel_probabilities``. Cell k
+    draws all of its counts in one call on its own generator, keyed
+    (seed, *cell_keys[k]), so a cell's counts do not depend on the cells
+    drawn with it. Exact mode records the expected values instead and
+    ignores the keys.
     """
     if photons_per_setting < 1:
         raise ValueError("photons_per_setting must be at least 1")
     noise = noise or NoiseModel()
-    eff = noise.detector_efficiency
-
-    channel_probs = {
-        (SETTING_PRIMARY, CONFIG_MEASURE): measurement_survival(state, wm, 1, noise),
-        (SETTING_COMPLEMENT, CONFIG_MEASURE): measurement_survival(state, wm, 2, noise),
-        (SETTING_PRIMARY, CONFIG_REVERSE): reversal_chain_survival(state, wm, 1, noise),
-        (SETTING_COMPLEMENT, CONFIG_REVERSE): reversal_chain_survival(state, wm, 2, noise),
-    }
-
-    counts: dict[tuple[int, int], float] = {}
-    for channel, p in channel_probs.items():
-        p_detected = min(max(p * eff, 0.0), 1.0)
-        if exact_mode:
-            counts[channel] = photons_per_setting * p_detected
-        else:
-            setting, config = channel
-            rng = _substream(seed, cell_key, state_index, setting, config)
-            counts[channel] = int(rng.binomial(photons_per_setting, p_detected))
-
-    return CountRecord(
-        state_index=state_index,
-        counts_m_primary=counts[(SETTING_PRIMARY, CONFIG_MEASURE)],
-        counts_m_complement=counts[(SETTING_COMPLEMENT, CONFIG_MEASURE)],
-        counts_r_primary=counts[(SETTING_PRIMARY, CONFIG_REVERSE)],
-        counts_r_complement=counts[(SETTING_COMPLEMENT, CONFIG_REVERSE)],
-        photons_per_setting=photons_per_setting,
-    )
+    e, h = np.broadcast_arrays(np.atleast_1d(epsilon), np.atleast_1d(eta))
+    probs = channel_probabilities(e[:, None], h[:, None], TRAVERSAL_ALPHAS, noise)
+    detected = np.clip(probs * noise.detector_efficiency, 0.0, 1.0)
+    if exact_mode:
+        return photons_per_setting * detected
+    if len(cell_keys) != len(e):
+        raise ValueError(f"expected {len(e)} cell keys, got {len(cell_keys)}")
+    counts = np.empty(detected.shape, dtype=np.int64)
+    for k, key in enumerate(cell_keys):
+        counts[k] = _substream(seed, *key).binomial(photons_per_setting, detected[k])
+    return counts
 
 
-def _measured_total(record: CountRecord) -> float:
-    total = record.counts_m_primary + record.counts_m_complement
-    if total < 1.0:
+def _measured(counts) -> tuple[np.ndarray, np.ndarray]:
+    """Counts as floats, and each state's measured total m1 + m2."""
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape[-2:] != (N_TRAVERSAL_STATES, 4):
         raise EstimationError(
-            f"no measured counts for state index {record.state_index}; cannot form ratio"
+            f"expected counts of shape (..., {N_TRAVERSAL_STATES}, 4), got {counts.shape}"
         )
-    return total
-
-
-def gain_term_from_counts(record: CountRecord, wm: WeakMeasurement) -> float:
-    """Count-weighted guess fidelity of one traversal state."""
-    z = zeta(record.state_index, wm)
-    total = _measured_total(record)
-    return (z * record.counts_m_primary + (1.0 - z) * record.counts_m_complement) / total
-
-
-def rev_term_from_counts(record: CountRecord) -> float:
-    """Fraction of measured photons that also survived the reversal."""
-    total = _measured_total(record)
-    return (record.counts_r_primary + record.counts_r_complement) / total
-
-
-def _check_full_traversal(records: list[CountRecord]) -> None:
-    if len(records) != N_TRAVERSAL_STATES:
+    total = counts[..., 0] + counts[..., 1]
+    empty = np.argwhere(total < 1.0)
+    if len(empty):
         raise EstimationError(
-            f"expected {N_TRAVERSAL_STATES} traversal records, got {len(records)}"
+            f"no measured counts for state index {empty[0, -1]}; cannot form ratio"
         )
-    if sorted(r.state_index for r in records) != list(range(N_TRAVERSAL_STATES)):
-        raise EstimationError("traversal records must cover state indices 0..50 exactly once")
+    return counts, total
 
 
-def estimate_gmax_from_counts(records: list[CountRecord], wm: WeakMeasurement) -> float:
-    """Count-ratio estimate of the mean maximal estimation fidelity."""
-    _check_full_traversal(records)
-    return sum(gain_term_from_counts(rec, wm) for rec in records) / N_TRAVERSAL_STATES
+def gain_term_from_counts(counts, epsilon, eta) -> np.ndarray:
+    """Count-weighted guess fidelity of each traversal state, shape (..., 51).
+
+    State i weighs the primary channel by 0.02*i where outcome 1 guesses |H>
+    and by 1 - 0.02*i where it guesses |V> (the package's one guess rule,
+    ``first_guess_is_v``), and the complementary channel by the rest.
+    """
+    counts, total = _measured(counts)
+    guess_v = first_guess_is_v(np.asarray(epsilon), np.asarray(eta))
+    z = np.where(np.expand_dims(guess_v, -1), 1.0 - TRAVERSAL_ALPHAS, TRAVERSAL_ALPHAS)
+    return (z * counts[..., 0] + (1.0 - z) * counts[..., 1]) / total
 
 
-def estimate_prev_from_counts(records: list[CountRecord]) -> float:
-    """Count-ratio estimate of the mean reversal probability."""
-    _check_full_traversal(records)
-    return sum(rev_term_from_counts(rec) for rec in records) / N_TRAVERSAL_STATES
+def rev_term_from_counts(counts) -> np.ndarray:
+    """Fraction of measured photons that also survived the reversal, shape (..., 51)."""
+    counts, total = _measured(counts)
+    return (counts[..., 2] + counts[..., 3]) / total
+
+
+def _traversal_mean(terms: np.ndarray) -> np.ndarray:
+    # The builtin sum adds the states one after another, as a per-state loop
+    # would; ndarray.sum adds pairwise and rounds differently.
+    return sum(np.moveaxis(terms, -1, 0)) / N_TRAVERSAL_STATES
+
+
+def estimate_gmax_from_counts(counts, epsilon, eta) -> np.ndarray:
+    """Count-ratio estimate of the mean maximal estimation fidelity of each cell."""
+    return _traversal_mean(gain_term_from_counts(counts, epsilon, eta))
+
+
+def estimate_prev_from_counts(counts) -> np.ndarray:
+    """Count-ratio estimate of the mean reversal probability of each cell."""
+    return _traversal_mean(rev_term_from_counts(counts))
 
 
 def _clipped_density(s1: float, s2: float, s3: float) -> DensityMatrix:

@@ -8,13 +8,15 @@ Exit codes: 0 success, 1 configuration or I/O error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ._version import __version__
-from .bench import NoiseModel
+from .bench import STREAM_SCHEME, NoiseModel
 from .measurement import WeakMeasurement
 from . import tables
 from .sweeps import (
@@ -32,9 +34,15 @@ EXIT_CONFIG_ERROR = 1
 EXIT_VERIFY_FAIL = 2
 
 # Largest accepted lattice side. A sweep holds grid_size^2 cells of 51 states
-# each, and a sampled 64 x 64 lattice already takes ~20 s; 256 is 16 times
-# that many cells, and anything larger is refused before it is allocated.
+# each; a sampled 256 x 256 lattice builds 65,536 random generators and takes
+# about 6 s on a 2-vCPU VM, and anything larger is refused before it is
+# allocated.
 MAX_GRID_SIZE = 256
+
+# Largest photon numbers the count path can represent: binomial draws take a
+# signed 64-bit N, and a fidelity row pools the counts of up to two chains.
+MAX_PHOTONS = 2**63 - 1
+MAX_COUNTS_PER_BASIS = MAX_PHOTONS // 2
 
 
 class ConfigError(ValueError):
@@ -98,11 +106,13 @@ _FIELD_SPECS = {
     "eta": (_parse_float, lambda v: _check_range("eta", v, 0.0, 1.0, "[0, 1]")),
     "photons_per_setting": (
         _parse_int,
-        lambda v: _check_range("photons_per_setting", v, 1, 2**63, "[1, inf)"),
+        lambda v: _check_range("photons_per_setting", v, 1, MAX_PHOTONS, "[1, 2^63 - 1]"),
     ),
     "counts_per_basis": (
         _parse_int,
-        lambda v: _check_range("counts_per_basis", v, 100, 2**63, "[100, inf)"),
+        lambda v: _check_range(
+            "counts_per_basis", v, 100, MAX_COUNTS_PER_BASIS, "[100, 2^62 - 1]"
+        ),
     ),
     "seed": (_parse_int, lambda v: _check_range("seed", v, 0, 2**64 - 1, "[0, 2^64)")),
     "pbs_leakage": (
@@ -190,15 +200,33 @@ def parse_config(argv) -> tuple[str, RunConfig, bool]:
 
 
 def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` to stdout, or replace ``path`` with it in one step.
+
+    The text goes to a temporary file beside the target, which is renamed
+    over it only once fully written, so a failed write leaves no partial file.
+    """
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".wmtradeoff-")
+    try:
+        # mkstemp creates the file private; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _metadata(config: RunConfig) -> dict:
-    return {"seed": config.seed, "version": __version__, "config": asdict(config)}
+    meta = {"seed": config.seed, "version": __version__, "config": asdict(config)}
+    if not config.exact_mode:
+        meta["stream"] = STREAM_SCHEME
+    return meta
 
 
 # subcommand -> (run(config, noise, wm, mutate_reversal) -> rows, column spec,

@@ -41,15 +41,15 @@ from .measurement import (
 )
 from .bench import (
     ALPHA_SPACING,
-    CONFIG_TOMOGRAPHY,
     N_TRAVERSAL_STATES,
+    TRAVERSAL_ALPHAS,
     NoiseModel,
     _substream,
+    channel_probabilities,
     estimate_gmax_from_counts,
     estimate_prev_from_counts,
     gain_term_from_counts,
     rev_term_from_counts,
-    reversal_chain_survival,
     simulate_counts,
     simulate_tomography,
 )
@@ -67,6 +67,13 @@ DISCRETE_GAIN_GAP = 0.0067
 # Expected reversed-photon yield below which a fidelity row is flagged
 # LOW_STATS instead of fitted.
 LOW_STATS_FLOOR = 100
+
+# Spawn keys of the random substreams. Sampled counts draw from one
+# generator per (product tag, cell); the tomography of traversal state i
+# keeps the key (0, i, 0, TOMOGRAPHY_STREAM) of the earlier per-channel
+# scheme, so its numbers are unchanged.
+GRID_STREAM, STATES_STREAM, CROSS_SECTION_STREAM, CONSISTENCY_STREAM = 1, 2, 3, 4
+TOMOGRAPHY_STREAM = 2
 
 
 @dataclass(frozen=True)
@@ -240,51 +247,57 @@ def state_sweep(
     """Per-state gain and reversibility over the 51-state traversal.
 
     Analytic columns come from the branch enumeration; the Monte Carlo
-    columns are single-state count-ratio terms from simulated records (their
+    columns are single-state count-ratio terms from simulated counts (their
     expected values in exact mode).
     """
-    rows = []
-    for i, state in enumerate(StateGrid.standard()):
-        record = simulate_counts(
-            i, state, wm, photons_per_setting, noise, seed, cell_key=0, exact_mode=exact_mode
+    (counts,) = simulate_counts(
+        wm.epsilon, wm.eta, photons_per_setting, noise, seed, [(STATES_STREAM, 0)], exact_mode
+    )
+    gains = gain_term_from_counts(counts, wm.epsilon, wm.eta).tolist()
+    revs = rev_term_from_counts(counts).tolist()
+    return [
+        StateSweepRow(
+            alpha=state.alpha_weight,
+            gain_analytic=per_state_gain(wm, state),
+            rev_analytic=per_state_reversal_prob(wm, state),
+            gain_mc=gain,
+            rev_mc=rev,
         )
-        rows.append(
-            StateSweepRow(
-                alpha=state.alpha_weight,
-                gain_analytic=per_state_gain(wm, state),
-                rev_analytic=per_state_reversal_prob(wm, state),
-                gain_mc=gain_term_from_counts(record, wm),
-                rev_mc=rev_term_from_counts(record),
-            )
-        )
-    return rows
+        for state, gain, rev in zip(StateGrid.standard(), gains, revs)
+    ]
 
 
-def _cell_point(
-    cell_index: int,
-    wm: WeakMeasurement,
-    states: StateGrid,
+def _cell_points(
+    cells: list[WeakMeasurement],
+    first_index: int,
     photons_per_setting: int,
     noise: NoiseModel | None,
     seed: int,
     exact_mode: bool,
-) -> TradeoffPoint:
-    records = [
-        simulate_counts(
-            i, st, wm, photons_per_setting, noise, seed,
-            cell_key=cell_index, exact_mode=exact_mode,
+) -> list[TradeoffPoint]:
+    """Tradeoff points of lattice cells ``first_index``, ``first_index + 1``, ...
+
+    One count-kernel call covers all of them; cell ``first_index + k`` draws
+    from the substream (GRID_STREAM, first_index + k) whatever else is drawn.
+    """
+    eps = [wm.epsilon for wm in cells]
+    etas = [wm.eta for wm in cells]
+    keys = [(GRID_STREAM, first_index + k) for k in range(len(cells))]
+    counts = simulate_counts(eps, etas, photons_per_setting, noise, seed, keys, exact_mode)
+    gmax = estimate_gmax_from_counts(counts, eps, etas).tolist()
+    prev = estimate_prev_from_counts(counts).tolist()
+    return [
+        TradeoffPoint(
+            epsilon=wm.epsilon,
+            eta=wm.eta,
+            gmax_analytic=analytic_gmax(wm),
+            prev_analytic=analytic_prev(wm),
+            gmax_estimated=g,
+            prev_estimated=p,
+            diagonal_flag=wm.is_diagonal_degenerate,
         )
-        for i, st in enumerate(states)
+        for wm, g, p in zip(cells, gmax, prev)
     ]
-    return TradeoffPoint(
-        epsilon=wm.epsilon,
-        eta=wm.eta,
-        gmax_analytic=analytic_gmax(wm),
-        prev_analytic=analytic_prev(wm),
-        gmax_estimated=estimate_gmax_from_counts(records, wm),
-        prev_estimated=estimate_prev_from_counts(records),
-        diagonal_flag=wm.is_diagonal_degenerate,
-    )
 
 
 def grid_sweep(
@@ -297,13 +310,15 @@ def grid_sweep(
     """Tradeoff points over the full operator lattice.
 
     Diagonal (beam-splitter) cells are flagged, never dropped, so downstream
-    consumers can mask them.
+    consumers can mask them. The counts are simulated one epsilon row at a
+    time, which keeps memory linear in the grid size.
     """
-    states = StateGrid.standard()
-    return [
-        _cell_point(idx, wm, states, photons_per_setting, noise, seed, exact_mode)
-        for idx, wm in enumerate(OperatorGrid.uniform(grid_size))
-    ]
+    cells = OperatorGrid.uniform(grid_size).cells
+    points = []
+    for start in range(0, len(cells), grid_size):
+        row = list(cells[start:start + grid_size])
+        points += _cell_points(row, start, photons_per_setting, noise, seed, exact_mode)
+    return points
 
 
 def cross_section(
@@ -318,24 +333,19 @@ def cross_section(
     Exact mode emits the closed forms (3 + eta, 1 - eta, 4); otherwise the
     columns carry the count-ratio estimates from a simulated traversal.
     """
-    rows = []
-    for j, eta in enumerate(eta_values):
-        eta = float(eta)
+    etas = [float(eta) for eta in eta_values]
+    for eta in etas:
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
-        wm = WeakMeasurement(0.0, eta)
-        if exact_mode:
-            six = 6.0 * analytic_gmax(wm)
-            prev = analytic_prev(wm)
-        else:
-            records = [
-                simulate_counts(i, st, wm, photons_per_setting, noise, seed, cell_key=j)
-                for i, st in enumerate(StateGrid.standard())
-            ]
-            six = 6.0 * estimate_gmax_from_counts(records, wm)
-            prev = estimate_prev_from_counts(records)
-        rows.append(CrossSectionRow(eta, six, prev))
-    return rows
+    if exact_mode:
+        cells = [WeakMeasurement(0.0, eta) for eta in etas]
+        gmax, prev = [analytic_gmax(wm) for wm in cells], [analytic_prev(wm) for wm in cells]
+    else:
+        keys = [(CROSS_SECTION_STREAM, j) for j in range(len(etas))]
+        counts = simulate_counts(0.0, etas, photons_per_setting, noise, seed, keys)
+        gmax = estimate_gmax_from_counts(counts, 0.0, etas).tolist()
+        prev = estimate_prev_from_counts(counts).tolist()
+    return [CrossSectionRow(eta, 6.0 * g, p) for eta, g, p in zip(etas, gmax, prev)]
 
 
 def reversal_fidelity_sweep(
@@ -355,16 +365,15 @@ def reversal_fidelity_sweep(
     of fitted.
     """
     noise = noise or NoiseModel()
+    chains = channel_probabilities(wm.epsilon, wm.eta, TRAVERSAL_ALPHAS, noise)[:, 2:]
     rows = []
-    for i, state in enumerate(StateGrid.standard()):
-        yields = [
-            counts_per_basis * reversal_chain_survival(state, wm, r, noise) for r in (1, 2)
-        ]
+    for i, (state, survivals) in enumerate(zip(StateGrid.standard(), chains.tolist())):
+        yields = [counts_per_basis * survival for survival in survivals]
         if sum(yields) < LOW_STATS_FLOOR:
             rows.append(FidelityRow(state.alpha_weight, None, True))
             continue
         live_chains = max(1, sum(y >= LOW_STATS_FLOOR for y in yields))
-        rng = _substream(seed, 0, i, 0, CONFIG_TOMOGRAPHY)
+        rng = _substream(seed, 0, i, 0, TOMOGRAPHY_STREAM)
         result = simulate_tomography(
             state, live_chains * counts_per_basis, noise, rng, exact_mode=exact_mode
         )
@@ -618,41 +627,29 @@ def _check_oracle_agreement(seed: int, stderr_multiplier: float) -> CheckResult:
 def _check_estimator_consistency(
     photons_per_setting: int, noise: NoiseModel | None, seed: int, exact_mode: bool
 ) -> CheckResult:
-    wm = WeakMeasurement(0.25, 0.75)
+    e, h = 0.25, 0.75
+    wm = WeakMeasurement(e, h)
     states = StateGrid.standard()
 
     # Logic identity: the exact-count pipeline reproduces the discrete-grid
     # expectations bit for bit in the noiseless model.
     target_g = sum(per_state_gain(wm, st) for st in states) / len(states)
     target_p = analytic_prev(wm)
-    clean = [
-        simulate_counts(i, st, wm, photons_per_setting, None, seed, cell_key=2000, exact_mode=True)
-        for i, st in enumerate(states)
-    ]
+    clean = simulate_counts(e, h, photons_per_setting, None, seed, exact_mode=True)
     parts = [
-        (abs(estimate_gmax_from_counts(clean, wm) - target_g), 1e-12),
-        (abs(estimate_prev_from_counts(clean) - target_p), 1e-12),
+        (abs(float(estimate_gmax_from_counts(clean, e, h)[0]) - target_g), 1e-12),
+        (abs(float(estimate_prev_from_counts(clean)[0]) - target_p), 1e-12),
     ]
 
     if not exact_mode:
-        expected = [
-            simulate_counts(
-                i, st, wm, photons_per_setting, noise, seed, cell_key=2001, exact_mode=True
-            )
-            for i, st in enumerate(states)
-        ]
-        g_ref = estimate_gmax_from_counts(expected, wm)
-        p_ref = estimate_prev_from_counts(expected)
-        g_samples, p_samples = [], []
-        for k in range(5):
-            sampled = [
-                simulate_counts(
-                    i, st, wm, photons_per_setting, noise, seed, cell_key=2002 + k
-                )
-                for i, st in enumerate(states)
-            ]
-            g_samples.append(estimate_gmax_from_counts(sampled, wm))
-            p_samples.append(estimate_prev_from_counts(sampled))
+        expected = simulate_counts(e, h, photons_per_setting, noise, seed, exact_mode=True)
+        g_ref = float(estimate_gmax_from_counts(expected, e, h)[0])
+        p_ref = float(estimate_prev_from_counts(expected)[0])
+        # Five independent traversals of the same cell, one substream each.
+        keys = [(CONSISTENCY_STREAM, k) for k in range(5)]
+        sampled = simulate_counts([e] * 5, h, photons_per_setting, noise, seed, keys)
+        g_samples = estimate_gmax_from_counts(sampled, e, h).tolist()
+        p_samples = estimate_prev_from_counts(sampled).tolist()
         stat_tol = 5.0 / math.sqrt(photons_per_setting)
         parts.append((abs(sum(g_samples) / 5.0 - g_ref), stat_tol))
         parts.append((abs(sum(p_samples) / 5.0 - p_ref), stat_tol))
@@ -665,9 +662,8 @@ def _check_rng_determinism(noise: NoiseModel | None, seed: int) -> CheckResult:
     wm = WeakMeasurement(0.25, 0.75)
     # Cells evaluated one at a time in reverse order must reproduce the
     # sweep: no cell's stream may depend on the cells drawn before it.
-    states = StateGrid.standard()
     cells = reversed(list(enumerate(OperatorGrid.uniform(4))))
-    reordered = [_cell_point(i, cell, states, 2_000, noise, seed, False) for i, cell in cells]
+    reordered = [_cell_points([cell], i, 2_000, noise, seed, False)[0] for i, cell in cells]
     pairs = (
         (tables.STATES, state_sweep(wm, 20_000, noise, seed), state_sweep(wm, 20_000, noise, seed)),
         (tables.GRID, grid_sweep(4, 2_000, noise, seed), reordered[::-1]),

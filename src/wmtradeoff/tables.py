@@ -86,4 +86,6 @@ def json_rows(spec, rows) -> list[dict]:
 
 
 def json_document(metadata: dict, rows_key: str, rows: list[dict]) -> str:
-    return json.dumps({"metadata": metadata, rows_key: rows}, indent=2) + "\n"
+    # json_rows already writes non-finite numbers as null; one left over
+    # is a bug and fails here instead of producing invalid JSON.
+    return json.dumps({"metadata": metadata, rows_key: rows}, indent=2, allow_nan=False) + "\n"

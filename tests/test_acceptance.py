@@ -24,7 +24,6 @@ from wmtradeoff.bench import (
 )
 from wmtradeoff.sweeps import (
     OperatorGrid,
-    StateGrid,
     cross_section,
     haar_average_oracle,
     reversal_fidelity_sweep,
@@ -121,12 +120,10 @@ def test_criterion_5_oracle_equivalence():
 @criterion("6 count-ratio estimators at desk scale")
 def test_criterion_6_estimators():
     start = time.perf_counter()
-    records = [
-        simulate_counts(i, st, FLAGSHIP, 100_000, None, seed=42)
-        for i, st in enumerate(StateGrid.standard())
-    ]
-    g_hat = estimate_gmax_from_counts(records, FLAGSHIP)
-    p_hat = estimate_prev_from_counts(records)
+    e, h = FLAGSHIP.epsilon, FLAGSHIP.eta
+    counts = simulate_counts(e, h, 100_000, None, seed=42, cell_keys=[(0, 0)])
+    g_hat = float(estimate_gmax_from_counts(counts, e, h)[0])
+    p_hat = float(estimate_prev_from_counts(counts)[0])
     assert abs(g_hat - 0.586667) <= 0.002  # discrete-grid expectation target
     assert abs(p_hat - 0.375) <= 0.005
     assert time.perf_counter() - start < 60.0

@@ -1,12 +1,14 @@
-"""Tests for the optical bench model: angles, counting, estimators, tomography."""
+"""Tests for the optical bench model: counting, estimators, tomography."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from wmtradeoff.qubit import PureState, STATE_H, density_of_state, state_fidelity
 from wmtradeoff.measurement import (
+    TIE_ATOL,
     WeakMeasurement,
     analytic_prev,
     branch_terms,
@@ -14,22 +16,21 @@ from wmtradeoff.measurement import (
     reversal_operator,
 )
 from wmtradeoff.bench import (
-    CountRecord,
+    TRAVERSAL_ALPHAS,
     EstimationError,
     NoiseModel,
+    channel_probabilities,
     estimate_gmax_from_counts,
     estimate_prev_from_counts,
     gain_term_from_counts,
-    measurement_survival,
     rev_term_from_counts,
-    reversal_chain_survival,
     simulate_counts,
     simulate_tomography,
-    zeta,
 )
 
 PI = math.pi
 FLAGSHIP = WeakMeasurement(0.25, 0.75)
+LARGEST_N = 2**63 - 1
 
 
 def traversal_states():
@@ -42,21 +43,55 @@ def chain_survival_oracle(wm, state, r):
     return float(np.sum(np.abs(image) ** 2))
 
 
+def leaky_survival_oracle(wm, state, r, swap):
+    """Measurement and chain survival of branch ``r`` with arm-swap probability ``swap``.
+
+    Each interferometer independently applies its operator with the two
+    diagonal coefficients exchanged with probability ``swap``; the survival
+    is the average squared norm over the four swap patterns.
+    """
+    def swapped(op):
+        return np.diag(np.diag(op)[::-1])
+
+    def norm2(v):
+        return float(np.sum(np.abs(v) ** 2))
+
+    a, rev = kraus_pair(wm)[r - 1].matrix, reversal_operator(wm, r).matrix
+    measured = chained = 0.0
+    for p_a, op_a in ((1.0 - swap, a), (swap, swapped(a))):
+        image = op_a @ state.amplitudes
+        measured += p_a * norm2(image)
+        for p_r, op_r in ((1.0 - swap, rev), (swap, swapped(rev))):
+            chained += p_a * p_r * norm2(op_r @ image)
+    return measured, chained
+
+
+def guess_weight(i, wm):
+    """Primary-channel weight of state i: its fidelity with outcome 1's guess."""
+    alpha = 0.02 * i
+    return 1.0 - alpha if wm.epsilon - wm.eta > TIE_ATOL else alpha
+
+
 def discrete_gain_expectation(wm):
     """Exact expectation of the count-ratio estimator over the 51-state grid."""
     total = 0.0
     for i, st in enumerate(traversal_states()):
         p1, p2 = branch_terms(wm.epsilon, wm.eta, st.alpha_weight, st.phase)[0]
-        z = zeta(i, wm)
+        z = guess_weight(i, wm)
         total += z * p1 + (1.0 - z) * p2
     return total / 51.0
 
 
-def run_records(wm, photons, noise=None, seed=0, exact=False):
-    return [
-        simulate_counts(i, st, wm, photons, noise, seed, exact_mode=exact)
-        for i, st in enumerate(traversal_states())
-    ]
+def run_counts(wm, photons, noise=None, seed=0, exact=False):
+    """The (51, 4) counts of one cell's traversal."""
+    return simulate_counts(wm.epsilon, wm.eta, photons, noise, seed, [(0, 0)], exact)[0]
+
+
+def forced_counts(i, m_primary, m_complement):
+    """Counts with one photon in every measurement channel except state ``i``'s."""
+    counts = np.ones((51, 4))
+    counts[i] = (m_primary, m_complement, 0, 0)
+    return counts
 
 
 def signed_arm_operators(wm):
@@ -105,21 +140,29 @@ class TestReversalSettings:
 
 
 class TestZeta:
+    # The guess weight of state i is its count-ratio gain term when only the
+    # primary channel saw photons.
     def test_first_branch_endpoints(self):
-        assert zeta(0, FLAGSHIP) == pytest.approx(0.0, abs=1e-15)
-        assert zeta(50, FLAGSHIP) == pytest.approx(1.0, abs=1e-15)
+        assert gain_term_from_counts(forced_counts(0, 5, 0), 0.25, 0.75)[0] == pytest.approx(
+            0.0, abs=1e-15
+        )
+        assert gain_term_from_counts(forced_counts(50, 5, 0), 0.25, 0.75)[50] == pytest.approx(
+            1.0, abs=1e-15
+        )
 
     def test_second_branch(self):
-        assert zeta(20, WeakMeasurement(0.75, 0.25)) == pytest.approx(0.6, abs=1e-12)
+        terms = gain_term_from_counts(forced_counts(20, 5, 0), 0.75, 0.25)
+        assert terms[20] == pytest.approx(0.6, abs=1e-12)
 
     def test_tie_uses_first_branch(self):
-        assert zeta(20, WeakMeasurement(0.4, 0.4)) == pytest.approx(0.4, abs=1e-12)
+        terms = gain_term_from_counts(forced_counts(20, 5, 0), 0.4, 0.4)
+        assert terms[20] == pytest.approx(0.4, abs=1e-12)
 
     def test_index_bounds(self):
-        with pytest.raises(ValueError):
-            zeta(51, FLAGSHIP)
-        with pytest.raises(ValueError):
-            zeta(-1, FLAGSHIP)
+        # A state axis that stops short of index 50 or runs past it is refused.
+        for n_states in (50, 52):
+            with pytest.raises(EstimationError, match="51"):
+                gain_term_from_counts(np.ones((n_states, 4)), 0.25, 0.75)
 
 
 class TestNoiseModel:
@@ -136,113 +179,156 @@ class TestNoiseModel:
         )
 
 
+UNIT = strategies.one_of(strategies.sampled_from([0.0, 1.0]), strategies.floats(0.0, 1.0))
+
+
 class TestCountRecord:
+    """Bounds of every count in the (cells, 51, 4) count array."""
+
     def test_count_bounds(self):
-        with pytest.raises(ValueError):
-            CountRecord(0, 11, 0, 0, 0, 10)
-        with pytest.raises(ValueError):
-            CountRecord(0, -1, 0, 0, 0, 10)
-        with pytest.raises(ValueError):
-            CountRecord(51, 0, 0, 0, 0, 10)
+        # Every count lies in [0, N]: integers when sampled, floats when exact.
+        noise = NoiseModel(pbs_leakage=0.01, detector_efficiency=0.9)
+        eps, etas = [0.0, 0.3, 1.0, 1.0], [0.0, 0.8, 0.0, 1.0]
+        keys = [(0, k) for k in range(4)]
+        for photons in (10, LARGEST_N):
+            sampled = simulate_counts(eps, etas, photons, noise, 5, keys)
+            exact = simulate_counts(eps, etas, photons, noise, exact_mode=True)
+            assert sampled.dtype == np.int64 and exact.dtype == np.float64
+            for counts in (sampled, exact):
+                assert counts.shape == (4, 51, 4)
+                assert counts.min() >= 0 and counts.max() <= photons
 
 
 class TestSimulateCounts:
     def test_no_measurement_expectations(self):
-        rec = simulate_counts(10, PureState(0.2), WeakMeasurement(0.0, 0.0), 1000, exact_mode=True)
-        assert rec.counts_m_primary == pytest.approx(1000.0, abs=1e-9)
-        assert rec.counts_m_complement == pytest.approx(0.0, abs=1e-9)
+        counts = simulate_counts(0.0, 0.0, 1000, exact_mode=True)[0, 10]
+        assert counts[0] == pytest.approx(1000.0, abs=1e-9)
+        assert counts[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_flagship_expected_fractions(self):
-        st = PureState(0.5)
-        rec = simulate_counts(25, st, FLAGSHIP, 100000, exact_mode=True)
-        assert rec.counts_m_primary / 100000 == pytest.approx(0.5, abs=1e-12)
-        oracle = chain_survival_oracle(FLAGSHIP, st, 1)
+        counts = run_counts(FLAGSHIP, 100000, exact=True)[25]
+        assert counts[0] / 100000 == pytest.approx(0.5, abs=1e-12)
+        oracle = chain_survival_oracle(FLAGSHIP, PureState(0.5), 1)
         assert oracle == pytest.approx(0.1875, abs=1e-12)
-        assert rec.counts_r_primary / 100000 == pytest.approx(oracle, abs=1e-12)
+        assert counts[2] / 100000 == pytest.approx(oracle, abs=1e-12)
 
-    def test_survival_helpers_match_oracle(self):
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            wm = WeakMeasurement(rng.uniform(), rng.uniform())
-            st = PureState(rng.uniform(), rng.uniform(0, 2 * PI))
-            for r in (1, 2):
-                assert reversal_chain_survival(st, wm, r) == pytest.approx(
-                    chain_survival_oracle(wm, st, r), abs=1e-12
-                )
-                probs = branch_terms(wm.epsilon, wm.eta, st.alpha_weight, st.phase)[0]
-                assert measurement_survival(st, wm, r) == pytest.approx(probs[r - 1], abs=1e-12)
+    @settings(max_examples=300, deadline=None)
+    @given(UNIT, UNIT, UNIT, strategies.floats(0.0, 2 * PI), strategies.floats(0.0, 0.01))
+    def test_survival_helpers_match_oracle(self, eps, eta, alpha, phase, leakage):
+        # channel_probabilities against an oracle averaging ||R A phi||^2 over
+        # the four arm-swap patterns of the two interferometers.
+        wm = WeakMeasurement(eps, eta)
+        state = PureState(alpha, phase)
+        noise = NoiseModel(pbs_leakage=leakage)
+        m1, m2, r1, r2 = channel_probabilities(eps, eta, alpha, noise)
+        expected = [
+            leaky_survival_oracle(wm, state, r, noise.interferometer_swap_probability)
+            for r in (1, 2)
+        ]
+        np.testing.assert_allclose(
+            [m1, m2, r1, r2], [e[0] for e in expected] + [e[1] for e in expected],
+            rtol=0.0, atol=1e-12,
+        )
+        # Without leakage: the branch probabilities and ||R_r A_r phi||^2.
+        ideal = channel_probabilities(eps, eta, alpha)
+        probs = branch_terms(eps, eta, alpha, phase)[0]
+        chains = [chain_survival_oracle(wm, state, r) for r in (1, 2)]
+        np.testing.assert_allclose(ideal, [*probs, *chains], rtol=0.0, atol=1e-12)
+
+    def test_traversal_weights(self):
+        assert TRAVERSAL_ALPHAS.tolist() == [st.alpha_weight for st in traversal_states()]
 
     def test_binomial_concentration(self):
-        st = PureState(0.3)
-        p1 = measurement_survival(st, FLAGSHIP, 1)
+        p1 = float(channel_probabilities(0.25, 0.75, TRAVERSAL_ALPHAS[15])[0])
         bound = 4.0 * math.sqrt(p1 * (1 - p1) / 1e6)
         for seed in range(20):
-            rec = simulate_counts(15, st, FLAGSHIP, 1_000_000, seed=seed)
-            assert abs(rec.counts_m_primary / 1e6 - p1) <= bound
+            counts = run_counts(FLAGSHIP, 1_000_000, seed=seed)
+            assert abs(counts[15, 0] / 1e6 - p1) <= bound
 
     def test_zero_photons_rejected(self):
         with pytest.raises(ValueError):
-            simulate_counts(0, STATE_H, FLAGSHIP, 0)
+            simulate_counts(0.25, 0.75, 0, cell_keys=[(0, 0)])
 
-    def test_reversal_survival_never_exceeds_measurement(self):
-        rng = np.random.default_rng(29)
-        for _ in range(100):
-            wm = WeakMeasurement(rng.uniform(), rng.uniform())
-            st = PureState(rng.uniform())
-            noise = NoiseModel(pbs_leakage=rng.uniform(0, 0.01))
-            for r in (1, 2):
-                assert reversal_chain_survival(st, wm, r, noise) <= measurement_survival(
-                    st, wm, r, noise
-                ) + 1e-15
+    @settings(max_examples=300, deadline=None)
+    @given(UNIT, UNIT, UNIT, strategies.floats(0.0, 0.01))
+    def test_reversal_survival_never_exceeds_measurement(self, eps, eta, alpha, leakage):
+        noise = NoiseModel(pbs_leakage=leakage)
+        m1, m2, r1, r2 = channel_probabilities(eps, eta, alpha, noise)
+        assert r1 <= m1 + 1e-15 and r2 <= m2 + 1e-15
 
-    def test_deterministic_per_channel_streams(self):
-        a = simulate_counts(7, PureState(0.3), FLAGSHIP, 10000, seed=42)
-        b = simulate_counts(7, PureState(0.3), FLAGSHIP, 10000, seed=42)
-        assert a == b
-        c = simulate_counts(7, PureState(0.3), FLAGSHIP, 10000, seed=43)
-        assert a != c
+    def test_cell_keys_required_when_sampled(self):
+        with pytest.raises(ValueError, match="cell keys"):
+            simulate_counts([0.25, 0.5], 0.75, 1000, cell_keys=[(0, 0)])
+
+    def test_deterministic_per_cell_streams(self):
+        a = run_counts(FLAGSHIP, 10000, seed=42)
+        b = run_counts(FLAGSHIP, 10000, seed=42)
+        np.testing.assert_array_equal(a, b)
+        c = run_counts(FLAGSHIP, 10000, seed=43)
+        assert not np.array_equal(a, c)
+
+    def test_cell_counts_independent_of_call_grouping(self):
+        # A cell's counts depend on its key alone, not on the cells drawn with it.
+        noise = NoiseModel(pbs_leakage=0.001, detector_efficiency=0.9)
+        eps, etas = [0.0, 0.25, 0.5, 0.9], [0.7, 0.75, 0.5, 0.1]
+        keys = [(1, 10 + k) for k in range(4)]
+        row = simulate_counts(eps, etas, 5000, noise, 42, keys)
+        backwards = simulate_counts(eps[::-1], etas[::-1], 5000, noise, 42, keys[::-1])
+        np.testing.assert_array_equal(backwards[::-1], row)
+        for k in range(4):
+            (single,) = simulate_counts(eps[k], etas[k], 5000, noise, 42, [keys[k]])
+            np.testing.assert_array_equal(single, row[k])
+        (other_key,) = simulate_counts(eps[0], etas[0], 5000, noise, 42, [keys[1]])
+        assert not np.array_equal(other_key, row[0])
 
 
 class TestEstimators:
     def test_balanced_zeta_term_is_count_independent(self):
-        rec = CountRecord(25, 100, 300, 0, 0, 1000)
-        assert gain_term_from_counts(rec, FLAGSHIP) == pytest.approx(0.5, abs=1e-12)
+        terms = gain_term_from_counts(forced_counts(25, 100, 300), 0.25, 0.75)
+        assert terms[25] == pytest.approx(0.5, abs=1e-12)
 
     def test_forced_term_arithmetic(self):
-        rec = CountRecord(0, 10, 90, 0, 0, 1000)
-        assert gain_term_from_counts(rec, FLAGSHIP) == pytest.approx(0.9, abs=1e-12)
+        terms = gain_term_from_counts(forced_counts(0, 10, 90), 0.25, 0.75)
+        assert terms[0] == pytest.approx(0.9, abs=1e-12)
 
     def test_zero_denominator_names_state(self):
-        rec = CountRecord(7, 0, 0, 0, 0, 1000)
+        counts = np.ones((3, 51, 4))
+        counts[1, 7] = 0
         with pytest.raises(EstimationError, match="state index 7"):
-            gain_term_from_counts(rec, FLAGSHIP)
+            gain_term_from_counts(counts, [0.25] * 3, 0.75)
         with pytest.raises(EstimationError, match="state index 7"):
-            rev_term_from_counts(rec)
+            rev_term_from_counts(counts)
 
     def test_estimators_require_full_traversal(self):
-        records = run_records(FLAGSHIP, 1000, exact=True)
+        counts = run_counts(FLAGSHIP, 1000, exact=True)
         with pytest.raises(EstimationError):
-            estimate_gmax_from_counts(records[:-1], FLAGSHIP)
-        duplicated = records[:50] + [records[0]]
+            estimate_gmax_from_counts(counts[:-1], 0.25, 0.75)
         with pytest.raises(EstimationError):
-            estimate_prev_from_counts(duplicated)
+            estimate_prev_from_counts(counts[:, :3])
 
     def test_exact_pipeline_reproduces_discrete_expectation(self):
         target = discrete_gain_expectation(FLAGSHIP)
         assert target == pytest.approx(0.5866666666666667, abs=1e-12)
-        records = run_records(FLAGSHIP, 100_000, exact=True)
-        assert estimate_gmax_from_counts(records, FLAGSHIP) == pytest.approx(target, abs=1e-12)
-        assert estimate_prev_from_counts(records) == pytest.approx(0.375, abs=1e-12)
+        counts = run_counts(FLAGSHIP, 100_000, exact=True)
+        assert estimate_gmax_from_counts(counts, 0.25, 0.75) == pytest.approx(target, abs=1e-12)
+        assert estimate_prev_from_counts(counts) == pytest.approx(0.375, abs=1e-12)
 
     def test_sampled_estimates_at_desk_scale(self):
-        records = run_records(FLAGSHIP, 100_000, seed=42)
-        assert abs(estimate_gmax_from_counts(records, FLAGSHIP) - 0.586667) <= 0.002
-        assert abs(estimate_prev_from_counts(records) - 0.375) <= 0.005
+        counts = run_counts(FLAGSHIP, 100_000, seed=42)
+        assert abs(estimate_gmax_from_counts(counts, 0.25, 0.75) - 0.586667) <= 0.002
+        assert abs(estimate_prev_from_counts(counts) - 0.375) <= 0.005
+
+    def test_estimates_at_largest_photon_number(self):
+        # m1 + m2 can exceed the int64 range at N = 2^63 - 1; totals are floats.
+        for exact in (False, True):
+            counts = run_counts(WeakMeasurement(0.5, 0.5), LARGEST_N, exact=exact)
+            assert estimate_gmax_from_counts(counts, 0.5, 0.5) == pytest.approx(0.5, abs=1e-9)
+            assert estimate_prev_from_counts(counts) == pytest.approx(0.5, abs=1e-9)
 
     def test_prev_estimator_limits(self):
-        ident = run_records(WeakMeasurement(0.0, 0.0), 10_000, exact=True)
+        ident = run_counts(WeakMeasurement(0.0, 0.0), 10_000, exact=True)
         assert estimate_prev_from_counts(ident) == pytest.approx(1.0, abs=1e-12)
-        pvnm = run_records(WeakMeasurement(1.0, 0.0), 10_000, seed=3)
+        pvnm = run_counts(WeakMeasurement(1.0, 0.0), 10_000, seed=3)
         assert estimate_prev_from_counts(pvnm) == pytest.approx(0.0, abs=1e-12)
 
     def test_consistency_ladder(self):
@@ -253,9 +339,9 @@ class TestEstimators:
         for n in (1_000, 10_000, 100_000):
             g_err = p_err = 0.0
             for seed in range(20):
-                records = run_records(FLAGSHIP, n, seed=seed)
-                g_err += estimate_gmax_from_counts(records, FLAGSHIP) - target_g
-                p_err += estimate_prev_from_counts(records) - target_p
+                counts = run_counts(FLAGSHIP, n, seed=seed)
+                g_err += estimate_gmax_from_counts(counts, 0.25, 0.75) - target_g
+                p_err += estimate_prev_from_counts(counts) - target_p
             g_err, p_err = abs(g_err / 20), abs(p_err / 20)
             bound = 5.0 / math.sqrt(n)
             assert g_err <= bound
@@ -264,20 +350,21 @@ class TestEstimators:
         assert errors[0] > errors[1] > errors[2]
 
     def test_detector_efficiency_cancels(self):
-        full = run_records(FLAGSHIP, 50_000, NoiseModel(detector_efficiency=1.0), exact=True)
-        dim = run_records(FLAGSHIP, 50_000, NoiseModel(detector_efficiency=0.3), exact=True)
-        assert estimate_gmax_from_counts(full, FLAGSHIP) == pytest.approx(
-            estimate_gmax_from_counts(dim, FLAGSHIP), abs=1e-12
+        full = run_counts(FLAGSHIP, 50_000, NoiseModel(detector_efficiency=1.0), exact=True)
+        dim = run_counts(FLAGSHIP, 50_000, NoiseModel(detector_efficiency=0.3), exact=True)
+        assert estimate_gmax_from_counts(full, 0.25, 0.75) == pytest.approx(
+            estimate_gmax_from_counts(dim, 0.25, 0.75), abs=1e-12
         )
         assert estimate_prev_from_counts(full) == pytest.approx(
             estimate_prev_from_counts(dim), abs=1e-12
         )
         diffs_g, diffs_p = [], []
         for seed in range(10):
-            full = run_records(FLAGSHIP, 50_000, NoiseModel(detector_efficiency=1.0), seed=seed)
-            dim = run_records(FLAGSHIP, 50_000, NoiseModel(detector_efficiency=0.3), seed=seed)
+            full = run_counts(FLAGSHIP, 50_000, NoiseModel(detector_efficiency=1.0), seed=seed)
+            dim = run_counts(FLAGSHIP, 50_000, NoiseModel(detector_efficiency=0.3), seed=seed)
             diffs_g.append(
-                estimate_gmax_from_counts(full, FLAGSHIP) - estimate_gmax_from_counts(dim, FLAGSHIP)
+                estimate_gmax_from_counts(full, 0.25, 0.75)
+                - estimate_gmax_from_counts(dim, 0.25, 0.75)
             )
             diffs_p.append(estimate_prev_from_counts(full) - estimate_prev_from_counts(dim))
         assert abs(np.mean(diffs_g)) <= 0.003

@@ -1,12 +1,13 @@
 """Tests for the command-line front end: parsing, dispatch, outputs, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from wmtradeoff import cli
+from wmtradeoff import cli, tables
 from wmtradeoff.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -16,6 +17,7 @@ from wmtradeoff.cli import (
     main,
     parse_config,
 )
+from wmtradeoff.sweeps import cross_section
 
 STATES_HEADER = "alpha,gain_analytic,rev_analytic,gain_mc,rev_mc"
 
@@ -66,6 +68,38 @@ class TestParseConfig:
             assert main(["sweep-grid", *argv]) == EXIT_CONFIG_ERROR
             assert f"grid_size must lie in [2, 256], got {size}" in capsys.readouterr().err
         assert parse_config(["sweep-grid", "--grid-size", "256"])[1].grid_size == 256
+
+    @pytest.mark.parametrize(
+        "name, cap, subcommand",
+        [
+            ("photons_per_setting", 2**63 - 1, "sweep-grid"),
+            ("counts_per_basis", (2**63 - 1) // 2, "reversal-fidelity"),
+        ],
+    )
+    def test_count_caps(self, name, cap, subcommand, tmp_path, capsys):
+        # One above the largest count the count path can represent is a
+        # one-line config error, from the flag and from the config file.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name} = {cap + 1}\n")
+        flag = "--" + name.replace("_", "-")
+        for argv in ([flag, str(cap + 1)], ["--config", str(cfg)]):
+            assert main([subcommand, "--grid-size", "2", *argv]) == EXIT_CONFIG_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"config error: {name} must lie in [")
+            assert captured.err.endswith(f", got {cap + 1}\n")
+            assert captured.err.count("\n") == 1
+        assert getattr(parse_config([subcommand, flag, str(cap)])[1], name) == cap
+
+    @pytest.mark.parametrize("exact", ["true", "false"])
+    def test_largest_counts_run(self, exact, capsys):
+        largest = ["--photons-per-setting", str(2**63 - 1), "--grid-size", "2",
+                   "--counts-per-basis", str((2**63 - 1) // 2), "--exact-mode", exact]
+        for subcommand in ("sweep-grid", "sweep-states", "cross-section", "reversal-fidelity"):
+            assert main([subcommand, *largest]) == EXIT_OK, capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert "nan" not in captured.out.replace("low_stats", "")
 
     def test_bool_values(self):
         _, config, _ = parse_config(["verify", "--exact-mode", "true"])
@@ -203,6 +237,64 @@ class TestDispatchProducts:
         assert len(doc["rows"]) == 51
         assert doc["metadata"]["config"]["exact_mode"] is True
         assert set(doc["rows"][0]) == set(STATES_HEADER.split(","))
+
+    def test_json_refuses_non_finite_numbers(self):
+        # json_rows writes non-finite numbers as null; one that gets past it
+        # fails the document instead of producing invalid JSON.
+        rows = tables.json_rows(tables.CROSS_SECTION, cross_section([0.5], exact_mode=True))
+        rows[0]["prev"] = float("nan")
+        with pytest.raises(ValueError):
+            tables.json_document({}, "rows", rows)
+
+    def test_sampled_json_names_its_stream_scheme(self, capsys):
+        for exact, stream in (("false", "per-cell-v2"), ("true", None)):
+            argv = ["sweep-grid", "--grid-size", "2", "--exact-mode", exact,
+                    "--output-format", "json"]
+            assert main(argv) == EXIT_OK
+            metadata = json.loads(capsys.readouterr().out)["metadata"]
+            assert metadata.get("stream") == stream
+            assert list(metadata)[:3] == ["seed", "version", "config"]
+
+    def test_output_file_replaced_whole(self, tmp_path):
+        out = tmp_path / "cross.csv"
+        out.write_text("stale\n")
+        args = ["cross-section", "--exact-mode", "true", "--output-path", str(out)]
+        assert main(args) == EXIT_OK
+        assert out.read_text().startswith("eta,six_gmax,prev,sum\n")
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert os.listdir(tmp_path) == ["cross.csv"]
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch):
+        real_fdopen = os.fdopen
+
+        class HalfWrite:
+            """A file that writes half of its text, then runs out of space."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fdopen", lambda *a, **k: HalfWrite(real_fdopen(*a, **k)))
+        kept = tmp_path / "kept.csv"
+        kept.write_text("previous\n")
+        for out in (tmp_path / "new.csv", kept):
+            args = ["sweep-states", "--exact-mode", "true", "--output-path", str(out)]
+            assert main(args) == EXIT_CONFIG_ERROR
+            assert "cannot write output" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["kept.csv"]
+        assert kept.read_text() == "previous\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a = tmp_path / "a.csv"

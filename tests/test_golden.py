@@ -1,8 +1,9 @@
 """Golden bytes of the four sweep products in exact mode, CSV and JSON.
 
 Exact mode replaces every binomial draw with its expected value, so these
-products are fixed by the code alone; any refactor of the sweeps, the table
-schemas or the CLI must reproduce them byte for byte. After an intended
+products are fixed by the code alone; the ``-noisy`` ones add PBS leakage
+and detector efficiency. Any refactor of the sweeps, the count kernel, the
+table schemas or the CLI must reproduce them byte for byte. After an intended
 change of a product, regenerate the files from the repository root with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -20,11 +21,15 @@ from wmtradeoff.cli import EXIT_OK, main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
+NOISE = ["--pbs-leakage", "0.001", "--detector-efficiency", "0.9"]
 PRODUCTS = {
     "sweep-grid": ["sweep-grid", "--grid-size", "6"],
     "sweep-states": ["sweep-states"],
     "cross-section": ["cross-section", "--grid-size", "6"],
     "reversal-fidelity": ["reversal-fidelity"],
+    "sweep-grid-noisy": ["sweep-grid", "--grid-size", "6", *NOISE],
+    "sweep-states-noisy": ["sweep-states", *NOISE],
+    "reversal-fidelity-noisy": ["reversal-fidelity", *NOISE],
 }
 CASES = [(name, fmt) for name in PRODUCTS for fmt in ("csv", "json")]
 

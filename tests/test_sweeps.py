@@ -167,10 +167,9 @@ class TestGridSweep:
 
     def test_reversed_cell_order_equals_sweep(self):
         rows = grid_sweep(grid_size=5, photons_per_setting=3000, seed=11)
-        states = StateGrid.standard()
         cells = list(enumerate(OperatorGrid.uniform(5)))
         reordered = [
-            sweeps._cell_point(idx, wm, states, 3000, None, 11, False)
+            sweeps._cell_points([wm], idx, 3000, None, 11, False)[0]
             for idx, wm in reversed(cells)
         ][::-1]
         assert rows == reordered
