@@ -281,7 +281,7 @@ def dispatch(subcommand: str, config: RunConfig, mutate_reversal: bool = False) 
     if (config.output_format or default_format) == "csv":
         text = tables.csv_table(spec, rows)
     else:
-        text = tables.json_document(_metadata(config), rows_key, tables.json_rows(spec, rows))
+        text = tables.json_document(_metadata(config), rows_key, spec, rows)
     try:
         _emit(text, config.output_path)
     except OSError as exc:

@@ -17,6 +17,10 @@ estimator applies too.
 broadcast (epsilon, eta, alpha, phase) arrays it returns each outcome's
 probability, guess fidelity and reversal term from the complex amplitudes.
 ``per_state_gain`` and ``per_state_reversal_prob`` are its scalar views.
+Likewise ``closed_forms`` evaluates the state-averaged closed forms below and
+the beam-splitter flag over broadcast (epsilon, eta) arrays, and
+``analytic_gmax``, ``analytic_prev`` and
+``WeakMeasurement.is_diagonal_degenerate`` are its scalar views.
 
 Closed forms implemented here:
 
@@ -62,9 +66,7 @@ class WeakMeasurement:
     @property
     def is_diagonal_degenerate(self) -> bool:
         """True for the excluded beam-splitter case epsilon == eta not in {0, 1}."""
-        if abs(self.epsilon - self.eta) >= TIE_ATOL:
-            return False
-        return self.epsilon not in (0.0, 1.0)
+        return closed_forms(self.epsilon, self.eta)[2]
 
 
 def first_guess_is_v(epsilon, eta):
@@ -119,9 +121,23 @@ def per_state_gain(wm: WeakMeasurement, state: PureState) -> float:
     return float((prob * guess_fidelity).sum())
 
 
+def closed_forms(epsilon, eta):
+    """gmax, prev and the beam-splitter flag of each (epsilon, eta) pair.
+
+    Works on floats and on broadcast numpy arrays alike, with the same
+    operations in the same order, so an array entry equals the scalar value
+    bit for bit. Arguments are not validated.
+    """
+    gap = abs(eta - epsilon)
+    gmax = (3.0 + gap) / 6.0
+    prev = 1.0 - epsilon - eta + 2.0 * epsilon * eta
+    degenerate = (gap < TIE_ATOL) & (epsilon != 0.0) & (epsilon != 1.0)
+    return gmax, prev, degenerate
+
+
 def analytic_gmax(wm: WeakMeasurement) -> float:
     """State-averaged maximal estimation fidelity, (3 + |eta - epsilon|) / 6."""
-    return (3.0 + abs(wm.eta - wm.epsilon)) / 6.0
+    return closed_forms(wm.epsilon, wm.eta)[0]
 
 
 def reversal_operator(wm: WeakMeasurement, r: int) -> Operator2:
@@ -151,7 +167,7 @@ def per_state_reversal_prob(wm: WeakMeasurement, state: PureState) -> float:
 
 def analytic_prev(wm: WeakMeasurement) -> float:
     """Mean reversal probability, 1 - epsilon - eta + 2*epsilon*eta."""
-    return 1.0 - wm.epsilon - wm.eta + 2.0 * wm.epsilon * wm.eta
+    return closed_forms(wm.epsilon, wm.eta)[1]
 
 
 def tradeoff_sum(wm: WeakMeasurement) -> float:

@@ -33,6 +33,7 @@ from .measurement import (
     analytic_gmax,
     analytic_prev,
     branch_terms,
+    closed_forms,
     kraus_pair,
     per_state_gain,
     per_state_reversal_prob,
@@ -268,7 +269,8 @@ def state_sweep(
 
 
 def _cell_points(
-    cells: list[WeakMeasurement],
+    epsilon,
+    eta,
     first_index: int,
     photons_per_setting: int,
     noise: NoiseModel | None,
@@ -277,27 +279,20 @@ def _cell_points(
 ) -> list[TradeoffPoint]:
     """Tradeoff points of lattice cells ``first_index``, ``first_index + 1``, ...
 
-    One count-kernel call covers all of them; cell ``first_index + k`` draws
-    from the substream (GRID_STREAM, first_index + k) whatever else is drawn.
+    ``epsilon`` and ``eta`` broadcast to one value per cell. One count-kernel
+    call covers all of them; cell ``first_index + k`` draws from the
+    substream (GRID_STREAM, first_index + k) whatever else is drawn.
     """
-    eps = [wm.epsilon for wm in cells]
-    etas = [wm.eta for wm in cells]
-    keys = [(GRID_STREAM, first_index + k) for k in range(len(cells))]
-    counts = simulate_counts(eps, etas, photons_per_setting, noise, seed, keys, exact_mode)
-    gmax = estimate_gmax_from_counts(counts, eps, etas).tolist()
-    prev = estimate_prev_from_counts(counts).tolist()
-    return [
-        TradeoffPoint(
-            epsilon=wm.epsilon,
-            eta=wm.eta,
-            gmax_analytic=analytic_gmax(wm),
-            prev_analytic=analytic_prev(wm),
-            gmax_estimated=g,
-            prev_estimated=p,
-            diagonal_flag=wm.is_diagonal_degenerate,
-        )
-        for wm, g, p in zip(cells, gmax, prev)
-    ]
+    e, h = np.broadcast_arrays(np.atleast_1d(epsilon), np.atleast_1d(eta))
+    keys = [(GRID_STREAM, first_index + k) for k in range(len(e))]
+    counts = simulate_counts(e, h, photons_per_setting, noise, seed, keys, exact_mode)
+    gmax, prev, degenerate = closed_forms(e, h)
+    # In the field order of TradeoffPoint.
+    columns = (
+        e, h, gmax, prev,
+        estimate_gmax_from_counts(counts, e, h), estimate_prev_from_counts(counts), degenerate,
+    )
+    return [TradeoffPoint(*cells) for cells in zip(*(c.tolist() for c in columns))]
 
 
 def grid_sweep(
@@ -313,11 +308,14 @@ def grid_sweep(
     consumers can mask them. The counts are simulated one epsilon row at a
     time, which keeps memory linear in the grid size.
     """
-    cells = OperatorGrid.uniform(grid_size).cells
+    if grid_size < 2:
+        raise ValueError("grid size must be at least 2")
+    values = np.linspace(0.0, 1.0, grid_size)
     points = []
-    for start in range(0, len(cells), grid_size):
-        row = list(cells[start:start + grid_size])
-        points += _cell_points(row, start, photons_per_setting, noise, seed, exact_mode)
+    for i, e in enumerate(values):
+        points += _cell_points(
+            e, values, i * grid_size, photons_per_setting, noise, seed, exact_mode
+        )
     return points
 
 
@@ -464,22 +462,24 @@ def _check_kraus_completeness() -> CheckResult:
     return CheckResult("kraus_completeness", dev <= 1e-12, dev, 1e-12)
 
 
-def _check_boundary_law(grid_size: int) -> CheckResult:
+def _lattice_sums(grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """epsilon, eta and 6*gmax + prev on a grid_size x grid_size lattice, one row per epsilon."""
     values = np.linspace(0.0, 1.0, grid_size)
-    dev = 0.0
-    for e in values:
-        for h in values:
-            if e in (0.0, 1.0) or h in (0.0, 1.0):
-                dev = max(dev, abs(tradeoff_sum(WeakMeasurement(float(e), float(h))) - 4.0))
+    e, h = values[:, None], values[None, :]
+    gmax, prev, _ = closed_forms(e, h)
+    return e, h, 6.0 * gmax + prev
+
+
+def _check_boundary_law(grid_size: int) -> CheckResult:
+    e, h, sums = _lattice_sums(grid_size)
+    boundary = (e == 0.0) | (e == 1.0) | (h == 0.0) | (h == 1.0)
+    dev = float(np.max(abs(sums[boundary] - 4.0), initial=0.0))
     return CheckResult("boundary_law", dev <= 1e-12, dev, 1e-12)
 
 
 def _check_center_minimum(grid_size: int) -> CheckResult:
     center_dev = abs(tradeoff_sum(WeakMeasurement(0.5, 0.5)) - 3.5)
-    values = np.linspace(0.0, 1.0, grid_size)
-    lattice_min = min(
-        tradeoff_sum(WeakMeasurement(float(e), float(h))) for e in values for h in values
-    )
+    lattice_min = float(_lattice_sums(grid_size)[2].min())
     dev = max(center_dev, max(0.0, 3.5 - lattice_min))
     return CheckResult("center_minimum", dev <= 1e-12, dev, 1e-12)
 
@@ -493,15 +493,10 @@ def _check_pvnm_corners() -> CheckResult:
 
 
 def _check_range_bounds() -> CheckResult:
-    dev = 0.0
     values = np.linspace(0.0, 1.0, 101)
-    for e in values:
-        for h in values:
-            wm = WeakMeasurement(float(e), float(h))
-            g = analytic_gmax(wm)
-            p = analytic_prev(wm)
-            dev = max(dev, 0.5 - g, g - 2.0 / 3.0, -p, p - 1.0)
-    dev = max(dev, 0.0)
+    g, p, _ = closed_forms(values[:, None], values[None, :])
+    worst = max(float(np.max(x)) for x in (0.5 - g, g - 2.0 / 3.0, -p, p - 1.0))
+    dev = max(0.0, worst)
     return CheckResult("range_bounds", dev <= 1e-12, dev, 1e-12)
 
 
@@ -663,7 +658,9 @@ def _check_rng_determinism(noise: NoiseModel | None, seed: int) -> CheckResult:
     # Cells evaluated one at a time in reverse order must reproduce the
     # sweep: no cell's stream may depend on the cells drawn before it.
     cells = reversed(list(enumerate(OperatorGrid.uniform(4))))
-    reordered = [_cell_points([cell], i, 2_000, noise, seed, False)[0] for i, cell in cells]
+    reordered = [
+        _cell_points(cell.epsilon, cell.eta, i, 2_000, noise, seed, False)[0] for i, cell in cells
+    ]
     pairs = (
         (tables.STATES, state_sweep(wm, 20_000, noise, seed), state_sweep(wm, 20_000, noise, seed)),
         (tables.GRID, grid_sweep(4, 2_000, noise, seed), reordered[::-1]),

@@ -5,12 +5,20 @@ kind). Headers are bit-exact contracts; numeric fields print with nine digits
 after the decimal point and flags print as 0/1. JSON documents carry the
 same columns as objects under a stable metadata header, with non-finite
 numbers as null; ``NOTE`` columns appear in JSON only.
+
+JSON rows are rendered by column: each column's cells are turned into JSON
+text in one pass, and each row fills one indented template. The document
+equals ``json.dumps({"metadata": ..., key: rows}, indent=2,
+allow_nan=False)`` byte for byte, without the pure-Python encoder that
+``json.dumps`` falls back to whenever ``indent`` is set.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 NUMBER, FLAG, TEXT, NOTE = "number", "flag", "text", "note"
 
@@ -22,16 +30,29 @@ def format_number(value: float | None) -> str:
     return f"{float(value) + 0.0:.9f}"
 
 
-def _json_number(value: float | None) -> float | None:
-    return value if value is not None and math.isfinite(value) else None
+def _json_numbers(values) -> list[str]:
+    # float.__repr__ is what json.dumps prints for a float, subclasses included.
+    return [
+        "null" if v is None or not math.isfinite(v)
+        else float.__repr__(v) if isinstance(v, float) else json.dumps(v)
+        for v in values
+    ]
 
 
-# kind -> (CSV cell, or None for a JSON-only column; JSON value)
+def _json_flags(values) -> list[str]:
+    return ["1" if v else "0" for v in values]
+
+
+def _json_strings(values) -> list[str]:
+    return list(map(encode_basestring_ascii, map(str, values)))
+
+
+# kind -> (CSV cell, or None for a JSON-only column; JSON text of a column)
 _KINDS = {
-    NUMBER: (format_number, _json_number),
-    FLAG: (lambda v: "1" if v else "0", int),
-    TEXT: (str, str),
-    NOTE: (None, str),
+    NUMBER: (format_number, _json_numbers),
+    FLAG: (lambda v: "1" if v else "0", _json_flags),
+    TEXT: (str, _json_strings),
+    NOTE: (None, _json_strings),
 }
 
 GRID = (
@@ -79,13 +100,20 @@ def csv_table(spec, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def json_rows(spec, rows) -> list[dict]:
-    return [
-        {name: _KINDS[kind][1](getattr(r, attr)) for name, attr, kind in spec} for r in rows
-    ]
+def json_document(metadata: dict, rows_key: str, spec, rows) -> str:
+    """The document {"metadata": metadata, rows_key: [one object per row]}.
 
-
-def json_document(metadata: dict, rows_key: str, rows: list[dict]) -> str:
-    # json_rows already writes non-finite numbers as null; one left over
-    # is a bug and fails here instead of producing invalid JSON.
-    return json.dumps({"metadata": metadata, rows_key: rows}, indent=2, allow_nan=False) + "\n"
+    The metadata head goes through ``json.dumps``, so a non-finite value
+    there raises ``ValueError`` instead of producing invalid JSON.
+    """
+    head = json.dumps({"metadata": metadata, rows_key: []}, indent=2, allow_nan=False)
+    if not rows:
+        return head + "\n"
+    fields = ",\n".join(
+        "      " + encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name, _, _ in spec
+    )
+    template = "    {\n" + fields + "\n    }"
+    columns = [_KINDS[kind][1](map(attrgetter(attr), rows)) for _, attr, kind in spec]
+    body = ",\n".join(template % cells for cells in zip(*columns))
+    # head ends with `[]\n}`: the empty rows list and the closing brace.
+    return head[:-4] + "[\n" + body + "\n  ]\n}\n"

@@ -1,11 +1,16 @@
 """Tests for the command-line front end: parsing, dispatch, outputs, exit codes."""
 
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import event, given, settings, strategies
 
 from wmtradeoff import cli, tables
 from wmtradeoff.cli import (
@@ -239,12 +244,11 @@ class TestDispatchProducts:
         assert set(doc["rows"][0]) == set(STATES_HEADER.split(","))
 
     def test_json_refuses_non_finite_numbers(self):
-        # json_rows writes non-finite numbers as null; one that gets past it
-        # fails the document instead of producing invalid JSON.
-        rows = tables.json_rows(tables.CROSS_SECTION, cross_section([0.5], exact_mode=True))
-        rows[0]["prev"] = float("nan")
+        # Row cells write non-finite numbers as null; a non-finite metadata
+        # value fails the document instead of producing invalid JSON.
+        rows = cross_section([0.5], exact_mode=True)
         with pytest.raises(ValueError):
-            tables.json_document({}, "rows", rows)
+            tables.json_document({"seed": float("nan")}, "rows", tables.CROSS_SECTION, rows)
 
     def test_sampled_json_names_its_stream_scheme(self, capsys):
         for exact, stream in (("false", "per-cell-v2"), ("true", None)):
@@ -346,3 +350,97 @@ class TestProcessLevelExitCodes:
         )
         assert proc.returncode == EXIT_VERIFY_FAIL
         assert "reversal_exactness" in proc.stderr
+
+
+# Per config key: accepted boundary values, then rejected ones (just outside
+# the range, malformed, or an unwritable path). Accepted grid sizes stay at or
+# below 4 so that each example runs fast.
+_UNIT = (["0", "1", "0.5", "-0.0", "5e-324", "0.9999999999999999"],
+         ["1.0000000001", "-1e-300", "nan", "inf", "-inf", "1e308", "abc", ""])
+FUZZ_VALUES = {
+    "epsilon": _UNIT,
+    "eta": _UNIT,
+    "photons_per_setting": (["1", "2", str(cli.MAX_PHOTONS)],
+                            ["0", "-1", str(cli.MAX_PHOTONS + 1), "1" + "0" * 30, "1.5", ""]),
+    "counts_per_basis": (["100", "101", str(cli.MAX_COUNTS_PER_BASIS)],
+                         ["99", str(cli.MAX_COUNTS_PER_BASIS + 1), "-5", "x"]),
+    "seed": (["0", "1", str(2**64 - 1)], [str(2**64), "-1", "0x10"]),
+    "pbs_leakage": (["0", "0.01", "5e-324", "-0.0"], ["0.0100000001", "nan", "-1"]),
+    "detector_efficiency": (["1", "5e-324", "0.5"], ["0", "1.0000001", "nan", "-inf"]),
+    "grid_size": (["2", "3", "4"], ["1", "0", "-1", str(2**70), "2.0"]),
+    "exact_mode": (["true", "false", "1", "0", "TRUE"], ["yes", ""]),
+    "output_format": (["csv", "json", " JSON "], ["xml", ""]),
+    "output_path": (["out.txt"], ["missing/out.txt", "."]),
+}
+
+
+@strategies.composite
+def cli_configs(draw):
+    """Config values, at most one of them rejected, and the keys set through a config file."""
+    values = {}
+    for key, (accepted, _) in FUZZ_VALUES.items():
+        value = strategies.sampled_from(accepted)
+        value = draw(value if key == "grid_size" else strategies.none() | value)
+        if value is not None:
+            values[key] = value
+    bad = draw(strategies.none() | strategies.sampled_from(sorted(FUZZ_VALUES)))
+    if bad is not None:
+        values[bad] = draw(strategies.sampled_from(FUZZ_VALUES[bad][1]))
+    return values, draw(strategies.sets(strategies.sampled_from(sorted(values))))
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _check_product(text: str, fmt: str) -> None:
+    if fmt == "json":
+        json.loads(text, parse_constant=_refuse_constant)
+    else:
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows and all(len(row) == len(rows[0]) for row in rows)
+
+
+class TestCliFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        subcommand=strategies.sampled_from(cli.SUBCOMMANDS),
+        mutate=strategies.booleans(),
+        config=cli_configs(),
+    )
+    def test_exit_codes_messages_and_products(self, subcommand, mutate, config):
+        values, in_file = dict(config[0]), config[1]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = values.get("output_path")
+            if path is not None:
+                path = values["output_path"] = os.path.join(tmp, path)
+            argv = [subcommand] + ["--mutate-reversal"] * mutate
+            argv += [f"--{k.replace('_', '-')}={v}" for k, v in values.items() if k not in in_file]
+            if in_file:
+                cfg = os.path.join(tmp, "run.cfg")
+                with open(cfg, "w", encoding="utf-8") as fh:
+                    fh.writelines(f"{k} = {values[k]}\n" for k in sorted(in_file))
+                argv += ["--config", cfg]
+
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            out, err = out.getvalue(), err.getvalue()
+            event(f"exit {code}")
+
+            assert code in (EXIT_OK, EXIT_CONFIG_ERROR, EXIT_VERIFY_FAIL)
+            if code == EXIT_OK:
+                assert err == ""
+            else:
+                assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+            fmt = values.get("output_format", "").strip().lower()
+            if fmt not in ("csv", "json"):
+                fmt = "json" if subcommand == "verify" else "csv"
+            if code == EXIT_CONFIG_ERROR or path is not None:
+                assert out == ""
+            if code != EXIT_CONFIG_ERROR:
+                if path is None:
+                    _check_product(out, fmt)
+                else:
+                    with open(path, encoding="utf-8") as fh:
+                        _check_product(fh.read(), fmt)

@@ -127,6 +127,24 @@ class TestGridSweep:
         for p in boundary:
             assert p.sum_analytic == pytest.approx(4.0, abs=1e-12)
 
+    @pytest.mark.parametrize("grid_size", [*range(2, 18), 64])
+    def test_array_columns_equal_scalar_path(self, grid_size):
+        points = grid_sweep(grid_size, exact_mode=True)
+        assert [(p.epsilon, p.eta) for p in points] == [
+            (wm.epsilon, wm.eta) for wm in OperatorGrid.uniform(grid_size)
+        ]
+        for p in points:
+            wm = WeakMeasurement(p.epsilon, p.eta)
+            e, h = p.epsilon, p.eta
+            assert p.gmax_analytic == analytic_gmax(wm) == (3.0 + abs(h - e)) / 6.0
+            assert p.prev_analytic == analytic_prev(wm) == 1.0 - e - h + 2.0 * e * h
+            assert p.diagonal_flag is wm.is_diagonal_degenerate
+            assert type(p.epsilon) is type(p.gmax_analytic) is type(p.prev_estimated) is float
+
+    def test_size_bound(self):
+        with pytest.raises(ValueError, match="grid size must be at least 2"):
+            grid_sweep(1)
+
     def test_pvnm_corners(self, analytic_points):
         corners = {
             (p.epsilon, p.eta): p
@@ -169,7 +187,7 @@ class TestGridSweep:
         rows = grid_sweep(grid_size=5, photons_per_setting=3000, seed=11)
         cells = list(enumerate(OperatorGrid.uniform(5)))
         reordered = [
-            sweeps._cell_points([wm], idx, 3000, None, 11, False)[0]
+            sweeps._cell_points(wm.epsilon, wm.eta, idx, 3000, None, 11, False)[0]
             for idx, wm in reversed(cells)
         ][::-1]
         assert rows == reordered
