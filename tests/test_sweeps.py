@@ -1,9 +1,11 @@
 """Tests for the sweep drivers, the Haar oracle, and the verification battery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies
 
 from wmtradeoff.qubit import PureState
 from wmtradeoff.measurement import (
@@ -82,7 +84,34 @@ class TestOperatorGrid:
             OperatorGrid.uniform(1)
 
 
+UNIT = strategies.one_of(strategies.sampled_from([0.0, 1.0]), strategies.floats(0.0, 1.0))
+
+
 class TestStateSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        UNIT, UNIT, strategies.sampled_from(["free", "tie", "near tie"]),
+        strategies.floats(0.0, 0.01), strategies.booleans(),
+    )
+    @example(0.0, 0.0, "free", 0.0, True)
+    @example(0.0, 1.0, "free", 0.001, False)
+    @example(1.0, 0.0, "free", 0.001, True)
+    @example(1.0, 1.0, "free", 0.0, False)
+    def test_analytic_columns_equal_scalar_views(self, eps, eta, relation, leakage, exact):
+        # The sweep's one kernel call over the traversal must reproduce the
+        # per-state scalar views bit for bit, ties and noise included.
+        if relation == "tie":
+            eta = eps
+        elif relation == "near tie":
+            eta = min(1.0, eps + 0.5e-12)
+        wm = WeakMeasurement(eps, eta)
+        rows = state_sweep(wm, 1_000, NoiseModel(pbs_leakage=leakage), seed=3, exact_mode=exact)
+        assert len(rows) == len(StateGrid.standard())
+        for row, state in zip(rows, StateGrid.standard()):
+            assert row.alpha == state.alpha_weight
+            assert row.gain_analytic == per_state_gain(wm, state)
+            assert row.rev_analytic == per_state_reversal_prob(wm, state)
+
     def test_flagship_curves(self):
         rows = state_sweep(FLAGSHIP, exact_mode=True)
         assert len(rows) == 51
@@ -271,7 +300,95 @@ class TestReversalFidelitySweep:
         assert all(row.fidelity is None for row in rows)
 
 
+# float.hex of (gmax_estimate, gmax_stderr, prev_estimate, prev_stderr) at
+# seed 7, as computed by the oracle before its per-sample arithmetic ran in
+# ORACLE_BLOCK slices. Every sample count here ends in a partial slice;
+# 200_000 is the one verify uses.
+ORACLE_HEX = {
+    ((0.25, 0.75), 10000): (
+        "0x1.2b172d5b0c7a8p-1", "0x1.865802b0106f8p-11",
+        "0x1.8000000000000p-2", "0x1.277c6c88277bdp-60",
+    ),
+    ((0.1, 0.6), 10000): (
+        "0x1.2b3b27bf516e5p-1", "0x1.2db673e14ce8cp-10",
+        "0x1.ae147ae147ae0p-2", "0x1.6113a27abf5b1p-60",
+    ),
+    ((0.8, 0.3), 10000): (
+        "0x1.2b232b7c78cbbp-1", "0x1.a4557f360ac96p-11",
+        "0x1.851eb851eb850p-2", "0x1.141f33ac1bd6dp-60",
+    ),
+    ((0.5, 0.5), 10000): (
+        "0x1.0077ed4e3b2cap-1", "0x1.7c43a314a0243p-9",
+        "0x1.0000000000002p-1", "0x1.fdd6d14a3ef25p-60",
+    ),
+    ((0.0, 1.0), 10000): (
+        "0x1.562e5ab618f4fp-1", "0x1.865802b0106fap-10",
+        "0x0.0p+0", "0x0.0p+0",
+    ),
+    ((0.25, 0.75), 10001): (
+        "0x1.2b1615200e2ebp-1", "0x1.86544e3418b57p-11",
+        "0x1.8000000000000p-2", "0x1.2487c844520acp-60",
+    ),
+    ((0.1, 0.6), 10001): (
+        "0x1.2b3a280357981p-1", "0x1.2db06c3d00dbfp-10",
+        "0x1.ae147ae147adep-2", "0x1.2d098e354dfdcp-59",
+    ),
+    ((0.8, 0.3), 10001): (
+        "0x1.2b221b6bd151dp-1", "0x1.a4503d86a59d4p-11",
+        "0x1.851eb851eb850p-2", "0x1.15d0832cc96efp-60",
+    ),
+    ((0.5, 0.5), 10001): (
+        "0x1.00783ef59f5f5p-1", "0x1.7c39efdf8e823p-9",
+        "0x1.0000000000002p-1", "0x1.fc14531b3b8cfp-60",
+    ),
+    ((0.0, 1.0), 10001): (
+        "0x1.562c2a401c5d7p-1", "0x1.86544e3418b58p-10",
+        "0x0.0p+0", "0x0.0p+0",
+    ),
+    ((0.25, 0.75), 200000): (
+        "0x1.2a8b33035fd41p-1", "0x1.5c2dd8e2bec49p-13",
+        "0x1.8000000000000p-2", "0x1.06126abb4e051p-62",
+    ),
+    ((0.1, 0.6), 200000): (
+        "0x1.2aa00761ef27cp-1", "0x1.0b446cce2f5f9p-12",
+        "0x1.ae147ae147ae1p-2", "0x1.081b346406ce0p-62",
+    ),
+    ((0.8, 0.3), 200000): (
+        "0x1.2a9224783a455p-1", "0x1.7584f05c4a554p-13",
+        "0x1.851eb851eb852p-2", "0x1.23c81cfb34db8p-62",
+    ),
+    ((0.5, 0.5), 200000): (
+        "0x1.00456e90886c3p-1", "0x1.51f05a7a5ac0ep-11",
+        "0x1.0000000000001p-1", "0x1.89b42e73c4117p-62",
+    ),
+    ((0.0, 1.0), 200000): (
+        "0x1.55166606bfa83p-1", "0x1.5c2dd8e2bec4ap-12",
+        "0x0.0p+0", "0x0.0p+0",
+    ),
+}
+
+
 class TestHaarOracle:
+    @pytest.mark.parametrize("cell,n_samples", ORACLE_HEX)
+    def test_estimates_equal_pinned_bits(self, cell, n_samples):
+        est = haar_average_oracle(WeakMeasurement(*cell), n_samples, seed=7)
+        fields = (est.gmax_estimate, est.gmax_stderr, est.prev_estimate, est.prev_stderr)
+        assert tuple(map(float.hex, fields)) == ORACLE_HEX[cell, n_samples]
+        assert est.n_samples == n_samples
+
+    def test_peak_memory_at_a_million_samples(self):
+        # The two draws and the two per-sample arrays take 30.5 MiB; the
+        # per-sample temporaries stay one slice long.
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            haar_average_oracle(FLAGSHIP, 1_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
+
     def test_flagship_agreement(self):
         est = haar_average_oracle(FLAGSHIP, 1_000_000, seed=42)
         assert abs(est.gmax_estimate - analytic_gmax(FLAGSHIP)) <= 3.0 * est.gmax_stderr
@@ -348,6 +465,33 @@ class TestVerify:
         for v in crashed.values():
             assert not v.passed
             assert v.detail.startswith("ZeroDivisionError: injected at test_sweeps.py:")
+            assert v.detail.endswith(" in boom")
+
+    def test_state_grid_means_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(grid_size):
+            calls.append(grid_size)
+            return means(grid_size)
+
+        means = sweeps._state_grid_means
+        monkeypatch.setattr(sweeps, "_state_grid_means", counted)
+        report = verify(photons_per_setting=2_000, seed=42, grid_size=5)
+        assert calls == [5]
+        outcomes = {v.name: v.passed for v in report.verdicts}
+        assert outcomes["state_grid_prev_mean"] and outcomes["state_grid_gain_gap"]
+
+    def test_failed_state_grid_means_fail_both_checks(self, monkeypatch):
+        def boom(grid_size):
+            raise FloatingPointError("injected")
+
+        monkeypatch.setattr(sweeps, "_state_grid_means", boom)
+        report = verify(photons_per_setting=2_000, seed=42, grid_size=4)
+        crashed = [v for v in report.verdicts if v.deviation == math.inf]
+        assert [v.name for v in crashed] == ["state_grid_prev_mean", "state_grid_gain_gap"]
+        for v in crashed:
+            assert not v.passed
+            assert v.detail.startswith("FloatingPointError: injected at test_sweeps.py:")
             assert v.detail.endswith(" in boom")
 
     def test_mutated_reversal_fails_exactness(self):
