@@ -45,7 +45,6 @@ from .sweeps import (
     OracleEstimate,
     StateGrid,
     SweepReport,
-    TradeoffPoint,
     cross_section,
     grid_sweep,
     haar_average_oracle,

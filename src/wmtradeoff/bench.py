@@ -113,16 +113,22 @@ def channel_probabilities(epsilon, eta, alpha, noise: NoiseModel | None = None) 
     is not applied.
     """
     swap = (noise or NoiseModel()).interferometer_swap_probability
-    e, h, alpha = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (epsilon, eta, alpha)))
+    keep = 1.0 - swap
+    e, h = np.broadcast_arrays(np.asarray(epsilon, dtype=float), np.asarray(eta, dtype=float))
+    alpha = np.asarray(alpha, dtype=float)
     beta = 1.0 - alpha
-    # arms[..., r, k]: transmission of arm k (H, V) on the branch of outcome r + 1.
-    arms = np.stack((1.0 - e, 1.0 - h, e, h), axis=-1).reshape(*e.shape, 2, 2)
-    mixed = (1.0 - swap) * arms + swap * arms[..., ::-1]
-    m_h, m_v = mixed[..., 0], mixed[..., 1]
-    # The reversal exchanges the arms, so its mixed H transmission is m_v.
-    measured = alpha[..., None] * m_h + beta[..., None] * m_v
-    chained = alpha[..., None] * m_h * m_v + beta[..., None] * m_v * m_h
-    return np.concatenate((measured, chained), axis=-1)
+    # Leakage-mixed H and V arm transmissions of the branch of outcome 1 and
+    # of outcome 2, on the (epsilon, eta) shape; alpha broadcasts last.
+    h1, v1 = keep * (1.0 - e) + swap * (1.0 - h), keep * (1.0 - h) + swap * (1.0 - e)
+    h2, v2 = keep * e + swap * h, keep * h + swap * e
+    # The reversal exchanges the arms, so its mixed H transmission is the V one.
+    channels = (
+        alpha * h1 + beta * v1,
+        alpha * h2 + beta * v2,
+        alpha * h1 * v1 + beta * v1 * h1,
+        alpha * h2 * v2 + beta * v2 * h2,
+    )
+    return np.stack(channels, axis=-1)
 
 
 def simulate_counts(

@@ -20,7 +20,6 @@ from .bench import STREAM_SCHEME, NoiseModel
 from .measurement import WeakMeasurement
 from . import tables
 from .sweeps import (
-    CheckResult,
     corrupted_reversal_operator,
     cross_section,
     grid_sweep,
@@ -34,9 +33,9 @@ EXIT_CONFIG_ERROR = 1
 EXIT_VERIFY_FAIL = 2
 
 # Largest accepted lattice side. A sweep holds grid_size^2 cells of 51 states
-# each; a sampled 256 x 256 lattice builds 65,536 random generators and takes
-# about 6 s on a 2-vCPU VM, and anything larger is refused before it is
-# allocated.
+# each; on a 2-vCPU Xeon VM a sampled 256 x 256 lattice builds 65,536 random
+# generators and takes 4.4-5.4 s in-process, the exact one 0.6 s. Anything
+# larger is refused before it is allocated.
 MAX_GRID_SIZE = 256
 
 # Largest photon numbers the count path can represent: binomial draws take a
@@ -229,9 +228,10 @@ def _metadata(config: RunConfig) -> dict:
     return meta
 
 
-# subcommand -> (run(config, noise, wm, mutate_reversal) -> rows, column spec,
-# JSON rows key, default format). Each runner looks its sweep up by name when
-# it runs, so a patched module attribute takes effect.
+# subcommand -> (run(config, noise, wm, mutate_reversal) -> column table, or
+# verify's CheckResult list; column spec, JSON rows key, default format). Each
+# runner looks its sweep up by name when it runs, so a patched module
+# attribute takes effect.
 _PRODUCTS = {
     "verify": (
         lambda c, noise, wm, mutate: verify(
@@ -276,19 +276,29 @@ def dispatch(subcommand: str, config: RunConfig, mutate_reversal: bool = False) 
     run, spec, rows_key, default_format = _PRODUCTS[subcommand]
     noise = NoiseModel(config.pbs_leakage, config.detector_efficiency)
     wm = WeakMeasurement(config.epsilon, config.eta)
-    rows = run(config, noise, wm, mutate_reversal)
+    columns = run(config, noise, wm, mutate_reversal)
+    failing = []
+    if isinstance(columns, list):  # verify's CheckResult list, one row per check
+        checks = columns
+        failing = [r.name for r in checks if not r.passed]
+        columns = {
+            "check": [r.name for r in checks],
+            "verdict": [r.verdict for r in checks],
+            "deviation": [r.deviation for r in checks],
+            "tolerance": [r.tolerance for r in checks],
+            "detail": [r.detail for r in checks],
+        }
 
     if (config.output_format or default_format) == "csv":
-        text = tables.csv_table(spec, rows)
+        text = tables.csv_table(spec, columns)
     else:
-        text = tables.json_document(_metadata(config), rows_key, spec, rows)
+        text = tables.json_document(_metadata(config), rows_key, spec, columns)
     try:
         _emit(text, config.output_path)
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    failing = [r.name for r in rows if isinstance(r, CheckResult) and not r.passed]
     if failing:
         print(f"verification FAILED: {', '.join(failing)}", file=sys.stderr)
         return EXIT_VERIFY_FAIL

@@ -2,10 +2,13 @@
 
 The drivers here reproduce the standard campaigns: a 51-state input traversal
 at a fixed measurement, a full operator-lattice sweep of tradeoff points, the
-epsilon = 0 cross section, and the reversed-state fidelity sweep. Everything
-is seed-pinned: identical configuration and seed produce byte-identical rows,
-and each lattice cell's rows do not depend on the order in which cells are
-evaluated, because all randomness flows through per-cell substreams.
+epsilon = 0 cross section, and the reversed-state fidelity sweep. Each driver
+returns a column table (see ``tables``): a dict from the column names of its
+spec to numpy arrays, float64 for numbers (NaN for a missing value) and bool
+for flags. Everything is seed-pinned: identical configuration and seed
+produce byte-identical columns, and each lattice cell's row does not depend
+on the order in which cells are evaluated, because all randomness flows
+through per-cell substreams.
 """
 
 from __future__ import annotations
@@ -61,11 +64,6 @@ from . import tables
 DEFAULT_GRID_SIZE = 16
 DEFAULT_PHOTONS = 100_000
 DEFAULT_SEED = 42
-
-# Allowed gap between the 51-point grid mean of the per-state gain and the
-# continuous closed form; the gap scales with |eta - epsilon| and peaks at
-# the projective corners.
-DISCRETE_GAIN_GAP = 0.0067
 
 # Samples per slice of the Haar oracle's per-sample arithmetic. A slice's
 # temporaries (64 KiB real, 128 KiB complex each) then stay within a 2 MiB
@@ -148,54 +146,6 @@ class OperatorGrid:
 
 
 @dataclass(frozen=True)
-class TradeoffPoint:
-    """One lattice cell with analytic and estimated columns."""
-
-    epsilon: float
-    eta: float
-    gmax_analytic: float
-    prev_analytic: float
-    gmax_estimated: float
-    prev_estimated: float
-    diagonal_flag: bool
-
-    @property
-    def sum_analytic(self) -> float:
-        return 6.0 * self.gmax_analytic + self.prev_analytic
-
-    @property
-    def sum_estimated(self) -> float:
-        return 6.0 * self.gmax_estimated + self.prev_estimated
-
-
-@dataclass(frozen=True)
-class StateSweepRow:
-    alpha: float
-    gain_analytic: float
-    rev_analytic: float
-    gain_mc: float
-    rev_mc: float
-
-
-@dataclass(frozen=True)
-class CrossSectionRow:
-    eta: float
-    six_gmax: float
-    prev: float
-
-    @property
-    def total(self) -> float:
-        return self.six_gmax + self.prev
-
-
-@dataclass(frozen=True)
-class FidelityRow:
-    alpha: float
-    fidelity: float | None
-    low_stats: bool
-
-
-@dataclass(frozen=True)
 class OracleEstimate:
     gmax_estimate: float
     gmax_stderr: float
@@ -221,10 +171,9 @@ class CheckResult:
 
 @dataclass
 class SweepReport:
-    """Run metadata plus data rows and verification verdicts."""
+    """Run metadata plus verification verdicts."""
 
     metadata: dict
-    rows: list = field(default_factory=list)
     verdicts: list = field(default_factory=list)
 
     @property
@@ -232,14 +181,14 @@ class SweepReport:
         return all(v.passed for v in self.verdicts)
 
     @classmethod
-    def create(cls, rows, verdicts, started_at: str, **metadata) -> "SweepReport":
+    def create(cls, verdicts, started_at: str, **metadata) -> "SweepReport":
         meta = {
             "version": __version__,
             "started_at": started_at,
             "finished_at": datetime.now(timezone.utc).isoformat(),
         }
         meta.update(metadata)
-        return cls(metadata=meta, rows=list(rows), verdicts=list(verdicts))
+        return cls(metadata=meta, verdicts=list(verdicts))
 
 
 def _utcnow() -> str:
@@ -263,8 +212,8 @@ def state_sweep(
     noise: NoiseModel | None = None,
     seed: int = DEFAULT_SEED,
     exact_mode: bool = False,
-) -> list[StateSweepRow]:
-    """Per-state gain and reversibility over the 51-state traversal.
+) -> dict:
+    """Per-state gain and reversibility over the 51-state traversal (``tables.STATES``).
 
     Analytic columns come from the branch enumeration; the Monte Carlo
     columns are single-state count-ratio terms from simulated counts (their
@@ -274,14 +223,16 @@ def state_sweep(
         wm.epsilon, wm.eta, photons_per_setting, noise, seed, [(STATES_STREAM, 0)], exact_mode
     )
     gain_analytic, rev_analytic = _traversal_terms(wm.epsilon, wm.eta)
-    columns = (
-        TRAVERSAL_ALPHAS, gain_analytic[:, 0], rev_analytic[:, 0],
-        gain_term_from_counts(counts, wm.epsilon, wm.eta), rev_term_from_counts(counts),
-    )
-    return [StateSweepRow(*cells) for cells in zip(*(c.tolist() for c in columns))]
+    return {
+        "alpha": TRAVERSAL_ALPHAS,
+        "gain_analytic": gain_analytic[:, 0],
+        "rev_analytic": rev_analytic[:, 0],
+        "gain_mc": gain_term_from_counts(counts, wm.epsilon, wm.eta),
+        "rev_mc": rev_term_from_counts(counts),
+    }
 
 
-def _cell_points(
+def _cell_columns(
     epsilon,
     eta,
     first_index: int,
@@ -289,8 +240,8 @@ def _cell_points(
     noise: NoiseModel | None,
     seed: int,
     exact_mode: bool,
-) -> list[TradeoffPoint]:
-    """Tradeoff points of lattice cells ``first_index``, ``first_index + 1``, ...
+) -> dict:
+    """``tables.GRID`` columns of lattice cells ``first_index``, ``first_index + 1``, ...
 
     ``epsilon`` and ``eta`` broadcast to one value per cell. One count-kernel
     call covers all of them; cell ``first_index + k`` draws from the
@@ -300,12 +251,23 @@ def _cell_points(
     keys = [(GRID_STREAM, first_index + k) for k in range(len(e))]
     counts = simulate_counts(e, h, photons_per_setting, noise, seed, keys, exact_mode)
     gmax, prev, degenerate = closed_forms(e, h)
-    # In the field order of TradeoffPoint.
-    columns = (
-        e, h, gmax, prev,
-        estimate_gmax_from_counts(counts, e, h), estimate_prev_from_counts(counts), degenerate,
-    )
-    return [TradeoffPoint(*cells) for cells in zip(*(c.tolist() for c in columns))]
+    gmax_mc, prev_mc = estimate_gmax_from_counts(counts, e, h), estimate_prev_from_counts(counts)
+    return {
+        "epsilon": e,
+        "eta": h,
+        "gmax_analytic": gmax,
+        "prev_analytic": prev,
+        "sum_analytic": 6.0 * gmax + prev,
+        "gmax_mc": gmax_mc,
+        "prev_mc": prev_mc,
+        "sum_mc": 6.0 * gmax_mc + prev_mc,
+        "diagonal_flag": degenerate,
+    }
+
+
+def _concatenate(parts: list[dict]) -> dict:
+    """One column table holding the rows of ``parts`` in order."""
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
 def grid_sweep(
@@ -314,22 +276,21 @@ def grid_sweep(
     noise: NoiseModel | None = None,
     seed: int = DEFAULT_SEED,
     exact_mode: bool = False,
-) -> list[TradeoffPoint]:
-    """Tradeoff points over the full operator lattice.
+) -> dict:
+    """Tradeoff columns (``tables.GRID``) over the full operator lattice.
 
-    Diagonal (beam-splitter) cells are flagged, never dropped, so downstream
-    consumers can mask them. The counts are simulated one epsilon row at a
-    time, which keeps memory linear in the grid size.
+    Rows run row-major by epsilon, then eta. Diagonal (beam-splitter) cells
+    are flagged, never dropped, so downstream consumers can mask them. The
+    counts are simulated one epsilon row at a time, which keeps memory
+    linear in the grid size.
     """
     if grid_size < 2:
         raise ValueError("grid size must be at least 2")
     values = np.linspace(0.0, 1.0, grid_size)
-    points = []
-    for i, e in enumerate(values):
-        points += _cell_points(
-            e, values, i * grid_size, photons_per_setting, noise, seed, exact_mode
-        )
-    return points
+    return _concatenate([
+        _cell_columns(e, values, i * grid_size, photons_per_setting, noise, seed, exact_mode)
+        for i, e in enumerate(values)
+    ])
 
 
 def cross_section(
@@ -338,25 +299,24 @@ def cross_section(
     noise: NoiseModel | None = None,
     seed: int = DEFAULT_SEED,
     exact_mode: bool = True,
-) -> list[CrossSectionRow]:
-    """Rows (eta, 6*gmax, prev, sum) along the epsilon = 0 section.
+) -> dict:
+    """Columns eta, 6*gmax, prev, sum (``tables.CROSS_SECTION``) along epsilon = 0.
 
     Exact mode emits the closed forms (3 + eta, 1 - eta, 4); otherwise the
     columns carry the count-ratio estimates from a simulated traversal.
     """
-    etas = [float(eta) for eta in eta_values]
-    for eta in etas:
+    etas = np.array([float(eta) for eta in eta_values])
+    for eta in etas.tolist():
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
     if exact_mode:
-        cells = [WeakMeasurement(0.0, eta) for eta in etas]
-        gmax, prev = [analytic_gmax(wm) for wm in cells], [analytic_prev(wm) for wm in cells]
+        gmax, prev, _ = closed_forms(0.0, etas)
     else:
         keys = [(CROSS_SECTION_STREAM, j) for j in range(len(etas))]
         counts = simulate_counts(0.0, etas, photons_per_setting, noise, seed, keys)
-        gmax = estimate_gmax_from_counts(counts, 0.0, etas).tolist()
-        prev = estimate_prev_from_counts(counts).tolist()
-    return [CrossSectionRow(eta, 6.0 * g, p) for eta, g, p in zip(etas, gmax, prev)]
+        gmax, prev = estimate_gmax_from_counts(counts, 0.0, etas), estimate_prev_from_counts(counts)
+    six_gmax = 6.0 * gmax
+    return {"eta": etas, "six_gmax": six_gmax, "prev": prev, "sum": six_gmax + prev}
 
 
 def reversal_fidelity_sweep(
@@ -365,31 +325,32 @@ def reversal_fidelity_sweep(
     noise: NoiseModel | None = None,
     seed: int = DEFAULT_SEED,
     exact_mode: bool = False,
-) -> list[FidelityRow]:
-    """Tomography fidelity of the reversed output for each traversal state.
+) -> dict:
+    """Tomography fidelity of the reversed output per traversal state (``tables.FIDELITIES``).
 
     Both branch chains are exercised and their analyzer records pooled: every
     chain whose expected reversed-photon yield (from a ``counts_per_basis``
     source budget) reaches ``LOW_STATS_FLOOR`` integrates until it has
     recorded ``counts_per_basis`` reversed photons per basis. States whose
-    total expected yield falls below the floor are flagged LOW_STATS instead
-    of fitted.
+    total expected yield falls below the floor are flagged LOW_STATS, with a
+    NaN fidelity, instead of fitted.
     """
     noise = noise or NoiseModel()
     chains = channel_probabilities(wm.epsilon, wm.eta, TRAVERSAL_ALPHAS, noise)[:, 2:]
-    rows = []
+    fidelity = np.full(N_TRAVERSAL_STATES, math.nan)
+    low_stats = np.zeros(N_TRAVERSAL_STATES, dtype=bool)
     for i, (state, survivals) in enumerate(zip(StateGrid.standard(), chains.tolist())):
         yields = [counts_per_basis * survival for survival in survivals]
         if sum(yields) < LOW_STATS_FLOOR:
-            rows.append(FidelityRow(state.alpha_weight, None, True))
+            low_stats[i] = True
             continue
         live_chains = max(1, sum(y >= LOW_STATS_FLOOR for y in yields))
         rng = _substream(seed, 0, i, 0, TOMOGRAPHY_STREAM)
         result = simulate_tomography(
             state, live_chains * counts_per_basis, noise, rng, exact_mode=exact_mode
         )
-        rows.append(FidelityRow(state.alpha_weight, result.fidelity_vs_input, False))
-    return rows
+        fidelity[i] = result.fidelity_vs_input
+    return {"alpha": TRAVERSAL_ALPHAS, "fidelity": fidelity, "low_stats_flag": low_stats}
 
 
 def haar_average_oracle(
@@ -613,21 +574,21 @@ def _check_state_grid_prev_mean(grid_means) -> CheckResult:
 
 
 def _check_state_grid_gain_gap(grid_means) -> CheckResult:
+    # The 51 H-weights 0.02*i have mean(alpha^2) = 1/3 + 1/300, so the grid
+    # mean of the per-state gain exceeds the continuous gmax by exactly
+    # |eta - epsilon|/150 on every cell, ties included.
     means, _ = grid_means()
     e, h, gmax, _ = _lattice(len(means))
-    tie = np.abs(e - h) < TIE_ATOL
-    devs = np.where(tie, np.abs(means - 0.5), np.abs(means - gmax))
-    tols = np.where(tie, 1e-12, DISCRETE_GAIN_GAP)
-    dev, tol = _worst(np.stack((devs, tols), axis=-1))
-    return CheckResult("state_grid_gain_gap", dev <= tol, dev, tol)
+    dev = float(np.max(np.abs(means - (gmax + np.abs(h - e) / 150.0))))
+    return CheckResult("state_grid_gain_gap", dev <= 1e-12, dev, 1e-12)
 
 
 def _check_cross_section_monotonicity(grid_size: int) -> CheckResult:
-    rows = cross_section(np.linspace(0.0, 1.0, grid_size), exact_mode=True)
-    dev = max(abs(row.total - 4.0) for row in rows)
-    for before, after in zip(rows, rows[1:]):
-        if after.six_gmax <= before.six_gmax or after.prev >= before.prev:
-            dev = max(dev, 1.0)
+    section = cross_section(np.linspace(0.0, 1.0, grid_size), exact_mode=True)
+    dev = float(np.max(np.abs(section["sum"] - 4.0)))
+    six_gmax, prev = section["six_gmax"], section["prev"]
+    if np.any(six_gmax[1:] <= six_gmax[:-1]) or np.any(prev[1:] >= prev[:-1]):
+        dev = max(dev, 1.0)
     return CheckResult("cross_section_monotonicity", dev <= 1e-12, dev, 1e-12)
 
 
@@ -690,14 +651,17 @@ def _check_rng_determinism(noise: NoiseModel | None, seed: int) -> CheckResult:
     # sweep: no cell's stream may depend on the cells drawn before it.
     cells = reversed(list(enumerate(OperatorGrid.uniform(4))))
     reordered = [
-        _cell_points(cell.epsilon, cell.eta, i, 2_000, noise, seed, False)[0] for i, cell in cells
+        _cell_columns(cell.epsilon, cell.eta, i, 2_000, noise, seed, False) for i, cell in cells
     ]
     pairs = (
         (tables.STATES, state_sweep(wm, 20_000, noise, seed), state_sweep(wm, 20_000, noise, seed)),
-        (tables.GRID, grid_sweep(4, 2_000, noise, seed), reordered[::-1]),
+        (tables.GRID, grid_sweep(4, 2_000, noise, seed), _concatenate(reordered[::-1])),
     )
     identical = all(
-        a == b and tables.csv_table(spec, a) == tables.csv_table(spec, b) for spec, a, b in pairs
+        a.keys() == b.keys()
+        and all(np.array_equal(a[name], b[name]) for name in a)
+        and tables.csv_table(spec, a) == tables.csv_table(spec, b)
+        for spec, a, b in pairs
     )
     dev = 0.0 if identical else 1.0
     return CheckResult("rng_determinism", identical, dev, 0.0)
@@ -756,7 +720,6 @@ def verify(
 
     effective_noise = noise or NoiseModel()
     return SweepReport.create(
-        rows=[],
         verdicts=verdicts,
         started_at=started,
         seed=seed,

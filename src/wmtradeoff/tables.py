@@ -1,16 +1,20 @@
 """Fixed CSV and JSON table schemas shared by the sweep drivers and the CLI.
 
-Each product has one column spec: a tuple of (column name, row attribute,
-kind). Headers are bit-exact contracts; numeric fields print with nine digits
-after the decimal point and flags print as 0/1. JSON documents carry the
-same columns as objects under a stable metadata header, with non-finite
-numbers as null; ``NOTE`` columns appear in JSON only.
+A table is a column table: a dict that maps each column name of a spec to
+one sequence of cells, all of one length. Each product has one column spec:
+a tuple of (column name, kind). Headers are bit-exact contracts; numeric
+fields print with nine digits after the decimal point (NaN as ``nan``) and
+flags print as 0/1. JSON documents carry the same columns as objects under
+a stable metadata header, with non-finite numbers as null; ``NOTE`` columns
+appear in JSON only.
 
-JSON rows are rendered by column: each column's cells are turned into JSON
-text in one pass, and each row fills one indented template. The document
-equals ``json.dumps({"metadata": ..., key: rows}, indent=2,
-allow_nan=False)`` byte for byte, without the pure-Python encoder that
-``json.dumps`` falls back to whenever ``indent`` is set.
+Both writers turn each column into text in one pass and fill one row
+template over all rows with a single ``%``. A ``NUMBER`` column is read as
+float64 and each distinct bit pattern in it is formatted once, so -0.0 and
+0.0 stay apart where JSON tells them apart. The JSON document equals
+``json.dumps({"metadata": ..., key: rows}, indent=2, allow_nan=False)`` byte
+for byte, without the pure-Python encoder that ``json.dumps`` falls back to
+whenever ``indent`` is set.
 """
 
 from __future__ import annotations
@@ -18,102 +22,99 @@ from __future__ import annotations
 import json
 import math
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+
+import numpy as np
 
 NUMBER, FLAG, TEXT, NOTE = "number", "flag", "text", "note"
 
 
-def format_number(value: float | None) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "nan"
-    # +0.0 normalizes a negative zero
-    return f"{float(value) + 0.0:.9f}"
+def _number_text(value: float, csv: bool) -> str:
+    if csv:
+        # +0.0 normalizes a negative zero
+        return "nan" if math.isnan(value) else "%.9f" % (value + 0.0)
+    # float.__repr__ is what json.dumps prints for a float.
+    return float.__repr__(value) if math.isfinite(value) else "null"
 
 
-def _json_numbers(values) -> list[str]:
-    # float.__repr__ is what json.dumps prints for a float, subclasses included.
-    return [
-        "null" if v is None or not math.isfinite(v)
-        else float.__repr__(v) if isinstance(v, float) else json.dumps(v)
-        for v in values
-    ]
+def _column_text(kind: str, values, csv: bool) -> np.ndarray:
+    """The text of every cell of one column, as an object array."""
+    if kind == NUMBER:
+        bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        text = [_number_text(v, csv) for v in distinct.view(np.float64).tolist()]
+        return np.array(text, dtype=object)[inverse]
+    if kind == FLAG:
+        return np.array(["0", "1"], dtype=object)[np.asarray(values, dtype=bool).astype(np.intp)]
+    text = list(map(str, values))
+    if not csv:
+        text = list(map(encode_basestring_ascii, text))
+    return np.array(text, dtype=object)
 
 
-def _json_flags(values) -> list[str]:
-    return ["1" if v else "0" for v in values]
+def _fill(spec, columns: dict, csv: bool, row_template: str, separator: str) -> str:
+    """Every row of ``columns`` through ``row_template``, joined by ``separator``."""
+    cells = [_column_text(kind, columns[name], csv) for name, kind in spec]
+    flat = np.stack(cells, axis=-1).ravel().tolist()
+    return separator.join([row_template] * len(cells[0])) % tuple(flat)
 
 
-def _json_strings(values) -> list[str]:
-    return list(map(encode_basestring_ascii, map(str, values)))
+def csv_table(spec, columns: dict) -> str:
+    spec = [(name, kind) for name, kind in spec if kind != NOTE]
+    # Each row starts a line, so no rows leave the header alone.
+    body = _fill(spec, columns, True, "\n" + ",".join(["%s"] * len(spec)), "")
+    return ",".join(name for name, _ in spec) + body + "\n"
 
 
-# kind -> (CSV cell, or None for a JSON-only column; JSON text of a column)
-_KINDS = {
-    NUMBER: (format_number, _json_numbers),
-    FLAG: (lambda v: "1" if v else "0", _json_flags),
-    TEXT: (str, _json_strings),
-    NOTE: (None, _json_strings),
-}
-
-GRID = (
-    ("epsilon", "epsilon", NUMBER),
-    ("eta", "eta", NUMBER),
-    ("gmax_analytic", "gmax_analytic", NUMBER),
-    ("prev_analytic", "prev_analytic", NUMBER),
-    ("sum_analytic", "sum_analytic", NUMBER),
-    ("gmax_mc", "gmax_estimated", NUMBER),
-    ("prev_mc", "prev_estimated", NUMBER),
-    ("sum_mc", "sum_estimated", NUMBER),
-    ("diagonal_flag", "diagonal_flag", FLAG),
-)
-STATES = (
-    ("alpha", "alpha", NUMBER),
-    ("gain_analytic", "gain_analytic", NUMBER),
-    ("rev_analytic", "rev_analytic", NUMBER),
-    ("gain_mc", "gain_mc", NUMBER),
-    ("rev_mc", "rev_mc", NUMBER),
-)
-CROSS_SECTION = (
-    ("eta", "eta", NUMBER),
-    ("six_gmax", "six_gmax", NUMBER),
-    ("prev", "prev", NUMBER),
-    ("sum", "total", NUMBER),
-)
-FIDELITIES = (
-    ("alpha", "alpha", NUMBER),
-    ("fidelity", "fidelity", NUMBER),
-    ("low_stats_flag", "low_stats", FLAG),
-)
-VERIFY = (
-    ("check", "name", TEXT),
-    ("verdict", "verdict", TEXT),
-    ("deviation", "deviation", NUMBER),
-    ("tolerance", "tolerance", NUMBER),
-    ("detail", "detail", NOTE),
-)
-
-
-def csv_table(spec, rows) -> str:
-    columns = [(name, attr, _KINDS[kind][0]) for name, attr, kind in spec if _KINDS[kind][0]]
-    lines = [",".join(name for name, _, _ in columns)]
-    lines += [",".join(cell(getattr(r, attr)) for _, attr, cell in columns) for r in rows]
-    return "\n".join(lines) + "\n"
-
-
-def json_document(metadata: dict, rows_key: str, spec, rows) -> str:
+def json_document(metadata: dict, rows_key: str, spec, columns: dict) -> str:
     """The document {"metadata": metadata, rows_key: [one object per row]}.
 
     The metadata head goes through ``json.dumps``, so a non-finite value
     there raises ``ValueError`` instead of producing invalid JSON.
     """
     head = json.dumps({"metadata": metadata, rows_key: []}, indent=2, allow_nan=False)
-    if not rows:
-        return head + "\n"
     fields = ",\n".join(
-        "      " + encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name, _, _ in spec
+        "      " + encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name, _ in spec
     )
-    template = "    {\n" + fields + "\n    }"
-    columns = [_KINDS[kind][1](map(attrgetter(attr), rows)) for _, attr, kind in spec]
-    body = ",\n".join(template % cells for cells in zip(*columns))
+    body = _fill(spec, columns, False, "    {\n" + fields + "\n    }", ",\n")
+    if not body:
+        return head + "\n"
     # head ends with `[]\n}`: the empty rows list and the closing brace.
     return head[:-4] + "[\n" + body + "\n  ]\n}\n"
+
+
+GRID = (
+    ("epsilon", NUMBER),
+    ("eta", NUMBER),
+    ("gmax_analytic", NUMBER),
+    ("prev_analytic", NUMBER),
+    ("sum_analytic", NUMBER),
+    ("gmax_mc", NUMBER),
+    ("prev_mc", NUMBER),
+    ("sum_mc", NUMBER),
+    ("diagonal_flag", FLAG),
+)
+STATES = (
+    ("alpha", NUMBER),
+    ("gain_analytic", NUMBER),
+    ("rev_analytic", NUMBER),
+    ("gain_mc", NUMBER),
+    ("rev_mc", NUMBER),
+)
+CROSS_SECTION = (
+    ("eta", NUMBER),
+    ("six_gmax", NUMBER),
+    ("prev", NUMBER),
+    ("sum", NUMBER),
+)
+FIDELITIES = (
+    ("alpha", NUMBER),
+    ("fidelity", NUMBER),
+    ("low_stats_flag", FLAG),
+)
+VERIFY = (
+    ("check", TEXT),
+    ("verdict", TEXT),
+    ("deviation", NUMBER),
+    ("tolerance", NUMBER),
+    ("detail", NOTE),
+)

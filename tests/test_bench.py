@@ -256,6 +256,47 @@ class TestSimulateCounts:
         m1, m2, r1, r2 = channel_probabilities(eps, eta, alpha, noise)
         assert r1 <= m1 + 1e-15 and r2 <= m2 + 1e-15
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        strategies.sampled_from(["scalars", "traversal", "cells x traversal", "mixed"]),
+        strategies.lists(UNIT, min_size=6, max_size=6),
+        strategies.lists(UNIT, min_size=6, max_size=6),
+        strategies.lists(UNIT, min_size=6, max_size=6),
+        strategies.floats(0.0, 0.01),
+    )
+    def test_channels_equal_scalar_formula_bit_for_bit(self, layout, epss, etas, alphas, leakage):
+        # The array kernel must round exactly as this per-element formula:
+        # sampled counts draw on its output, so one changed bit changes a draw.
+        noise = NoiseModel(pbs_leakage=leakage)
+        swap = noise.interferometer_swap_probability
+
+        def channels(e, h, a):
+            keep = 1.0 - swap
+            h1, v1 = keep * (1.0 - e) + swap * (1.0 - h), keep * (1.0 - h) + swap * (1.0 - e)
+            h2, v2 = keep * e + swap * h, keep * h + swap * e
+            b = 1.0 - a
+            return [a * h1 + b * v1, a * h2 + b * v2, a * h1 * v1 + b * v1 * h1,
+                    a * h2 * v2 + b * v2 * h2]
+
+        eps, eta, alpha = {
+            "scalars": (epss[0], etas[0], alphas[0]),
+            "traversal": (epss[0], etas[0], TRAVERSAL_ALPHAS),
+            "cells x traversal": (
+                np.array(epss)[:, None], np.array(etas)[:, None], TRAVERSAL_ALPHAS
+            ),
+            "mixed": (
+                np.array(epss[:2])[:, None, None], np.array(etas[:3])[:, None],
+                np.array(alphas),
+            ),
+        }[layout]
+        got = channel_probabilities(eps, eta, alpha, noise)
+        e, h, a = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (eps, eta, alpha)))
+        assert got.shape == e.shape + (4,)
+        expected = np.array(
+            [channels(float(e[i]), float(h[i]), float(a[i])) for i in np.ndindex(e.shape)]
+        ).reshape(got.shape)
+        assert (got.view(np.int64) == expected.view(np.int64)).all()
+
     def test_cell_keys_required_when_sampled(self):
         with pytest.raises(ValueError, match="cell keys"):
             simulate_counts([0.25, 0.5], 0.75, 1000, cell_keys=[(0, 0)])

@@ -17,6 +17,7 @@ and review the diff of ``tests/golden/`` before committing it.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -44,6 +45,12 @@ VERIFY_CONFIGS = {
     "verify-exact": (["--exact-mode", "true"], EXIT_OK),
     "verify-grid33-leakage": (["--grid-size", "33", "--pbs-leakage", "0.001"], EXIT_OK),
     "verify-mutate-reversal": (["--mutate-reversal"], EXIT_VERIFY_FAIL),
+}
+# sha256 of the exact products of the largest lattice the CLI accepts,
+# 256 x 256: 6.4 MB of CSV and 22.6 MB of JSON, too large to store.
+LARGEST_LATTICE_SHA256 = {
+    "csv": "7bac0a06e05066b7d77900a613c2cc71d7aacee35248a601bc064b54b65b35a1",
+    "json": "80c27acdfc895db0630d5ae0cb79893f1d477aafb4c88eeb7facf8739b2ccdd1",
 }
 
 
@@ -75,6 +82,13 @@ def test_exact_product_matches_golden_bytes(name, fmt):
 def test_verify_checks_match_golden_bytes(name):
     golden = (GOLDEN_DIR / f"{name}.json").read_bytes()
     assert render_checks(name).encode("utf-8") == golden
+
+
+@pytest.mark.parametrize("fmt", LARGEST_LATTICE_SHA256)
+def test_largest_lattice_matches_pinned_hash(fmt):
+    argv = ["sweep-grid", "--grid-size", "256", "--exact-mode", "true", "--output-format", fmt]
+    digest = hashlib.sha256(run_cli(argv, EXIT_OK).encode("utf-8")).hexdigest()
+    assert digest == LARGEST_LATTICE_SHA256[fmt]
 
 
 if __name__ == "__main__":

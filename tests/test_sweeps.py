@@ -32,9 +32,14 @@ from wmtradeoff.sweeps import (
 FLAGSHIP = WeakMeasurement(0.25, 0.75)
 
 
+def rows(table: dict) -> list[dict]:
+    """The rows of a column table, each a dict of Python scalars."""
+    return [dict(zip(table, cells)) for cells in zip(*(c.tolist() for c in table.values()))]
+
+
 @pytest.fixture(scope="module")
 def analytic_points():
-    return grid_sweep(exact_mode=True)
+    return rows(grid_sweep(exact_mode=True))
 
 
 @pytest.fixture(scope="module")
@@ -105,43 +110,41 @@ class TestStateSweep:
         elif relation == "near tie":
             eta = min(1.0, eps + 0.5e-12)
         wm = WeakMeasurement(eps, eta)
-        rows = state_sweep(wm, 1_000, NoiseModel(pbs_leakage=leakage), seed=3, exact_mode=exact)
-        assert len(rows) == len(StateGrid.standard())
-        for row, state in zip(rows, StateGrid.standard()):
-            assert row.alpha == state.alpha_weight
-            assert row.gain_analytic == per_state_gain(wm, state)
-            assert row.rev_analytic == per_state_reversal_prob(wm, state)
+        table = state_sweep(wm, 1_000, NoiseModel(pbs_leakage=leakage), seed=3, exact_mode=exact)
+        assert len(table["alpha"]) == len(StateGrid.standard())
+        for row, state in zip(rows(table), StateGrid.standard()):
+            assert row["alpha"] == state.alpha_weight
+            assert row["gain_analytic"] == per_state_gain(wm, state)
+            assert row["rev_analytic"] == per_state_reversal_prob(wm, state)
 
     def test_flagship_curves(self):
-        rows = state_sweep(FLAGSHIP, exact_mode=True)
-        assert len(rows) == 51
-        for row in rows:
-            expected = 0.75 - row.alpha + row.alpha**2
-            assert row.gain_analytic == pytest.approx(expected, abs=1e-12)
-            assert row.rev_analytic == pytest.approx(0.375, abs=1e-12)
+        table = rows(state_sweep(FLAGSHIP, exact_mode=True))
+        assert len(table) == 51
+        for row in table:
+            expected = 0.75 - row["alpha"] + row["alpha"] ** 2
+            assert row["gain_analytic"] == pytest.approx(expected, abs=1e-12)
+            assert row["rev_analytic"] == pytest.approx(0.375, abs=1e-12)
             # exact mode routes expected counts through the estimator terms
-            assert row.gain_mc == pytest.approx(row.gain_analytic, abs=1e-12)
-            assert row.rev_mc == pytest.approx(row.rev_analytic, abs=1e-12)
+            assert row["gain_mc"] == pytest.approx(row["gain_analytic"], abs=1e-12)
+            assert row["rev_mc"] == pytest.approx(row["rev_analytic"], abs=1e-12)
 
     def test_gain_exceeds_two_thirds_at_low_alpha(self):
-        rows = state_sweep(FLAGSHIP, exact_mode=True)
-        for row in rows[:3]:
-            assert row.gain_analytic >= 0.7112
-            assert row.gain_analytic > 2.0 / 3.0
-        mean = sum(r.gain_analytic for r in rows) / len(rows)
+        gains = state_sweep(FLAGSHIP, exact_mode=True)["gain_analytic"].tolist()
+        for gain in gains[:3]:
+            assert gain >= 0.7112
+            assert gain > 2.0 / 3.0
+        mean = sum(gains) / len(gains)
         assert 0.5 <= mean <= 2.0 / 3.0 + 0.0067
 
     def test_identity_channel_degenerate_convention(self):
-        rows = state_sweep(WeakMeasurement(0.0, 0.0), exact_mode=True)
-        for row in rows:
-            assert row.gain_analytic == pytest.approx(row.alpha, abs=1e-12)
-            assert row.rev_analytic == pytest.approx(1.0, abs=1e-12)
+        for row in rows(state_sweep(WeakMeasurement(0.0, 0.0), exact_mode=True)):
+            assert row["gain_analytic"] == pytest.approx(row["alpha"], abs=1e-12)
+            assert row["rev_analytic"] == pytest.approx(1.0, abs=1e-12)
 
     def test_sampled_columns_track_analytic(self):
-        rows = state_sweep(FLAGSHIP, photons_per_setting=100_000, seed=42)
-        for row in rows:
-            assert abs(row.gain_mc - row.gain_analytic) <= 0.02
-            assert abs(row.rev_mc - row.rev_analytic) <= 0.02
+        for row in rows(state_sweep(FLAGSHIP, photons_per_setting=100_000, seed=42)):
+            assert abs(row["gain_mc"] - row["gain_analytic"]) <= 0.02
+            assert abs(row["rev_mc"] - row["rev_analytic"]) <= 0.02
 
 
 class TestGridSweep:
@@ -150,25 +153,29 @@ class TestGridSweep:
         boundary = [
             p
             for p in analytic_points
-            if p.epsilon in (0.0, 1.0) or p.eta in (0.0, 1.0)
+            if p["epsilon"] in (0.0, 1.0) or p["eta"] in (0.0, 1.0)
         ]
         assert len(boundary) == 60
         for p in boundary:
-            assert p.sum_analytic == pytest.approx(4.0, abs=1e-12)
+            assert p["sum_analytic"] == pytest.approx(4.0, abs=1e-12)
 
     @pytest.mark.parametrize("grid_size", [*range(2, 18), 64])
     def test_array_columns_equal_scalar_path(self, grid_size):
-        points = grid_sweep(grid_size, exact_mode=True)
-        assert [(p.epsilon, p.eta) for p in points] == [
+        table = grid_sweep(grid_size, exact_mode=True)
+        points = rows(table)
+        assert [(p["epsilon"], p["eta"]) for p in points] == [
             (wm.epsilon, wm.eta) for wm in OperatorGrid.uniform(grid_size)
         ]
         for p in points:
-            wm = WeakMeasurement(p.epsilon, p.eta)
-            e, h = p.epsilon, p.eta
-            assert p.gmax_analytic == analytic_gmax(wm) == (3.0 + abs(h - e)) / 6.0
-            assert p.prev_analytic == analytic_prev(wm) == 1.0 - e - h + 2.0 * e * h
-            assert p.diagonal_flag is wm.is_diagonal_degenerate
-            assert type(p.epsilon) is type(p.gmax_analytic) is type(p.prev_estimated) is float
+            wm = WeakMeasurement(p["epsilon"], p["eta"])
+            e, h = p["epsilon"], p["eta"]
+            gmax, prev = analytic_gmax(wm), analytic_prev(wm)
+            assert p["gmax_analytic"] == gmax == (3.0 + abs(h - e)) / 6.0
+            assert p["prev_analytic"] == prev == 1.0 - e - h + 2.0 * e * h
+            assert p["sum_analytic"] == 6.0 * gmax + prev
+            assert p["sum_mc"] == 6.0 * p["gmax_mc"] + p["prev_mc"]
+            assert p["diagonal_flag"] is wm.is_diagonal_degenerate
+        assert [table[name].dtype for name, _ in tables.GRID] == [np.float64] * 8 + [np.bool_]
 
     def test_size_bound(self):
         with pytest.raises(ValueError, match="grid size must be at least 2"):
@@ -176,51 +183,48 @@ class TestGridSweep:
 
     def test_pvnm_corners(self, analytic_points):
         corners = {
-            (p.epsilon, p.eta): p
+            (p["epsilon"], p["eta"]): p
             for p in analytic_points
-            if (p.epsilon, p.eta) in ((0.0, 1.0), (1.0, 0.0))
+            if (p["epsilon"], p["eta"]) in ((0.0, 1.0), (1.0, 0.0))
         }
         assert len(corners) == 2
         for p in corners.values():
-            assert p.gmax_analytic == pytest.approx(2.0 / 3.0, abs=1e-12)
-            assert p.prev_analytic == pytest.approx(0.0, abs=1e-12)
+            assert p["gmax_analytic"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+            assert p["prev_analytic"] == pytest.approx(0.0, abs=1e-12)
 
     def test_interior_minimum_cells(self, analytic_points):
         expected_min = 3.0 + 113.0 / 225.0
         assert expected_min == pytest.approx(3.502222, abs=1e-6)
-        lattice_min = min(p.sum_analytic for p in analytic_points)
+        lattice_min = min(p["sum_analytic"] for p in analytic_points)
         assert lattice_min == pytest.approx(expected_min, abs=1e-12)
         argmin = {
-            (round(p.epsilon, 12), round(p.eta, 12))
+            (round(p["epsilon"], 12), round(p["eta"], 12))
             for p in analytic_points
-            if abs(p.sum_analytic - lattice_min) <= 1e-12
+            if abs(p["sum_analytic"] - lattice_min) <= 1e-12
         }
         assert (round(7 / 15, 12), round(7 / 15, 12)) in argmin
         assert (round(8 / 15, 12), round(8 / 15, 12)) in argmin
 
     def test_diagonal_flags(self, analytic_points):
         for p in analytic_points:
-            expected = abs(p.epsilon - p.eta) < 1e-12 and p.epsilon not in (0.0, 1.0)
-            assert p.diagonal_flag == expected
+            expected = abs(p["epsilon"] - p["eta"]) < 1e-12 and p["epsilon"] not in (0.0, 1.0)
+            assert p["diagonal_flag"] == expected
 
     def test_exact_mode_estimated_columns(self):
-        points = grid_sweep(grid_size=4, exact_mode=True)
-        for p in points:
-            assert p.sum_estimated == pytest.approx(
-                6.0 * p.gmax_estimated + p.prev_estimated, abs=1e-12
-            )
-            assert p.prev_estimated == pytest.approx(p.prev_analytic, abs=1e-12)
-            assert abs(p.gmax_estimated - p.gmax_analytic) <= 0.0067 + 1e-12
+        for p in rows(grid_sweep(grid_size=4, exact_mode=True)):
+            assert p["sum_mc"] == pytest.approx(6.0 * p["gmax_mc"] + p["prev_mc"], abs=1e-12)
+            assert p["prev_mc"] == pytest.approx(p["prev_analytic"], abs=1e-12)
+            assert abs(p["gmax_mc"] - p["gmax_analytic"]) <= 0.0067 + 1e-12
 
     def test_reversed_cell_order_equals_sweep(self):
-        rows = grid_sweep(grid_size=5, photons_per_setting=3000, seed=11)
+        table = grid_sweep(grid_size=5, photons_per_setting=3000, seed=11)
         cells = list(enumerate(OperatorGrid.uniform(5)))
-        reordered = [
-            sweeps._cell_points(wm.epsilon, wm.eta, idx, 3000, None, 11, False)[0]
+        reordered = sweeps._concatenate([
+            sweeps._cell_columns(wm.epsilon, wm.eta, idx, 3000, None, 11, False)
             for idx, wm in reversed(cells)
-        ][::-1]
-        assert rows == reordered
-        assert tables.csv_table(tables.GRID, rows) == tables.csv_table(tables.GRID, reordered)
+        ][::-1])
+        assert rows(table) == rows(reordered)
+        assert tables.csv_table(tables.GRID, table) == tables.csv_table(tables.GRID, reordered)
 
 
 class TestStateGridMeans:
@@ -234,6 +238,15 @@ class TestStateGridMeans:
             gap = mean - analytic_gmax(wm)
             assert gap == pytest.approx(eta / 150.0, abs=1e-12)
 
+    @pytest.mark.parametrize("grid_size", [2, 3, 16, 33, 64])
+    def test_gain_gap_identity_on_every_cell(self, grid_size):
+        # state_grid_gain_gap checks mean = gmax + |eta - eps|/150 on every
+        # cell, ties included, at the closed forms' own 1e-12.
+        means = sweeps._state_grid_means(grid_size)
+        check = sweeps._check_state_grid_gain_gap(lambda: means)
+        assert check.passed and check.tolerance == 1e-12
+        assert check.deviation <= 1e-15
+
     def test_prev_mean_exact_for_sampled_cells(self):
         states = StateGrid.standard()
         for e, h in ((0.0, 0.0), (0.25, 0.75), (0.4, 0.4), (1.0, 0.2)):
@@ -244,8 +257,8 @@ class TestStateGridMeans:
 
 class TestCrossSection:
     def test_analytic_rows(self):
-        rows = cross_section([0.0, 0.4, 1.0], exact_mode=True)
-        assert [(r.six_gmax, r.prev, r.total) for r in rows] == [
+        section = rows(cross_section([0.0, 0.4, 1.0], exact_mode=True))
+        assert [(r["six_gmax"], r["prev"], r["sum"]) for r in section] == [
             pytest.approx((3.0, 1.0, 4.0), abs=1e-12),
             pytest.approx((3.4, 0.6, 4.0), abs=1e-12),
             pytest.approx((4.0, 0.0, 4.0), abs=1e-12),
@@ -253,17 +266,16 @@ class TestCrossSection:
 
     def test_linearity_over_full_section(self):
         etas = np.linspace(0.0, 1.0, 16)
-        rows = cross_section(etas, exact_mode=True)
-        for eta, row in zip(etas, rows):
-            assert row.six_gmax == pytest.approx(3.0 + eta, abs=1e-12)
-            assert row.prev == pytest.approx(1.0 - eta, abs=1e-12)
-            assert row.total == pytest.approx(4.0, abs=1e-12)
+        for eta, row in zip(etas, rows(cross_section(etas, exact_mode=True))):
+            assert row["six_gmax"] == pytest.approx(3.0 + eta, abs=1e-12)
+            assert row["prev"] == pytest.approx(1.0 - eta, abs=1e-12)
+            assert row["sum"] == pytest.approx(4.0, abs=1e-12)
 
     def test_monte_carlo_rows_track_theory(self):
-        rows = cross_section([0.0, 0.5, 1.0], photons_per_setting=100_000, seed=5, exact_mode=False)
-        for eta, row in zip((0.0, 0.5, 1.0), rows):
-            assert abs(row.six_gmax - (3.0 + eta)) <= 0.05
-            assert abs(row.prev - (1.0 - eta)) <= 0.02
+        section = cross_section([0.0, 0.5, 1.0], 100_000, seed=5, exact_mode=False)
+        for eta, row in zip((0.0, 0.5, 1.0), rows(section)):
+            assert abs(row["six_gmax"] - (3.0 + eta)) <= 0.05
+            assert abs(row["prev"] - (1.0 - eta)) <= 0.02
 
     def test_eta_range_enforced(self):
         with pytest.raises(ValueError):
@@ -272,32 +284,32 @@ class TestCrossSection:
 
 class TestReversalFidelitySweep:
     def test_exact_mode_all_ones(self):
-        rows = reversal_fidelity_sweep(FLAGSHIP, exact_mode=True)
-        assert len(rows) == 51
-        for row in rows:
-            assert not row.low_stats
-            assert row.fidelity == pytest.approx(1.0, abs=1e-12)
+        table = rows(reversal_fidelity_sweep(FLAGSHIP, exact_mode=True))
+        assert len(table) == 51
+        for row in table:
+            assert not row["low_stats_flag"]
+            assert row["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
     def test_leakage_keeps_all_above_099(self):
         noise = NoiseModel(pbs_leakage=1e-3)
-        rows = reversal_fidelity_sweep(FLAGSHIP, 10_000, noise, seed=42)
-        assert all(not row.low_stats for row in rows)
-        assert min(row.fidelity for row in rows) >= 0.99
+        table = reversal_fidelity_sweep(FLAGSHIP, 10_000, noise, seed=42)
+        assert not table["low_stats_flag"].any()
+        assert table["fidelity"].min() >= 0.99
 
     def test_noiseless_sampling_stays_near_one(self):
         # Sampling-noise-only: across 20 pinned seeds at least 99% of the
         # (seed, state) fidelities stay at or above 0.995.
         total = below = 0
         for seed in range(20):
-            for row in reversal_fidelity_sweep(FLAGSHIP, 10_000, None, seed=seed):
+            for fidelity in reversal_fidelity_sweep(FLAGSHIP, 10_000, None, seed=seed)["fidelity"]:
                 total += 1
-                below += row.fidelity < 0.995
+                below += fidelity < 0.995
         assert below / total <= 0.01
 
     def test_projective_corner_flags_low_stats(self):
-        rows = reversal_fidelity_sweep(WeakMeasurement(0.0, 1.0), 10_000, seed=42)
-        assert all(row.low_stats for row in rows)
-        assert all(row.fidelity is None for row in rows)
+        table = reversal_fidelity_sweep(WeakMeasurement(0.0, 1.0), 10_000, seed=42)
+        assert table["low_stats_flag"].all()
+        assert np.isnan(table["fidelity"]).all()
 
 
 # float.hex of (gmax_estimate, gmax_stderr, prev_estimate, prev_stderr) at

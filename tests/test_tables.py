@@ -1,12 +1,19 @@
-"""Tests for the table writers: the column-wise JSON writer against json.dumps."""
+"""Tests for the table writers: the column-wise CSV writer against a per-cell
+reference, the JSON writer against json.dumps, and the column types every
+sweep hands them."""
 
 import json
 import math
-from types import SimpleNamespace
+import struct
 
-from hypothesis import given, settings, strategies
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies
 
 from wmtradeoff import tables
+from wmtradeoff.bench import NoiseModel
+from wmtradeoff.measurement import WeakMeasurement
+from wmtradeoff.sweeps import cross_section, grid_sweep, reversal_fidelity_sweep, state_sweep
 
 SPECS = {
     "grid": tables.GRID,
@@ -16,20 +23,23 @@ SPECS = {
     "verify": tables.VERIFY,
     # Column names that need escaping, including a printf directive.
     "odd_names": (
-        ('qu"ote %s 100%', "a", tables.NUMBER),
-        ("back\\slash\ttab", "b", tables.TEXT),
-        ("café ☃", "c", tables.FLAG),
-        ("%", "d", tables.NOTE),
+        ('qu"ote %s 100%', tables.NUMBER),
+        ("back\\slash\ttab", tables.TEXT),
+        ("café ☃", tables.FLAG),
+        ("%", tables.NOTE),
     ),
 }
 
+# A quiet NaN with a payload and a negative NaN: other bit patterns than math.nan.
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+EDGE_NUMBERS = [
+    0.0, -0.0, -1e-12, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-7, 1e16,
+    math.nan, -math.nan, NAN_PAYLOAD, math.inf, -math.inf,
+]
+# None stands for a missing number; a NUMBER column reads it as NaN.
+EDGE_CELLS = dict.fromkeys([name for name, _ in tables.CROSS_SECTION], EDGE_NUMBERS + [None])
 numbers = strategies.one_of(
-    strategies.floats(),
-    strategies.sampled_from(
-        [-0.0, 5e-324, 2.2250738585072014e-308, 1e-7, 1e16, math.nan, math.inf, -math.inf]
-    ),
-    strategies.none(),
-    strategies.integers(),
+    strategies.floats(), strategies.sampled_from(EDGE_NUMBERS), strategies.none()
 )
 texts = strategies.one_of(
     strategies.text(),
@@ -57,6 +67,47 @@ metadata = strategies.dictionaries(
 )
 
 
+def _column(kind, cells):
+    """A column as a sweep hands it over: float64 numbers, bool flags, text lists."""
+    if kind == tables.NUMBER:
+        return np.array([math.nan if v is None else v for v in cells], dtype=np.float64)
+    if kind == tables.FLAG:
+        return np.array(cells, dtype=bool)
+    return list(cells)
+
+
+@strategies.composite
+def column_tables(draw):
+    spec = SPECS[draw(strategies.sampled_from(sorted(SPECS)))]
+    n = draw(strategies.integers(0, 6))
+    cells = {
+        name: draw(strategies.lists(CELLS[kind], min_size=n, max_size=n)) for name, kind in spec
+    }
+    return spec, cells
+
+
+@strategies.composite
+def documents(draw):
+    spec, cells = draw(column_tables())
+    # A rows key of "metadata" would replace the metadata in the reference dict.
+    key = draw(
+        strategies.sampled_from(["rows", "checks"])
+        | strategies.text().filter(lambda k: k != "metadata")
+    )
+    return draw(metadata), key, spec, cells
+
+
+def _csv_cell(kind, value):
+    """The CSV text of one cell, written out one cell at a time."""
+    if kind == tables.NUMBER:
+        if value is None or math.isnan(value):
+            return "nan"
+        return f"{value + 0.0:.9f}"
+    if kind == tables.FLAG:
+        return "1" if value else "0"
+    return str(value)
+
+
 def _json_value(kind, value):
     """What a cell of ``kind`` holds in the JSON document, as json.dumps input."""
     if kind == tables.NUMBER:
@@ -66,26 +117,74 @@ def _json_value(kind, value):
     return str(value)
 
 
-@strategies.composite
-def documents(draw):
-    spec = SPECS[draw(strategies.sampled_from(sorted(SPECS)))]
-    row = strategies.fixed_dictionaries({attr: CELLS[kind] for _, attr, kind in spec})
-    rows = [SimpleNamespace(**cells) for cells in draw(strategies.lists(row, max_size=6))]
-    # A rows key of "metadata" would replace the metadata in the reference dict.
-    key = draw(
-        strategies.sampled_from(["rows", "checks"])
-        | strategies.text().filter(lambda k: k != "metadata")
+def _rows(spec, cells):
+    n = len(cells[spec[0][0]])
+    return [{name: cells[name][i] for name, _ in spec} for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_tables())
+@example((tables.CROSS_SECTION, EDGE_CELLS))
+def test_csv_table_equals_per_cell_reference(table):
+    spec, cells = table
+    columns = [(name, kind) for name, kind in spec if kind != tables.NOTE]
+    lines = [",".join(name for name, _ in columns)] + [
+        ",".join(_csv_cell(kind, row[name]) for name, kind in columns)
+        for row in _rows(spec, cells)
+    ]
+    got = tables.csv_table(spec, {name: _column(kind, cells[name]) for name, kind in spec})
+    assert got == "\n".join(lines) + "\n"
+
+
+def test_csv_negative_zero_and_tiny_negatives():
+    column = np.array([-0.0, 0.0, -1e-12, -5e-324, 1e16])
+    text = tables.csv_table((("x", tables.NUMBER),), {"x": column})
+    assert text == "x\n0.000000000\n0.000000000\n-0.000000000\n-0.000000000\n" + (
+        "10000000000000000.000000000\n"
     )
-    return draw(metadata), key, spec, rows
 
 
 @settings(max_examples=200, deadline=None)
 @given(documents())
+@example(({}, "rows", tables.CROSS_SECTION, EDGE_CELLS))
 def test_json_document_equals_json_dumps(document):
-    meta, key, spec, rows = document
+    meta, key, spec, cells = document
     expected_rows = [
-        {name: _json_value(kind, getattr(r, attr)) for name, attr, kind in spec} for r in rows
+        {name: _json_value(kind, row[name]) for name, kind in spec} for row in _rows(spec, cells)
     ]
     expected = json.dumps({"metadata": meta, key: expected_rows}, indent=2, allow_nan=False)
-    assert tables.json_document(meta, key, spec, rows) == expected + "\n"
+    columns = {name: _column(kind, cells[name]) for name, kind in spec}
+    assert tables.json_document(meta, key, spec, columns) == expected + "\n"
 
+
+NOISY = NoiseModel(pbs_leakage=0.001, detector_efficiency=0.9)
+WM = WeakMeasurement(0.3, 0.6)
+SWEEPS = {
+    "grid": (tables.GRID, lambda exact: grid_sweep(3, 1_000, NOISY, 1, exact)),
+    "states": (tables.STATES, lambda exact: state_sweep(WM, 1_000, NOISY, 1, exact)),
+    "cross_section": (
+        tables.CROSS_SECTION, lambda exact: cross_section([0.0, 0.5, 1.0], 1_000, NOISY, 1, exact)
+    ),
+    "fidelities": (
+        tables.FIDELITIES, lambda exact: reversal_fidelity_sweep(WM, 1_000, NOISY, 1, exact)
+    ),
+    # (0, 1) flags every state LOW_STATS: a column of NaN fidelities.
+    "fidelities_low_stats": (
+        tables.FIDELITIES,
+        lambda exact: reversal_fidelity_sweep(WeakMeasurement(0.0, 1.0), 1_000, NOISY, 1, exact),
+    ),
+}
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("product", SWEEPS)
+def test_every_sweep_emits_float64_number_columns(product, exact):
+    # The writers read NUMBER columns as float64 bit patterns: a sweep that
+    # handed over Python ints or objects would print them differently.
+    spec, sweep = SWEEPS[product]
+    table = sweep(exact)
+    assert list(table) == [name for name, _ in spec]
+    assert len({len(column) for column in table.values()}) == 1
+    for name, kind in spec:
+        assert isinstance(table[name], np.ndarray), name
+        assert table[name].dtype == (np.float64 if kind == tables.NUMBER else np.bool_), name
