@@ -234,7 +234,7 @@ def simulate_tomography(
     reversed_state: PureState,
     counts_per_basis: int,
     noise: NoiseModel | None = None,
-    rng_stream: int | np.random.SeedSequence | np.random.Generator = 0,
+    rng_stream: int | np.random.SeedSequence | np.random.Generator | None = 0,
     exact_mode: bool = False,
 ) -> TomographyResult:
     """Analyzer tomography of a state in the H/V, D/A and R/L bases.
@@ -243,8 +243,9 @@ def simulate_tomography(
     probability (one PBS pass in the analyzer); the state is reconstructed by
     linear inversion from the empirical Stokes components, then projected to
     the physical set by eigenvalue clipping and trace renormalization. Exact
-    mode uses the outcome probabilities themselves. Detector efficiency
-    cancels in the per-basis ratios and is not applied here.
+    mode uses the outcome probabilities themselves and ignores
+    ``rng_stream``. Detector efficiency cancels in the per-basis ratios and
+    is not applied here.
     """
     if counts_per_basis < MIN_TOMOGRAPHY_COUNTS:
         raise ValueError(
@@ -252,7 +253,7 @@ def simulate_tomography(
         )
     noise = noise or NoiseModel()
     leak = noise.pbs_leakage
-    rng = np.random.default_rng(rng_stream)
+    rng = None if exact_mode else np.random.default_rng(rng_stream)
 
     estimates = []
     for s_true in stokes_of_state(reversed_state).as_tuple():

@@ -67,9 +67,19 @@ DEFAULT_SEED = 42
 
 # Samples per slice of the Haar oracle's per-sample arithmetic. A slice's
 # temporaries (64 KiB real, 128 KiB complex each) then stay within a 2 MiB
-# per-core L2 cache; on a 2-vCPU Xeon, 4096 to 16384 ran the three verify
-# cells equally fast and one 200,000-sample slice took 60% longer.
+# per-core L2 cache; on a 2-vCPU Xeon, 4096 to 16384 ran three 200,000-sample
+# cells equally fast and one unsliced 200,000-sample pass took 60% longer.
+# verify's 20,000-sample cells take three slices each.
 ORACLE_BLOCK = 8192
+
+# Cells and samples per cell of verify's oracle check, and the default
+# multiple of the oracle's standard error that the check accepts. The three
+# gain parts are the check's only random ones (the reversal term does not
+# depend on the state), so at 4.5 standard errors a correct program fails
+# the check in about 3 * 6.8e-6 = 2e-5 of seeds.
+ORACLE_CELLS = ((0.25, 0.75), (0.1, 0.6), (0.8, 0.3))
+ORACLE_SAMPLES = 20_000
+ORACLE_STDERR_MULTIPLIER = 4.5
 
 # Expected reversed-photon yield below which a fidelity row is flagged
 # LOW_STATS instead of fitted.
@@ -345,7 +355,8 @@ def reversal_fidelity_sweep(
             low_stats[i] = True
             continue
         live_chains = max(1, sum(y >= LOW_STATS_FLOOR for y in yields))
-        rng = _substream(seed, 0, i, 0, TOMOGRAPHY_STREAM)
+        # Exact mode draws nothing, so it builds no generator.
+        rng = None if exact_mode else _substream(seed, 0, i, 0, TOMOGRAPHY_STREAM)
         result = simulate_tomography(
             state, live_chains * counts_per_basis, noise, rng, exact_mode=exact_mode
         )
@@ -360,26 +371,36 @@ def haar_average_oracle(
 ) -> OracleEstimate:
     """Monte Carlo average of gain and reversibility over Haar-random states.
 
-    States are drawn with a uniform Bloch-sphere polar cosine and a uniform
-    relative phase, and the per-state quantities are evaluated by brute-force
-    branch arithmetic on the sampled amplitudes. This is the independent
-    check of the two closed forms; it shares none of their algebra.
+    States are drawn with a stratified Bloch-sphere polar cosine and a
+    uniform relative phase, and the per-state quantities are evaluated by
+    brute-force branch arithmetic on the sampled amplitudes. This is the
+    independent check of the two closed forms; it shares none of their
+    algebra.
 
-    Both draws are taken in full first (every polar cosine, then every
-    phase). The per-sample arithmetic then runs over slices of
+    The polar cosine is drawn in n_samples // 2 equal-width strata of
+    [-1, 1], two uniform draws in each; an odd n_samples gives the last
+    stratum three draws and a width to match. Each stratum's width is thus
+    proportional to its draws, so the plain mean is unbiased and its
+    variance is sum_j n_j * s_j**2 / n**2 over the strata j, which for a
+    pair is (x_a - x_b)**2 / n**2. The per-state gain is smooth in the polar
+    cosine, so the standard error falls as n**-1.5, not n**-0.5.
+
+    Both draws are taken in full first (every offset within a stratum, then
+    every phase). The per-sample arithmetic then runs over slices of
     ``ORACLE_BLOCK`` samples, so its complex temporaries stay cache-sized,
     and writes each slice's gains and reversal terms into two preallocated
     arrays. Every operation is elementwise, so each sample's terms do not
-    depend on the slicing. Mean and standard deviation are taken over the
-    two full arrays, in numpy's summation order. Memory is the four
-    n_samples float arrays plus one slice of temporaries: about 40 MB at
-    10^6 samples, the peak reached in ``np.std``.
+    depend on the slicing. Means and standard errors are taken over the two
+    full arrays. Memory is the four n_samples float arrays plus one slice of
+    temporaries or one half-length array of pair differences: about 35 MiB
+    at 10^6 samples.
     """
     if n_samples < 10_000:
         raise ValueError("n_samples must be at least 10000")
     rng = np.random.default_rng(seed)
-    cos_theta = rng.uniform(-1.0, 1.0, n_samples)
+    offsets = rng.uniform(0.0, 1.0, n_samples)
     phases = rng.uniform(0.0, TWO_PI, n_samples)
+    last = n_samples // 2 - 1  # the last stratum, holding 2 or 3 samples
 
     e, h = wm.epsilon, wm.eta
     d1 = (math.sqrt(1.0 - e), math.sqrt(1.0 - h))
@@ -397,7 +418,11 @@ def haar_average_oracle(
     revs = np.empty(n_samples)
     for start in range(0, n_samples, ORACLE_BLOCK):
         block = slice(start, start + ORACLE_BLOCK)
-        alphas = 0.5 * (1.0 + cos_theta[block])
+        # alpha = (1 + cos theta) / 2, so stratum j of cos theta is
+        # [2j, 2j + count) / n_samples in alpha.
+        stratum = np.minimum(np.arange(start, min(start + ORACLE_BLOCK, n_samples)) // 2, last)
+        count = np.where(stratum == last, n_samples - 2 * last, 2)
+        alphas = (2.0 * stratum + count * offsets[block]) / n_samples
         a0 = np.sqrt(alphas)
         a1 = np.exp(1j * phases[block]) * np.sqrt(1.0 - alphas)
 
@@ -416,11 +441,23 @@ def haar_average_oracle(
 
     return OracleEstimate(
         gmax_estimate=float(np.mean(gains)),
-        gmax_stderr=float(np.std(gains, ddof=1) / math.sqrt(n_samples)),
+        gmax_stderr=_stratified_stderr(gains, last),
         prev_estimate=float(np.mean(revs)),
-        prev_stderr=float(np.std(revs, ddof=1) / math.sqrt(n_samples)),
+        prev_stderr=_stratified_stderr(revs, last),
         n_samples=n_samples,
     )
+
+
+def _stratified_stderr(x: np.ndarray, last: int) -> float:
+    """Stratified standard error of the oracle's mean of ``x``.
+
+    Stratum j < ``last`` holds samples 2j and 2j + 1; stratum ``last`` holds
+    the rest, two or three samples.
+    """
+    pairs = x[0 : 2 * last : 2] - x[1 : 2 * last : 2]
+    pairs *= pairs
+    tail = x[2 * last :]
+    return math.sqrt(float(np.sum(pairs)) + len(tail) * float(np.var(tail, ddof=1))) / len(x)
 
 
 def corrupted_reversal_operator(wm: WeakMeasurement, r: int) -> Operator2:
@@ -593,12 +630,11 @@ def _check_cross_section_monotonicity(grid_size: int) -> CheckResult:
 
 
 def _check_oracle_agreement(seed: int, stderr_multiplier: float) -> CheckResult:
-    cells = ((0.25, 0.75), (0.1, 0.6), (0.8, 0.3))
     parts = []
-    for k, (e, h) in enumerate(cells):
+    for k, (e, h) in enumerate(ORACLE_CELLS):
         wm = WeakMeasurement(e, h)
         stream = np.random.SeedSequence(entropy=int(seed), spawn_key=(1004, k))
-        est = haar_average_oracle(wm, 200_000, stream)
+        est = haar_average_oracle(wm, ORACLE_SAMPLES, stream)
         parts.append(
             (abs(est.gmax_estimate - analytic_gmax(wm)), stderr_multiplier * est.gmax_stderr)
         )
@@ -674,13 +710,13 @@ def verify(
     grid_size: int = DEFAULT_GRID_SIZE,
     exact_mode: bool = False,
     reversal_fn=None,
-    stderr_multiplier: float = 3.0,
+    stderr_multiplier: float = ORACLE_STDERR_MULTIPLIER,
 ) -> SweepReport:
     """Run the invariant battery and return PASS/FAIL verdicts per check.
 
-    Statistical checks use ``stderr_multiplier`` standard errors as their
-    tolerance. ``reversal_fn`` overrides the reversal-operator construction
-    and exists as a mutation-test hook; passing
+    The oracle check accepts ``stderr_multiplier`` standard errors of each
+    estimate as its tolerance. ``reversal_fn`` overrides the
+    reversal-operator construction and exists as a mutation-test hook; passing
     ``corrupted_reversal_operator`` must fail the reversal-exactness check.
     """
     started = _utcnow()

@@ -132,6 +132,11 @@ class TestDispatchProducts:
         assert doc["metadata"]["seed"] == 42
         assert all(check["verdict"] == "PASS" for check in doc["checks"])
 
+    @pytest.mark.parametrize("seed", [80, 160, 180, 380])
+    def test_verify_passes_where_three_stderr_oracle_failed(self, seed, capsys):
+        assert main(["verify", "--seed", str(seed)]) == EXIT_OK
+        assert "FAILED" not in capsys.readouterr().err
+
     def test_verify_mutated_exits_two_with_names_on_stderr(self, capsys):
         code = main(
             ["verify", "--mutate-reversal", "--grid-size", "6", "--photons-per-setting", "20000"]

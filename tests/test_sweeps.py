@@ -15,7 +15,7 @@ from wmtradeoff.measurement import (
     per_state_gain,
     per_state_reversal_prob,
 )
-from wmtradeoff import sweeps, tables
+from wmtradeoff import bench, sweeps, tables
 from wmtradeoff.bench import NoiseModel
 from wmtradeoff.sweeps import (
     OperatorGrid,
@@ -311,70 +311,101 @@ class TestReversalFidelitySweep:
         assert table["low_stats_flag"].all()
         assert np.isnan(table["fidelity"]).all()
 
+    def test_exact_mode_builds_no_generator(self, monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("exact mode built a random generator")
+
+        monkeypatch.setattr(sweeps, "_substream", no_generator)
+        monkeypatch.setattr(bench, "_substream", no_generator)
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        noise = NoiseModel(pbs_leakage=1e-3)
+        table = reversal_fidelity_sweep(FLAGSHIP, 10_000, noise, seed=42, exact_mode=True)
+        assert not table["low_stats_flag"].any()
+
 
 # float.hex of (gmax_estimate, gmax_stderr, prev_estimate, prev_stderr) at
-# seed 7, as computed by the oracle before its per-sample arithmetic ran in
-# ORACLE_BLOCK slices. Every sample count here ends in a partial slice;
-# 200_000 is the one verify uses.
+# seed 7 from the stratified oracle. Every sample count here ends in a
+# partial ORACLE_BLOCK slice; 10_001 gives the last polar-cosine stratum
+# three samples, and 20_000 is the count verify uses.
 ORACLE_HEX = {
     ((0.25, 0.75), 10000): (
-        "0x1.2b172d5b0c7a8p-1", "0x1.865802b0106f8p-11",
-        "0x1.8000000000000p-2", "0x1.277c6c88277bdp-60",
+        "0x1.2aaab1699c90bp-1", "0x1.6b24429fc205dp-22",
+        "0x1.8000000000000p-2", "0x1.fffd25d8fd54ep-61",
     ),
     ((0.1, 0.6), 10000): (
-        "0x1.2b3b27bf516e5p-1", "0x1.2db673e14ce8cp-10",
-        "0x1.ae147ae147ae0p-2", "0x1.6113a27abf5b1p-60",
+        "0x1.2aaab3412f02dp-1", "0x1.9a32df1ad4e9ep-22",
+        "0x1.ae147ae147ae0p-2", "0x1.3093329518335p-60",
     ),
     ((0.8, 0.3), 10000): (
-        "0x1.2b232b7c78cbbp-1", "0x1.a4557f360ac96p-11",
-        "0x1.851eb851eb850p-2", "0x1.141f33ac1bd6dp-60",
+        "0x1.2aaab206cd616p-1", "0x1.70f4966cd4ad4p-22",
+        "0x1.851eb851eb850p-2", "0x1.fcc26cff848c5p-61",
     ),
     ((0.5, 0.5), 10000): (
-        "0x1.0077ed4e3b2cap-1", "0x1.7c43a314a0243p-9",
-        "0x1.0000000000002p-1", "0x1.fdd6d14a3ef25p-60",
+        "0x1.00000623e8272p-1", "0x1.39baea96b0c98p-21",
+        "0x1.0000000000002p-1", "0x1.b28b30ac973f6p-60",
     ),
     ((0.0, 1.0), 10000): (
-        "0x1.562e5ab618f4fp-1", "0x1.865802b0106fap-10",
+        "0x1.555562d339216p-1", "0x1.6b24429fc1e5dp-21",
         "0x0.0p+0", "0x0.0p+0",
     ),
     ((0.25, 0.75), 10001): (
-        "0x1.2b1615200e2ebp-1", "0x1.86544e3418b57p-11",
-        "0x1.8000000000000p-2", "0x1.2487c844520acp-60",
+        "0x1.2aaab1817f57bp-1", "0x1.6b11f6f18c5cdp-22",
+        "0x1.8000000000000p-2", "0x1.fce8b716a1d78p-61",
     ),
     ((0.1, 0.6), 10001): (
-        "0x1.2b3a280357981p-1", "0x1.2db06c3d00dbfp-10",
-        "0x1.ae147ae147adep-2", "0x1.2d098e354dfdcp-59",
+        "0x1.2aaab3605913dp-1", "0x1.9a1ca8c60c4c0p-22",
+        "0x1.ae147ae147ae0p-2", "0x1.299231a16025fp-60",
     ),
     ((0.8, 0.3), 10001): (
-        "0x1.2b221b6bd151dp-1", "0x1.a4503d86a59d4p-11",
-        "0x1.851eb851eb850p-2", "0x1.15d0832cc96efp-60",
+        "0x1.2aaab2211d411p-1", "0x1.70e140a748b8ep-22",
+        "0x1.851eb851eb850p-2", "0x1.005e9bfdfc049p-60",
     ),
     ((0.5, 0.5), 10001): (
-        "0x1.00783ef59f5f5p-1", "0x1.7c39efdf8e823p-9",
-        "0x1.0000000000002p-1", "0x1.fc14531b3b8cfp-60",
+        "0x1.0000063c2b1dfp-1", "0x1.39ada9ae529e9p-21",
+        "0x1.0000000000002p-1", "0x1.b2dbbdfe0158fp-60",
     ),
     ((0.0, 1.0), 10001): (
-        "0x1.562c2a401c5d7p-1", "0x1.86544e3418b58p-10",
+        "0x1.55556302feaf5p-1", "0x1.6b11f6f18c4c2p-21",
         "0x0.0p+0", "0x0.0p+0",
     ),
     ((0.25, 0.75), 200000): (
-        "0x1.2a8b33035fd41p-1", "0x1.5c2dd8e2bec49p-13",
-        "0x1.8000000000000p-2", "0x1.06126abb4e051p-62",
+        "0x1.2aaaaaada9d01p-1", "0x1.0013a062cc357p-28",
+        "0x1.8000000000000p-2", "0x1.c77c4e7a7c1cfp-63",
     ),
     ((0.1, 0.6), 200000): (
-        "0x1.2aa00761ef27cp-1", "0x1.0b446cce2f5f9p-12",
-        "0x1.ae147ae147ae1p-2", "0x1.081b346406ce0p-62",
+        "0x1.2aaaaabb506f4p-1", "0x1.1fcb6d8319240p-28",
+        "0x1.ae147ae147ae1p-2", "0x1.0ba48bc28e8c5p-62",
     ),
     ((0.8, 0.3), 200000): (
-        "0x1.2a9224783a455p-1", "0x1.7584f05c4a554p-13",
-        "0x1.851eb851eb852p-2", "0x1.23c81cfb34db8p-62",
+        "0x1.2aaaaab236afdp-1", "0x1.03a1fdd9768fcp-28",
+        "0x1.851eb851eb852p-2", "0x1.c9ba2283fd2d9p-63",
     ),
     ((0.5, 0.5), 200000): (
-        "0x1.00456e90886c3p-1", "0x1.51f05a7a5ac0ep-11",
-        "0x1.0000000000001p-1", "0x1.89b42e73c4117p-62",
+        "0x1.0000002d80bd2p-1", "0x1.ba81b81e6a295p-28",
+        "0x1.0000000000001p-1", "0x1.843607e31f252p-62",
     ),
     ((0.0, 1.0), 200000): (
-        "0x1.55166606bfa83p-1", "0x1.5c2dd8e2bec4ap-12",
+        "0x1.5555555b53a02p-1", "0x1.0013a062cc628p-27",
+        "0x0.0p+0", "0x0.0p+0",
+    ),
+    ((0.25, 0.75), 20000): (
+        "0x1.2aaaad6b608cbp-1", "0x1.020d8eb670fcdp-23",
+        "0x1.8000000000000p-2", "0x1.66d31682e44b8p-61",
+    ),
+    ((0.1, 0.6), 20000): (
+        "0x1.2aaaaf92a6199p-1", "0x1.23d84688f7ac5p-23",
+        "0x1.ae147ae147ae0p-2", "0x1.a8594886e284bp-61",
+    ),
+    ((0.8, 0.3), 20000): (
+        "0x1.2aaaae2322666p-1", "0x1.065cea507b904p-23",
+        "0x1.851eb851eb850p-2", "0x1.6bbc61fba55f9p-61",
+    ),
+    ((0.5, 0.5), 20000): (
+        "0x1.0000072d92802p-1", "0x1.bc77cf683564fp-23",
+        "0x1.0000000000001p-1", "0x1.2f3a5bb251c5bp-60",
+    ),
+    ((0.0, 1.0), 20000): (
+        "0x1.55555ad6c1199p-1", "0x1.020d8eb670f97p-22",
         "0x0.0p+0", "0x0.0p+0",
     ),
 }
@@ -387,6 +418,14 @@ class TestHaarOracle:
         fields = (est.gmax_estimate, est.gmax_stderr, est.prev_estimate, est.prev_stderr)
         assert tuple(map(float.hex, fields)) == ORACLE_HEX[cell, n_samples]
         assert est.n_samples == n_samples
+
+    @pytest.mark.parametrize("block", [999, 4096])
+    def test_estimates_do_not_depend_on_the_slicing(self, monkeypatch, block):
+        monkeypatch.setattr(sweeps, "ORACLE_BLOCK", block)
+        cell, n_samples = (0.1, 0.6), 10001
+        est = haar_average_oracle(WeakMeasurement(*cell), n_samples, seed=7)
+        fields = (est.gmax_estimate, est.gmax_stderr, est.prev_estimate, est.prev_stderr)
+        assert tuple(map(float.hex, fields)) == ORACLE_HEX[cell, n_samples]
 
     def test_peak_memory_at_a_million_samples(self):
         # The two draws and the two per-sample arrays take 30.5 MiB; the
@@ -421,6 +460,19 @@ class TestHaarOracle:
         with pytest.raises(ValueError):
             haar_average_oracle(FLAGSHIP, 9_999)
 
+    @pytest.mark.parametrize("k", range(len(sweeps.ORACLE_CELLS)))
+    def test_stratified_stderr_is_calibrated(self, k):
+        # z-scores of the gain estimate on verify's streams: a variance
+        # formula that overstates the error would shrink their spread, one
+        # that understates it would widen it.
+        wm = WeakMeasurement(*sweeps.ORACLE_CELLS[k])
+        z = []
+        for seed in range(300):
+            stream = np.random.SeedSequence(entropy=seed, spawn_key=(1004, k))
+            est = haar_average_oracle(wm, sweeps.ORACLE_SAMPLES, stream)
+            z.append((est.gmax_estimate - analytic_gmax(wm)) / est.gmax_stderr)
+        assert 0.9 <= np.std(z, ddof=1) <= 1.1
+
 
 class TestVerify:
     def test_all_checks_pass(self, verify_report):
@@ -450,6 +502,17 @@ class TestVerify:
     def test_metadata_echo(self, verify_report):
         for key in ("seed", "photons_per_setting", "version", "started_at", "finished_at"):
             assert key in verify_report.metadata
+
+    @pytest.mark.slow
+    def test_oracle_check_rarely_fails_a_correct_program(self):
+        # At 4.5 standard errors the three gain parts false-fail about 2e-5
+        # of seeds; at 3 they failed 6 of these 1000.
+        results = [
+            sweeps._check_oracle_agreement(seed, sweeps.ORACLE_STDERR_MULTIPLIER)
+            for seed in range(1000)
+        ]
+        assert sum(not r.passed for r in results) <= 1
+        assert max(r.tolerance for r in results) <= 1e-5
 
     def test_stderr_multiplier_is_honored(self):
         report = verify(photons_per_setting=20_000, seed=42, stderr_multiplier=1e-12)
