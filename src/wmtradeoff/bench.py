@@ -175,8 +175,8 @@ def _measured(counts) -> tuple[np.ndarray, np.ndarray]:
             f"expected counts of shape (..., {N_TRAVERSAL_STATES}, 4), got {counts.shape}"
         )
     total = counts[..., 0] + counts[..., 1]
-    empty = np.argwhere(total < 1.0)
-    if len(empty):
+    if total.min(initial=1.0) < 1.0:
+        empty = np.argwhere(total < 1.0)
         raise EstimationError(
             f"no measured counts for state index {empty[0, -1]}; cannot form ratio"
         )
@@ -203,9 +203,9 @@ def rev_term_from_counts(counts) -> np.ndarray:
 
 
 def _traversal_mean(terms: np.ndarray) -> np.ndarray:
-    # The builtin sum adds the states one after another, as a per-state loop
-    # would; ndarray.sum adds pairwise and rounds differently.
-    return sum(np.moveaxis(terms, -1, 0)) / N_TRAVERSAL_STATES
+    # An accumulation adds the states one after another by definition, as a
+    # per-state loop would; ndarray.sum adds pairwise and rounds differently.
+    return np.add.accumulate(terms, axis=-1)[..., -1] / N_TRAVERSAL_STATES
 
 
 def estimate_gmax_from_counts(counts, epsilon, eta) -> np.ndarray:

@@ -8,6 +8,11 @@ flipping the two diagonal coefficients of the branch operator, without any
 rescaling: this is the convention under which the mean reversal probability
 equals (1-epsilon)(1-eta) + epsilon*eta for every input state.
 
+``kraus_coefficients`` is the one source of these branch coefficients: over
+broadcast (epsilon, eta) arrays it returns both outcomes' diagonals.
+``kraus_pair`` and ``reversal_operator`` are its scalar operator views, and
+``branch_terms`` and verify's operator checks read the arrays directly.
+
 Guess rule: outcome 1 guesses |V> when epsilon - eta > TIE_ATOL and |H>
 otherwise; outcome 2 guesses the other basis state. A tie therefore guesses
 |H> on outcome 1 and |V> on outcome 2, the rule the bench's count-ratio
@@ -41,6 +46,7 @@ from .qubit import (
     CONSTRUCTION_ATOL,
     Operator2,
     PureState,
+    inner_products,
 )
 
 # Parameter pairs closer than this count as a degenerate (beam-splitter) tie.
@@ -77,12 +83,21 @@ def first_guess_is_v(epsilon, eta):
     return epsilon - eta > TIE_ATOL
 
 
+def kraus_coefficients(epsilon, eta) -> np.ndarray:
+    """Diagonal coefficients of both branch operators over broadcast arrays.
+
+    ``[..., r, k]`` is the coefficient of basis state k in the operator of
+    outcome r + 1: (sqrt(1-e), sqrt(1-h)), then (sqrt(e), sqrt(h)).
+    Arguments are not validated.
+    """
+    e, h = np.broadcast_arrays(np.asarray(epsilon, dtype=float), np.asarray(eta, dtype=float))
+    return np.sqrt(np.stack((1.0 - e, 1.0 - h, e, h), axis=-1)).reshape(*e.shape, 2, 2)
+
+
 def kraus_pair(wm: WeakMeasurement) -> tuple[Operator2, Operator2]:
     """Branch operators diag(sqrt(1-e), sqrt(1-h)) and diag(sqrt(e), sqrt(h))."""
-    e, h = wm.epsilon, wm.eta
-    first = Operator2.diagonal(math.sqrt(1.0 - e), math.sqrt(1.0 - h))
-    second = Operator2.diagonal(math.sqrt(e), math.sqrt(h))
-    return first, second
+    first, second = kraus_coefficients(wm.epsilon, wm.eta)
+    return Operator2.diagonal(*first), Operator2.diagonal(*second)
 
 
 def branch_terms(epsilon, eta, alpha, phase=0.0):
@@ -100,12 +115,10 @@ def branch_terms(epsilon, eta, alpha, phase=0.0):
         *(np.asarray(x, dtype=float) for x in (epsilon, eta, alpha, phase))
     )
     amps = np.stack((np.sqrt(a) + 0j, np.exp(1j * ph) * np.sqrt(1.0 - a)), axis=-1)
-    # kraus[..., r, k]: coefficient of basis state k in the operator of outcome r + 1.
-    kraus = np.sqrt(np.stack((1.0 - e, 1.0 - h, e, h), axis=-1)).reshape(*e.shape, 2, 2)
+    kraus = kraus_coefficients(e, h)
     images = kraus * amps[..., None, :]
-    # A stacked matmul adds the terms in the order np.vdot does, so the
-    # probabilities equal those of apply_operator bit for bit.
-    prob = (images.conj()[..., None, :] @ images[..., :, None])[..., 0, 0].real
+    # Added in np.vdot's order, the probabilities equal apply_operator's bit for bit.
+    prob = inner_products(images, images).real
     basis_fidelity = np.abs(amps) ** 2
     guess_fidelity = np.where(
         first_guess_is_v(e, h)[..., None], basis_fidelity[..., ::-1], basis_fidelity
@@ -149,10 +162,7 @@ def reversal_operator(wm: WeakMeasurement, r: int) -> Operator2:
     """
     if r not in (1, 2):
         raise ValueError(f"outcome index must be 1 or 2, got {r!r}")
-    e, h = wm.epsilon, wm.eta
-    if r == 1:
-        return Operator2.diagonal(math.sqrt(1.0 - h), math.sqrt(1.0 - e))
-    return Operator2.diagonal(math.sqrt(h), math.sqrt(e))
+    return Operator2.diagonal(*kraus_coefficients(wm.epsilon, wm.eta)[r - 1, ::-1])
 
 
 def per_state_reversal_prob(wm: WeakMeasurement, state: PureState) -> float:

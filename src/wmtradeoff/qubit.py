@@ -6,7 +6,10 @@ quotiented out; Stokes components follow s1 = p(H)-p(V), s2 = p(D)-p(A),
 s3 = p(R)-p(L).
 
 All types here are immutable values and all operations are deterministic pure
-functions, so everything is safe to share across threads.
+functions, so everything is safe to share across threads. ``state_amplitudes``,
+``inner_products``, ``abs_squared`` and ``post_state_amplitudes`` repeat the
+scalar arithmetic of ``PureState``, ``apply_operator`` and ``pure_overlap`` over
+stacks of states, with the same rounding.
 """
 
 from __future__ import annotations
@@ -205,6 +208,38 @@ def apply_operator(op: Operator2, state: PureState) -> tuple[float, PureState | 
     alpha = min(max(float(abs(image[0]) ** 2) / prob, 0.0), 1.0)
     phase = float(np.angle(image[1]) - np.angle(image[0]))
     return prob, PureState(alpha, phase)
+
+
+def state_amplitudes(alpha, phase) -> np.ndarray:
+    """``PureState(alpha, phase).amplitudes`` over broadcast arrays, on a last axis.
+
+    Canonicalizes as ``PureState`` does: alpha clamped to [0, 1], the phase
+    taken mod 2*pi and set to 0 at the endpoints.
+    """
+    alpha = np.clip(alpha, 0.0, 1.0)
+    phase = np.where((alpha == 0.0) | (alpha == 1.0), 0.0, np.mod(phase, TWO_PI))
+    return np.stack((np.sqrt(alpha) + 0j, np.exp(1j * phase) * np.sqrt(1.0 - alpha)), axis=-1)
+
+
+def inner_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a|b> of each pair of vectors on the last axis, added in np.vdot's order."""
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def abs_squared(z: np.ndarray) -> np.ndarray:
+    """|z|**2 of a complex array, rounded as the scalar ``abs(z) ** 2`` is.
+
+    A complex scalar's abs is libm's hypot and a float64 scalar's ``** 2`` is
+    libm's pow; np.abs and ``** 2`` on arrays differ from them in the last
+    bit for some inputs, np.hypot and np.float_power do not.
+    """
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+
+
+def post_state_amplitudes(images: np.ndarray, prob: np.ndarray) -> np.ndarray:
+    """Post states ``apply_operator`` forms from images of squared norm ``prob``."""
+    alpha = abs_squared(images[..., 0]) / prob
+    return state_amplitudes(alpha, np.angle(images[..., 1]) - np.angle(images[..., 0]))
 
 
 def state_fidelity(pure: PureState, rho: DensityMatrix) -> float:

@@ -25,12 +25,19 @@ import numpy as np
 from ._version import __version__
 from .qubit import (
     ANNIHILATION_EPS,
+    CONSTRUCTION_ATOL,
     TWO_PI,
     Operator2,
     PureState,
-    apply_operator,
-    pure_overlap,
+    abs_squared,
+    inner_products,
+    post_state_amplitudes,
+    state_amplitudes,
 )
+# The scalar operator path and the scalar views of branch_terms stay bound
+# here, where perfbench/spans.py wraps them; the sweeps and checks use the
+# array kernels directly.
+from .qubit import apply_operator  # noqa: F401
 from .measurement import (
     TIE_ATOL,
     WeakMeasurement,
@@ -38,12 +45,10 @@ from .measurement import (
     analytic_prev,
     branch_terms,
     closed_forms,
-    kraus_pair,
+    kraus_coefficients,
     reversal_operator,
     tradeoff_sum,
 )
-# The scalar views of branch_terms stay bound here, where perfbench/spans.py
-# wraps them; the sweeps and checks use the array kernel directly.
 from .measurement import per_state_gain, per_state_reversal_prob  # noqa: F401
 from .bench import (
     ALPHA_SPACING,
@@ -481,13 +486,11 @@ def _worst(parts) -> tuple[float, float]:
 
 
 def _check_kraus_completeness() -> CheckResult:
-    dev = 0.0
-    eye = np.eye(2)
-    for e in np.arange(0.0, 1.0 + 1e-9, 0.05):
-        for h in np.arange(0.0, 1.0 + 1e-9, 0.05):
-            a1, a2 = kraus_pair(WeakMeasurement(min(e, 1.0), min(h, 1.0)))
-            total = a1.matrix.conj().T @ a1.matrix + a2.matrix.conj().T @ a2.matrix
-            dev = max(dev, float(np.max(np.abs(total - eye))))
+    # Every branch operator is diagonal, so A_1^dagger A_1 + A_2^dagger A_2 = I
+    # reads sum_r |c_rk|^2 = 1 for each basis state k.
+    values = np.minimum(np.arange(0.0, 1.0 + 1e-9, 0.05), 1.0)
+    kraus = kraus_coefficients(values[:, None], values[None, :])
+    dev = float(np.max(np.abs((kraus**2).sum(axis=-2) - 1.0)))
     return CheckResult("kraus_completeness", dev <= 1e-12, dev, 1e-12)
 
 
@@ -558,20 +561,36 @@ def _check_phase_invariance() -> CheckResult:
 
 def _check_reversal_exactness(seed: int, reversal_fn) -> CheckResult:
     rng = _substream(seed, 1002)
-    dev = 0.0
-    tested = 0
+    draws, hooks = [], []
     for _ in range(100):
-        state = PureState(float(rng.uniform()), float(rng.uniform(0.0, TWO_PI)))
+        alpha, phase = float(rng.uniform()), float(rng.uniform(0.0, TWO_PI))
         wm = WeakMeasurement(float(rng.uniform()), float(rng.uniform()))
         r = int(rng.integers(1, 3))
-        prob, post = apply_operator(kraus_pair(wm)[r - 1], state)
-        if post is None:
-            continue
-        prob_rev, recovered = apply_operator(reversal_fn(wm, r), post)
-        if recovered is None or prob_rev < ANNIHILATION_EPS:
-            continue
-        dev = max(dev, abs(1.0 - pure_overlap(state, recovered)))
-        tested += 1
+        draws.append((alpha, phase, wm.epsilon, wm.eta, r - 1))
+        hooks.append(reversal_fn(wm, r).matrix)
+    alpha, phase, e, h, branch = np.array(draws).T
+    coefficients = kraus_coefficients(e, h)[np.arange(len(draws)), branch.astype(int)]
+    reversals = np.stack(hooks)
+    # Each branch operator and each reversal must be a physical Kraus operator.
+    operators = np.concatenate((coefficients[:, :, None] * np.eye(2), reversals))
+    top = np.linalg.svd(operators, compute_uv=False)[:, 0]
+    if np.any(top > 1.0 + CONSTRUCTION_ATOL):
+        raise ValueError("operator is not a physical Kraus operator (largest singular value > 1)")
+
+    # The scalar path's arithmetic on stacked arrays: apply_operator, then
+    # the reversal on the post state, then pure_overlap with the input.
+    states = state_amplitudes(alpha, phase)
+    images = coefficients * states
+    prob = inner_products(images, images).real
+    live = prob >= ANNIHILATION_EPS
+    posts = post_state_amplitudes(images[live], prob[live])
+    recovered = (reversals[live] @ posts[..., None])[..., 0]
+    prob_rev = inner_products(recovered, recovered).real
+    kept = prob_rev >= ANNIHILATION_EPS
+    finals = post_state_amplitudes(recovered[kept], prob_rev[kept])
+    overlap = abs_squared(inner_products(states[live][kept], finals))
+    dev = float(np.max(np.abs(1.0 - overlap), initial=0.0))
+    tested = len(finals)
     passed = dev <= 1e-12 and tested > 0
     return CheckResult("reversal_exactness", passed, dev, 1e-12, detail=f"{tested} triples")
 
@@ -597,9 +616,10 @@ def _state_grid_means(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     gains, revs = [], []
     for e in values:
         gain, rev = _traversal_terms(e, values)
-        # The builtin sum adds the states one after another, as a per-cell loop would.
-        gains.append(sum(gain) / N_TRAVERSAL_STATES)
-        revs.append(sum(rev) / N_TRAVERSAL_STATES)
+        # An accumulation adds the states one after another by definition, as
+        # a per-cell loop would; a reduction may add them in another order.
+        gains.append(np.add.accumulate(gain, axis=0)[-1] / N_TRAVERSAL_STATES)
+        revs.append(np.add.accumulate(rev, axis=0)[-1] / N_TRAVERSAL_STATES)
     return np.stack(gains), np.stack(revs)
 
 

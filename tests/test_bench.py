@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
+from hypothesis.extra import numpy as hnp
 
 from wmtradeoff.qubit import PureState, STATE_H, density_of_state, state_fidelity
 from wmtradeoff.measurement import (
@@ -15,7 +16,9 @@ from wmtradeoff.measurement import (
     kraus_pair,
     reversal_operator,
 )
+from wmtradeoff import bench
 from wmtradeoff.bench import (
+    N_TRAVERSAL_STATES,
     TRAVERSAL_ALPHAS,
     EstimationError,
     NoiseModel,
@@ -339,6 +342,25 @@ class TestEstimators:
             gain_term_from_counts(counts, [0.25] * 3, 0.75)
         with pytest.raises(EstimationError, match="state index 7"):
             rev_term_from_counts(counts)
+
+    def test_no_cells_estimate_to_nothing(self):
+        counts = np.ones((0, 51, 4))
+        assert estimate_gmax_from_counts(counts, np.zeros(0), 0.5).shape == (0,)
+        assert estimate_prev_from_counts(counts).shape == (0,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        strategies.sampled_from([(1, 51), (2, 51), (64, 51), (51,)]).flatmap(
+            lambda shape: hnp.arrays(np.float64, shape, elements=strategies.floats(0.0, 1.0))
+        )
+    )
+    def test_traversal_mean_adds_states_in_order(self, terms):
+        # The builtin sum adds the 51 states one after another, as a
+        # per-state loop would; the mean must round exactly as it does.
+        reference = sum(np.moveaxis(terms, -1, 0)) / N_TRAVERSAL_STATES
+        mean = bench._traversal_mean(terms)
+        assert type(mean) is type(reference)
+        assert np.asarray(mean).tobytes() == np.asarray(reference).tobytes()
 
     def test_estimators_require_full_traversal(self):
         counts = run_counts(FLAGSHIP, 1000, exact=True)

@@ -13,6 +13,7 @@ from wmtradeoff.measurement import (
     analytic_gmax,
     analytic_prev,
     branch_terms,
+    kraus_coefficients,
     kraus_pair,
     per_state_gain,
     per_state_reversal_prob,
@@ -292,6 +293,35 @@ class TestReversalExactness:
 
 
 UNIT = strategies.one_of(strategies.sampled_from([0.0, 1.0]), strategies.floats(0.0, 1.0))
+
+
+def bits(array) -> bytes:
+    return np.ascontiguousarray(array).tobytes()
+
+
+class TestKrausCoefficients:
+    @settings(max_examples=300, deadline=None)
+    @given(UNIT, UNIT)
+    def test_operator_views_read_the_coefficients(self, eps, eta):
+        wm = WeakMeasurement(eps, eta)
+        coefficients = kraus_coefficients(wm.epsilon, wm.eta)
+        expected = [[math.sqrt(1.0 - wm.epsilon), math.sqrt(1.0 - wm.eta)],
+                    [math.sqrt(wm.epsilon), math.sqrt(wm.eta)]]
+        assert bits(coefficients) == bits(np.array(expected))
+        for r, op in enumerate(kraus_pair(wm), start=1):
+            diagonal = coefficients[r - 1]
+            assert bits(op.matrix) == bits(np.diag(diagonal).astype(complex))
+            flipped = np.diag(diagonal[::-1]).astype(complex)
+            assert bits(reversal_operator(wm, r).matrix) == bits(flipped)
+
+    def test_broadcasts_like_the_scalar_calls(self):
+        eps = np.linspace(0.0, 1.0, 5)[:, None]
+        etas = np.array([0.0, 0.3, 1.0])
+        coefficients = kraus_coefficients(eps, etas)
+        assert coefficients.shape == (5, 3, 2, 2)
+        for i, e in enumerate(eps[:, 0]):
+            for j, h in enumerate(etas):
+                assert bits(coefficients[i, j]) == bits(kraus_coefficients(e, h))
 
 
 class TestBranchTerms:

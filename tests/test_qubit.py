@@ -12,10 +12,15 @@ from wmtradeoff.qubit import (
     STATE_H,
     STATE_V,
     StokesVector,
+    TWO_PI,
+    abs_squared,
     apply_operator,
     density_from_stokes,
     density_of_state,
+    inner_products,
+    post_state_amplitudes,
     pure_overlap,
+    state_amplitudes,
     state_fidelity,
     stokes_of_state,
 )
@@ -120,6 +125,29 @@ class TestApplyOperator:
         prob, post = apply_operator(op, PureState(0.5, 0.0))
         assert prob == pytest.approx(1.0, abs=1e-12)
         assert post.phase == pytest.approx(math.pi, abs=1e-12)
+
+
+class TestArrayPath:
+    def test_matches_the_scalar_path_bit_for_bit(self):
+        # Per state, not only at the worst one: the array functions form each
+        # amplitude, probability, post state and overlap with the rounding of
+        # PureState, apply_operator and pure_overlap.
+        rng = np.random.default_rng(15)
+        alpha, phase = rng.uniform(size=2000), rng.uniform(0.0, TWO_PI, 2000)
+        alpha[:4], phase[:4] = (0.0, 1.0, 0.5, 0.5), (1.0, 2.0, TWO_PI, -1.0)
+        coefficients = rng.uniform(size=(2000, 2))
+        states = state_amplitudes(alpha, phase)
+        images = coefficients * states
+        prob = inner_products(images, images).real
+        posts = post_state_amplitudes(images, prob)
+        overlaps = abs_squared(inner_products(states, posts))
+        for k in range(2000):
+            state = PureState(alpha[k], phase[k])
+            assert states[k].tobytes() == state.amplitudes.tobytes()
+            expected_prob, post = apply_operator(Operator2.diagonal(*coefficients[k]), state)
+            assert prob[k] == expected_prob
+            assert posts[k].tobytes() == post.amplitudes.tobytes()
+            assert overlaps[k] == pure_overlap(state, post)
 
 
 class TestFidelity:

@@ -7,13 +7,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies
 
-from wmtradeoff.qubit import PureState
+from wmtradeoff.qubit import (
+    ANNIHILATION_EPS,
+    TWO_PI,
+    Operator2,
+    PureState,
+    apply_operator,
+    pure_overlap,
+)
 from wmtradeoff.measurement import (
     WeakMeasurement,
     analytic_gmax,
     analytic_prev,
+    kraus_coefficients,
+    kraus_pair,
     per_state_gain,
     per_state_reversal_prob,
+    reversal_operator,
 )
 from wmtradeoff import bench, sweeps, tables
 from wmtradeoff.bench import NoiseModel
@@ -247,6 +257,16 @@ class TestStateGridMeans:
         assert check.passed and check.tolerance == 1e-12
         assert check.deviation <= 1e-15
 
+    @pytest.mark.parametrize("grid_size", [2, 16])
+    def test_means_add_the_states_in_order(self, grid_size):
+        # Reference: the builtin sum, which adds the 51 states one after another.
+        values = np.linspace(0.0, 1.0, grid_size)
+        gains, revs = sweeps._state_grid_means(grid_size)
+        for i, e in enumerate(values):
+            gain, rev = sweeps._traversal_terms(e, values)
+            assert gains[i].tobytes() == (sum(gain) / bench.N_TRAVERSAL_STATES).tobytes()
+            assert revs[i].tobytes() == (sum(rev) / bench.N_TRAVERSAL_STATES).tobytes()
+
     def test_prev_mean_exact_for_sampled_cells(self):
         states = StateGrid.standard()
         for e, h in ((0.0, 0.0), (0.25, 0.75), (0.4, 0.4), (1.0, 0.2)):
@@ -472,6 +492,62 @@ class TestHaarOracle:
             est = haar_average_oracle(wm, sweeps.ORACLE_SAMPLES, stream)
             z.append((est.gmax_estimate - analytic_gmax(wm)) / est.gmax_stderr)
         assert 0.9 <= np.std(z, ddof=1) <= 1.1
+
+
+def scalar_reversal_exactness(seed, reversal_fn):
+    """reversal_exactness as a loop of validated operators, one SVD per branch."""
+    rng = sweeps._substream(seed, 1002)
+    dev = 0.0
+    tested = 0
+    for _ in range(100):
+        state = PureState(float(rng.uniform()), float(rng.uniform(0.0, TWO_PI)))
+        wm = WeakMeasurement(float(rng.uniform()), float(rng.uniform()))
+        r = int(rng.integers(1, 3))
+        prob, post = apply_operator(kraus_pair(wm)[r - 1], state)
+        if post is None:
+            continue
+        prob_rev, recovered = apply_operator(reversal_fn(wm, r), post)
+        if recovered is None or prob_rev < ANNIHILATION_EPS:
+            continue
+        dev = max(dev, abs(1.0 - pure_overlap(state, recovered)))
+        tested += 1
+    return dev <= 1e-12 and tested > 0, dev, f"{tested} triples"
+
+
+def doubled_reversal_operator(wm, r):
+    return Operator2(2.0 * reversal_operator(wm, r).matrix)
+
+
+class TestOperatorChecks:
+    @pytest.mark.parametrize("reversal_fn", [reversal_operator, corrupted_reversal_operator])
+    def test_reversal_exactness_matches_the_scalar_loop(self, reversal_fn):
+        for seed in range(50):
+            check = sweeps._check_reversal_exactness(seed, reversal_fn)
+            expected = scalar_reversal_exactness(seed, reversal_fn)
+            assert (check.passed, check.deviation, check.detail) == expected, seed
+
+    def test_unphysical_reversal_fails_by_name(self):
+        report = verify(
+            photons_per_setting=2_000, seed=42, grid_size=4,
+            reversal_fn=doubled_reversal_operator,
+        )
+        outcomes = {v.name: v for v in report.verdicts}
+        check = outcomes["reversal_exactness"]
+        assert not check.passed and check.deviation == math.inf
+        assert check.detail.startswith("ValueError: operator is not a physical Kraus operator")
+        assert outcomes["kraus_completeness"].passed
+
+    def test_one_scaled_coefficient_fails_completeness(self, monkeypatch):
+        def scaled(epsilon, eta):
+            coefficients = kraus_coefficients(epsilon, eta)
+            coefficients[7, 13, 1, 0] *= 1.0 + 1e-9
+            return coefficients
+
+        assert sweeps._check_kraus_completeness().passed
+        monkeypatch.setattr(sweeps, "kraus_coefficients", scaled)
+        check = sweeps._check_kraus_completeness()
+        assert not check.passed
+        assert check.deviation > check.tolerance == 1e-12
 
 
 class TestVerify:
