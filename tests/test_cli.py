@@ -256,7 +256,7 @@ class TestDispatchProducts:
             tables.json_document({"seed": float("nan")}, "rows", tables.CROSS_SECTION, rows)
 
     def test_sampled_json_names_its_stream_scheme(self, capsys):
-        for exact, stream in (("false", "per-cell-v2"), ("true", None)):
+        for exact, stream in (("false", "per-cell-v3"), ("true", None)):
             argv = ["sweep-grid", "--grid-size", "2", "--exact-mode", exact,
                     "--output-format", "json"]
             assert main(argv) == EXIT_OK

@@ -236,6 +236,23 @@ class TestGridSweep:
         assert rows(table) == rows(reordered)
         assert tables.csv_table(tables.GRID, table) == tables.csv_table(tables.GRID, reordered)
 
+    @pytest.mark.parametrize("grid_size", [2, 3, 17, 65])
+    def test_products_do_not_depend_on_the_block_size(self, monkeypatch, grid_size):
+        # Blocks of 1 cell and of 7 hold one row each; 10**6 holds the
+        # whole lattice; 64 is the default.
+        noise = NoiseModel(pbs_leakage=0.001, detector_efficiency=0.9)
+
+        def products():
+            return [
+                tables.csv_table(tables.GRID, grid_sweep(grid_size, 2000, noise, 5, exact))
+                for exact in (False, True)
+            ]
+
+        expected = products()
+        for block in (1, 7, 64, 10**6):
+            monkeypatch.setattr(sweeps, "GRID_BLOCK_CELLS", block)
+            assert products() == expected
+
 
 class TestStateGridMeans:
     def test_gain_gap_proportional_to_parameter_split(self):
@@ -338,9 +355,13 @@ class TestReversalFidelitySweep:
         monkeypatch.setattr(sweeps, "_substream", no_generator)
         monkeypatch.setattr(bench, "_substream", no_generator)
         monkeypatch.setattr(np.random, "default_rng", no_generator)
+        monkeypatch.setattr(np.random, "Philox", no_generator)
         noise = NoiseModel(pbs_leakage=1e-3)
         table = reversal_fidelity_sweep(FLAGSHIP, 10_000, noise, seed=42, exact_mode=True)
         assert not table["low_stats_flag"].any()
+        grid_sweep(5, 10_000, noise, seed=42, exact_mode=True)
+        state_sweep(FLAGSHIP, 10_000, noise, seed=42, exact_mode=True)
+        cross_section([0.0, 0.5, 1.0], 10_000, noise, seed=42, exact_mode=True)
 
 
 # float.hex of (gmax_estimate, gmax_stderr, prev_estimate, prev_stderr) at
