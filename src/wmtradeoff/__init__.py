@@ -5,34 +5,17 @@ boundary of the parameter square)."""
 from types import ModuleType as _ModuleType
 
 from ._version import __version__
-from .qubit import (
-    DensityMatrix,
-    Operator2,
-    PureState,
-    STATE_H,
-    STATE_V,
-    StokesVector,
-    apply_operator,
-    density_from_stokes,
-    density_of_state,
-    pure_overlap,
-    state_fidelity,
-    stokes_of_state,
-)
+from .qubit import Operator2, PureState, apply_operator
 from .measurement import (
     WeakMeasurement,
-    analytic_gmax,
-    analytic_prev,
-    kraus_pair,
+    closed_forms,
     per_state_gain,
     per_state_reversal_prob,
     reversal_operator,
-    tradeoff_sum,
 )
 from .bench import (
     EstimationError,
     NoiseModel,
-    TomographyResult,
     channel_probabilities,
     estimate_gmax_from_counts,
     estimate_prev_from_counts,
@@ -41,10 +24,7 @@ from .bench import (
 )
 from .sweeps import (
     CheckResult,
-    OperatorGrid,
     OracleEstimate,
-    StateGrid,
-    SweepReport,
     cross_section,
     grid_sweep,
     haar_average_oracle,

@@ -30,12 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubit import (
-    DensityMatrix,
-    PureState,
-    state_fidelity,
-    stokes_of_state,
-)
+from .qubit import PureState
 from .measurement import first_guess_is_v
 
 # The input-state traversal uses 51 H-weights spaced by 0.02.
@@ -87,15 +82,6 @@ class NoiseModel:
     def interferometer_swap_probability(self) -> float:
         """Chance that exactly one of the two PBS passes misroutes a photon."""
         return 2.0 * self.pbs_leakage * (1.0 - self.pbs_leakage)
-
-
-@dataclass(frozen=True)
-class TomographyResult:
-    """Reconstruction of an analyzed state and its fidelity to the input."""
-
-    reconstructed: DensityMatrix
-    fidelity_vs_input: float
-    counts_per_basis: int
 
 
 def _substream(seed: int, *key: int) -> np.random.Generator:
@@ -238,34 +224,23 @@ def estimate_prev_from_counts(counts) -> np.ndarray:
     return _traversal_mean(rev_term_from_counts(counts))
 
 
-def _clipped_density(s1: float, s2: float, s3: float) -> DensityMatrix:
-    """Physical density matrix nearest to a raw Stokes reconstruction."""
-    raw = 0.5 * np.array(
-        [[1.0 + s1, s2 - 1j * s3], [s2 + 1j * s3, 1.0 - s1]], dtype=complex
-    )
-    raw = 0.5 * (raw + raw.conj().T)
-    eigvals, eigvecs = np.linalg.eigh(raw)
-    eigvals = np.clip(eigvals, 0.0, 1.0)
-    eigvals = eigvals / eigvals.sum()
-    return DensityMatrix((eigvecs * eigvals) @ eigvecs.conj().T)
-
-
 def simulate_tomography(
     reversed_state: PureState,
     counts_per_basis: int,
     noise: NoiseModel | None = None,
     rng_stream: int | np.random.SeedSequence | np.random.Generator | None = 0,
     exact_mode: bool = False,
-) -> TomographyResult:
-    """Analyzer tomography of a state in the H/V, D/A and R/L bases.
+) -> float:
+    """Fidelity to the input of an analyzer tomography in the H/V, D/A and R/L bases.
 
     Counts in each basis are binomial on the leakage-mixed outcome
-    probability (one PBS pass in the analyzer); the state is reconstructed by
-    linear inversion from the empirical Stokes components, then projected to
-    the physical set by eigenvalue clipping and trace renormalization. Exact
-    mode uses the outcome probabilities themselves and ignores
-    ``rng_stream``. Detector efficiency cancels in the per-basis ratios and
-    is not applied here.
+    probability (one PBS pass in the analyzer), and linear inversion of the
+    empirical ratios gives a Stokes vector s. The physical state nearest to
+    (I + s.sigma)/2, its eigenvalues (1 +- |s|)/2 clipped to [0, 1] and
+    renormalized, has the Stokes vector s / max(1, |s|), and its fidelity to
+    the pure input of Bloch vector n is (1 + n.s)/2. Exact mode uses the
+    outcome probabilities themselves and ignores ``rng_stream``. Detector
+    efficiency cancels in the per-basis ratios and is not applied here.
     """
     if counts_per_basis < MIN_TOMOGRAPHY_COUNTS:
         raise ValueError(
@@ -275,8 +250,11 @@ def simulate_tomography(
     leak = noise.pbs_leakage
     rng = None if exact_mode else np.random.default_rng(rng_stream)
 
+    a, phase = reversed_state.alpha_weight, reversed_state.phase
+    coherence = 2.0 * math.sqrt(a * (1.0 - a))
+    bloch = (2.0 * a - 1.0, coherence * math.cos(phase), coherence * math.sin(phase))
     estimates = []
-    for s_true in stokes_of_state(reversed_state).as_tuple():
+    for s_true in bloch:
         p_plus = 0.5 * (1.0 + s_true)
         p_mixed = (1.0 - leak) * p_plus + leak * (1.0 - p_plus)
         if exact_mode:
@@ -285,9 +263,6 @@ def simulate_tomography(
             n_plus = int(rng.binomial(counts_per_basis, min(max(p_mixed, 0.0), 1.0)))
             estimates.append((2.0 * n_plus - counts_per_basis) / counts_per_basis)
 
-    rho = _clipped_density(*estimates)
-    return TomographyResult(
-        reconstructed=rho,
-        fidelity_vs_input=state_fidelity(reversed_state, rho),
-        counts_per_basis=counts_per_basis,
-    )
+    scale = max(1.0, math.hypot(*estimates))
+    overlap = sum(n * (s / scale) for n, s in zip(bloch, estimates))
+    return min(max(0.5 * (1.0 + overlap), 0.0), 1.0)

@@ -33,9 +33,9 @@ EXIT_CONFIG_ERROR = 1
 EXIT_VERIFY_FAIL = 2
 
 # Largest accepted lattice side. A sweep holds grid_size^2 cells of 51 states
-# each; on a 2-vCPU Xeon VM a sampled 256 x 256 lattice builds 65,536 random
-# generators and takes 4.4-5.4 s in-process, the exact one 0.6 s. Anything
-# larger is refused before it is allocated.
+# each; on a 2-vCPU Xeon VM a sampled 256 x 256 lattice builds one Philox
+# generator per kernel call, 256 in all, and takes 3.7-4.6 s in-process, the
+# exact one 0.4 s. Anything larger is refused before it is allocated.
 MAX_GRID_SIZE = 256
 
 # Largest photon numbers the count path can represent: binomial draws take a
@@ -237,7 +237,7 @@ _PRODUCTS = {
         lambda c, noise, wm, mutate: verify(
             c.photons_per_setting, noise, c.seed, c.grid_size, c.exact_mode,
             reversal_fn=corrupted_reversal_operator if mutate else None,
-        ).verdicts,
+        ),
         tables.VERIFY, "checks", "json",
     ),
     "sweep-states": (

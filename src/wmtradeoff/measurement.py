@@ -10,8 +10,8 @@ equals (1-epsilon)(1-eta) + epsilon*eta for every input state.
 
 ``kraus_coefficients`` is the one source of these branch coefficients: over
 broadcast (epsilon, eta) arrays it returns both outcomes' diagonals.
-``kraus_pair`` and ``reversal_operator`` are its scalar operator views, and
-``branch_terms`` and verify's operator checks read the arrays directly.
+``reversal_operator`` is its scalar operator view, and ``branch_terms`` and
+verify's operator checks read the arrays directly.
 
 Guess rule: outcome 1 guesses |V> when epsilon - eta > TIE_ATOL and |H>
 otherwise; outcome 2 guesses the other basis state. A tie therefore guesses
@@ -22,17 +22,24 @@ estimator applies too.
 broadcast (epsilon, eta, alpha, phase) arrays it returns each outcome's
 probability, guess fidelity and reversal term from the complex amplitudes.
 ``per_state_gain`` and ``per_state_reversal_prob`` are its scalar views.
-Likewise ``closed_forms`` evaluates the state-averaged closed forms below and
-the beam-splitter flag over broadcast (epsilon, eta) arrays, and
-``analytic_gmax``, ``analytic_prev`` and
-``WeakMeasurement.is_diagonal_degenerate`` are its scalar views.
+``closed_forms`` evaluates the state-averaged closed forms below and the
+beam-splitter flag over floats or broadcast (epsilon, eta) arrays.
 
 Closed forms implemented here:
 
     gmax(epsilon, eta) = (3 + |eta - epsilon|) / 6
     prev(epsilon, eta) = 1 - epsilon - eta + 2*epsilon*eta
-    6*gmax + prev      = 4 on the boundary of the parameter square,
+    6*gmax + prev      = 4 - 2*min(epsilon, eta)*(1 - max(epsilon, eta)),
+                         so 4 on the boundary of the parameter square,
                          with interior minimum 3.5 at (0.5, 0.5).
+
+``prev`` is the success probability of the bench's reversal, which exchanges
+the two interferometer arms: R_r A_r = sqrt((1-epsilon)(1-eta)) * I and
+sqrt(epsilon*eta) * I. It is not the optimal reversal of Cheong & Lee
+(PRL 109, 150402, 2012), R_opt = sum_r lambda_min(A_r^dagger A_r) =
+min(epsilon, eta) + min(1-epsilon, 1-eta), which exceeds it by
+2*min(epsilon, eta)*(1 - max(epsilon, eta)); on the boundary of the square
+the two coincide.
 """
 
 from __future__ import annotations
@@ -69,11 +76,6 @@ class WeakMeasurement:
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
             object.__setattr__(self, name, min(max(v, 0.0), 1.0))
 
-    @property
-    def is_diagonal_degenerate(self) -> bool:
-        """True for the excluded beam-splitter case epsilon == eta not in {0, 1}."""
-        return closed_forms(self.epsilon, self.eta)[2]
-
 
 def first_guess_is_v(epsilon, eta):
     """True where outcome 1 guesses |V>; outcome 2 then guesses |H>.
@@ -92,12 +94,6 @@ def kraus_coefficients(epsilon, eta) -> np.ndarray:
     """
     e, h = np.broadcast_arrays(np.asarray(epsilon, dtype=float), np.asarray(eta, dtype=float))
     return np.sqrt(np.stack((1.0 - e, 1.0 - h, e, h), axis=-1)).reshape(*e.shape, 2, 2)
-
-
-def kraus_pair(wm: WeakMeasurement) -> tuple[Operator2, Operator2]:
-    """Branch operators diag(sqrt(1-e), sqrt(1-h)) and diag(sqrt(e), sqrt(h))."""
-    first, second = kraus_coefficients(wm.epsilon, wm.eta)
-    return Operator2.diagonal(*first), Operator2.diagonal(*second)
 
 
 def branch_terms(epsilon, eta, alpha, phase=0.0):
@@ -148,11 +144,6 @@ def closed_forms(epsilon, eta):
     return gmax, prev, degenerate
 
 
-def analytic_gmax(wm: WeakMeasurement) -> float:
-    """State-averaged maximal estimation fidelity, (3 + |eta - epsilon|) / 6."""
-    return closed_forms(wm.epsilon, wm.eta)[0]
-
-
 def reversal_operator(wm: WeakMeasurement, r: int) -> Operator2:
     """Coefficient-flipped partner of branch ``r``.
 
@@ -169,17 +160,7 @@ def per_state_reversal_prob(wm: WeakMeasurement, state: PureState) -> float:
     """Success probability of reversing the measurement on one input state.
 
     Evaluates sum_r |<phi|R_r A_r|phi>|^2 (see ``branch_terms``). The result
-    is state independent and equals ``analytic_prev``.
+    is state independent and equals the ``prev`` of ``closed_forms``.
     """
     _, _, reversal = branch_terms(wm.epsilon, wm.eta, state.alpha_weight, state.phase)
     return float(reversal.sum())
-
-
-def analytic_prev(wm: WeakMeasurement) -> float:
-    """Mean reversal probability, 1 - epsilon - eta + 2*epsilon*eta."""
-    return closed_forms(wm.epsilon, wm.eta)[1]
-
-
-def tradeoff_sum(wm: WeakMeasurement) -> float:
-    """The tradeoff combination 6*gmax + prev."""
-    return 6.0 * analytic_gmax(wm) + analytic_prev(wm)

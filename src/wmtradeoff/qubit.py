@@ -8,8 +8,9 @@ s3 = p(R)-p(L).
 All types here are immutable values and all operations are deterministic pure
 functions, so everything is safe to share across threads. ``state_amplitudes``,
 ``inner_products``, ``abs_squared`` and ``post_state_amplitudes`` repeat the
-scalar arithmetic of ``PureState``, ``apply_operator`` and ``pure_overlap`` over
-stacks of states, with the same rounding.
+scalar arithmetic of ``PureState`` and ``apply_operator``, and the squared
+overlap ``abs(np.vdot(a, b)) ** 2``, over stacks of states, with the same
+rounding.
 """
 
 from __future__ import annotations
@@ -22,19 +23,11 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Construction-time invariants use the tight tolerance; checks on accumulated
-# arithmetic (traces, eigenvalues, Stokes norms) use the looser one.
+# Tolerance of construction-time invariants.
 CONSTRUCTION_ATOL = 1e-12
-ACCUMULATION_ATOL = 1e-10
 
 # Below this squared norm an operator image counts as annihilated.
 ANNIHILATION_EPS = 1e-15
-
-# Basis observables ordered to match (s1, s2, s3).
-SIGMA_HV = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-SIGMA_DA = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_RL = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-STOKES_BASIS = (SIGMA_HV, SIGMA_DA, SIGMA_RL)
 
 
 @dataclass(frozen=True)
@@ -79,20 +72,6 @@ class PureState:
             dtype=complex,
         )
 
-    def isclose(self, other: "PureState", atol: float = CONSTRUCTION_ATOL) -> bool:
-        """Equality up to ``atol``, ignoring the phase of endpoint states."""
-        if abs(self.alpha_weight - other.alpha_weight) > atol:
-            return False
-        if self.alpha_weight <= atol or self.alpha_weight >= 1.0 - atol:
-            return True
-        d = abs(self.phase - other.phase) % TWO_PI
-        return min(d, TWO_PI - d) <= atol
-
-
-STATE_H = PureState(1.0)
-STATE_V = PureState(0.0)
-
-
 @dataclass(frozen=True, eq=False)
 class Operator2:
     """A 2x2 complex matrix over the (H, V) basis.
@@ -117,79 +96,11 @@ class Operator2:
     def diagonal(cls, top: complex, bottom: complex) -> "Operator2":
         return cls(np.array([[top, 0.0], [0.0, bottom]], dtype=complex))
 
-    @classmethod
-    def identity(cls) -> "Operator2":
-        return cls(np.eye(2, dtype=complex))
-
-    @property
-    def dagger(self) -> "Operator2":
-        return Operator2(self.matrix.conj().T)
-
     @property
     def is_physical_kraus(self) -> bool:
         """True when the largest singular value is at most 1 (+1e-12)."""
         top = float(np.linalg.svd(self.matrix, compute_uv=False)[0])
         return top <= 1.0 + CONSTRUCTION_ATOL
-
-    def __matmul__(self, other: "Operator2") -> "Operator2":
-        return Operator2(self.matrix @ other.matrix)
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """A 2x2 Hermitian, unit-trace, positive-semidefinite matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex, copy=True)
-        if m.shape != (2, 2):
-            raise ValueError(f"density matrix must be 2x2, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("density matrix entries must be finite")
-        if np.max(np.abs(m - m.conj().T)) > CONSTRUCTION_ATOL:
-            raise ValueError("density matrix must be Hermitian")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > ACCUMULATION_ATOL:
-            raise ValueError(f"density matrix trace must be 1, got {tr!r}")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs[0] < -ACCUMULATION_ATOL or eigs[-1] > 1.0 + ACCUMULATION_ATOL:
-            raise ValueError(f"density matrix eigenvalues out of [0, 1]: {eigs}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class StokesVector:
-    """The three real components (s1, s2, s3) of a qubit Bloch vector."""
-
-    s1: float
-    s2: float
-    s3: float
-
-    def __post_init__(self) -> None:
-        for name in ("s1", "s2", "s3"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError("Stokes components must be finite")
-            if abs(v) > 1.0 + ACCUMULATION_ATOL:
-                raise ValueError(f"{name} must lie in [-1, 1], got {v!r}")
-            object.__setattr__(self, name, v)
-        if self.norm_sq > 1.0 + ACCUMULATION_ATOL:
-            raise ValueError(f"Stokes norm exceeds 1: |s|^2 = {self.norm_sq!r}")
-
-    @property
-    def norm_sq(self) -> float:
-        return self.s1 * self.s1 + self.s2 * self.s2 + self.s3 * self.s3
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.s1, self.s2, self.s3)
-
-
-def pure_overlap(a: PureState, b: PureState) -> float:
-    """Squared overlap |<a|b>|^2 of two pure states."""
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
 
 def apply_operator(op: Operator2, state: PureState) -> tuple[float, PureState | None]:
     """Act with a Kraus operator on a pure state.
@@ -240,39 +151,3 @@ def post_state_amplitudes(images: np.ndarray, prob: np.ndarray) -> np.ndarray:
     """Post states ``apply_operator`` forms from images of squared norm ``prob``."""
     alpha = abs_squared(images[..., 0]) / prob
     return state_amplitudes(alpha, np.angle(images[..., 1]) - np.angle(images[..., 0]))
-
-
-def state_fidelity(pure: PureState, rho: DensityMatrix) -> float:
-    """Fidelity <phi|rho|phi> of a pure state against a density matrix."""
-    amps = pure.amplitudes
-    f = float(np.real(np.conj(amps) @ rho.matrix @ amps))
-    return min(max(f, 0.0), 1.0)
-
-
-def density_of_state(state: PureState) -> DensityMatrix:
-    """Rank-one density matrix |phi><phi|."""
-    amps = state.amplitudes
-    return DensityMatrix(np.outer(amps, amps.conj()))
-
-
-def stokes_of_state(state: PureState) -> StokesVector:
-    a = state.alpha_weight
-    coherence = 2.0 * math.sqrt(a * (1.0 - a))
-    return StokesVector(
-        2.0 * a - 1.0,
-        coherence * math.cos(state.phase),
-        coherence * math.sin(state.phase),
-    )
-
-
-def density_from_stokes(s: StokesVector) -> DensityMatrix:
-    return DensityMatrix(
-        0.5
-        * np.array(
-            [
-                [1.0 + s.s1, s.s2 - 1j * s.s3],
-                [s.s2 + 1j * s.s3, 1.0 - s.s1],
-            ],
-            dtype=complex,
-        )
-    )

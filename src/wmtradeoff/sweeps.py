@@ -17,12 +17,10 @@ import functools
 import math
 import os
 import traceback
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._version import __version__
 from .qubit import (
     ANNIHILATION_EPS,
     CONSTRUCTION_ATOL,
@@ -41,17 +39,13 @@ from .qubit import apply_operator  # noqa: F401
 from .measurement import (
     TIE_ATOL,
     WeakMeasurement,
-    analytic_gmax,
-    analytic_prev,
     branch_terms,
     closed_forms,
     kraus_coefficients,
     reversal_operator,
-    tradeoff_sum,
 )
 from .measurement import per_state_gain, per_state_reversal_prob  # noqa: F401
 from .bench import (
-    ALPHA_SPACING,
     N_TRAVERSAL_STATES,
     TRAVERSAL_ALPHAS,
     NoiseModel,
@@ -107,68 +101,6 @@ TOMOGRAPHY_STREAM = 2
 
 
 @dataclass(frozen=True)
-class StateGrid:
-    """The ordered 51-state input traversal, H-weights 0.02*i, phase 0."""
-
-    states: tuple[PureState, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.states) != N_TRAVERSAL_STATES:
-            raise ValueError(f"state grid must hold {N_TRAVERSAL_STATES} states")
-        for i, st in enumerate(self.states):
-            if abs(st.alpha_weight - ALPHA_SPACING * i) > 1e-12:
-                raise ValueError(f"state {i} must carry weight {ALPHA_SPACING * i}")
-        alphas = [st.alpha_weight for st in self.states]
-        if any(b <= a for a, b in zip(alphas, alphas[1:])):
-            raise ValueError("state grid weights must increase strictly")
-
-    @classmethod
-    def standard(cls) -> "StateGrid":
-        return cls(tuple(PureState(ALPHA_SPACING * i) for i in range(N_TRAVERSAL_STATES)))
-
-    def __iter__(self):
-        return iter(self.states)
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __getitem__(self, i: int) -> PureState:
-        return self.states[i]
-
-
-@dataclass(frozen=True)
-class OperatorGrid:
-    """A size x size lattice of measurements, row-major by epsilon then eta."""
-
-    cells: tuple[WeakMeasurement, ...]
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size < 2:
-            raise ValueError("grid size must be at least 2")
-        if len(self.cells) != self.size * self.size:
-            raise ValueError("cell count must equal size squared")
-        pairs = {(wm.epsilon, wm.eta) for wm in self.cells}
-        for corner in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
-            if corner not in pairs:
-                raise ValueError(f"grid must include corner {corner}")
-
-    @classmethod
-    def uniform(cls, size: int = DEFAULT_GRID_SIZE) -> "OperatorGrid":
-        values = np.linspace(0.0, 1.0, size)
-        cells = tuple(
-            WeakMeasurement(float(e), float(h)) for e in values for h in values
-        )
-        return cls(cells, size)
-
-    def __iter__(self):
-        return iter(self.cells)
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-
-@dataclass(frozen=True)
 class OracleEstimate:
     gmax_estimate: float
     gmax_stderr: float
@@ -190,32 +122,6 @@ class CheckResult:
     @property
     def verdict(self) -> str:
         return "PASS" if self.passed else "FAIL"
-
-
-@dataclass
-class SweepReport:
-    """Run metadata plus verification verdicts."""
-
-    metadata: dict
-    verdicts: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
-
-    @classmethod
-    def create(cls, verdicts, started_at: str, **metadata) -> "SweepReport":
-        meta = {
-            "version": __version__,
-            "started_at": started_at,
-            "finished_at": datetime.now(timezone.utc).isoformat(),
-        }
-        meta.update(metadata)
-        return cls(metadata=meta, verdicts=list(verdicts))
-
-
-def _utcnow() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 def _traversal_terms(epsilon, eta) -> tuple[np.ndarray, np.ndarray]:
@@ -368,7 +274,7 @@ def reversal_fidelity_sweep(
     chains = channel_probabilities(wm.epsilon, wm.eta, TRAVERSAL_ALPHAS, noise)[:, 2:]
     fidelity = np.full(N_TRAVERSAL_STATES, math.nan)
     low_stats = np.zeros(N_TRAVERSAL_STATES, dtype=bool)
-    for i, (state, survivals) in enumerate(zip(StateGrid.standard(), chains.tolist())):
+    for i, (alpha, survivals) in enumerate(zip(TRAVERSAL_ALPHAS.tolist(), chains.tolist())):
         yields = [counts_per_basis * survival for survival in survivals]
         if sum(yields) < LOW_STATS_FLOOR:
             low_stats[i] = True
@@ -376,10 +282,9 @@ def reversal_fidelity_sweep(
         live_chains = max(1, sum(y >= LOW_STATS_FLOOR for y in yields))
         # Exact mode draws nothing, so it builds no generator.
         rng = None if exact_mode else _substream(seed, 0, i, 0, TOMOGRAPHY_STREAM)
-        result = simulate_tomography(
-            state, live_chains * counts_per_basis, noise, rng, exact_mode=exact_mode
+        fidelity[i] = simulate_tomography(
+            PureState(alpha), live_chains * counts_per_basis, noise, rng, exact_mode=exact_mode
         )
-        fidelity[i] = result.fidelity_vs_input
     return {"alpha": TRAVERSAL_ALPHAS, "fidelity": fidelity, "low_stats_flag": low_stats}
 
 
@@ -525,7 +430,8 @@ def _check_boundary_law(grid_size: int) -> CheckResult:
 
 
 def _check_center_minimum(grid_size: int) -> CheckResult:
-    center_dev = abs(tradeoff_sum(WeakMeasurement(0.5, 0.5)) - 3.5)
+    gmax, prev, _ = closed_forms(0.5, 0.5)
+    center_dev = abs(6.0 * gmax + prev - 3.5)
     _, _, gmax, prev = _lattice(grid_size)
     lattice_min = float((6.0 * gmax + prev).min())
     dev = max(center_dev, max(0.0, 3.5 - lattice_min))
@@ -535,8 +441,8 @@ def _check_center_minimum(grid_size: int) -> CheckResult:
 def _check_pvnm_corners() -> CheckResult:
     dev = 0.0
     for e, h in ((0.0, 1.0), (1.0, 0.0)):
-        wm = WeakMeasurement(e, h)
-        dev = max(dev, abs(analytic_gmax(wm) - 2.0 / 3.0), abs(analytic_prev(wm)))
+        gmax, prev, _ = closed_forms(e, h)
+        dev = max(dev, abs(gmax - 2.0 / 3.0), abs(prev))
     return CheckResult("pvnm_corners", dev <= 1e-12, dev, 1e-12)
 
 
@@ -552,13 +458,12 @@ def _check_parameter_symmetries(seed: int) -> CheckResult:
     rng = _substream(seed, 1001)
     pairs = [(rng.uniform(), rng.uniform()) for _ in range(50)]
     pairs += [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (1.0, 1.0)]
+    e, h = np.array(pairs).T
+    base_g, base_p, _ = closed_forms(e, h)
     dev = 0.0
-    for e, h in pairs:
-        base_g = analytic_gmax(WeakMeasurement(e, h))
-        base_p = analytic_prev(WeakMeasurement(e, h))
-        for other in (WeakMeasurement(h, e), WeakMeasurement(1.0 - e, 1.0 - h)):
-            dev = max(dev, abs(analytic_gmax(other) - base_g))
-            dev = max(dev, abs(analytic_prev(other) - base_p))
+    for other_e, other_h in ((h, e), (1.0 - e, 1.0 - h)):
+        g, p, _ = closed_forms(other_e, other_h)
+        dev = max(dev, float(np.max(np.abs(g - base_g))), float(np.max(np.abs(p - base_p))))
     return CheckResult("parameter_symmetries", dev <= 1e-15, dev, 1e-15)
 
 
@@ -592,7 +497,7 @@ def _check_reversal_exactness(seed: int, reversal_fn) -> CheckResult:
         raise ValueError("operator is not a physical Kraus operator (largest singular value > 1)")
 
     # The scalar path's arithmetic on stacked arrays: apply_operator, then
-    # the reversal on the post state, then pure_overlap with the input.
+    # the reversal on the post state, then the squared overlap with the input.
     states = state_amplitudes(alpha, phase)
     images = coefficients * states
     prob = inner_products(images, images).real
@@ -614,7 +519,7 @@ def _check_prev_constancy(seed: int) -> CheckResult:
     # Each row draws epsilon, eta, then five (alpha, phase) states, in that order.
     draws = rng.uniform(0.0, (1.0, 1.0) + (1.0, TWO_PI) * 5, size=(40, 12))
     _, _, reversal = branch_terms(draws[:, :1], draws[:, 1:2], draws[:, 2::2], draws[:, 3::2])
-    expected = [[analytic_prev(WeakMeasurement(e, h))] for e, h in draws[:, :2]]
+    _, expected, _ = closed_forms(draws[:, :1], draws[:, 1:2])
     dev = float(np.max(np.abs(reversal.sum(axis=-1) - expected)))
     return CheckResult("reversal_state_constancy", dev <= 1e-12, dev, 1e-12)
 
@@ -666,17 +571,12 @@ def _check_cross_section_monotonicity(grid_size: int) -> CheckResult:
 def _check_oracle_agreement(seed: int, stderr_multiplier: float) -> CheckResult:
     parts = []
     for k, (e, h) in enumerate(ORACLE_CELLS):
-        wm = WeakMeasurement(e, h)
         stream = np.random.SeedSequence(entropy=int(seed), spawn_key=(1004, k))
-        est = haar_average_oracle(wm, ORACLE_SAMPLES, stream)
+        est = haar_average_oracle(WeakMeasurement(e, h), ORACLE_SAMPLES, stream)
+        gmax, prev, _ = closed_forms(e, h)
+        parts.append((abs(est.gmax_estimate - gmax), stderr_multiplier * est.gmax_stderr))
         parts.append(
-            (abs(est.gmax_estimate - analytic_gmax(wm)), stderr_multiplier * est.gmax_stderr)
-        )
-        parts.append(
-            (
-                abs(est.prev_estimate - analytic_prev(wm)),
-                max(stderr_multiplier * est.prev_stderr, 1e-12),
-            )
+            (abs(est.prev_estimate - prev), max(stderr_multiplier * est.prev_stderr, 1e-12))
         )
     dev, tol = _worst(parts)
     return CheckResult("oracle_agreement", dev <= tol, dev, tol)
@@ -691,7 +591,7 @@ def _check_estimator_consistency(
     # expectations bit for bit in the noiseless model.
     gains, _ = _traversal_terms(e, h)
     target_g = sum(gains[:, 0].tolist()) / N_TRAVERSAL_STATES
-    target_p = analytic_prev(WeakMeasurement(e, h))
+    _, target_p, _ = closed_forms(e, h)
     clean = simulate_counts(e, h, photons_per_setting, None, seed, exact_mode=True)
     parts = [
         (abs(float(estimate_gmax_from_counts(clean, e, h)[0]) - target_g), 1e-12),
@@ -719,9 +619,10 @@ def _check_rng_determinism(noise: NoiseModel | None, seed: int) -> CheckResult:
     wm = WeakMeasurement(0.25, 0.75)
     # Cells evaluated one at a time in reverse order must reproduce the
     # sweep: no cell's stream may depend on the cells drawn before it.
-    cells = reversed(list(enumerate(OperatorGrid.uniform(4))))
+    values = np.linspace(0.0, 1.0, 4).tolist()
+    cells = list(enumerate((e, h) for e in values for h in values))
     reordered = [
-        _cell_columns(cell.epsilon, cell.eta, i, 2_000, noise, seed, False) for i, cell in cells
+        _cell_columns(e, h, i, 2_000, noise, seed, False) for i, (e, h) in reversed(cells)
     ]
     pairs = (
         (tables.STATES, state_sweep(wm, 20_000, noise, seed), state_sweep(wm, 20_000, noise, seed)),
@@ -745,15 +646,14 @@ def verify(
     exact_mode: bool = False,
     reversal_fn=None,
     stderr_multiplier: float = ORACLE_STDERR_MULTIPLIER,
-) -> SweepReport:
-    """Run the invariant battery and return PASS/FAIL verdicts per check.
+) -> list[CheckResult]:
+    """Run the invariant battery and return one PASS/FAIL verdict per check, in order.
 
     The oracle check accepts ``stderr_multiplier`` standard errors of each
     estimate as its tolerance. ``reversal_fn`` overrides the
     reversal-operator construction and exists as a mutation-test hook; passing
     ``corrupted_reversal_operator`` must fail the reversal-exactness check.
     """
-    started = _utcnow()
     reversal_fn = reversal_fn or reversal_operator
     # Both state-grid checks read these means; the first to run computes
     # them. A raised error is not cached, so it fails each check by name.
@@ -788,14 +688,4 @@ def verify(
             detail = f"{type(exc).__name__}: {exc} at {where}"
             verdicts.append(CheckResult(name, False, math.inf, 0.0, detail=detail))
 
-    effective_noise = noise or NoiseModel()
-    return SweepReport.create(
-        verdicts=verdicts,
-        started_at=started,
-        seed=seed,
-        photons_per_setting=photons_per_setting,
-        pbs_leakage=effective_noise.pbs_leakage,
-        detector_efficiency=effective_noise.detector_efficiency,
-        grid_size=grid_size,
-        exact_mode=exact_mode,
-    )
+    return verdicts

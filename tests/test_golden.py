@@ -1,9 +1,11 @@
-"""Golden bytes of the four sweep products in exact mode, CSV and JSON, and
-of the ``verify`` check rows.
+"""Golden bytes of the four sweep products in exact mode, CSV and JSON, of
+the sampled reversal-fidelity product, CSV, and of the ``verify`` check rows.
 
 Exact mode replaces every binomial draw with its expected value, so these
 products are fixed by the code alone; the ``-noisy`` ones add PBS leakage
-and detector efficiency. The ``verify-*`` files hold the 15 check rows
+and detector efficiency. The ``-sampled`` ones are fixed by the seed: they
+pin the analyzer counts the tomography draws and the fidelity it
+reconstructs from them. The ``verify-*`` files hold the 15 check rows
 (check, verdict, deviation, tolerance, detail) of the JSON report at full
 float precision, without its metadata; sampled checks are fixed by the seed.
 Any refactor of the sweeps, the count kernel, the Haar oracle, the checks,
@@ -39,6 +41,10 @@ PRODUCTS = {
     "reversal-fidelity-noisy": ["reversal-fidelity", *NOISE],
 }
 CASES = [(name, fmt) for name in PRODUCTS for fmt in ("csv", "json")]
+SAMPLED = {
+    "reversal-fidelity-sampled": ["reversal-fidelity", "--seed", "42"],
+    "reversal-fidelity-sampled-noisy": ["reversal-fidelity", "--seed", "42", *NOISE],
+}
 # verify config -> (extra flags, expected exit code)
 VERIFY_CONFIGS = {
     "verify": ([], EXIT_OK),
@@ -66,6 +72,10 @@ def render(name: str, fmt: str) -> str:
     return run_cli(PRODUCTS[name] + ["--exact-mode", "true", "--output-format", fmt], EXIT_OK)
 
 
+def render_sampled(name: str) -> str:
+    return run_cli(SAMPLED[name] + ["--output-format", "csv"], EXIT_OK)
+
+
 def render_checks(name: str) -> str:
     flags, code = VERIFY_CONFIGS[name]
     document = json.loads(run_cli(["verify", "--output-format", "json", *flags], code))
@@ -76,6 +86,12 @@ def render_checks(name: str) -> str:
 def test_exact_product_matches_golden_bytes(name, fmt):
     golden = (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()
     assert render(name, fmt).encode("utf-8") == golden
+
+
+@pytest.mark.parametrize("name", SAMPLED)
+def test_sampled_product_matches_golden_bytes(name):
+    golden = (GOLDEN_DIR / f"{name}.csv").read_bytes()
+    assert render_sampled(name).encode("utf-8") == golden
 
 
 @pytest.mark.parametrize("name", VERIFY_CONFIGS)
@@ -95,5 +111,7 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, fmt in CASES:
         (GOLDEN_DIR / f"{name}.{fmt}").write_bytes(render(name, fmt).encode("utf-8"))
+    for name in SAMPLED:
+        (GOLDEN_DIR / f"{name}.csv").write_bytes(render_sampled(name).encode("utf-8"))
     for name in VERIFY_CONFIGS:
         (GOLDEN_DIR / f"{name}.json").write_bytes(render_checks(name).encode("utf-8"))

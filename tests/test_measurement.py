@@ -4,22 +4,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 
-from wmtradeoff.qubit import PureState, STATE_H, STATE_V, apply_operator, pure_overlap
+from wmtradeoff.qubit import PureState, apply_operator
 from wmtradeoff.measurement import (
     TIE_ATOL,
     WeakMeasurement,
-    analytic_gmax,
-    analytic_prev,
     branch_terms,
+    closed_forms,
     kraus_coefficients,
-    kraus_pair,
     per_state_gain,
     per_state_reversal_prob,
     reversal_operator,
-    tradeoff_sum,
 )
+
+from scalar_reference import STATE_H, STATE_V, kraus_pair, pure_overlap, tradeoff_sum
 
 GRID = [round(0.05 * k, 10) for k in range(21)]
 
@@ -33,6 +32,14 @@ def brute_force_branch_probability(wm, state, r):
     )
     image = np.array(diag) * state.amplitudes
     return float(np.sum(np.abs(image) ** 2))
+
+
+def gmax(e, h):
+    return closed_forms(e, h)[0]
+
+
+def prev(e, h):
+    return closed_forms(e, h)[1]
 
 
 def kernel_probabilities(wm, state):
@@ -52,10 +59,10 @@ class TestWeakMeasurement:
             WeakMeasurement(bad, 0.5)
 
     def test_diagonal_degenerate_flag(self):
-        assert WeakMeasurement(0.3, 0.3).is_diagonal_degenerate
-        assert not WeakMeasurement(0.0, 0.0).is_diagonal_degenerate
-        assert not WeakMeasurement(1.0, 1.0).is_diagonal_degenerate
-        assert not WeakMeasurement(0.3, 0.7).is_diagonal_degenerate
+        assert closed_forms(0.3, 0.3)[2]
+        assert not closed_forms(0.0, 0.0)[2]
+        assert not closed_forms(1.0, 1.0)[2]
+        assert not closed_forms(0.3, 0.7)[2]
 
 
 class TestKrausPair:
@@ -209,27 +216,27 @@ class TestPerStateGain:
 
 class TestAnalyticGmax:
     def test_projective_maximum(self):
-        assert analytic_gmax(WeakMeasurement(0.0, 1.0)) == pytest.approx(2 / 3, abs=1e-12)
+        assert gmax(0.0, 1.0) == pytest.approx(2 / 3, abs=1e-12)
 
     def test_identity_minimum(self):
-        assert analytic_gmax(WeakMeasurement(0.0, 0.0)) == pytest.approx(0.5, abs=1e-12)
+        assert gmax(0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_flagship_value(self):
-        assert analytic_gmax(WeakMeasurement(0.25, 0.75)) == pytest.approx(3.5 / 6, abs=1e-12)
+        assert gmax(0.25, 0.75) == pytest.approx(3.5 / 6, abs=1e-12)
 
     def test_range_on_grid(self):
         for e in GRID:
             for h in GRID:
-                g = analytic_gmax(WeakMeasurement(e, h))
+                g = gmax(e, h)
                 assert 0.5 - 1e-12 <= g <= 2 / 3 + 1e-12
 
     def test_symmetries_exact(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
             e, h = rng.uniform(), rng.uniform()
-            g = analytic_gmax(WeakMeasurement(e, h))
-            assert abs(analytic_gmax(WeakMeasurement(h, e)) - g) <= 1e-15
-            assert abs(analytic_gmax(WeakMeasurement(1 - e, 1 - h)) - g) <= 1e-15
+            g = gmax(e, h)
+            assert abs(gmax(h, e) - g) <= 1e-15
+            assert abs(gmax(1 - e, 1 - h) - g) <= 1e-15
 
 
 class TestReversalOperator:
@@ -369,37 +376,54 @@ class TestPerStateReversalProb:
             wm = WeakMeasurement(rng.uniform(), rng.uniform())
             st = PureState(rng.uniform(), rng.uniform(0, 2 * math.pi))
             assert per_state_reversal_prob(wm, st) == pytest.approx(
-                analytic_prev(wm), abs=1e-12
+                prev(wm.epsilon, wm.eta), abs=1e-12
             )
 
 
 class TestAnalyticPrev:
     def test_endpoints(self):
-        assert analytic_prev(WeakMeasurement(0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
-        assert analytic_prev(WeakMeasurement(1.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
+        assert prev(0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert prev(1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_center(self):
-        assert analytic_prev(WeakMeasurement(0.5, 0.5)) == pytest.approx(0.5, abs=1e-12)
+        assert prev(0.5, 0.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_range_and_symmetries(self):
         for e in GRID:
             for h in GRID:
-                p = analytic_prev(WeakMeasurement(e, h))
+                p = prev(e, h)
                 assert -1e-12 <= p <= 1.0 + 1e-12
-                assert abs(analytic_prev(WeakMeasurement(h, e)) - p) <= 1e-15
-                assert abs(analytic_prev(WeakMeasurement(1 - e, 1 - h)) - p) <= 1e-15
+                assert abs(prev(h, e) - p) <= 1e-15
+                assert abs(prev(1 - e, 1 - h) - p) <= 1e-15
+
+
+def exact_law_gap(e, h):
+    """6*gmax + prev minus 4 - 2*min(e, h)*(1 - max(e, h)), over broadcast arrays."""
+    return tradeoff_sum(e, h) - (4.0 - 2.0 * np.minimum(e, h) * (1.0 - np.maximum(e, h)))
 
 
 class TestTradeoffSum:
+    # 6*gmax + prev = 3 + |h - e| + 1 - e - h + 2eh = 4 - 2*min*(1 - max): 4
+    # wherever min(e, h) = 0 or max(e, h) = 1, and 3.5 at (0.5, 0.5), the
+    # minimum over the square.
+    def test_exact_law_on_a_lattice(self):
+        values = np.linspace(0.0, 1.0, 101)
+        gap = exact_law_gap(values[:, None], values[None, :])
+        assert float(np.max(np.abs(gap))) <= 1e-15
+
+    @settings(max_examples=500, deadline=None)
+    @given(UNIT, UNIT)
+    @example(0.5, 0.5)
+    def test_exact_law_everywhere(self, eps, eta):
+        assert abs(exact_law_gap(eps, eta)) <= 1e-15
+
     def test_boundary_is_four(self):
         for h in GRID:
-            assert tradeoff_sum(WeakMeasurement(0.0, h)) == pytest.approx(4.0, abs=1e-12)
-            assert tradeoff_sum(WeakMeasurement(1.0, h)) == pytest.approx(4.0, abs=1e-12)
-            assert tradeoff_sum(WeakMeasurement(h, 0.0)) == pytest.approx(4.0, abs=1e-12)
-            assert tradeoff_sum(WeakMeasurement(h, 1.0)) == pytest.approx(4.0, abs=1e-12)
+            for e, eta in ((0.0, h), (1.0, h), (h, 0.0), (h, 1.0)):
+                assert tradeoff_sum(e, eta) == pytest.approx(4.0, abs=1e-12)
 
     def test_center_minimum(self):
-        assert tradeoff_sum(WeakMeasurement(0.5, 0.5)) == pytest.approx(3.5, abs=1e-12)
+        assert tradeoff_sum(0.5, 0.5) == pytest.approx(3.5, abs=1e-12)
 
     def test_flagship_value(self):
-        assert tradeoff_sum(WeakMeasurement(0.25, 0.75)) == pytest.approx(3.875, abs=1e-12)
+        assert tradeoff_sum(0.25, 0.75) == pytest.approx(3.875, abs=1e-12)

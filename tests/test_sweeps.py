@@ -13,14 +13,11 @@ from wmtradeoff.qubit import (
     Operator2,
     PureState,
     apply_operator,
-    pure_overlap,
 )
 from wmtradeoff.measurement import (
     WeakMeasurement,
-    analytic_gmax,
-    analytic_prev,
+    closed_forms,
     kraus_coefficients,
-    kraus_pair,
     per_state_gain,
     per_state_reversal_prob,
     reversal_operator,
@@ -28,8 +25,6 @@ from wmtradeoff.measurement import (
 from wmtradeoff import bench, sweeps, tables
 from wmtradeoff.bench import NoiseModel
 from wmtradeoff.sweeps import (
-    OperatorGrid,
-    StateGrid,
     corrupted_reversal_operator,
     cross_section,
     grid_sweep,
@@ -39,7 +34,17 @@ from wmtradeoff.sweeps import (
     verify,
 )
 
+from scalar_reference import kraus_pair, pure_overlap
+
 FLAGSHIP = WeakMeasurement(0.25, 0.75)
+FLAGSHIP_GMAX, FLAGSHIP_PREV, _ = closed_forms(0.25, 0.75)
+TRAVERSAL_STATES = [PureState(alpha) for alpha in bench.TRAVERSAL_ALPHAS.tolist()]
+
+
+def lattice_cells(grid_size):
+    """(epsilon, eta) of each lattice cell, row-major by epsilon then eta."""
+    values = np.linspace(0.0, 1.0, grid_size).tolist()
+    return [(e, h) for e in values for h in values]
 
 
 def rows(table: dict) -> list[dict]:
@@ -55,48 +60,6 @@ def analytic_points():
 @pytest.fixture(scope="module")
 def verify_report():
     return verify(photons_per_setting=20_000, seed=42)
-
-
-class TestStateGrid:
-    def test_standard_grid_shape(self):
-        grid = StateGrid.standard()
-        assert len(grid) == 51
-        for i, st in enumerate(grid):
-            assert st.alpha_weight == 0.02 * i
-            assert st.phase == 0.0
-        alphas = [st.alpha_weight for st in grid]
-        assert all(b > a for a, b in zip(alphas, alphas[1:]))
-        diffs = np.diff(alphas)
-        np.testing.assert_allclose(diffs, 0.02, atol=1e-15)
-
-    def test_malformed_grids_rejected(self):
-        good = StateGrid.standard()
-        with pytest.raises(ValueError):
-            StateGrid(good.states[:-1])
-        with pytest.raises(ValueError):
-            StateGrid(tuple(PureState(0.01 * i) for i in range(51)))
-
-
-class TestOperatorGrid:
-    def test_uniform_16(self):
-        grid = OperatorGrid.uniform(16)
-        assert len(grid) == 256
-        pairs = [(wm.epsilon, wm.eta) for wm in grid]
-        for corner in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
-            assert corner in pairs
-        # 16 diagonal cells minus the two non-degenerate corners
-        assert sum(wm.is_diagonal_degenerate for wm in grid) == 14
-
-    def test_row_major_order(self):
-        grid = OperatorGrid.uniform(4)
-        pairs = [(wm.epsilon, wm.eta) for wm in grid]
-        assert pairs[0] == (0.0, 0.0)
-        assert pairs[1][0] == 0.0 and pairs[1][1] > 0.0
-        assert pairs[4][0] > 0.0
-
-    def test_size_bound(self):
-        with pytest.raises(ValueError):
-            OperatorGrid.uniform(1)
 
 
 UNIT = strategies.one_of(strategies.sampled_from([0.0, 1.0]), strategies.floats(0.0, 1.0))
@@ -121,8 +84,8 @@ class TestStateSweep:
             eta = min(1.0, eps + 0.5e-12)
         wm = WeakMeasurement(eps, eta)
         table = state_sweep(wm, 1_000, NoiseModel(pbs_leakage=leakage), seed=3, exact_mode=exact)
-        assert len(table["alpha"]) == len(StateGrid.standard())
-        for row, state in zip(rows(table), StateGrid.standard()):
+        assert len(table["alpha"]) == len(TRAVERSAL_STATES)
+        for row, state in zip(rows(table), TRAVERSAL_STATES):
             assert row["alpha"] == state.alpha_weight
             assert row["gain_analytic"] == per_state_gain(wm, state)
             assert row["rev_analytic"] == per_state_reversal_prob(wm, state)
@@ -173,18 +136,15 @@ class TestGridSweep:
     def test_array_columns_equal_scalar_path(self, grid_size):
         table = grid_sweep(grid_size, exact_mode=True)
         points = rows(table)
-        assert [(p["epsilon"], p["eta"]) for p in points] == [
-            (wm.epsilon, wm.eta) for wm in OperatorGrid.uniform(grid_size)
-        ]
+        assert [(p["epsilon"], p["eta"]) for p in points] == lattice_cells(grid_size)
         for p in points:
-            wm = WeakMeasurement(p["epsilon"], p["eta"])
             e, h = p["epsilon"], p["eta"]
-            gmax, prev = analytic_gmax(wm), analytic_prev(wm)
+            gmax, prev, degenerate = closed_forms(e, h)
             assert p["gmax_analytic"] == gmax == (3.0 + abs(h - e)) / 6.0
             assert p["prev_analytic"] == prev == 1.0 - e - h + 2.0 * e * h
             assert p["sum_analytic"] == 6.0 * gmax + prev
             assert p["sum_mc"] == 6.0 * p["gmax_mc"] + p["prev_mc"]
-            assert p["diagonal_flag"] is wm.is_diagonal_degenerate
+            assert p["diagonal_flag"] is degenerate
         assert [table[name].dtype for name, _ in tables.GRID] == [np.float64] * 8 + [np.bool_]
 
     def test_size_bound(self):
@@ -228,10 +188,10 @@ class TestGridSweep:
 
     def test_reversed_cell_order_equals_sweep(self):
         table = grid_sweep(grid_size=5, photons_per_setting=3000, seed=11)
-        cells = list(enumerate(OperatorGrid.uniform(5)))
+        cells = list(enumerate(lattice_cells(5)))
         reordered = sweeps._concatenate([
-            sweeps._cell_columns(wm.epsilon, wm.eta, idx, 3000, None, 11, False)
-            for idx, wm in reversed(cells)
+            sweeps._cell_columns(e, h, idx, 3000, None, 11, False)
+            for idx, (e, h) in reversed(cells)
         ][::-1])
         assert rows(table) == rows(reordered)
         assert tables.csv_table(tables.GRID, table) == tables.csv_table(tables.GRID, reordered)
@@ -258,11 +218,10 @@ class TestStateGridMeans:
     def test_gain_gap_proportional_to_parameter_split(self):
         # The 51-point grid mean exceeds the continuous closed form by
         # exactly (eta - eps)/150 for eps < eta: mean(alpha^2) - 1/3 = 1/300.
-        states = StateGrid.standard()
         for eta in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0):
             wm = WeakMeasurement(0.0, eta)
-            mean = sum(per_state_gain(wm, st) for st in states) / len(states)
-            gap = mean - analytic_gmax(wm)
+            mean = sum(per_state_gain(wm, st) for st in TRAVERSAL_STATES) / 51
+            gap = mean - closed_forms(0.0, eta)[0]
             assert gap == pytest.approx(eta / 150.0, abs=1e-12)
 
     @pytest.mark.parametrize("grid_size", [2, 3, 16, 33, 64])
@@ -285,11 +244,10 @@ class TestStateGridMeans:
             assert revs[i].tobytes() == (sum(rev) / bench.N_TRAVERSAL_STATES).tobytes()
 
     def test_prev_mean_exact_for_sampled_cells(self):
-        states = StateGrid.standard()
         for e, h in ((0.0, 0.0), (0.25, 0.75), (0.4, 0.4), (1.0, 0.2)):
             wm = WeakMeasurement(e, h)
-            mean = sum(per_state_reversal_prob(wm, st) for st in states) / len(states)
-            assert mean == pytest.approx(analytic_prev(wm), abs=1e-12)
+            mean = sum(per_state_reversal_prob(wm, st) for st in TRAVERSAL_STATES) / 51
+            assert mean == pytest.approx(closed_forms(e, h)[1], abs=1e-12)
 
 
 class TestCrossSection:
@@ -483,8 +441,8 @@ class TestHaarOracle:
 
     def test_flagship_agreement(self):
         est = haar_average_oracle(FLAGSHIP, 1_000_000, seed=42)
-        assert abs(est.gmax_estimate - analytic_gmax(FLAGSHIP)) <= 3.0 * est.gmax_stderr
-        assert est.prev_estimate == pytest.approx(analytic_prev(FLAGSHIP), abs=1e-12)
+        assert abs(est.gmax_estimate - FLAGSHIP_GMAX) <= 3.0 * est.gmax_stderr
+        assert est.prev_estimate == pytest.approx(FLAGSHIP_PREV, abs=1e-12)
 
     def test_prev_has_zero_sample_variance(self):
         est = haar_average_oracle(FLAGSHIP, 100_000, seed=1)
@@ -507,11 +465,12 @@ class TestHaarOracle:
         # formula that overstates the error would shrink their spread, one
         # that understates it would widen it.
         wm = WeakMeasurement(*sweeps.ORACLE_CELLS[k])
+        gmax, _, _ = closed_forms(wm.epsilon, wm.eta)
         z = []
         for seed in range(300):
             stream = np.random.SeedSequence(entropy=seed, spawn_key=(1004, k))
             est = haar_average_oracle(wm, sweeps.ORACLE_SAMPLES, stream)
-            z.append((est.gmax_estimate - analytic_gmax(wm)) / est.gmax_stderr)
+            z.append((est.gmax_estimate - gmax) / est.gmax_stderr)
         assert 0.9 <= np.std(z, ddof=1) <= 1.1
 
 
@@ -552,7 +511,7 @@ class TestOperatorChecks:
             photons_per_setting=2_000, seed=42, grid_size=4,
             reversal_fn=doubled_reversal_operator,
         )
-        outcomes = {v.name: v for v in report.verdicts}
+        outcomes = {v.name: v for v in report}
         check = outcomes["reversal_exactness"]
         assert not check.passed and check.deviation == math.inf
         assert check.detail.startswith("ValueError: operator is not a physical Kraus operator")
@@ -573,11 +532,11 @@ class TestOperatorChecks:
 
 class TestVerify:
     def test_all_checks_pass(self, verify_report):
-        failing = [v.name for v in verify_report.verdicts if not v.passed]
-        assert verify_report.passed, f"failing checks: {failing}"
+        failing = [v.name for v in verify_report if not v.passed]
+        assert not failing, f"failing checks: {failing}"
 
     def test_required_checks_present(self, verify_report):
-        names = {v.name for v in verify_report.verdicts}
+        names = {v.name for v in verify_report}
         assert {
             "kraus_completeness",
             "phase_invariance",
@@ -591,14 +550,10 @@ class TestVerify:
         } <= names
 
     def test_verdicts_carry_deviation_and_tolerance(self, verify_report):
-        for v in verify_report.verdicts:
+        for v in verify_report:
             assert v.verdict in ("PASS", "FAIL")
             assert math.isfinite(v.deviation)
             assert v.tolerance >= 0.0
-
-    def test_metadata_echo(self, verify_report):
-        for key in ("seed", "photons_per_setting", "version", "started_at", "finished_at"):
-            assert key in verify_report.metadata
 
     @pytest.mark.slow
     def test_oracle_check_rarely_fails_a_correct_program(self):
@@ -613,7 +568,7 @@ class TestVerify:
 
     def test_stderr_multiplier_is_honored(self):
         report = verify(photons_per_setting=20_000, seed=42, stderr_multiplier=1e-12)
-        outcomes = {v.name: v.passed for v in report.verdicts}
+        outcomes = {v.name: v.passed for v in report}
         assert outcomes["oracle_agreement"] is False
         assert outcomes["kraus_completeness"] is True
 
@@ -625,14 +580,14 @@ class TestVerify:
         monkeypatch.setattr(sweeps, "_check_state_grid_prev_mean", boom)
         monkeypatch.setattr(sweeps, "_check_kraus_completeness", boom)
         report = verify(photons_per_setting=2_000, seed=42, grid_size=4)
-        assert [v.name for v in report.verdicts] == [
+        assert [v.name for v in report] == [
             "kraus_completeness", "boundary_law", "center_minimum", "pvnm_corners",
             "range_bounds", "parameter_symmetries", "phase_invariance",
             "reversal_exactness", "reversal_state_constancy", "state_grid_prev_mean",
             "state_grid_gain_gap", "cross_section_monotonicity", "oracle_agreement",
             "estimator_consistency", "rng_determinism",
         ]
-        crashed = {v.name: v for v in report.verdicts if v.deviation == math.inf}
+        crashed = {v.name: v for v in report if v.deviation == math.inf}
         assert set(crashed) == {"kraus_completeness", "state_grid_prev_mean"}
         for v in crashed.values():
             assert not v.passed
@@ -650,7 +605,7 @@ class TestVerify:
         monkeypatch.setattr(sweeps, "_state_grid_means", counted)
         report = verify(photons_per_setting=2_000, seed=42, grid_size=5)
         assert calls == [5]
-        outcomes = {v.name: v.passed for v in report.verdicts}
+        outcomes = {v.name: v.passed for v in report}
         assert outcomes["state_grid_prev_mean"] and outcomes["state_grid_gain_gap"]
 
     def test_failed_state_grid_means_fail_both_checks(self, monkeypatch):
@@ -659,7 +614,7 @@ class TestVerify:
 
         monkeypatch.setattr(sweeps, "_state_grid_means", boom)
         report = verify(photons_per_setting=2_000, seed=42, grid_size=4)
-        crashed = [v for v in report.verdicts if v.deviation == math.inf]
+        crashed = [v for v in report if v.deviation == math.inf]
         assert [v.name for v in crashed] == ["state_grid_prev_mean", "state_grid_gain_gap"]
         for v in crashed:
             assert not v.passed
@@ -668,8 +623,8 @@ class TestVerify:
 
     def test_mutated_reversal_fails_exactness(self):
         report = verify(photons_per_setting=20_000, seed=42, reversal_fn=corrupted_reversal_operator)
-        assert not report.passed
-        outcomes = {v.name: v.passed for v in report.verdicts}
+        assert not all(v.passed for v in report)
+        outcomes = {v.name: v.passed for v in report}
         assert outcomes["reversal_exactness"] is False
         # the mutation hook must not poison unrelated checks
         assert outcomes["kraus_completeness"] is True
