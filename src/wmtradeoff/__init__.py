@@ -11,7 +11,7 @@ from .measurement import (
     closed_forms,
     per_state_gain,
     per_state_reversal_prob,
-    reversal_operator,
+    reversal_operators,
 )
 from .bench import (
     EstimationError,

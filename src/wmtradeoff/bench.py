@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubit import PureState
 from .measurement import first_guess_is_v
 
 # The input-state traversal uses 51 H-weights spaced by 0.02.
@@ -225,7 +224,7 @@ def estimate_prev_from_counts(counts) -> np.ndarray:
 
 
 def simulate_tomography(
-    reversed_state: PureState,
+    alpha: float,
     counts_per_basis: int,
     noise: NoiseModel | None = None,
     rng_stream: int | np.random.SeedSequence | np.random.Generator | None = 0,
@@ -233,15 +232,20 @@ def simulate_tomography(
 ) -> float:
     """Fidelity to the input of an analyzer tomography in the H/V, D/A and R/L bases.
 
-    Counts in each basis are binomial on the leakage-mixed outcome
-    probability (one PBS pass in the analyzer), and linear inversion of the
-    empirical ratios gives a Stokes vector s. The physical state nearest to
-    (I + s.sigma)/2, its eigenvalues (1 +- |s|)/2 clipped to [0, 1] and
-    renormalized, has the Stokes vector s / max(1, |s|), and its fidelity to
-    the pure input of Bloch vector n is (1 + n.s)/2. Exact mode uses the
-    outcome probabilities themselves and ignores ``rng_stream``. Detector
-    efficiency cancels in the per-basis ratios and is not applied here.
+    The input is sqrt(alpha)|H> + sqrt(1-alpha)|V>, of Bloch vector
+    n = (2*alpha - 1, 2*sqrt(alpha*(1-alpha)), 0). Counts in each basis are
+    binomial on the leakage-mixed outcome probability (one PBS pass in the
+    analyzer), and linear inversion of the empirical ratios gives a Stokes
+    vector s. The physical state nearest to (I + s.sigma)/2, its eigenvalues
+    (1 +- |s|)/2 clipped to [0, 1] and renormalized, has the Stokes vector
+    s / max(1, |s|), and its fidelity to the input is (1 + n.s)/2. Exact mode
+    uses the outcome probabilities themselves and ignores ``rng_stream``.
+    Detector efficiency cancels in the per-basis ratios and is not applied
+    here.
     """
+    a = float(alpha)
+    if not 0.0 <= a <= 1.0:
+        raise ValueError(f"alpha must be an H-weight in [0, 1], got {a!r}")
     if counts_per_basis < MIN_TOMOGRAPHY_COUNTS:
         raise ValueError(
             f"counts_per_basis must be at least {MIN_TOMOGRAPHY_COUNTS}, got {counts_per_basis}"
@@ -250,9 +254,7 @@ def simulate_tomography(
     leak = noise.pbs_leakage
     rng = None if exact_mode else np.random.default_rng(rng_stream)
 
-    a, phase = reversed_state.alpha_weight, reversed_state.phase
-    coherence = 2.0 * math.sqrt(a * (1.0 - a))
-    bloch = (2.0 * a - 1.0, coherence * math.cos(phase), coherence * math.sin(phase))
+    bloch = (2.0 * a - 1.0, 2.0 * math.sqrt(a * (1.0 - a)), 0.0)
     estimates = []
     for s_true in bloch:
         p_plus = 0.5 * (1.0 + s_true)

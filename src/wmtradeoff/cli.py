@@ -20,7 +20,7 @@ from .bench import STREAM_SCHEME, NoiseModel
 from .measurement import WeakMeasurement
 from . import tables
 from .sweeps import (
-    corrupted_reversal_operator,
+    corrupted_reversal_operators,
     cross_section,
     grid_sweep,
     reversal_fidelity_sweep,
@@ -236,7 +236,7 @@ _PRODUCTS = {
     "verify": (
         lambda c, noise, wm, mutate: verify(
             c.photons_per_setting, noise, c.seed, c.grid_size, c.exact_mode,
-            reversal_fn=corrupted_reversal_operator if mutate else None,
+            reversal_fn=corrupted_reversal_operators if mutate else None,
         ),
         tables.VERIFY, "checks", "json",
     ),

@@ -10,8 +10,8 @@ equals (1-epsilon)(1-eta) + epsilon*eta for every input state.
 
 ``kraus_coefficients`` is the one source of these branch coefficients: over
 broadcast (epsilon, eta) arrays it returns both outcomes' diagonals.
-``reversal_operator`` is its scalar operator view, and ``branch_terms`` and
-verify's operator checks read the arrays directly.
+``reversal_operators`` flips them into both outcomes' reversal matrices, and
+``branch_terms`` and verify's operator checks read the arrays directly.
 
 Guess rule: outcome 1 guesses |V> when epsilon - eta > TIE_ATOL and |H>
 otherwise; outcome 2 guesses the other basis state. A tie therefore guesses
@@ -49,12 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubit import (
-    CONSTRUCTION_ATOL,
-    Operator2,
-    PureState,
-    inner_products,
-)
+from .qubit import CONSTRUCTION_ATOL, PureState, inner_products
 
 # Parameter pairs closer than this count as a degenerate (beam-splitter) tie.
 TIE_ATOL = 1e-12
@@ -144,16 +139,16 @@ def closed_forms(epsilon, eta):
     return gmax, prev, degenerate
 
 
-def reversal_operator(wm: WeakMeasurement, r: int) -> Operator2:
-    """Coefficient-flipped partner of branch ``r``.
+def reversal_operators(epsilon, eta) -> np.ndarray:
+    """Reversal matrices of both outcomes over broadcast (epsilon, eta) arrays.
 
-    The product with its branch operator is proportional to the identity:
-    sqrt((1-e)(1-h)) * I for outcome 1 and sqrt(e*h) * I for outcome 2. No
-    rescaling to unit largest singular value is applied.
+    ``[..., r, :, :]`` is the coefficient-flipped partner of the operator of
+    outcome r + 1. Its product with that operator is proportional to the
+    identity: sqrt((1-e)(1-h)) * I for outcome 1 and sqrt(e*h) * I for
+    outcome 2. No rescaling to unit largest singular value is applied.
+    Arguments are not validated.
     """
-    if r not in (1, 2):
-        raise ValueError(f"outcome index must be 1 or 2, got {r!r}")
-    return Operator2.diagonal(*kraus_coefficients(wm.epsilon, wm.eta)[r - 1, ::-1])
+    return kraus_coefficients(epsilon, eta)[..., ::-1, None] * np.eye(2)
 
 
 def per_state_reversal_prob(wm: WeakMeasurement, state: PureState) -> float:

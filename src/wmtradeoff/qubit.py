@@ -2,15 +2,12 @@
 
 Conventions used throughout the package: the basis order is (H, V); a pure
 state is sqrt(alpha)|H> + exp(i*phase)*sqrt(1-alpha)|V> with the global phase
-quotiented out; Stokes components follow s1 = p(H)-p(V), s2 = p(D)-p(A),
-s3 = p(R)-p(L).
+quotiented out.
 
-All types here are immutable values and all operations are deterministic pure
-functions, so everything is safe to share across threads. ``state_amplitudes``,
-``inner_products``, ``abs_squared`` and ``post_state_amplitudes`` repeat the
-scalar arithmetic of ``PureState`` and ``apply_operator``, and the squared
-overlap ``abs(np.vdot(a, b)) ** 2``, over stacks of states, with the same
-rounding.
+``state_amplitudes``, ``inner_products``, ``abs_squared`` and
+``post_state_amplitudes`` repeat the scalar arithmetic of ``PureState`` and
+``apply_operator``, and the squared overlap ``abs(np.vdot(a, b)) ** 2``, over
+stacks of states, with the same rounding.
 """
 
 from __future__ import annotations
@@ -91,10 +88,6 @@ class Operator2:
             raise ValueError("operator entries must be finite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def diagonal(cls, top: complex, bottom: complex) -> "Operator2":
-        return cls(np.array([[top, 0.0], [0.0, bottom]], dtype=complex))
 
     @property
     def is_physical_kraus(self) -> bool:

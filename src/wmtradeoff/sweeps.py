@@ -25,31 +25,30 @@ from .qubit import (
     ANNIHILATION_EPS,
     CONSTRUCTION_ATOL,
     TWO_PI,
-    Operator2,
-    PureState,
     abs_squared,
     inner_products,
     post_state_amplitudes,
     state_amplitudes,
 )
-# The scalar operator path and the scalar views of branch_terms stay bound
-# here, where perfbench/spans.py wraps them; the sweeps and checks use the
-# array kernels directly.
+# Bound here only for perfbench/spans.py, which wraps these three names of
+# this module: no sweep or check calls them. With PureState and Operator2
+# they are the scalar object layer, which no CLI path reaches.
 from .qubit import apply_operator  # noqa: F401
+from .measurement import per_state_gain, per_state_reversal_prob  # noqa: F401
 from .measurement import (
     TIE_ATOL,
     WeakMeasurement,
     branch_terms,
     closed_forms,
     kraus_coefficients,
-    reversal_operator,
+    reversal_operators,
 )
-from .measurement import per_state_gain, per_state_reversal_prob  # noqa: F401
 from .bench import (
     N_TRAVERSAL_STATES,
     TRAVERSAL_ALPHAS,
     NoiseModel,
     _substream,
+    _traversal_mean,
     channel_probabilities,
     estimate_gmax_from_counts,
     estimate_prev_from_counts,
@@ -283,7 +282,7 @@ def reversal_fidelity_sweep(
         # Exact mode draws nothing, so it builds no generator.
         rng = None if exact_mode else _substream(seed, 0, i, 0, TOMOGRAPHY_STREAM)
         fidelity[i] = simulate_tomography(
-            PureState(alpha), live_chains * counts_per_basis, noise, rng, exact_mode=exact_mode
+            alpha, live_chains * counts_per_basis, noise, rng, exact_mode=exact_mode
         )
     return {"alpha": TRAVERSAL_ALPHAS, "fidelity": fidelity, "low_stats_flag": low_stats}
 
@@ -384,11 +383,11 @@ def _stratified_stderr(x: np.ndarray, last: int) -> float:
     return math.sqrt(float(np.sum(pairs)) + len(tail) * float(np.var(tail, ddof=1))) / len(x)
 
 
-def corrupted_reversal_operator(wm: WeakMeasurement, r: int) -> Operator2:
-    """Deliberately wrong reversal operator (negative-control hook)."""
-    m = np.array(reversal_operator(wm, r).matrix, copy=True)
-    m[1, 1] *= 0.5
-    return Operator2(m)
+def corrupted_reversal_operators(epsilon, eta) -> np.ndarray:
+    """``reversal_operators`` with each V coefficient halved (negative-control hook)."""
+    m = reversal_operators(epsilon, eta)
+    m[..., 1, 1] *= 0.5
+    return m
 
 
 def _worst(parts) -> tuple[float, float]:
@@ -480,16 +479,16 @@ def _check_phase_invariance() -> CheckResult:
 
 def _check_reversal_exactness(seed: int, reversal_fn) -> CheckResult:
     rng = _substream(seed, 1002)
-    draws, hooks = [], []
-    for _ in range(100):
-        alpha, phase = float(rng.uniform()), float(rng.uniform(0.0, TWO_PI))
-        wm = WeakMeasurement(float(rng.uniform()), float(rng.uniform()))
-        r = int(rng.integers(1, 3))
-        draws.append((alpha, phase, wm.epsilon, wm.eta, r - 1))
-        hooks.append(reversal_fn(wm, r).matrix)
+    # Each draw takes alpha, phase, epsilon, eta, then the outcome, in that order.
+    draws = [
+        (rng.uniform(), rng.uniform(0.0, TWO_PI), rng.uniform(), rng.uniform(),
+         rng.integers(1, 3) - 1)
+        for _ in range(100)
+    ]
     alpha, phase, e, h, branch = np.array(draws).T
-    coefficients = kraus_coefficients(e, h)[np.arange(len(draws)), branch.astype(int)]
-    reversals = np.stack(hooks)
+    pick = (np.arange(len(draws)), branch.astype(int))
+    coefficients = kraus_coefficients(e, h)[pick]
+    reversals = reversal_fn(e, h)[pick]
     # Each branch operator and each reversal must be a physical Kraus operator.
     operators = np.concatenate((coefficients[:, :, None] * np.eye(2), reversals))
     top = np.linalg.svd(operators, compute_uv=False)[:, 0]
@@ -532,14 +531,10 @@ def _state_grid_means(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     single call over a 256 x 256 lattice would hold about 1 GB).
     """
     values = np.linspace(0.0, 1.0, grid_size)
-    gains, revs = [], []
-    for e in values:
-        gain, rev = _traversal_terms(e, values)
-        # An accumulation adds the states one after another by definition, as
-        # a per-cell loop would; a reduction may add them in another order.
-        gains.append(np.add.accumulate(gain, axis=0)[-1] / N_TRAVERSAL_STATES)
-        revs.append(np.add.accumulate(rev, axis=0)[-1] / N_TRAVERSAL_STATES)
-    return np.stack(gains), np.stack(revs)
+    means = np.array(
+        [[_traversal_mean(terms.T) for terms in _traversal_terms(e, values)] for e in values]
+    )
+    return means[:, 0], means[:, 1]
 
 
 def _check_state_grid_prev_mean(grid_means) -> CheckResult:
@@ -590,7 +585,7 @@ def _check_estimator_consistency(
     # Logic identity: the exact-count pipeline reproduces the discrete-grid
     # expectations bit for bit in the noiseless model.
     gains, _ = _traversal_terms(e, h)
-    target_g = sum(gains[:, 0].tolist()) / N_TRAVERSAL_STATES
+    target_g = float(_traversal_mean(gains[:, 0]))
     _, target_p, _ = closed_forms(e, h)
     clean = simulate_counts(e, h, photons_per_setting, None, seed, exact_mode=True)
     parts = [
@@ -651,10 +646,12 @@ def verify(
 
     The oracle check accepts ``stderr_multiplier`` standard errors of each
     estimate as its tolerance. ``reversal_fn`` overrides the
-    reversal-operator construction and exists as a mutation-test hook; passing
-    ``corrupted_reversal_operator`` must fail the reversal-exactness check.
+    reversal-operator construction and exists as a mutation-test hook: it
+    takes (epsilon, eta) arrays and returns matrices shaped as
+    ``reversal_operators`` does. Passing ``corrupted_reversal_operators`` must
+    fail the reversal-exactness check.
     """
-    reversal_fn = reversal_fn or reversal_operator
+    reversal_fn = reversal_fn or reversal_operators
     # Both state-grid checks read these means; the first to run computes
     # them. A raised error is not cached, so it fails each check by name.
     grid_means = functools.cache(lambda: _state_grid_means(grid_size))

@@ -1,13 +1,13 @@
 """Scalar references for the tests: basis states, the squared overlap of two
-pure states and the branch operators of a measurement, one state or one
-operator at a time through the validated ``PureState`` and ``Operator2``
-path, and the tradeoff sum of the closed forms. The package itself computes
-on coefficient and amplitude arrays.
+pure states and the branch and reversal operators of a measurement, one
+state or one operator at a time through the validated ``PureState`` and
+``Operator2`` path, and the tradeoff sum of the closed forms. The package
+itself computes on coefficient and amplitude arrays.
 """
 
 import numpy as np
 
-from wmtradeoff.measurement import closed_forms, kraus_coefficients
+from wmtradeoff.measurement import closed_forms, kraus_coefficients, reversal_operators
 from wmtradeoff.qubit import Operator2, PureState
 
 STATE_H = PureState(1.0)
@@ -22,7 +22,12 @@ def pure_overlap(a: PureState, b: PureState) -> float:
 def kraus_pair(wm) -> tuple[Operator2, Operator2]:
     """Branch operators diag(sqrt(1-e), sqrt(1-h)) and diag(sqrt(e), sqrt(h))."""
     first, second = kraus_coefficients(wm.epsilon, wm.eta)
-    return Operator2.diagonal(*first), Operator2.diagonal(*second)
+    return Operator2(np.diag(first)), Operator2(np.diag(second))
+
+
+def scalar_reversal(wm, r: int) -> Operator2:
+    """The reversal of branch ``r`` (1 or 2) as a validated operator."""
+    return Operator2(reversal_operators(wm.epsilon, wm.eta)[r - 1])
 
 
 def tradeoff_sum(epsilon, eta):

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from wmtradeoff.measurement import (
     WeakMeasurement,
     branch_terms,
     closed_forms,
-    reversal_operator,
+    reversal_operators,
 )
 from wmtradeoff import bench
 from wmtradeoff.bench import (
@@ -31,7 +32,7 @@ from wmtradeoff.bench import (
     simulate_tomography,
 )
 
-from scalar_reference import STATE_H, kraus_pair
+from scalar_reference import kraus_pair
 
 PI = math.pi
 FLAGSHIP = WeakMeasurement(0.25, 0.75)
@@ -44,7 +45,8 @@ def traversal_states():
 
 def chain_survival_oracle(wm, state, r):
     """Independent oracle: ||R_r A_r phi||^2 by direct matrix arithmetic."""
-    image = reversal_operator(wm, r).matrix @ (kraus_pair(wm)[r - 1].matrix @ state.amplitudes)
+    reversal = reversal_operators(wm.epsilon, wm.eta)[r - 1]
+    image = reversal @ (kraus_pair(wm)[r - 1].matrix @ state.amplitudes)
     return float(np.sum(np.abs(image) ** 2))
 
 
@@ -61,7 +63,7 @@ def leaky_survival_oracle(wm, state, r, swap):
     def norm2(v):
         return float(np.sum(np.abs(v) ** 2))
 
-    a, rev = kraus_pair(wm)[r - 1].matrix, reversal_operator(wm, r).matrix
+    a, rev = kraus_pair(wm)[r - 1].matrix, reversal_operators(wm.epsilon, wm.eta)[r - 1]
     measured = chained = 0.0
     for p_a, op_a in ((1.0 - swap, a), (swap, swapped(a))):
         image = op_a @ state.amplitudes
@@ -130,7 +132,7 @@ class TestReversalSettings:
                         np.abs(m), np.abs(kraus_pair(wm)[r - 1].matrix), atol=1e-12
                     )
                     np.testing.assert_allclose(
-                        np.abs(rev), np.abs(reversal_operator(wm, r).matrix), atol=1e-12
+                        np.abs(rev), reversal_operators(wm.epsilon, wm.eta)[r - 1], atol=1e-12
                     )
                     # the signs cancel: both arms carry the same signed product
                     product = rev @ m
@@ -470,11 +472,9 @@ class TestEstimators:
         assert abs(np.mean(diffs_p)) <= 0.003
 
 
-def bloch_vector(state):
-    """(s1, s2, s3) of a pure state, rounded as ``simulate_tomography`` forms it."""
-    a, phase = state.alpha_weight, state.phase
-    coherence = 2.0 * math.sqrt(a * (1.0 - a))
-    return (2.0 * a - 1.0, coherence * math.cos(phase), coherence * math.sin(phase))
+def bloch_vector(alpha):
+    """(s1, s2, s3) of sqrt(alpha)|H> + sqrt(1-alpha)|V>, rounded as the tomography forms it."""
+    return (2.0 * alpha - 1.0, 2.0 * math.sqrt(alpha * (1.0 - alpha)), 0.0)
 
 
 def clipped_density(s1, s2, s3) -> np.ndarray:
@@ -493,18 +493,18 @@ def clipped_density(s1, s2, s3) -> np.ndarray:
     return (eigvecs * eigvals) @ eigvecs.conj().T
 
 
-def reference_fidelity(state, stokes) -> float:
+def reference_fidelity(alpha, stokes) -> float:
     """<phi|rho|phi> of the reference reconstruction of ``stokes``, clipped to [0, 1]."""
-    amps = state.amplitudes
+    amps = PureState(alpha).amplitudes
     f = float(np.real(np.conj(amps) @ clipped_density(*stokes) @ amps))
     return min(max(f, 0.0), 1.0)
 
 
-def decimal_fidelity(state, stokes) -> float:
+def decimal_fidelity(alpha, stokes) -> float:
     """(1 + n.s / max(1, |s|)) / 2 of the same doubles, evaluated to 40 digits."""
     with decimal.localcontext() as ctx:
         ctx.prec = 40
-        n = [decimal.Decimal(x) for x in bloch_vector(state)]
+        n = [decimal.Decimal(x) for x in bloch_vector(alpha)]
         s = [decimal.Decimal(x) for x in stokes]
         scale = max(decimal.Decimal(1), sum(x * x for x in s).sqrt())
         f = (1 + sum(a * b for a, b in zip(n, s)) / scale) / 2
@@ -534,50 +534,51 @@ ULP = float(np.spacing(1.0))
 class TestTomography:
     def test_exact_mode_is_identity_on_pure_states(self):
         rng = np.random.default_rng(41)
-        for _ in range(100):
-            st = PureState(rng.uniform(), rng.uniform(0, 2 * PI))
-            assert simulate_tomography(st, 1000, exact_mode=True) == pytest.approx(
+        for alpha in [0.0, 1.0] + rng.uniform(size=100).tolist():
+            assert simulate_tomography(alpha, 1000, exact_mode=True) == pytest.approx(
                 1.0, abs=1e-12
             )
 
     def test_h_state_high_fidelity_over_seeds(self):
         for seed in range(30):
-            assert simulate_tomography(STATE_H, 10_000, rng_stream=seed) >= 0.999
+            assert simulate_tomography(1.0, 10_000, rng_stream=seed) >= 0.999
 
     def test_leakage_keeps_fidelity_above_099(self):
         noise = NoiseModel(pbs_leakage=1e-3)
         for i in range(51):
-            st = PureState(0.02 * i)
-            assert simulate_tomography(st, 10_000, noise, rng_stream=1000 + i) >= 0.99
+            assert simulate_tomography(0.02 * i, 10_000, noise, rng_stream=1000 + i) >= 0.99
 
     def test_minimum_counts_enforced(self):
         with pytest.raises(ValueError):
-            simulate_tomography(STATE_H, 99)
+            simulate_tomography(1.0, 99)
+
+    @pytest.mark.parametrize("bad", [-1e-300, -0.1, 1.0 + 1e-12, math.nan, math.inf, -math.inf])
+    def test_h_weight_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            simulate_tomography(bad, 1000, exact_mode=True)
 
     @settings(max_examples=300, deadline=None)
-    @given(UNIT, strategies.floats(0.0, 2 * PI), TOMOGRAPHY_RECORDS)
-    @example(0.3, 1.0, (1000, (500, 500, 500)))  # |s| = 0
-    @example(0.3, 1.0, (1000, (1000, 1000, 0)))  # |s| = sqrt(2)
-    @example(1.0, 0.0, (1000, (1000, 500, 500)))  # |s| = 1
-    @example(0.0, 0.0, (100, (100, 0, 100)))  # |s| = sqrt(3), n.s < 0
-    def test_fidelity_equals_the_clipped_reconstruction(self, alpha, phase, record):
+    @given(UNIT, TOMOGRAPHY_RECORDS)
+    @example(0.3, (1000, (500, 500, 500)))  # |s| = 0
+    @example(0.3, (1000, (1000, 1000, 0)))  # |s| = sqrt(2)
+    @example(1.0, (1000, (1000, 500, 500)))  # |s| = 1
+    @example(0.0, (100, (100, 0, 100)))  # |s| = sqrt(3), n.s < 0
+    def test_fidelity_equals_the_clipped_reconstruction(self, alpha, record):
         # The closed form against the eigendecomposition it replaces, on
         # any recorded counts, unphysical (|s| > 1) and empty (s = 0)
         # included. The closed form lies within 1 ulp of its exact value
         # (0.56 ulp at most over 40,000 random records); the reference's own
         # rounding reached 7.5 ulp over 300,000, so it is held to 12.
         n, counts = record
-        state = PureState(alpha, phase)
-        fidelity = simulate_tomography(state, n, rng_stream=FixedCounts(counts))
+        fidelity = simulate_tomography(alpha, n, rng_stream=FixedCounts(counts))
         stokes = [(2.0 * c - n) / n for c in counts]
-        assert abs(fidelity - decimal_fidelity(state, stokes)) <= ULP
-        assert abs(fidelity - reference_fidelity(state, stokes)) <= 12 * ULP
+        assert abs(fidelity - decimal_fidelity(alpha, stokes)) <= ULP
+        assert abs(fidelity - reference_fidelity(alpha, stokes)) <= 12 * ULP
 
     def test_exact_fidelity_against_state_fidelity(self):
         # Exact mode inverts (1 - 2*leakage) * n, a mixed state inside the ball.
         for leakage in (0.0, 0.001, 0.01):
-            st = PureState(0.62, 0.4)
-            fidelity = simulate_tomography(st, 1000, NoiseModel(leakage), exact_mode=True)
-            stokes = [(1.0 - 2.0 * leakage) * x for x in bloch_vector(st)]
-            assert fidelity == pytest.approx(reference_fidelity(st, stokes), abs=1e-15)
+            fidelity = simulate_tomography(0.62, 1000, NoiseModel(leakage), exact_mode=True)
+            stokes = [(1.0 - 2.0 * leakage) * x for x in bloch_vector(0.62)]
+            assert fidelity == pytest.approx(reference_fidelity(0.62, stokes), abs=1e-15)
             assert fidelity == pytest.approx(1.0 - leakage, abs=1e-15)

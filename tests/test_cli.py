@@ -12,7 +12,8 @@ import tempfile
 import pytest
 from hypothesis import event, given, settings, strategies
 
-from wmtradeoff import cli, tables
+import wmtradeoff
+from wmtradeoff import bench, cli, measurement, qubit, sweeps, tables
 from wmtradeoff.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -327,6 +328,43 @@ class TestDispatchProducts:
     def test_config_error_exits_one(self, capsys):
         assert main(["verify", "--epsilon", "1.5"]) == EXIT_CONFIG_ERROR
         assert "epsilon" in capsys.readouterr().err
+
+
+# Every subcommand, exact and sampled, and verify with the mutation hook.
+CLI_RUNS = [
+    [subcommand, "--exact-mode", exact]
+    for subcommand in cli.SUBCOMMANDS
+    for exact in ("true", "false")
+] + [["verify", "--exact-mode", exact, "--mutate-reversal"] for exact in ("true", "false")]
+
+
+def _refuse_scalar_layer(*args, **kwargs):
+    raise AssertionError("a CLI path reached the scalar object layer")
+
+
+class TestScalarLayerUnreached:
+    def test_no_cli_path_builds_a_state_or_an_operator(self, monkeypatch, capsys):
+        # The scalar object layer (PureState, Operator2, apply_operator and
+        # the per-state views) is kept only for the benchmark's tracer; each
+        # product must come out the same with all of it made to raise.
+        def run_all():
+            results = []
+            for argv in CLI_RUNS:
+                code = main(argv)
+                results.append((argv, code, *capsys.readouterr()))
+            return results
+
+        expected = run_all()
+        monkeypatch.setattr(qubit.PureState, "__post_init__", _refuse_scalar_layer)
+        monkeypatch.setattr(qubit.Operator2, "__post_init__", _refuse_scalar_layer)
+        scalar = (qubit.apply_operator, measurement.per_state_gain,
+                  measurement.per_state_reversal_prob)
+        for module in (wmtradeoff, qubit, measurement, bench, sweeps, tables, cli):
+            for name, value in list(vars(module).items()):
+                if any(value is fn for fn in scalar):
+                    monkeypatch.setattr(module, name, _refuse_scalar_layer)
+        assert [code for _, code, _, _ in expected].count(EXIT_VERIFY_FAIL) == 2
+        assert run_all() == expected
 
 
 class TestProcessLevelExitCodes:

@@ -15,10 +15,17 @@ from wmtradeoff.measurement import (
     kraus_coefficients,
     per_state_gain,
     per_state_reversal_prob,
-    reversal_operator,
+    reversal_operators,
 )
 
-from scalar_reference import STATE_H, STATE_V, kraus_pair, pure_overlap, tradeoff_sum
+from scalar_reference import (
+    STATE_H,
+    STATE_V,
+    kraus_pair,
+    pure_overlap,
+    scalar_reversal,
+    tradeoff_sum,
+)
 
 GRID = [round(0.05 * k, 10) for k in range(21)]
 
@@ -242,43 +249,52 @@ class TestAnalyticGmax:
 class TestReversalOperator:
     def test_flagship_flip_and_composition(self):
         wm = WeakMeasurement(0.25, 0.75)
-        rev = reversal_operator(wm, 1)
-        np.testing.assert_allclose(rev.matrix, np.diag([0.5, math.sqrt(0.75)]), atol=1e-15)
-        product = rev.matrix @ kraus_pair(wm)[0].matrix
+        rev = reversal_operators(wm.epsilon, wm.eta)[0]
+        np.testing.assert_allclose(rev, np.diag([0.5, math.sqrt(0.75)]), atol=1e-15)
+        product = rev @ kraus_pair(wm)[0].matrix
         np.testing.assert_allclose(product, math.sqrt(0.1875) * np.eye(2), atol=1e-12)
 
     def test_projective_cannot_be_reversed(self):
         wm = WeakMeasurement(0.0, 1.0)
-        rev = reversal_operator(wm, 1)
-        np.testing.assert_allclose(rev.matrix, np.diag([0.0, 1.0]), atol=1e-15)
-        product = rev.matrix @ kraus_pair(wm)[0].matrix
+        rev = reversal_operators(wm.epsilon, wm.eta)[0]
+        np.testing.assert_allclose(rev, np.diag([0.0, 1.0]), atol=1e-15)
+        product = rev @ kraus_pair(wm)[0].matrix
         np.testing.assert_allclose(product, np.zeros((2, 2)), atol=1e-15)
 
     def test_degenerate_flip_is_identity_operation(self):
         wm = WeakMeasurement(0.4, 0.4)
         np.testing.assert_allclose(
-            reversal_operator(wm, 1).matrix, kraus_pair(wm)[0].matrix, atol=1e-15
+            reversal_operators(wm.epsilon, wm.eta)[0], kraus_pair(wm)[0].matrix, atol=1e-15
         )
 
     def test_composition_proportional_to_identity(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
             wm = WeakMeasurement(rng.uniform(), rng.uniform())
+            reversals = reversal_operators(wm.epsilon, wm.eta)
             for r in (1, 2):
-                product = reversal_operator(wm, r).matrix @ kraus_pair(wm)[r - 1].matrix
+                product = reversals[r - 1] @ kraus_pair(wm)[r - 1].matrix
                 assert abs(product[0, 1]) <= 1e-15
                 assert abs(product[1, 0]) <= 1e-15
                 assert abs(product[0, 0] - product[1, 1]) <= 1e-12
 
-    def test_invalid_outcome_index(self):
-        with pytest.raises(ValueError):
-            reversal_operator(WeakMeasurement(0.2, 0.8), 3)
+    def test_flipped_coefficient_diagonals_bit_for_bit(self):
+        eps = np.linspace(0.0, 1.0, 7)[:, None]
+        etas = np.array([0.0, 0.3, 0.75, 1.0])
+        reversals = reversal_operators(eps, etas)
+        assert reversals.shape == (7, 4, 2, 2, 2)
+        coefficients = kraus_coefficients(eps, etas)
+        for i, j, r in np.ndindex(7, 4, 2):
+            flipped = np.diag(coefficients[i, j, r, ::-1]).astype(complex)
+            assert bits(reversals[i, j, r].astype(complex)) == bits(flipped)
+            assert bits(reversals[i, j, r]) == bits(reversal_operators(eps[i, 0], etas[j])[r])
 
     def test_physicality(self):
-        for e in GRID:
-            for h in GRID:
-                for r in (1, 2):
-                    assert reversal_operator(WeakMeasurement(e, h), r).is_physical_kraus
+        values = np.array(GRID)
+        reversals = reversal_operators(values[:, None], values)
+        top = np.linalg.svd(reversals, compute_uv=False)[..., 0]
+        assert top.shape == (21, 21, 2)
+        assert np.all(top <= 1.0 + 1e-12)
 
 
 class TestReversalExactness:
@@ -292,7 +308,7 @@ class TestReversalExactness:
             prob, post = apply_operator(kraus_pair(wm)[r - 1], st)
             if post is None:
                 continue
-            prob_rev, recovered = apply_operator(reversal_operator(wm, r), post)
+            prob_rev, recovered = apply_operator(scalar_reversal(wm, r), post)
             if recovered is None:
                 continue
             assert pure_overlap(st, recovered) == pytest.approx(1.0, abs=1e-12)
@@ -315,11 +331,12 @@ class TestKrausCoefficients:
         expected = [[math.sqrt(1.0 - wm.epsilon), math.sqrt(1.0 - wm.eta)],
                     [math.sqrt(wm.epsilon), math.sqrt(wm.eta)]]
         assert bits(coefficients) == bits(np.array(expected))
+        reversals = reversal_operators(wm.epsilon, wm.eta)
         for r, op in enumerate(kraus_pair(wm), start=1):
             diagonal = coefficients[r - 1]
             assert bits(op.matrix) == bits(np.diag(diagonal).astype(complex))
             flipped = np.diag(diagonal[::-1]).astype(complex)
-            assert bits(reversal_operator(wm, r).matrix) == bits(flipped)
+            assert bits(reversals[r - 1].astype(complex)) == bits(flipped)
 
     def test_broadcasts_like_the_scalar_calls(self):
         eps = np.linspace(0.0, 1.0, 5)[:, None]
@@ -344,7 +361,7 @@ class TestBranchTerms:
             prob, post = apply_operator(op, state)
             reversal = 0.0
             if post is not None:
-                prob_rev, recovered = apply_operator(reversal_operator(wm, r), post)
+                prob_rev, recovered = apply_operator(scalar_reversal(wm, r), post)
                 if recovered is not None:
                     reversal = prob * prob_rev * pure_overlap(state, recovered)
             expected.append((prob, pure_overlap(guess, state), reversal))

@@ -69,11 +69,11 @@ class TestOperator2:
 
     def test_is_physical_kraus_boundary(self):
         assert IDENTITY.is_physical_kraus
-        assert Operator2.diagonal(1.0, 0.5).is_physical_kraus
-        assert not Operator2.diagonal(1.1, 0.0).is_physical_kraus
+        assert Operator2(np.diag([1.0, 0.5])).is_physical_kraus
+        assert not Operator2(np.diag([1.1, 0.0])).is_physical_kraus
 
     def test_signed_entries_representable(self):
-        op = Operator2.diagonal(math.cos(0.3), math.cos(2.0))
+        op = Operator2(np.diag([math.cos(0.3), math.cos(2.0)]))
         assert op.matrix[1, 1].real < 0.0
         assert op.is_physical_kraus
 
@@ -91,22 +91,22 @@ class TestApplyOperator:
         assert post.phase == pytest.approx(st.phase, abs=1e-12)
 
     def test_diagonal_eigenstate(self):
-        op = Operator2.diagonal(math.sqrt(0.75), math.sqrt(0.25))
+        op = Operator2(np.diag([math.sqrt(0.75), math.sqrt(0.25)]))
         prob, post = apply_operator(op, STATE_H)
         assert prob == pytest.approx(0.75, abs=1e-12)
         assert post == STATE_H
 
     def test_orthogonal_projection_annihilates(self):
-        prob, post = apply_operator(Operator2.diagonal(1.0, 0.0), STATE_V)
+        prob, post = apply_operator(Operator2(np.diag([1.0, 0.0])), STATE_V)
         assert prob < 1e-15
         assert post is None
 
     def test_unphysical_operator_rejected(self):
         with pytest.raises(ValueError):
-            apply_operator(Operator2.diagonal(1.5, 0.0), STATE_H)
+            apply_operator(Operator2(np.diag([1.5, 0.0])), STATE_H)
 
     def test_negative_entry_flips_phase(self):
-        op = Operator2.diagonal(1.0, -1.0)
+        op = Operator2(np.diag([1.0, -1.0]))
         prob, post = apply_operator(op, PureState(0.5, 0.0))
         assert prob == pytest.approx(1.0, abs=1e-12)
         assert post.phase == pytest.approx(math.pi, abs=1e-12)
@@ -129,7 +129,7 @@ class TestArrayPath:
         for k in range(2000):
             state = PureState(alpha[k], phase[k])
             assert states[k].tobytes() == state.amplitudes.tobytes()
-            expected_prob, post = apply_operator(Operator2.diagonal(*coefficients[k]), state)
+            expected_prob, post = apply_operator(Operator2(np.diag(coefficients[k])), state)
             assert prob[k] == expected_prob
             assert posts[k].tobytes() == post.amplitudes.tobytes()
             assert overlaps[k] == pure_overlap(state, post)

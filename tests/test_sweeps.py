@@ -20,12 +20,12 @@ from wmtradeoff.measurement import (
     kraus_coefficients,
     per_state_gain,
     per_state_reversal_prob,
-    reversal_operator,
+    reversal_operators,
 )
 from wmtradeoff import bench, sweeps, tables
 from wmtradeoff.bench import NoiseModel
 from wmtradeoff.sweeps import (
-    corrupted_reversal_operator,
+    corrupted_reversal_operators,
     cross_section,
     grid_sweep,
     haar_average_oracle,
@@ -486,7 +486,8 @@ def scalar_reversal_exactness(seed, reversal_fn):
         prob, post = apply_operator(kraus_pair(wm)[r - 1], state)
         if post is None:
             continue
-        prob_rev, recovered = apply_operator(reversal_fn(wm, r), post)
+        reversal = Operator2(reversal_fn(wm.epsilon, wm.eta)[r - 1])
+        prob_rev, recovered = apply_operator(reversal, post)
         if recovered is None or prob_rev < ANNIHILATION_EPS:
             continue
         dev = max(dev, abs(1.0 - pure_overlap(state, recovered)))
@@ -494,12 +495,12 @@ def scalar_reversal_exactness(seed, reversal_fn):
     return dev <= 1e-12 and tested > 0, dev, f"{tested} triples"
 
 
-def doubled_reversal_operator(wm, r):
-    return Operator2(2.0 * reversal_operator(wm, r).matrix)
+def doubled_reversal_operators(epsilon, eta):
+    return 2.0 * reversal_operators(epsilon, eta)
 
 
 class TestOperatorChecks:
-    @pytest.mark.parametrize("reversal_fn", [reversal_operator, corrupted_reversal_operator])
+    @pytest.mark.parametrize("reversal_fn", [reversal_operators, corrupted_reversal_operators])
     def test_reversal_exactness_matches_the_scalar_loop(self, reversal_fn):
         for seed in range(50):
             check = sweeps._check_reversal_exactness(seed, reversal_fn)
@@ -509,13 +510,24 @@ class TestOperatorChecks:
     def test_unphysical_reversal_fails_by_name(self):
         report = verify(
             photons_per_setting=2_000, seed=42, grid_size=4,
-            reversal_fn=doubled_reversal_operator,
+            reversal_fn=doubled_reversal_operators,
         )
         outcomes = {v.name: v for v in report}
         check = outcomes["reversal_exactness"]
         assert not check.passed and check.deviation == math.inf
         assert check.detail.startswith("ValueError: operator is not a physical Kraus operator")
         assert outcomes["kraus_completeness"].passed
+
+    def test_one_hook_call_per_verify(self):
+        calls = []
+
+        def counted(epsilon, eta):
+            calls.append((np.shape(epsilon), np.shape(eta)))
+            return reversal_operators(epsilon, eta)
+
+        report = verify(photons_per_setting=2_000, seed=42, grid_size=4, reversal_fn=counted)
+        assert calls == [((100,), (100,))]
+        assert {v.name: v.passed for v in report}["reversal_exactness"]
 
     def test_one_scaled_coefficient_fails_completeness(self, monkeypatch):
         def scaled(epsilon, eta):
@@ -622,7 +634,9 @@ class TestVerify:
             assert v.detail.endswith(" in boom")
 
     def test_mutated_reversal_fails_exactness(self):
-        report = verify(photons_per_setting=20_000, seed=42, reversal_fn=corrupted_reversal_operator)
+        report = verify(
+            photons_per_setting=20_000, seed=42, reversal_fn=corrupted_reversal_operators
+        )
         assert not all(v.passed for v in report)
         outcomes = {v.name: v.passed for v in report}
         assert outcomes["reversal_exactness"] is False
