@@ -23,7 +23,6 @@ from .bench import (
     simulate_tomography,
 )
 from .sweeps import (
-    CheckResult,
     OracleEstimate,
     cross_section,
     grid_sweep,

@@ -20,6 +20,10 @@ from .bench import STREAM_SCHEME, NoiseModel
 from .measurement import WeakMeasurement
 from . import tables
 from .sweeps import (
+    DEFAULT_COUNTS_PER_BASIS,
+    DEFAULT_GRID_SIZE,
+    DEFAULT_PHOTONS,
+    DEFAULT_SEED,
     corrupted_reversal_operators,
     cross_section,
     grid_sweep,
@@ -52,12 +56,12 @@ class ConfigError(ValueError):
 class RunConfig:
     epsilon: float = 0.25
     eta: float = 0.75
-    photons_per_setting: int = 100_000
-    counts_per_basis: int = 10_000
-    seed: int = 42
+    photons_per_setting: int = DEFAULT_PHOTONS
+    counts_per_basis: int = DEFAULT_COUNTS_PER_BASIS
+    seed: int = DEFAULT_SEED
     pbs_leakage: float = 0.0
     detector_efficiency: float = 1.0
-    grid_size: int = 16
+    grid_size: int = DEFAULT_GRID_SIZE
     exact_mode: bool = False
     output_path: str | None = None
     output_format: str | None = None
@@ -137,7 +141,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
     pairs: dict[str, str] = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -228,10 +232,9 @@ def _metadata(config: RunConfig) -> dict:
     return meta
 
 
-# subcommand -> (run(config, noise, wm, mutate_reversal) -> column table, or
-# verify's CheckResult list; column spec, JSON rows key, default format). Each
-# runner looks its sweep up by name when it runs, so a patched module
-# attribute takes effect.
+# subcommand -> (run(config, noise, wm, mutate_reversal) -> column table,
+# column spec, JSON rows key, default format). Each runner looks its sweep up
+# by name when it runs, so a patched module attribute takes effect.
 _PRODUCTS = {
     "verify": (
         lambda c, noise, wm, mutate: verify(
@@ -277,18 +280,12 @@ def dispatch(subcommand: str, config: RunConfig, mutate_reversal: bool = False) 
     noise = NoiseModel(config.pbs_leakage, config.detector_efficiency)
     wm = WeakMeasurement(config.epsilon, config.eta)
     columns = run(config, noise, wm, mutate_reversal)
-    failing = []
-    if isinstance(columns, list):  # verify's CheckResult list, one row per check
-        checks = columns
-        failing = [r.name for r in checks if not r.passed]
-        columns = {
-            "check": [r.name for r in checks],
-            "verdict": [r.verdict for r in checks],
-            "deviation": [r.deviation for r in checks],
-            "tolerance": [r.tolerance for r in checks],
-            "detail": [r.detail for r in checks],
-        }
-
+    # Only verify's table has check and verdict columns.
+    failing = [
+        name
+        for name, verdict in zip(columns.get("check", ()), columns.get("verdict", ()))
+        if verdict != "PASS"
+    ]
     if (config.output_format or default_format) == "csv":
         text = tables.csv_table(spec, columns)
     else:

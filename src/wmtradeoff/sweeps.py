@@ -2,13 +2,16 @@
 
 The drivers here reproduce the standard campaigns: a 51-state input traversal
 at a fixed measurement, a full operator-lattice sweep of tradeoff points, the
-epsilon = 0 cross section, and the reversed-state fidelity sweep. Each driver
-returns a column table (see ``tables``): a dict from the column names of its
-spec to numpy arrays, float64 for numbers (NaN for a missing value) and bool
-for flags. Everything is seed-pinned: identical configuration and seed
-produce byte-identical columns, and each lattice cell's row does not depend
-on the order in which cells are evaluated, because all randomness flows
-through per-cell streams.
+epsilon = 0 cross section, and the reversed-state fidelity sweep. Each driver,
+``verify`` included, returns a column table (see ``tables``): a dict from the
+column names of its spec to numpy arrays, float64 for numbers (NaN for a
+missing value) and bool for flags. ``verify`` holds one row per check: each
+``_check_<name>`` returns its deviation and tolerance, and one rule gives
+every verdict, PASS iff deviation <= tolerance; a check that raises is a
+FAIL row with deviation inf and tolerance 0. Everything is seed-pinned:
+identical configuration and seed produce byte-identical columns, and each
+lattice cell's row does not depend on the order in which cells are
+evaluated, because all randomness flows through per-cell streams.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from . import tables
 DEFAULT_GRID_SIZE = 16
 DEFAULT_PHOTONS = 100_000
 DEFAULT_SEED = 42
+DEFAULT_COUNTS_PER_BASIS = 10_000
 
 # Samples per slice of the Haar oracle's per-sample arithmetic. A slice's
 # temporaries (64 KiB real, 128 KiB complex each) then stay within a 2 MiB
@@ -70,11 +74,11 @@ DEFAULT_SEED = 42
 # verify's 20,000-sample cells take three slices each.
 ORACLE_BLOCK = 8192
 
-# Cells and samples per cell of verify's oracle check, and the default
-# multiple of the oracle's standard error that the check accepts. The three
-# gain parts are the check's only random ones (the reversal term does not
-# depend on the state), so at 4.5 standard errors a correct program fails
-# the check in about 3 * 6.8e-6 = 2e-5 of seeds.
+# Cells and samples per cell of verify's oracle check, and the multiple of
+# the oracle's standard error that the check accepts (read when it runs).
+# The three gain parts are the check's only random ones (the reversal term
+# does not depend on the state), so at 4.5 standard errors a correct program
+# fails the check in about 3 * 6.8e-6 = 2e-5 of seeds.
 ORACLE_CELLS = ((0.25, 0.75), (0.1, 0.6), (0.8, 0.3))
 ORACLE_SAMPLES = 20_000
 ORACLE_STDERR_MULTIPLIER = 4.5
@@ -106,21 +110,6 @@ class OracleEstimate:
     prev_estimate: float
     prev_stderr: float
     n_samples: int
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """PASS/FAIL verdict of one verification check."""
-
-    name: str
-    passed: bool
-    deviation: float
-    tolerance: float
-    detail: str = ""
-
-    @property
-    def verdict(self) -> str:
-        return "PASS" if self.passed else "FAIL"
 
 
 def _traversal_terms(epsilon, eta) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +244,7 @@ def cross_section(
 
 def reversal_fidelity_sweep(
     wm: WeakMeasurement,
-    counts_per_basis: int = 10_000,
+    counts_per_basis: int = DEFAULT_COUNTS_PER_BASIS,
     noise: NoiseModel | None = None,
     seed: int = DEFAULT_SEED,
     exact_mode: bool = False,
@@ -403,13 +392,12 @@ def _worst(parts) -> tuple[float, float]:
     return float(dev[k]), float(tol[k])
 
 
-def _check_kraus_completeness() -> CheckResult:
+def _check_kraus_completeness() -> tuple[float, float]:
     # Every branch operator is diagonal, so A_1^dagger A_1 + A_2^dagger A_2 = I
     # reads sum_r |c_rk|^2 = 1 for each basis state k.
     values = np.minimum(np.arange(0.0, 1.0 + 1e-9, 0.05), 1.0)
     kraus = kraus_coefficients(values[:, None], values[None, :])
-    dev = float(np.max(np.abs((kraus**2).sum(axis=-2) - 1.0)))
-    return CheckResult("kraus_completeness", dev <= 1e-12, dev, 1e-12)
+    return float(np.max(np.abs((kraus**2).sum(axis=-2) - 1.0))), 1e-12
 
 
 def _lattice(grid_size: int) -> tuple[np.ndarray, ...]:
@@ -420,40 +408,37 @@ def _lattice(grid_size: int) -> tuple[np.ndarray, ...]:
     return e, h, gmax, prev
 
 
-def _check_boundary_law(grid_size: int) -> CheckResult:
+def _check_boundary_law(grid_size: int) -> tuple[float, float]:
     e, h, gmax, prev = _lattice(grid_size)
     sums = 6.0 * gmax + prev
     boundary = (e == 0.0) | (e == 1.0) | (h == 0.0) | (h == 1.0)
-    dev = float(np.max(abs(sums[boundary] - 4.0), initial=0.0))
-    return CheckResult("boundary_law", dev <= 1e-12, dev, 1e-12)
+    return float(np.max(abs(sums[boundary] - 4.0), initial=0.0)), 1e-12
 
 
-def _check_center_minimum(grid_size: int) -> CheckResult:
+def _check_center_minimum(grid_size: int) -> tuple[float, float]:
     gmax, prev, _ = closed_forms(0.5, 0.5)
     center_dev = abs(6.0 * gmax + prev - 3.5)
     _, _, gmax, prev = _lattice(grid_size)
     lattice_min = float((6.0 * gmax + prev).min())
-    dev = max(center_dev, max(0.0, 3.5 - lattice_min))
-    return CheckResult("center_minimum", dev <= 1e-12, dev, 1e-12)
+    return max(center_dev, max(0.0, 3.5 - lattice_min)), 1e-12
 
 
-def _check_pvnm_corners() -> CheckResult:
+def _check_pvnm_corners() -> tuple[float, float]:
     dev = 0.0
     for e, h in ((0.0, 1.0), (1.0, 0.0)):
         gmax, prev, _ = closed_forms(e, h)
         dev = max(dev, abs(gmax - 2.0 / 3.0), abs(prev))
-    return CheckResult("pvnm_corners", dev <= 1e-12, dev, 1e-12)
+    return dev, 1e-12
 
 
-def _check_range_bounds() -> CheckResult:
+def _check_range_bounds() -> tuple[float, float]:
     values = np.linspace(0.0, 1.0, 101)
     g, p, _ = closed_forms(values[:, None], values[None, :])
     worst = max(float(np.max(x)) for x in (0.5 - g, g - 2.0 / 3.0, -p, p - 1.0))
-    dev = max(0.0, worst)
-    return CheckResult("range_bounds", dev <= 1e-12, dev, 1e-12)
+    return max(0.0, worst), 1e-12
 
 
-def _check_parameter_symmetries(seed: int) -> CheckResult:
+def _check_parameter_symmetries(seed: int) -> tuple[float, float]:
     rng = _substream(seed, 1001)
     pairs = [(rng.uniform(), rng.uniform()) for _ in range(50)]
     pairs += [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (1.0, 1.0)]
@@ -463,21 +448,20 @@ def _check_parameter_symmetries(seed: int) -> CheckResult:
     for other_e, other_h in ((h, e), (1.0 - e, 1.0 - h)):
         g, p, _ = closed_forms(other_e, other_h)
         dev = max(dev, float(np.max(np.abs(g - base_g))), float(np.max(np.abs(p - base_p))))
-    return CheckResult("parameter_symmetries", dev <= 1e-15, dev, 1e-15)
+    return dev, 1e-15
 
 
-def _check_phase_invariance() -> CheckResult:
+def _check_phase_invariance() -> tuple[float, float]:
     phases = (0.0, math.pi / 3.0, math.pi / 2.0, math.pi, 1.7)
     alphas = np.array([0.0, 0.3, 0.5, 0.77, 1.0])[:, None]
     epsilons, etas = np.array([(0.25, 0.75), (0.7, 0.2), (0.5, 0.5), (0.0, 1.0)]).T[..., None, None]
     prob, guess_fidelity, reversal = branch_terms(epsilons, etas, alphas, phases)
     per_state = ((prob * guess_fidelity).sum(axis=-1), reversal.sum(axis=-1))
     # Largest spread over the phases of any (measurement, alpha) pair.
-    dev = float(max(np.ptp(terms, axis=-1).max() for terms in per_state))
-    return CheckResult("phase_invariance", dev <= 1e-12, dev, 1e-12)
+    return float(max(np.ptp(terms, axis=-1).max() for terms in per_state)), 1e-12
 
 
-def _check_reversal_exactness(seed: int, reversal_fn) -> CheckResult:
+def _check_reversal_exactness(seed: int, reversal_fn) -> tuple[float, float, str]:
     rng = _substream(seed, 1002)
     # Each draw takes alpha, phase, epsilon, eta, then the outcome, in that order.
     draws = [
@@ -507,20 +491,19 @@ def _check_reversal_exactness(seed: int, reversal_fn) -> CheckResult:
     kept = prob_rev >= ANNIHILATION_EPS
     finals = post_state_amplitudes(recovered[kept], prob_rev[kept])
     overlap = abs_squared(inner_products(states[live][kept], finals))
-    dev = float(np.max(np.abs(1.0 - overlap), initial=0.0))
     tested = len(finals)
-    passed = dev <= 1e-12 and tested > 0
-    return CheckResult("reversal_exactness", passed, dev, 1e-12, detail=f"{tested} triples")
+    # No tested triple is no evidence: an infinite deviation fails the check.
+    dev = float(np.max(np.abs(1.0 - overlap))) if tested else math.inf
+    return dev, 1e-12, f"{tested} triples"
 
 
-def _check_prev_constancy(seed: int) -> CheckResult:
+def _check_reversal_state_constancy(seed: int) -> tuple[float, float]:
     rng = _substream(seed, 1003)
     # Each row draws epsilon, eta, then five (alpha, phase) states, in that order.
     draws = rng.uniform(0.0, (1.0, 1.0) + (1.0, TWO_PI) * 5, size=(40, 12))
     _, _, reversal = branch_terms(draws[:, :1], draws[:, 1:2], draws[:, 2::2], draws[:, 3::2])
     _, expected, _ = closed_forms(draws[:, :1], draws[:, 1:2])
-    dev = float(np.max(np.abs(reversal.sum(axis=-1) - expected)))
-    return CheckResult("reversal_state_constancy", dev <= 1e-12, dev, 1e-12)
+    return float(np.max(np.abs(reversal.sum(axis=-1) - expected))), 1e-12
 
 
 def _state_grid_means(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -537,49 +520,45 @@ def _state_grid_means(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     return means[:, 0], means[:, 1]
 
 
-def _check_state_grid_prev_mean(grid_means) -> CheckResult:
+def _check_state_grid_prev_mean(grid_means) -> tuple[float, float]:
     _, means = grid_means()
     prev = _lattice(len(means))[3]
-    dev = float(np.max(np.abs(means - prev)))
-    return CheckResult("state_grid_prev_mean", dev <= 1e-12, dev, 1e-12)
+    return float(np.max(np.abs(means - prev))), 1e-12
 
 
-def _check_state_grid_gain_gap(grid_means) -> CheckResult:
+def _check_state_grid_gain_gap(grid_means) -> tuple[float, float]:
     # The 51 H-weights 0.02*i have mean(alpha^2) = 1/3 + 1/300, so the grid
     # mean of the per-state gain exceeds the continuous gmax by exactly
     # |eta - epsilon|/150 on every cell, ties included.
     means, _ = grid_means()
     e, h, gmax, _ = _lattice(len(means))
-    dev = float(np.max(np.abs(means - (gmax + np.abs(h - e) / 150.0))))
-    return CheckResult("state_grid_gain_gap", dev <= 1e-12, dev, 1e-12)
+    return float(np.max(np.abs(means - (gmax + np.abs(h - e) / 150.0)))), 1e-12
 
 
-def _check_cross_section_monotonicity(grid_size: int) -> CheckResult:
+def _check_cross_section_monotonicity(grid_size: int) -> tuple[float, float]:
     section = cross_section(np.linspace(0.0, 1.0, grid_size), exact_mode=True)
     dev = float(np.max(np.abs(section["sum"] - 4.0)))
     six_gmax, prev = section["six_gmax"], section["prev"]
     if np.any(six_gmax[1:] <= six_gmax[:-1]) or np.any(prev[1:] >= prev[:-1]):
         dev = max(dev, 1.0)
-    return CheckResult("cross_section_monotonicity", dev <= 1e-12, dev, 1e-12)
+    return dev, 1e-12
 
 
-def _check_oracle_agreement(seed: int, stderr_multiplier: float) -> CheckResult:
+def _check_oracle_agreement(seed: int) -> tuple[float, float]:
+    multiplier = ORACLE_STDERR_MULTIPLIER
     parts = []
     for k, (e, h) in enumerate(ORACLE_CELLS):
         stream = np.random.SeedSequence(entropy=int(seed), spawn_key=(1004, k))
         est = haar_average_oracle(WeakMeasurement(e, h), ORACLE_SAMPLES, stream)
         gmax, prev, _ = closed_forms(e, h)
-        parts.append((abs(est.gmax_estimate - gmax), stderr_multiplier * est.gmax_stderr))
-        parts.append(
-            (abs(est.prev_estimate - prev), max(stderr_multiplier * est.prev_stderr, 1e-12))
-        )
-    dev, tol = _worst(parts)
-    return CheckResult("oracle_agreement", dev <= tol, dev, tol)
+        parts.append((abs(est.gmax_estimate - gmax), multiplier * est.gmax_stderr))
+        parts.append((abs(est.prev_estimate - prev), max(multiplier * est.prev_stderr, 1e-12)))
+    return _worst(parts)
 
 
 def _check_estimator_consistency(
     photons_per_setting: int, noise: NoiseModel | None, seed: int, exact_mode: bool
-) -> CheckResult:
+) -> tuple[float, float]:
     e, h = 0.25, 0.75
 
     # Logic identity: the exact-count pipeline reproduces the discrete-grid
@@ -606,11 +585,10 @@ def _check_estimator_consistency(
         parts.append((abs(sum(g_samples) / 5.0 - g_ref), stat_tol))
         parts.append((abs(sum(p_samples) / 5.0 - p_ref), stat_tol))
 
-    dev, tol = _worst(parts)
-    return CheckResult("estimator_consistency", dev <= tol, dev, tol)
+    return _worst(parts)
 
 
-def _check_rng_determinism(noise: NoiseModel | None, seed: int) -> CheckResult:
+def _check_rng_determinism(noise: NoiseModel | None, seed: int) -> tuple[float, float]:
     wm = WeakMeasurement(0.25, 0.75)
     # Cells evaluated one at a time in reverse order must reproduce the
     # sweep: no cell's stream may depend on the cells drawn before it.
@@ -629,8 +607,7 @@ def _check_rng_determinism(noise: NoiseModel | None, seed: int) -> CheckResult:
         and tables.csv_table(spec, a) == tables.csv_table(spec, b)
         for spec, a, b in pairs
     )
-    dev = 0.0 if identical else 1.0
-    return CheckResult("rng_determinism", identical, dev, 0.0)
+    return (0.0 if identical else 1.0), 0.0
 
 
 def verify(
@@ -640,49 +617,55 @@ def verify(
     grid_size: int = DEFAULT_GRID_SIZE,
     exact_mode: bool = False,
     reversal_fn=None,
-    stderr_multiplier: float = ORACLE_STDERR_MULTIPLIER,
-) -> list[CheckResult]:
-    """Run the invariant battery and return one PASS/FAIL verdict per check, in order.
+) -> dict:
+    """Run the invariant battery; one row per check, in order (``tables.VERIFY``).
 
-    The oracle check accepts ``stderr_multiplier`` standard errors of each
-    estimate as its tolerance. ``reversal_fn`` overrides the
-    reversal-operator construction and exists as a mutation-test hook: it
-    takes (epsilon, eta) arrays and returns matrices shaped as
-    ``reversal_operators`` does. Passing ``corrupted_reversal_operators`` must
-    fail the reversal-exactness check.
+    Check ``<name>`` is ``_check_<name>``, looked up when it runs. It returns
+    ``(deviation, tolerance)`` or ``(deviation, tolerance, detail)``, and one
+    rule gives every verdict: PASS iff deviation <= tolerance. A check that
+    raises is a FAIL row with deviation inf, tolerance 0 and the detail
+    ``Type: message at file:line in function`` of where it raised.
+
+    ``reversal_fn`` overrides the reversal-operator construction and exists
+    as a mutation-test hook: it takes (epsilon, eta) arrays and returns
+    matrices shaped as ``reversal_operators`` does. Passing
+    ``corrupted_reversal_operators`` must fail the reversal-exactness check.
     """
     reversal_fn = reversal_fn or reversal_operators
     # Both state-grid checks read these means; the first to run computes
     # them. A raised error is not cached, so it fails each check by name.
     grid_means = functools.cache(lambda: _state_grid_means(grid_size))
-    runners = [
-        ("kraus_completeness", _check_kraus_completeness),
-        ("boundary_law", lambda: _check_boundary_law(grid_size)),
-        ("center_minimum", lambda: _check_center_minimum(grid_size)),
-        ("pvnm_corners", _check_pvnm_corners),
-        ("range_bounds", _check_range_bounds),
-        ("parameter_symmetries", lambda: _check_parameter_symmetries(seed)),
-        ("phase_invariance", _check_phase_invariance),
-        ("reversal_exactness", lambda: _check_reversal_exactness(seed, reversal_fn)),
-        ("reversal_state_constancy", lambda: _check_prev_constancy(seed)),
-        ("state_grid_prev_mean", lambda: _check_state_grid_prev_mean(grid_means)),
-        ("state_grid_gain_gap", lambda: _check_state_grid_gain_gap(grid_means)),
-        ("cross_section_monotonicity", lambda: _check_cross_section_monotonicity(grid_size)),
-        ("oracle_agreement", lambda: _check_oracle_agreement(seed, stderr_multiplier)),
-        (
-            "estimator_consistency",
-            lambda: _check_estimator_consistency(photons_per_setting, noise, seed, exact_mode),
-        ),
-        ("rng_determinism", lambda: _check_rng_determinism(noise, seed)),
-    ]
-    verdicts = []
-    for name, runner in runners:
+    checks = (
+        ("kraus_completeness", ()),
+        ("boundary_law", (grid_size,)),
+        ("center_minimum", (grid_size,)),
+        ("pvnm_corners", ()),
+        ("range_bounds", ()),
+        ("parameter_symmetries", (seed,)),
+        ("phase_invariance", ()),
+        ("reversal_exactness", (seed, reversal_fn)),
+        ("reversal_state_constancy", (seed,)),
+        ("state_grid_prev_mean", (grid_means,)),
+        ("state_grid_gain_gap", (grid_means,)),
+        ("cross_section_monotonicity", (grid_size,)),
+        ("oracle_agreement", (seed,)),
+        ("estimator_consistency", (photons_per_setting, noise, seed, exact_mode)),
+        ("rng_determinism", (noise, seed)),
+    )
+    rows = []
+    for name, args in checks:
         try:
-            verdicts.append(runner())
+            deviation, tolerance, *detail = globals()["_check_" + name](*args)
+            rows.append((name, float(deviation), float(tolerance), "".join(detail)))
         except Exception as exc:  # a crashed check is a failed check
             frame = traceback.extract_tb(exc.__traceback__)[-1]
             where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
-            detail = f"{type(exc).__name__}: {exc} at {where}"
-            verdicts.append(CheckResult(name, False, math.inf, 0.0, detail=detail))
-
-    return verdicts
+            rows.append((name, math.inf, 0.0, f"{type(exc).__name__}: {exc} at {where}"))
+    names, deviation, tolerance, detail = (np.array(column) for column in zip(*rows))
+    return {
+        "check": names,
+        "verdict": np.where(deviation <= tolerance, "PASS", "FAIL"),
+        "deviation": deviation,
+        "tolerance": tolerance,
+        "detail": detail,
+    }

@@ -22,6 +22,12 @@ BENCH_DIR = ROOT / "perfbench"
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 PER_LAYER = {m["name"] for m in SPEC["per_layer"]}
+# Checks whose span time the benchmark declares: sweeps.check.<name>.total_s.
+CHECK_METRICS = {
+    name[len("sweeps.check."):-len(".total_s")]: name
+    for name in PER_LAYER
+    if name.startswith("sweeps.check.") and name.endswith(".total_s")
+}
 
 # Boundaries the span list names that the program no longer has: the scalar
 # apply_operator of the measurement layer and the per-product table writers
@@ -57,6 +63,16 @@ def test_tracer_finds_every_live_boundary_and_restores_it():
     assert vars(qubit.Operator2)["is_physical_kraus"] is physical
 
 
+def test_every_verify_row_is_a_traced_check_function():
+    # The tracer names a check's span after the function it wraps, so each
+    # row verify reports needs a _check_<name> of that very name.
+    prefix = _load_spans().CHECK_PREFIX
+    names = sweeps.verify(photons_per_setting=2_000, grid_size=4)["check"].tolist()
+    assert set(names) == set(CHECK_METRICS)
+    for name in names:
+        assert callable(getattr(sweeps, prefix + name, None)), name
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_traced_run_reports_every_per_layer_metric(workload):
     proc = subprocess.run(
@@ -71,3 +87,9 @@ def test_traced_run_reports_every_per_layer_metric(workload):
     assert result["correct"] and result["failed"] == 0, report["failures"]
     assert set(result["metrics"]) == PER_LAYER
     assert set(report["absent"]) <= STALE
+    if workload == "verify_battery":
+        untimed = [
+            name for name, metric in CHECK_METRICS.items()
+            if not result["metrics"][metric]["value"] > 0.0
+        ]
+        assert not untimed, untimed

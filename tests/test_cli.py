@@ -386,6 +386,16 @@ class TestProcessLevelExitCodes:
         assert proc.returncode == EXIT_CONFIG_ERROR
         assert "epsilon" in proc.stderr
 
+    def test_exit_one_on_config_file_not_utf8(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed = 4\xff\n")
+        proc = self.run_cli("verify", "--config", str(cfg))
+        assert proc.returncode == EXIT_CONFIG_ERROR
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"config error: cannot read config file {str(cfg)!r}: ")
+
     def test_exit_two_on_verification_failure(self):
         proc = self.run_cli(
             "verify", "--mutate-reversal", "--grid-size", "6",

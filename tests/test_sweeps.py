@@ -62,6 +62,19 @@ def verify_report():
     return verify(photons_per_setting=20_000, seed=42)
 
 
+def passed(report) -> dict[str, bool]:
+    """Check name -> whether it passed, from verify's table."""
+    return {
+        str(name): verdict == "PASS" for name, verdict in zip(report["check"], report["verdict"])
+    }
+
+
+def row(report, name: str) -> dict:
+    """The row of check ``name`` in verify's table, as Python scalars."""
+    (k,) = np.flatnonzero(report["check"] == name)
+    return {column: values[k].item() for column, values in report.items()}
+
+
 UNIT = strategies.one_of(strategies.sampled_from([0.0, 1.0]), strategies.floats(0.0, 1.0))
 
 
@@ -229,9 +242,9 @@ class TestStateGridMeans:
         # state_grid_gain_gap checks mean = gmax + |eta - eps|/150 on every
         # cell, ties included, at the closed forms' own 1e-12.
         means = sweeps._state_grid_means(grid_size)
-        check = sweeps._check_state_grid_gain_gap(lambda: means)
-        assert check.passed and check.tolerance == 1e-12
-        assert check.deviation <= 1e-15
+        deviation, tolerance = sweeps._check_state_grid_gain_gap(lambda: means)
+        assert tolerance == 1e-12
+        assert deviation <= 1e-15
 
     @pytest.mark.parametrize("grid_size", [2, 16])
     def test_means_add_the_states_in_order(self, grid_size):
@@ -492,7 +505,7 @@ def scalar_reversal_exactness(seed, reversal_fn):
             continue
         dev = max(dev, abs(1.0 - pure_overlap(state, recovered)))
         tested += 1
-    return dev <= 1e-12 and tested > 0, dev, f"{tested} triples"
+    return (dev if tested else math.inf), 1e-12, f"{tested} triples"
 
 
 def doubled_reversal_operators(epsilon, eta):
@@ -504,19 +517,17 @@ class TestOperatorChecks:
     def test_reversal_exactness_matches_the_scalar_loop(self, reversal_fn):
         for seed in range(50):
             check = sweeps._check_reversal_exactness(seed, reversal_fn)
-            expected = scalar_reversal_exactness(seed, reversal_fn)
-            assert (check.passed, check.deviation, check.detail) == expected, seed
+            assert check == scalar_reversal_exactness(seed, reversal_fn), seed
 
     def test_unphysical_reversal_fails_by_name(self):
         report = verify(
             photons_per_setting=2_000, seed=42, grid_size=4,
             reversal_fn=doubled_reversal_operators,
         )
-        outcomes = {v.name: v for v in report}
-        check = outcomes["reversal_exactness"]
-        assert not check.passed and check.deviation == math.inf
-        assert check.detail.startswith("ValueError: operator is not a physical Kraus operator")
-        assert outcomes["kraus_completeness"].passed
+        check = row(report, "reversal_exactness")
+        assert check["verdict"] == "FAIL" and check["deviation"] == math.inf
+        assert check["detail"].startswith("ValueError: operator is not a physical Kraus operator")
+        assert passed(report)["kraus_completeness"]
 
     def test_one_hook_call_per_verify(self):
         calls = []
@@ -527,7 +538,21 @@ class TestOperatorChecks:
 
         report = verify(photons_per_setting=2_000, seed=42, grid_size=4, reversal_fn=counted)
         assert calls == [((100,), (100,))]
-        assert {v.name: v.passed for v in report}["reversal_exactness"]
+        assert passed(report)["reversal_exactness"]
+
+    def test_no_tested_triple_fails_exactness(self):
+        # An all-zero reversal annihilates every post state: nothing was
+        # tested, so the check must not pass on a deviation of 0.
+        def annihilating(epsilon, eta):
+            return np.zeros_like(reversal_operators(epsilon, eta))
+
+        assert sweeps._check_reversal_exactness(42, annihilating) == (math.inf, 1e-12, "0 triples")
+        report = verify(photons_per_setting=2_000, seed=42, grid_size=4, reversal_fn=annihilating)
+        check = row(report, "reversal_exactness")
+        assert (check["verdict"], check["deviation"], check["detail"]) == (
+            "FAIL", math.inf, "0 triples"
+        )
+        assert [name for name, ok in passed(report).items() if not ok] == ["reversal_exactness"]
 
     def test_one_scaled_coefficient_fails_completeness(self, monkeypatch):
         def scaled(epsilon, eta):
@@ -535,20 +560,20 @@ class TestOperatorChecks:
             coefficients[7, 13, 1, 0] *= 1.0 + 1e-9
             return coefficients
 
-        assert sweeps._check_kraus_completeness().passed
+        deviation, tolerance = sweeps._check_kraus_completeness()
+        assert deviation <= tolerance
         monkeypatch.setattr(sweeps, "kraus_coefficients", scaled)
-        check = sweeps._check_kraus_completeness()
-        assert not check.passed
-        assert check.deviation > check.tolerance == 1e-12
+        deviation, tolerance = sweeps._check_kraus_completeness()
+        assert deviation > tolerance == 1e-12
 
 
 class TestVerify:
     def test_all_checks_pass(self, verify_report):
-        failing = [v.name for v in verify_report if not v.passed]
+        failing = [name for name, ok in passed(verify_report).items() if not ok]
         assert not failing, f"failing checks: {failing}"
 
     def test_required_checks_present(self, verify_report):
-        names = {v.name for v in verify_report}
+        names = set(passed(verify_report))
         assert {
             "kraus_completeness",
             "phase_invariance",
@@ -562,25 +587,27 @@ class TestVerify:
         } <= names
 
     def test_verdicts_carry_deviation_and_tolerance(self, verify_report):
-        for v in verify_report:
-            assert v.verdict in ("PASS", "FAIL")
-            assert math.isfinite(v.deviation)
-            assert v.tolerance >= 0.0
+        assert set(verify_report) == {name for name, _ in tables.VERIFY}
+        deviation, tolerance = verify_report["deviation"], verify_report["tolerance"]
+        assert deviation.dtype == tolerance.dtype == np.float64
+        assert np.all(np.isfinite(deviation)) and np.all(tolerance >= 0.0)
+        # the one pass rule
+        expected = np.where(deviation <= tolerance, "PASS", "FAIL")
+        assert verify_report["verdict"].tolist() == expected.tolist()
 
     @pytest.mark.slow
     def test_oracle_check_rarely_fails_a_correct_program(self):
         # At 4.5 standard errors the three gain parts false-fail about 2e-5
         # of seeds; at 3 they failed 6 of these 1000.
-        results = [
-            sweeps._check_oracle_agreement(seed, sweeps.ORACLE_STDERR_MULTIPLIER)
-            for seed in range(1000)
-        ]
-        assert sum(not r.passed for r in results) <= 1
-        assert max(r.tolerance for r in results) <= 1e-5
+        deviation, tolerance = np.array(
+            [sweeps._check_oracle_agreement(seed) for seed in range(1000)]
+        ).T
+        assert np.sum(deviation > tolerance) <= 1
+        assert tolerance.max() <= 1e-5
 
-    def test_stderr_multiplier_is_honored(self):
-        report = verify(photons_per_setting=20_000, seed=42, stderr_multiplier=1e-12)
-        outcomes = {v.name: v.passed for v in report}
+    def test_stderr_multiplier_is_honored(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "ORACLE_STDERR_MULTIPLIER", 1e-12)
+        outcomes = passed(verify(photons_per_setting=20_000, seed=42))
         assert outcomes["oracle_agreement"] is False
         assert outcomes["kraus_completeness"] is True
 
@@ -592,19 +619,20 @@ class TestVerify:
         monkeypatch.setattr(sweeps, "_check_state_grid_prev_mean", boom)
         monkeypatch.setattr(sweeps, "_check_kraus_completeness", boom)
         report = verify(photons_per_setting=2_000, seed=42, grid_size=4)
-        assert [v.name for v in report] == [
+        assert report["check"].tolist() == [
             "kraus_completeness", "boundary_law", "center_minimum", "pvnm_corners",
             "range_bounds", "parameter_symmetries", "phase_invariance",
             "reversal_exactness", "reversal_state_constancy", "state_grid_prev_mean",
             "state_grid_gain_gap", "cross_section_monotonicity", "oracle_agreement",
             "estimator_consistency", "rng_determinism",
         ]
-        crashed = {v.name: v for v in report if v.deviation == math.inf}
-        assert set(crashed) == {"kraus_completeness", "state_grid_prev_mean"}
-        for v in crashed.values():
-            assert not v.passed
-            assert v.detail.startswith("ZeroDivisionError: injected at test_sweeps.py:")
-            assert v.detail.endswith(" in boom")
+        crashed = report["deviation"] == math.inf
+        assert report["check"][crashed].tolist() == ["kraus_completeness", "state_grid_prev_mean"]
+        assert report["verdict"][crashed].tolist() == ["FAIL", "FAIL"]
+        assert report["tolerance"][crashed].tolist() == [0.0, 0.0]
+        for detail in report["detail"][crashed].tolist():
+            assert detail.startswith("ZeroDivisionError: injected at test_sweeps.py:")
+            assert detail.endswith(" in boom")
 
     def test_state_grid_means_computed_once(self, monkeypatch):
         calls = []
@@ -617,7 +645,7 @@ class TestVerify:
         monkeypatch.setattr(sweeps, "_state_grid_means", counted)
         report = verify(photons_per_setting=2_000, seed=42, grid_size=5)
         assert calls == [5]
-        outcomes = {v.name: v.passed for v in report}
+        outcomes = passed(report)
         assert outcomes["state_grid_prev_mean"] and outcomes["state_grid_gain_gap"]
 
     def test_failed_state_grid_means_fail_both_checks(self, monkeypatch):
@@ -626,19 +654,19 @@ class TestVerify:
 
         monkeypatch.setattr(sweeps, "_state_grid_means", boom)
         report = verify(photons_per_setting=2_000, seed=42, grid_size=4)
-        crashed = [v for v in report if v.deviation == math.inf]
-        assert [v.name for v in crashed] == ["state_grid_prev_mean", "state_grid_gain_gap"]
-        for v in crashed:
-            assert not v.passed
-            assert v.detail.startswith("FloatingPointError: injected at test_sweeps.py:")
-            assert v.detail.endswith(" in boom")
+        crashed = report["deviation"] == math.inf
+        assert report["check"][crashed].tolist() == ["state_grid_prev_mean", "state_grid_gain_gap"]
+        assert report["verdict"][crashed].tolist() == ["FAIL", "FAIL"]
+        for detail in report["detail"][crashed].tolist():
+            assert detail.startswith("FloatingPointError: injected at test_sweeps.py:")
+            assert detail.endswith(" in boom")
 
     def test_mutated_reversal_fails_exactness(self):
         report = verify(
             photons_per_setting=20_000, seed=42, reversal_fn=corrupted_reversal_operators
         )
-        assert not all(v.passed for v in report)
-        outcomes = {v.name: v.passed for v in report}
+        outcomes = passed(report)
+        assert not all(outcomes.values())
         assert outcomes["reversal_exactness"] is False
         # the mutation hook must not poison unrelated checks
         assert outcomes["kraus_completeness"] is True
