@@ -2,6 +2,9 @@
 
 Subcommands: verify, sweep-states, sweep-grid, cross-section,
 reversal-fidelity. Flags override config-file keys, which override defaults.
+Each config key's default, parser and accepted range live in one row of the
+field table ``_FIELDS``, from which ``RunConfig``, the flags and the config
+file's keys are all built.
 Exit codes: 0 success, 1 configuration or I/O error, 2 verification failure.
 """
 
@@ -11,12 +14,12 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from ._version import __version__
-from .bench import STREAM_SCHEME, NoiseModel
+from .bench import MIN_TOMOGRAPHY_COUNTS, STREAM_SCHEME, NoiseModel
 from .measurement import WeakMeasurement
 from . import tables
 from .sweeps import (
@@ -52,21 +55,6 @@ class ConfigError(ValueError):
     """Configuration input that cannot be accepted."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    epsilon: float = 0.25
-    eta: float = 0.75
-    photons_per_setting: int = DEFAULT_PHOTONS
-    counts_per_basis: int = DEFAULT_COUNTS_PER_BASIS
-    seed: int = DEFAULT_SEED
-    pbs_leakage: float = 0.0
-    detector_efficiency: float = 1.0
-    grid_size: int = DEFAULT_GRID_SIZE
-    exact_mode: bool = False
-    output_path: str | None = None
-    output_format: str | None = None
-
-
 def _parse_float(name: str, text: str) -> float:
     try:
         return float(text)
@@ -97,49 +85,38 @@ def _parse_format(name: str, text: str) -> str:
     raise ConfigError(f"{name}: expected csv or json, got {text!r}")
 
 
-def _check_range(name: str, value, low, high, range_text: str, low_open: bool = False) -> None:
-    ok = (value > low if low_open else value >= low) and value <= high
-    if not ok:
-        raise ConfigError(f"{name} must lie in {range_text}, got {value!r}")
-
-
-# name -> (parse, validate)
-_FIELD_SPECS = {
-    "epsilon": (_parse_float, lambda v: _check_range("epsilon", v, 0.0, 1.0, "[0, 1]")),
-    "eta": (_parse_float, lambda v: _check_range("eta", v, 0.0, 1.0, "[0, 1]")),
+# One row per config key: name -> (default, parse(name, text), accepted range
+# as printed, test of the parsed value). A key with no range has None in both
+# range columns. Row order is RunConfig's field order and the order in which
+# values are parsed from flags and range-checked.
+_FIELDS = {
+    "epsilon": (0.25, _parse_float, "[0, 1]", lambda v: 0 <= v <= 1),
+    "eta": (0.75, _parse_float, "[0, 1]", lambda v: 0 <= v <= 1),
     "photons_per_setting": (
-        _parse_int,
-        lambda v: _check_range("photons_per_setting", v, 1, MAX_PHOTONS, "[1, 2^63 - 1]"),
+        DEFAULT_PHOTONS, _parse_int, "[1, 2^63 - 1]", lambda v: 1 <= v <= MAX_PHOTONS
     ),
     "counts_per_basis": (
-        _parse_int,
-        lambda v: _check_range(
-            "counts_per_basis", v, 100, MAX_COUNTS_PER_BASIS, "[100, 2^62 - 1]"
-        ),
+        DEFAULT_COUNTS_PER_BASIS, _parse_int, f"[{MIN_TOMOGRAPHY_COUNTS}, 2^62 - 1]",
+        lambda v: MIN_TOMOGRAPHY_COUNTS <= v <= MAX_COUNTS_PER_BASIS,
     ),
-    "seed": (_parse_int, lambda v: _check_range("seed", v, 0, 2**64 - 1, "[0, 2^64)")),
-    "pbs_leakage": (
-        _parse_float,
-        lambda v: _check_range("pbs_leakage", v, 0.0, 0.01, "[0, 0.01]"),
-    ),
-    "detector_efficiency": (
-        _parse_float,
-        lambda v: _check_range("detector_efficiency", v, 0.0, 1.0, "(0, 1]", low_open=True),
-    ),
+    "seed": (DEFAULT_SEED, _parse_int, "[0, 2^64)", lambda v: 0 <= v < 2**64),
+    "pbs_leakage": (0.0, _parse_float, "[0, 0.01]", lambda v: 0 <= v <= 0.01),
+    "detector_efficiency": (1.0, _parse_float, "(0, 1]", lambda v: 0 < v <= 1),
     "grid_size": (
-        _parse_int,
-        lambda v: _check_range("grid_size", v, 2, MAX_GRID_SIZE, f"[2, {MAX_GRID_SIZE}]"),
+        DEFAULT_GRID_SIZE, _parse_int, f"[2, {MAX_GRID_SIZE}]",
+        lambda v: 2 <= v <= MAX_GRID_SIZE,
     ),
-    "exact_mode": (_parse_bool, lambda v: None),
-    "output_path": (lambda name, text: text, lambda v: None),
-    "output_format": (_parse_format, lambda v: None),
+    "exact_mode": (False, _parse_bool, None, None),
+    "output_path": (None, lambda name, text: text, None, None),
+    "output_format": (None, _parse_format, None, None),
 }
+RunConfig = namedtuple("RunConfig", _FIELDS, defaults=[row[0] for row in _FIELDS.values()])
 
 
 def _read_config_file(path: str) -> dict[str, str]:
     """Parse `key = value` lines; `#` starts a comment."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
@@ -151,7 +128,7 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _FIELD_SPECS:
+        if key not in _FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         pairs[key] = value
     return pairs
@@ -171,7 +148,7 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="debug hook: corrupt the reversal operator so verify must fail",
     )
-    for name in _FIELD_SPECS:
+    for name in _FIELDS:
         parser.add_argument("--" + name.replace("_", "-"), default=None, dest=name)
     return parser
 
@@ -182,23 +159,17 @@ def parse_config(argv) -> tuple[str, RunConfig, bool]:
     Precedence: command-line flags over config-file keys over defaults.
     """
     namespace = _build_parser().parse_args(argv)
-
-    values: dict[str, object] = {}
-    if namespace.config is not None:
-        for key, text in _read_config_file(namespace.config).items():
-            parse, _ = _FIELD_SPECS[key]
-            values[key] = parse(key, text)
-    for name in _FIELD_SPECS:
-        text = getattr(namespace, name)
-        if text is not None:
-            parse, _ = _FIELD_SPECS[name]
-            values[name] = parse(name, text)
-
-    config = RunConfig(**values)
-    for name, (_, validate) in _FIELD_SPECS.items():
+    # Every text is parsed, the file's in line order and then the flags' in
+    # table order; only the values that end up in the config are range-checked.
+    texts = [] if namespace.config is None else [*_read_config_file(namespace.config).items()]
+    texts += [(name, getattr(namespace, name)) for name in _FIELDS]
+    config = RunConfig(
+        **{name: _FIELDS[name][1](name, text) for name, text in texts if text is not None}
+    )
+    for name, (_, _, range_text, test) in _FIELDS.items():
         value = getattr(config, name)
-        if value is not None:
-            validate(value)
+        if test is not None and not test(value):
+            raise ConfigError(f"{name} must lie in {range_text}, got {value!r}")
     return namespace.subcommand, config, namespace.mutate_reversal
 
 
@@ -226,7 +197,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _metadata(config: RunConfig) -> dict:
-    meta = {"seed": config.seed, "version": __version__, "config": asdict(config)}
+    meta = {"seed": config.seed, "version": __version__, "config": config._asdict()}
     if not config.exact_mode:
         meta["stream"] = STREAM_SCHEME
     return meta
@@ -304,12 +275,7 @@ def dispatch(subcommand: str, config: RunConfig, mutate_reversal: bool = False) 
 
 def main(argv=None) -> int:
     try:
-        subcommand, config, mutate = parse_config(argv)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    try:
-        return dispatch(subcommand, config, mutate)
+        return dispatch(*parse_config(argv))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

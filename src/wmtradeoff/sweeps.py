@@ -20,7 +20,7 @@ import functools
 import math
 import os
 import traceback
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -103,13 +103,9 @@ GRID_STREAM, STATES_STREAM, CROSS_SECTION_STREAM, CONSISTENCY_STREAM = 1, 2, 3, 
 TOMOGRAPHY_STREAM = 2
 
 
-@dataclass(frozen=True)
-class OracleEstimate:
-    gmax_estimate: float
-    gmax_stderr: float
-    prev_estimate: float
-    prev_stderr: float
-    n_samples: int
+OracleEstimate = namedtuple(
+    "OracleEstimate", "gmax_estimate gmax_stderr prev_estimate prev_stderr n_samples"
+)
 
 
 def _traversal_terms(epsilon, eta) -> tuple[np.ndarray, np.ndarray]:

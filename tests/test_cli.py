@@ -123,6 +123,54 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(["frobnicate"])
 
+    def test_config_file_with_byte_order_mark_accepted(self, tmp_path, capsys):
+        # Some editors start a UTF-8 file with a byte-order mark; it is not
+        # part of the first key.
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfseed = 4\ngrid_size = 3\n")
+        _, config, _ = parse_config(["cross-section", "--config", str(cfg)])
+        assert (config.seed, config.grid_size) == (4, 3)
+        assert main(["cross-section", "--exact-mode", "true", "--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_flag_overrides_out_of_range_file_value(self, tmp_path, capsys):
+        # Only the resolved values are range-checked: a valid flag mends an
+        # out-of-range file value.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epsilon = 7\ngrid_size = 1\n")
+        argv = ["cross-section", "--exact-mode", "true", "--config", str(cfg),
+                "--epsilon", "0.5", "--grid-size", "3"]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.count("\n") == 4
+
+    @pytest.mark.parametrize(
+        "file_text, flags, message",
+        [
+            # Parse errors come first: the file's, in line order, then the flags'.
+            ("seed = x\nepsilon = y\n", [], "seed: expected an integer, got 'x'"),
+            ("seed = x\n", ["--epsilon", "abc"], "seed: expected an integer, got 'x'"),
+            ("eta = 7\n", ["--seed", "x"], "seed: expected an integer, got 'x'"),
+            # A file value is parsed even where a flag overrides it.
+            ("seed = x\n", ["--seed", "3"], "seed: expected an integer, got 'x'"),
+            # Flags are parsed in table order, not in argv order.
+            ("", ["--seed", "x", "--epsilon", "y"], "epsilon: expected a number, got 'y'"),
+            # Then the first out-of-range key in table order, wherever it was set.
+            ("grid_size = 1\n", ["--epsilon", "2"], "epsilon must lie in [0, 1], got 2.0"),
+            ("epsilon = 2\n", ["--grid-size", "1"], "epsilon must lie in [0, 1], got 2.0"),
+            ("", ["--grid-size", "1", "--detector-efficiency", "0"],
+             "detector_efficiency must lie in (0, 1], got 0.0"),
+            ("counts_per_basis = 99\nseed = -1\n", [],
+             "counts_per_basis must lie in [100, 2^62 - 1], got 99"),
+        ],
+    )
+    def test_first_of_two_errors_reported(self, file_text, flags, message, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(file_text)
+        assert main(["cross-section", "--config", str(cfg), *flags]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
 
 class TestDispatchProducts:
     def test_verify_default_emits_json_all_pass(self, capsys):

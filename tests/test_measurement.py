@@ -444,3 +444,101 @@ class TestTradeoffSum:
 
     def test_flagship_value(self):
         assert tradeoff_sum(0.25, 0.75) == pytest.approx(3.875, abs=1e-12)
+
+
+# The six Stokes-axis states |H>, |V>, |D>, |A>, |R>, |L> as (alpha, phase):
+# a spherical 3-design, so their mean of any per-state term of degree at most
+# two in the state's projector is its Haar average.
+STOKES_STATES = ((1.0, 0.0), (0.0, 0.0), (0.5, 0.0), (0.5, math.pi), (0.5, math.pi / 2),
+                 (0.5, -math.pi / 2))
+STOKES_AMPLITUDES = np.array([[math.sqrt(a), np.exp(1j * ph) * math.sqrt(1.0 - a)]
+                              for a, ph in STOKES_STATES])
+# The twelve states of the four mutually unbiased bases of d = 3, a 2-design:
+# the standard basis and, for b = 0, 1, 2, the states
+# sum_j w^(b*j^2 + a*j) |j> / sqrt(3) with w = exp(2*pi*i/3).
+_J = np.arange(3)
+QUTRIT_MUB = np.concatenate(
+    [np.eye(3)]
+    + [np.exp(2j * np.pi / 3 * (b * _J**2 + a * _J))[None] / math.sqrt(3)
+       for b in range(3) for a in range(3)]
+)
+
+
+def random_instrument(seed, dim, outcomes):
+    """Kraus operators A_r, shape (outcomes, dim, dim), cut from a random isometry.
+
+    A dim -> dim * outcomes isometry V (orthonormal columns) stacks the A_r,
+    so sum_r A_r^dagger A_r = V^dagger V = I.
+    """
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(dim * outcomes, dim)) + 1j * rng.normal(size=(dim * outcomes, dim))
+    return np.linalg.qr(z)[0].reshape(outcomes, dim, dim)
+
+
+def design_gain(kraus, states):
+    """Mean over ``states`` of sum_r <phi|M_r|phi> |<g_r|phi>|^2, and M_r's eigenvalues.
+
+    M_r = A_r^dagger A_r and g_r is its top eigenvector, the guess that
+    maximises the Haar-averaged gain. Eigenvalues come in ascending order.
+    """
+    m = np.conj(np.swapaxes(kraus, -1, -2)) @ kraus
+    eigenvalues, eigenvectors = np.linalg.eigh(m)
+    prob = np.einsum("si,rij,sj->sr", states.conj(), m, states).real
+    fidelity = np.abs(np.einsum("ri,si->sr", eigenvectors[..., -1].conj(), states)) ** 2
+    return float((prob * fidelity).sum(axis=-1).mean()), eigenvalues
+
+
+INSTRUMENTS = strategies.tuples(strategies.integers(0, 2**32 - 1), strategies.integers(2, 4))
+
+
+class TestLeastUpperBound:
+    """6G + R_opt = 4 for every efficient qubit instrument; qutrits differ.
+
+    With the Haar second moment (I + SWAP) / (d(d + 1)) the gain of an
+    instrument {A_r} is G = sum_r (tr M_r + lambda_max(M_r)) / (d(d + 1)), and
+    Cheong & Lee's optimal reversal succeeds with R_opt = sum_r lambda_min(M_r).
+    """
+
+    def test_stokes_states_average_to_the_closed_forms(self):
+        values = np.linspace(0.0, 1.0, 101)
+        alpha, phase = (np.array(column) for column in zip(*STOKES_STATES))
+        prob, guess_fidelity, reversal = branch_terms(
+            values[:, None, None], values[None, :, None], alpha, phase
+        )
+        gain, rev = (prob * guess_fidelity).sum(axis=-1), reversal.sum(axis=-1)
+        gmax_, prev_, _ = closed_forms(values[:, None], values[None, :])
+        assert float(np.max(np.abs(gain.mean(axis=-1) - gmax_))) <= 1e-15
+        assert float(np.max(np.abs(rev.mean(axis=-1) - prev_))) <= 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(INSTRUMENTS)
+    def test_qubit_gain_and_optimal_reversal_sum_to_four(self, instrument):
+        seed, outcomes = instrument
+        gain, eigenvalues = design_gain(random_instrument(seed, 2, outcomes), STOKES_AMPLITUDES)
+        haar_gain = float((eigenvalues.sum(axis=-1) + eigenvalues[:, -1]).sum()) / 6.0
+        assert abs(gain - haar_gain) <= 2e-14
+        assert abs(6.0 * gain + float(eigenvalues[:, 0].sum()) - 4.0) <= 2e-14
+
+    def test_qutrit_states_are_four_mutually_unbiased_bases(self):
+        overlaps = np.abs(QUTRIT_MUB.conj() @ QUTRIT_MUB.T) ** 2
+        same_basis = np.kron(np.eye(4), np.ones((3, 3))) == 1
+        assert np.allclose(overlaps[same_basis], np.eye(12)[same_basis], atol=1e-15)
+        assert np.allclose(overlaps[~same_basis], 1.0 / 3.0, atol=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(INSTRUMENTS)
+    def test_qutrit_sum_is_five_only_for_two_outcomes(self, instrument):
+        # 12G + R_opt = 3 + sum_r (lambda_max + lambda_min) = 6 - sum_r lambda_mid(M_r).
+        # With two outcomes M_2 = I - M_1, so the middle eigenvalues add to 1.
+        seed, outcomes = instrument
+        gain, eigenvalues = design_gain(random_instrument(seed, 3, outcomes), QUTRIT_MUB)
+        total = 12.0 * gain + float(eigenvalues[:, 0].sum())
+        assert abs(total - (6.0 - float(eigenvalues[:, 1].sum()))) <= 2e-14
+        if outcomes == 2:
+            assert abs(total - 5.0) <= 2e-14
+
+    def test_qutrit_projective_measurement_sums_to_six(self):
+        # Three outcomes break the two-outcome value: M_r = |r><r| has
+        # lambda_mid = 0, so 12G + R_opt = 6 (G = 1/2, nothing reversible).
+        gain, eigenvalues = design_gain(np.eye(3)[:, None, :] * np.eye(3)[:, :, None], QUTRIT_MUB)
+        assert abs(12.0 * gain + float(eigenvalues[:, 0].sum()) - 6.0) <= 2e-14
