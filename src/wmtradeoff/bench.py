@@ -3,17 +3,19 @@
 The bench realizes the measurement with one polarizing Sagnac interferometer
 (a half-wave plate in each arm, angles ``a`` and ``b``) and the reversal with
 a second, identical interferometer whose arm angles are exchanged. Photon
-counting is simulated at the probability level by one array kernel:
-``channel_probabilities`` gives the four channel survivals (two measurement
-branches, two measurement-plus-reversal chains) over broadcast
-(epsilon, eta, alpha), and ``simulate_counts`` turns them into a
-(cells, 51, 4) count array, each channel an independent run of N photons
+counting is simulated at the probability level by one array kernel that
+writes the four channel survivals (two measurement branches, two
+measurement-plus-reversal chains) into one channel-first, state-major
+(4, 51, cells) buffer, so every array pass runs over the cells as its
+contiguous axis. ``channel_probabilities`` is a view of it over broadcast
+(epsilon, eta, alpha), and ``simulate_counts`` scales it in place into a
+(cells, 51, 4) count view, each channel an independent run of N photons
 drawn from a binomial law. Every cell draws its counts from its own
 keyed-counter stream (Philox; Salmon et al., SC'11): the key comes from
 (seed, product) and the counter from the cell, so a cell's numbers do not
 depend on which cells are drawn with it; exact mode records the expected
 counts instead. The count-ratio estimators reduce that array over the 51
-states.
+states, adding them in order whatever its memory layout.
 
 The model works with arm transmissions only: (1 - epsilon, 1 - eta) on the
 primary branch and (epsilon, eta) on the complementary one, exchanged in the
@@ -89,6 +91,37 @@ def _substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+def _channels(epsilon, eta, alpha, noise: NoiseModel | None) -> np.ndarray:
+    """The four channel survivals, channel axis first: shape (4, *broadcast shape).
+
+    Each ``alpha * h`` and ``beta * v`` product is formed once and reused by
+    the reversal chain: ``(alpha * h1) * v1`` is how ``alpha * h1 * v1``
+    rounds, so the chain survivals keep their bits.
+    """
+    swap = (noise or NoiseModel()).interferometer_swap_probability
+    keep = 1.0 - swap
+    e, h = np.asarray(epsilon, dtype=float), np.asarray(eta, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    beta = 1.0 - alpha
+    # Leakage-mixed H and V arm transmissions of the branch of outcome 1 and
+    # of outcome 2, on the (epsilon, eta) shape; alpha broadcasts last.
+    not_e, not_h = 1.0 - e, 1.0 - h
+    h1, v1 = keep * not_e + swap * not_h, keep * not_h + swap * not_e
+    h2, v2 = keep * e + swap * h, keep * h + swap * e
+    out = np.empty((4,) + np.broadcast(h1, alpha).shape)
+    # The reversal exchanges the arms, so its mixed H transmission is the V
+    # one. Indexing with ``...`` gives views even of a 0-d broadcast shape.
+    for branch, (hr, vr) in enumerate(((h1, v1), (h2, v2))):
+        measured, chain = out[branch, ...], out[branch + 2, ...]
+        np.multiply(alpha, hr, out=chain)
+        rest = beta * vr
+        np.add(chain, rest, out=measured)
+        chain *= vr
+        rest *= hr
+        chain += rest
+    return out
+
+
 def channel_probabilities(epsilon, eta, alpha, noise: NoiseModel | None = None) -> np.ndarray:
     """Survival probabilities of the four count channels.
 
@@ -101,23 +134,7 @@ def channel_probabilities(epsilon, eta, alpha, noise: NoiseModel | None = None) 
     (1-e)(1-h) and e*h, do not depend on the input state. Detector efficiency
     is not applied.
     """
-    swap = (noise or NoiseModel()).interferometer_swap_probability
-    keep = 1.0 - swap
-    e, h = np.broadcast_arrays(np.asarray(epsilon, dtype=float), np.asarray(eta, dtype=float))
-    alpha = np.asarray(alpha, dtype=float)
-    beta = 1.0 - alpha
-    # Leakage-mixed H and V arm transmissions of the branch of outcome 1 and
-    # of outcome 2, on the (epsilon, eta) shape; alpha broadcasts last.
-    h1, v1 = keep * (1.0 - e) + swap * (1.0 - h), keep * (1.0 - h) + swap * (1.0 - e)
-    h2, v2 = keep * e + swap * h, keep * h + swap * e
-    # The reversal exchanges the arms, so its mixed H transmission is the V one.
-    channels = (
-        alpha * h1 + beta * v1,
-        alpha * h2 + beta * v2,
-        alpha * h1 * v1 + beta * v1 * h1,
-        alpha * h2 * v2 + beta * v2 * h2,
-    )
-    return np.stack(channels, axis=-1)
+    return np.moveaxis(_channels(epsilon, eta, alpha, noise), 0, -1)
 
 
 def simulate_counts(
@@ -141,18 +158,25 @@ def simulate_counts(
     so a cell's counts do not depend on the cells drawn with it. Exact mode
     records the expected values instead, builds no generator and ignores
     the keys.
+
+    The result is a view of one state-major (4, 51, cells) buffer, so the
+    cells are its contiguous axis: floats in exact mode, int64 when sampled.
     """
     if photons_per_setting < 1:
         raise ValueError("photons_per_setting must be at least 1")
     noise = noise or NoiseModel()
-    e, h = np.broadcast_arrays(np.atleast_1d(epsilon), np.atleast_1d(eta))
-    probs = channel_probabilities(e[:, None], h[:, None], TRAVERSAL_ALPHAS, noise)
-    detected = np.clip(probs * noise.detector_efficiency, 0.0, 1.0)
+    detected = _channels(
+        np.atleast_1d(epsilon), np.atleast_1d(eta), TRAVERSAL_ALPHAS[:, None], noise
+    )
+    detected *= noise.detector_efficiency
+    np.clip(detected, 0.0, 1.0, out=detected)
     if exact_mode:
-        return photons_per_setting * detected
-    if len(cell_keys) != len(e):
-        raise ValueError(f"expected {len(e)} cell keys, got {len(cell_keys)}")
-    counts = np.empty(detected.shape, dtype=np.int64)
+        detected *= photons_per_setting
+        return detected.T
+    if len(cell_keys) != detected.shape[-1]:
+        raise ValueError(f"expected {detected.shape[-1]} cell keys, got {len(cell_keys)}")
+    # Each cell's counts overwrite its own probabilities once they are drawn.
+    counts = detected.view(np.int64)
     bit_generator = np.random.Philox(key=0)
     rng = np.random.Generator(bit_generator)
     # One state dict, its buffer empty, rewritten in place: setting it
@@ -168,24 +192,61 @@ def simulate_counts(
         state["state"]["key"] = stream_keys[prefix]
         state["state"]["counter"][3] = int(cell)
         bit_generator.state = state
-        counts[k] = rng.binomial(photons_per_setting, detected[k])
-    return counts
+        # The draws run over (state, channel) in C order; binomial reads a
+        # contiguous copy of the cell's 204 probabilities faster than a view.
+        counts[..., k] = rng.binomial(photons_per_setting, detected[..., k].T.copy()).T
+    return counts.T
 
 
 def _measured(counts) -> tuple[np.ndarray, np.ndarray]:
-    """Counts as floats, and each state's measured total m1 + m2."""
-    counts = np.asarray(counts, dtype=float)
+    """The channels of ``counts``, states first, and each state's measured total m1 + m2.
+
+    ``counts`` of shape (..., 51, 4) comes back as a (4, 51, ...) view; on
+    the output of ``simulate_counts`` that view is C-contiguous. The total is
+    a float: m1 + m2 can exceed the int64 range.
+    """
+    counts = np.asarray(counts)
     if counts.shape[-2:] != (N_TRAVERSAL_STATES, 4):
         raise EstimationError(
             f"expected counts of shape (..., {N_TRAVERSAL_STATES}, 4), got {counts.shape}"
         )
-    total = counts[..., 0] + counts[..., 1]
-    if total.min(initial=1.0) < 1.0:
-        empty = np.argwhere(total < 1.0)
+    channels = counts.transpose((-1, -2, *range(counts.ndim - 2)))
+    total = np.add(channels[0], channels[1], dtype=float)
+    # A fractional count is an expected value, so any positive total is one.
+    if total.min(initial=1.0) <= 0.0:
+        empty = np.argwhere(np.moveaxis(total, 0, -1) <= 0.0)
         raise EstimationError(
             f"no measured counts for state index {empty[0, -1]}; cannot form ratio"
         )
-    return counts, total
+    return channels, total
+
+
+def _gain_terms(counts, epsilon, eta) -> np.ndarray:
+    channels, total = _measured(counts)
+    m1, m2 = channels[0], channels[1]
+    guess_v = first_guess_is_v(np.asarray(epsilon), np.asarray(eta))
+    if guess_v.ndim >= m1.ndim:
+        # More guess axes than cell axes: pad the cells' on the left.
+        pad = (1,) * (guess_v.ndim + 1 - m1.ndim)
+        m1, m2, total = (x.reshape(x.shape[:1] + pad + x.shape[1:]) for x in (m1, m2, total))
+    alphas = TRAVERSAL_ALPHAS.reshape((N_TRAVERSAL_STATES,) + (1,) * (m1.ndim - 1))
+    # z, then 1 - z and (1 - z) * m2 in place: three block-sized arrays at most.
+    z = np.empty(np.broadcast(alphas, guess_v, m1).shape)
+    z[...] = alphas
+    np.copyto(z, 1.0 - alphas, where=guess_v)
+    terms = z * m1
+    np.subtract(1.0, z, out=z)
+    z *= m2
+    terms += z
+    terms /= total
+    return terms
+
+
+def _rev_terms(counts) -> np.ndarray:
+    channels, total = _measured(counts)
+    terms = np.add(channels[2], channels[3], dtype=float)
+    terms /= total
+    return terms
 
 
 def gain_term_from_counts(counts, epsilon, eta) -> np.ndarray:
@@ -195,32 +256,38 @@ def gain_term_from_counts(counts, epsilon, eta) -> np.ndarray:
     and by 1 - 0.02*i where it guesses |V> (the package's one guess rule,
     ``first_guess_is_v``), and the complementary channel by the rest.
     """
-    counts, total = _measured(counts)
-    guess_v = first_guess_is_v(np.asarray(epsilon), np.asarray(eta))
-    z = np.where(np.expand_dims(guess_v, -1), 1.0 - TRAVERSAL_ALPHAS, TRAVERSAL_ALPHAS)
-    return (z * counts[..., 0] + (1.0 - z) * counts[..., 1]) / total
+    return np.moveaxis(_gain_terms(counts, epsilon, eta), 0, -1)
 
 
 def rev_term_from_counts(counts) -> np.ndarray:
     """Fraction of measured photons that also survived the reversal, shape (..., 51)."""
-    counts, total = _measured(counts)
-    return (counts[..., 2] + counts[..., 3]) / total
+    return np.moveaxis(_rev_terms(counts), 0, -1)
 
 
 def _traversal_mean(terms: np.ndarray) -> np.ndarray:
-    # An accumulation adds the states one after another by definition, as a
-    # per-state loop would; ndarray.sum adds pairwise and rounds differently.
-    return np.add.accumulate(terms, axis=-1)[..., -1] / N_TRAVERSAL_STATES
+    """Mean over the 51 states of axis 0, the states added one after another.
+
+    A per-state loop adds them in order; numpy adds pairwise along the axis
+    it loops over innermost, and rounds differently. Over the outer axis of
+    a C-contiguous (51, cells) array with two or more cells its loop adds
+    whole rows in order; elsewhere an accumulation does so by definition.
+    """
+    terms = np.asarray(terms)
+    if terms.ndim == 2 and terms.shape[1] > 1 and terms.flags.c_contiguous:
+        total = np.add.reduce(terms, axis=0)
+    else:
+        total = np.add.accumulate(terms, axis=0)[-1]
+    return total / N_TRAVERSAL_STATES
 
 
 def estimate_gmax_from_counts(counts, epsilon, eta) -> np.ndarray:
     """Count-ratio estimate of the mean maximal estimation fidelity of each cell."""
-    return _traversal_mean(gain_term_from_counts(counts, epsilon, eta))
+    return _traversal_mean(_gain_terms(counts, epsilon, eta))
 
 
 def estimate_prev_from_counts(counts) -> np.ndarray:
     """Count-ratio estimate of the mean reversal probability of each cell."""
-    return _traversal_mean(rev_term_from_counts(counts))
+    return _traversal_mean(_rev_terms(counts))
 
 
 def simulate_tomography(

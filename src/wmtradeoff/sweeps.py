@@ -88,11 +88,13 @@ ORACLE_STDERR_MULTIPLIER = 4.5
 LOW_STATS_FLOOR = 100
 
 # Cells per count-kernel call of grid_sweep: whole epsilon rows, at most
-# this many cells and at least one row, so a 16 x 16 lattice takes 4 calls.
-# Larger blocks run slower once their temporaries outgrow the cache: the
-# exact 64 x 64 lattice took 33.5 ms with 256-cell blocks against 26.1 ms
-# with one 64-cell row a call (in-process, best of 9, 2-vCPU Xeon VM).
-GRID_BLOCK_CELLS = 64
+# this many cells and at least one row, so a 16 x 16 lattice takes 1 call
+# and a 64 x 64 one 16. The kernel's passes run over the cells, so larger
+# blocks pay less per-call overhead until their temporaries outgrow the
+# cache: the exact 64 x 64 lattice took 9.3 ms with 64-cell blocks, 5.9 ms
+# with 256, 5.5 ms with 1024 and 10.4 ms with 4096 (in-process, best of 45,
+# 2-vCPU Xeon VM).
+GRID_BLOCK_CELLS = 256
 
 # Spawn keys of the random streams. Sampled counts draw from the keyed
 # Philox stream of (product tag, cell) (``bench.STREAM_SCHEME``); the
@@ -196,7 +198,7 @@ def grid_sweep(
     Rows run row-major by epsilon, then eta. Diagonal (beam-splitter) cells
     are flagged, never dropped, so downstream consumers can mask them. The
     counts are simulated in blocks of whole epsilon rows, at most
-    ``GRID_BLOCK_CELLS`` (64) cells or one row, which keeps memory linear in
+    ``GRID_BLOCK_CELLS`` (256) cells or one row, which keeps memory linear in
     the grid size.
     """
     if grid_size < 2:
@@ -511,7 +513,7 @@ def _state_grid_means(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """
     values = np.linspace(0.0, 1.0, grid_size)
     means = np.array(
-        [[_traversal_mean(terms.T) for terms in _traversal_terms(e, values)] for e in values]
+        [[_traversal_mean(terms) for terms in _traversal_terms(e, values)] for e in values]
     )
     return means[:, 0], means[:, 1]
 

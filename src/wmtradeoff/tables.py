@@ -8,10 +8,12 @@ flags print as 0/1. JSON documents carry the same columns as objects under
 a stable metadata header, with non-finite numbers as null; ``NOTE`` columns
 appear in JSON only.
 
-Both writers turn each column into text in one pass and fill one row
-template over all rows with a single ``%``. A ``NUMBER`` column is read as
-float64 and each distinct bit pattern in it is formatted once, so -0.0 and
-0.0 stay apart where JSON tells them apart. The JSON document equals
+Both writers turn each column into text in one pass, interleave the cells
+with the fixed text of each row and join all the pieces with a single
+``str.join``. A ``NUMBER`` column is read as float64 and each distinct bit
+pattern in it is formatted once, by one C-level ``map`` over the distinct
+values, so -0.0 and 0.0 stay apart where JSON tells them apart. The JSON
+document equals
 ``json.dumps({"metadata": ..., key: rows}, indent=2, allow_nan=False)`` byte
 for byte, without the pure-Python encoder that ``json.dumps`` falls back to
 whenever ``indent`` is set.
@@ -20,7 +22,6 @@ whenever ``indent`` is set.
 from __future__ import annotations
 
 import json
-import math
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -28,21 +29,20 @@ import numpy as np
 NUMBER, FLAG, TEXT, NOTE = "number", "flag", "text", "note"
 
 
-def _number_text(value: float, csv: bool) -> str:
-    if csv:
-        # +0.0 normalizes a negative zero
-        return "nan" if math.isnan(value) else "%.9f" % (value + 0.0)
-    # float.__repr__ is what json.dumps prints for a float.
-    return float.__repr__(value) if math.isfinite(value) else "null"
-
-
 def _column_text(kind: str, values, csv: bool) -> np.ndarray:
     """The text of every cell of one column, as an object array."""
     if kind == NUMBER:
         bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
         distinct, inverse = np.unique(bits, return_inverse=True)
-        text = [_number_text(v, csv) for v in distinct.view(np.float64).tolist()]
-        return np.array(text, dtype=object)[inverse]
+        numbers = distinct.view(np.float64)
+        if csv:
+            # +0.0 normalizes a negative zero; "%.9f" prints NaN as nan.
+            text = np.array(list(map("%.9f".__mod__, (numbers + 0.0).tolist())), dtype=object)
+        else:
+            # float.__repr__ is what json.dumps prints for a float.
+            text = np.array(list(map(float.__repr__, numbers.tolist())), dtype=object)
+            text[~np.isfinite(numbers)] = "null"
+        return text[inverse]
     if kind == FLAG:
         return np.array(["0", "1"], dtype=object)[np.asarray(values, dtype=bool).astype(np.intp)]
     text = list(map(str, values))
@@ -51,18 +51,27 @@ def _column_text(kind: str, values, csv: bool) -> np.ndarray:
     return np.array(text, dtype=object)
 
 
-def _fill(spec, columns: dict, csv: bool, row_template: str, separator: str) -> str:
-    """Every row of ``columns`` through ``row_template``, joined by ``separator``."""
+def _fill(spec, columns: dict, csv: bool, row_template: tuple, separator: str) -> list:
+    """Every row of ``columns`` through ``row_template``, rows joined by ``separator``.
+
+    ``row_template`` holds the text around the cells: one piece before each
+    cell and one after the last. The result is the pieces of the text, in
+    order, for one ``str.join``.
+    """
     cells = [_column_text(kind, columns[name], csv) for name, kind in spec]
-    flat = np.stack(cells, axis=-1).ravel().tolist()
-    return separator.join([row_template] * len(cells[0])) % tuple(flat)
+    pieces = np.empty((len(cells[0]), 2 * len(cells) + 1), dtype=object)
+    pieces[:, 0::2] = row_template
+    pieces[:, 1::2] = np.stack(cells, axis=-1)
+    pieces[1:, 0] = separator + row_template[0]
+    return pieces.ravel().tolist()
 
 
 def csv_table(spec, columns: dict) -> str:
     spec = [(name, kind) for name, kind in spec if kind != NOTE]
     # Each row starts a line, so no rows leave the header alone.
-    body = _fill(spec, columns, True, "\n" + ",".join(["%s"] * len(spec)), "")
-    return ",".join(name for name, _ in spec) + body + "\n"
+    row = ("\n",) + (",",) * (len(spec) - 1) + ("",)
+    header = ",".join(name for name, _ in spec)
+    return "".join([header, *_fill(spec, columns, True, row, ""), "\n"])
 
 
 def json_document(metadata: dict, rows_key: str, spec, columns: dict) -> str:
@@ -72,14 +81,13 @@ def json_document(metadata: dict, rows_key: str, spec, columns: dict) -> str:
     there raises ``ValueError`` instead of producing invalid JSON.
     """
     head = json.dumps({"metadata": metadata, rows_key: []}, indent=2, allow_nan=False)
-    fields = ",\n".join(
-        "      " + encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name, _ in spec
-    )
-    body = _fill(spec, columns, False, "    {\n" + fields + "\n    }", ",\n")
-    if not body:
+    names = [encode_basestring_ascii(name) + ": " for name, _ in spec]
+    row = ("    {\n      " + names[0],) + tuple(",\n      " + n for n in names[1:]) + ("\n    }",)
+    pieces = _fill(spec, columns, False, row, ",\n")
+    if not pieces:
         return head + "\n"
     # head ends with `[]\n}`: the empty rows list and the closing brace.
-    return head[:-4] + "[\n" + body + "\n  ]\n}\n"
+    return "".join([head[:-4], "[\n", *pieces, "\n  ]\n}\n"])
 
 
 GRID = (

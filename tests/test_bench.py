@@ -361,6 +361,26 @@ class TestSimulateCounts:
             p = channel_probabilities(e, h, TRAVERSAL_ALPHAS, noise) * noise.detector_efficiency
             np.testing.assert_array_equal(counts[k], rng.binomial(photons, np.clip(p, 0.0, 1.0)))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        strategies.lists(strategies.tuples(UNIT, UNIT), min_size=1, max_size=5),
+        strategies.integers(1, 10**6),
+        strategies.floats(0.0, 0.01),
+        strategies.floats(0.01, 1.0),
+    )
+    def test_exact_counts_equal_scaled_clipped_probabilities(
+        self, cells, photons, leakage, efficiency
+    ):
+        # The exact-mode twin of the draw above: each cell records
+        # N * clip(p * efficiency, 0, 1) of its channel probabilities.
+        noise = NoiseModel(pbs_leakage=leakage, detector_efficiency=efficiency)
+        eps, etas = [c[0] for c in cells], [c[1] for c in cells]
+        counts = simulate_counts(eps, etas, photons, noise, exact_mode=True)
+        for k, (e, h) in enumerate(cells):
+            p = channel_probabilities(e, h, TRAVERSAL_ALPHAS, noise) * efficiency
+            expected = photons * np.clip(p, 0.0, 1.0)
+            assert np.ascontiguousarray(counts[k]).tobytes() == expected.tobytes()
+
 
 class TestEstimators:
     def test_balanced_zeta_term_is_count_independent(self):
@@ -386,17 +406,52 @@ class TestEstimators:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        strategies.sampled_from([(1, 51), (2, 51), (64, 51), (51,)]).flatmap(
+        strategies.sampled_from([(51, 1), (51, 2), (51, 64), (51,), (51, 2, 3)]).flatmap(
             lambda shape: hnp.arrays(np.float64, shape, elements=strategies.floats(0.0, 1.0))
-        )
+        ),
+        strategies.sampled_from(["C", "F", "strided"]),
     )
-    def test_traversal_mean_adds_states_in_order(self, terms):
-        # The builtin sum adds the 51 states one after another, as a
-        # per-state loop would; the mean must round exactly as it does.
-        reference = sum(np.moveaxis(terms, -1, 0)) / N_TRAVERSAL_STATES
-        mean = bench._traversal_mean(terms)
+    def test_traversal_mean_adds_states_in_order(self, terms, layout):
+        # The builtin sum adds the 51 states (axis 0) one after another, as a
+        # per-state loop would; the mean must round exactly as it does,
+        # whatever the memory layout of the terms.
+        reference = sum(terms) / N_TRAVERSAL_STATES
+        held = {
+            "C": np.ascontiguousarray(terms),
+            "F": np.asfortranarray(terms),
+            "strided": np.repeat(terms, 2, axis=-1)[..., ::2],
+        }[layout]
+        mean = bench._traversal_mean(held)
         assert type(mean) is type(reference)
         assert np.asarray(mean).tobytes() == np.asarray(reference).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        strategies.integers(0, 2**32 - 1),
+        strategies.integers(0, 5),
+        strategies.sampled_from([np.float64, np.int64]),
+        strategies.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    )
+    def test_estimators_do_not_depend_on_the_layout(self, seed, cells, dtype, eta):
+        # simulate_counts hands out a (cells, 51, 4) view of a state-major
+        # buffer; the same values held C-contiguous must estimate to the
+        # same bytes, as floats (exact mode) and as int64 (sampled).
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 10**6, size=(cells, 51, 4))
+        values[..., 0] += 1  # every state measured at least one photon
+        contiguous = values.astype(dtype)
+        state_major = np.ascontiguousarray(contiguous.T).T
+        assert not state_major.flags.c_contiguous or cells <= 1
+        eps = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=cells)
+        for estimate in (
+            lambda c: gain_term_from_counts(c, eps, eta),
+            rev_term_from_counts,
+            lambda c: estimate_gmax_from_counts(c, eps, eta),
+            estimate_prev_from_counts,
+        ):
+            a, b = estimate(contiguous), estimate(state_major)
+            assert a.shape == b.shape
+            assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
     def test_estimators_require_full_traversal(self):
         counts = run_counts(FLAGSHIP, 1000, exact=True)

@@ -194,6 +194,31 @@ class TestDispatchProducts:
         assert code == EXIT_VERIFY_FAIL
         assert "reversal_exactness" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-states", "--photons-per-setting", "2", "--detector-efficiency", "0.5"],
+            ["sweep-grid", "--photons-per-setting", "1", "--detector-efficiency", "0.9"],
+            ["verify", "--photons-per-setting", "1", "--grid-size", "2"],
+        ],
+    )
+    def test_exact_mode_below_one_expected_photon(self, argv, capsys):
+        # Exact counts are expected values, so a measured total below one
+        # photon still forms a ratio, and detector efficiency cancels in it.
+        assert main([*argv, "--exact-mode", "true"]) == EXIT_OK
+        out = capsys.readouterr().out
+        if argv[0] == "verify":
+            assert [c["verdict"] for c in json.loads(out)["checks"]] == ["PASS"] * 15
+            return
+        pairs = {"sweep-states": ("gain", "rev"), "sweep-grid": ("prev",)}[argv[0]]
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows
+        for row in rows:
+            for name in pairs:
+                assert float(row[name + "_mc"]) == pytest.approx(
+                    float(row[name + "_analytic"]), abs=2e-9
+                )
+
     def test_cross_section_exact_sum_column(self, tmp_path):
         out = tmp_path / "cross.csv"
         code = main(["cross-section", "--exact-mode", "true", "--output-path", str(out)])

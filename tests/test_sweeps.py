@@ -212,7 +212,7 @@ class TestGridSweep:
     @pytest.mark.parametrize("grid_size", [2, 3, 17, 65])
     def test_products_do_not_depend_on_the_block_size(self, monkeypatch, grid_size):
         # Blocks of 1 cell and of 7 hold one row each; 10**6 holds the
-        # whole lattice; 64 is the default.
+        # whole lattice; 256 is the default.
         noise = NoiseModel(pbs_leakage=0.001, detector_efficiency=0.9)
 
         def products():
@@ -222,7 +222,7 @@ class TestGridSweep:
             ]
 
         expected = products()
-        for block in (1, 7, 64, 10**6):
+        for block in (1, 7, 64, 256, 10**6):
             monkeypatch.setattr(sweeps, "GRID_BLOCK_CELLS", block)
             assert products() == expected
 
