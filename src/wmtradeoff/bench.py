@@ -109,12 +109,13 @@ def _channels(epsilon, eta, alpha, noise: NoiseModel | None) -> np.ndarray:
     h1, v1 = keep * not_e + swap * not_h, keep * not_h + swap * not_e
     h2, v2 = keep * e + swap * h, keep * h + swap * e
     out = np.empty((4,) + np.broadcast(h1, alpha).shape)
+    rest = np.empty(out.shape[1:])
     # The reversal exchanges the arms, so its mixed H transmission is the V
     # one. Indexing with ``...`` gives views even of a 0-d broadcast shape.
     for branch, (hr, vr) in enumerate(((h1, v1), (h2, v2))):
         measured, chain = out[branch, ...], out[branch + 2, ...]
         np.multiply(alpha, hr, out=chain)
-        rest = beta * vr
+        np.multiply(beta, vr, out=rest)
         np.add(chain, rest, out=measured)
         chain *= vr
         rest *= hr
@@ -198,39 +199,45 @@ def simulate_counts(
     return counts.T
 
 
-def _measured(counts) -> tuple[np.ndarray, np.ndarray]:
-    """The channels of ``counts``, states first, and each state's measured total m1 + m2.
+def _state_major(counts) -> np.ndarray:
+    """``counts`` of shape (..., 51, 4) as a (4, 51, ...) view, channels then states.
 
-    ``counts`` of shape (..., 51, 4) comes back as a (4, 51, ...) view; on
-    the output of ``simulate_counts`` that view is C-contiguous. The total is
-    a float: m1 + m2 can exceed the int64 range.
+    On the output of ``simulate_counts`` that view is C-contiguous.
     """
     counts = np.asarray(counts)
     if counts.shape[-2:] != (N_TRAVERSAL_STATES, 4):
         raise EstimationError(
             f"expected counts of shape (..., {N_TRAVERSAL_STATES}, 4), got {counts.shape}"
         )
-    channels = counts.transpose((-1, -2, *range(counts.ndim - 2)))
-    total = np.add(channels[0], channels[1], dtype=float)
+    return counts.transpose((-1, -2, *range(counts.ndim - 2)))
+
+
+def _per_measured(terms: np.ndarray, channels: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """``terms`` divided in place by each state's measured total m1 + m2.
+
+    The total is formed in the float array ``total``: m1 + m2 can exceed the
+    int64 range.
+    """
+    np.copyto(total, channels[0])
+    total += channels[1]
     # A fractional count is an expected value, so any positive total is one.
     if total.min(initial=1.0) <= 0.0:
         empty = np.argwhere(np.moveaxis(total, 0, -1) <= 0.0)
         raise EstimationError(
             f"no measured counts for state index {empty[0, -1]}; cannot form ratio"
         )
-    return channels, total
+    terms /= total
+    return terms
 
 
 def _gain_terms(counts, epsilon, eta) -> np.ndarray:
-    channels, total = _measured(counts)
-    m1, m2 = channels[0], channels[1]
+    channels = _state_major(counts)
     guess_v = first_guess_is_v(np.asarray(epsilon), np.asarray(eta))
-    if guess_v.ndim >= m1.ndim:
-        # More guess axes than cell axes: pad the cells' on the left.
-        pad = (1,) * (guess_v.ndim + 1 - m1.ndim)
-        m1, m2, total = (x.reshape(x.shape[:1] + pad + x.shape[1:]) for x in (m1, m2, total))
+    # More guess axes than cell axes: pad the cells' on the left.
+    pad = max(0, guess_v.ndim + 2 - channels.ndim)
+    m1, m2 = np.expand_dims(channels, tuple(range(2, 2 + pad)))[:2]
     alphas = TRAVERSAL_ALPHAS.reshape((N_TRAVERSAL_STATES,) + (1,) * (m1.ndim - 1))
-    # z, then 1 - z and (1 - z) * m2 in place: three block-sized arrays at most.
+    # z, then (1 - z) * m2 and the total in place: two block-sized arrays.
     z = np.empty(np.broadcast(alphas, guess_v, m1).shape)
     z[...] = alphas
     np.copyto(z, 1.0 - alphas, where=guess_v)
@@ -238,15 +245,14 @@ def _gain_terms(counts, epsilon, eta) -> np.ndarray:
     np.subtract(1.0, z, out=z)
     z *= m2
     terms += z
-    terms /= total
-    return terms
+    return _per_measured(terms, (m1, m2), z)
 
 
 def _rev_terms(counts) -> np.ndarray:
-    channels, total = _measured(counts)
-    terms = np.add(channels[2], channels[3], dtype=float)
-    terms /= total
-    return terms
+    channels = _state_major(counts)
+    terms = channels[2].astype(float)
+    terms += channels[3]
+    return _per_measured(terms, channels, np.empty_like(terms))
 
 
 def gain_term_from_counts(counts, epsilon, eta) -> np.ndarray:
@@ -267,17 +273,11 @@ def rev_term_from_counts(counts) -> np.ndarray:
 def _traversal_mean(terms: np.ndarray) -> np.ndarray:
     """Mean over the 51 states of axis 0, the states added one after another.
 
-    A per-state loop adds them in order; numpy adds pairwise along the axis
-    it loops over innermost, and rounds differently. Over the outer axis of
-    a C-contiguous (51, cells) array with two or more cells its loop adds
-    whole rows in order; elsewhere an accumulation does so by definition.
+    An accumulation adds them in order by definition, as a per-state loop
+    would, whatever the memory layout; ``ndarray.sum`` adds pairwise and
+    rounds differently.
     """
-    terms = np.asarray(terms)
-    if terms.ndim == 2 and terms.shape[1] > 1 and terms.flags.c_contiguous:
-        total = np.add.reduce(terms, axis=0)
-    else:
-        total = np.add.accumulate(terms, axis=0)[-1]
-    return total / N_TRAVERSAL_STATES
+    return np.add.accumulate(terms, axis=0)[-1] / N_TRAVERSAL_STATES
 
 
 def estimate_gmax_from_counts(counts, epsilon, eta) -> np.ndarray:

@@ -41,8 +41,8 @@ EXIT_VERIFY_FAIL = 2
 
 # Largest accepted lattice side. A sweep holds grid_size^2 cells of 51 states
 # each; on a 2-vCPU Xeon VM a sampled 256 x 256 lattice builds one Philox
-# generator per kernel call, 256 in all, and takes 2.2-2.4 s in-process, the
-# exact one 0.21-0.25 s. Anything larger is refused before it is allocated.
+# generator per kernel call, 256 in all, and takes 2.3-2.6 s in-process, the
+# exact one 0.26-0.31 s. Anything larger is refused before it is allocated.
 MAX_GRID_SIZE = 256
 
 # Largest photon numbers the count path can represent: binomial draws take a

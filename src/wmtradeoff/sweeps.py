@@ -91,8 +91,8 @@ LOW_STATS_FLOOR = 100
 # this many cells and at least one row, so a 16 x 16 lattice takes 1 call
 # and a 64 x 64 one 16. The kernel's passes run over the cells, so larger
 # blocks pay less per-call overhead until their temporaries outgrow the
-# cache: the exact 64 x 64 lattice took 9.3 ms with 64-cell blocks, 5.9 ms
-# with 256, 5.5 ms with 1024 and 10.4 ms with 4096 (in-process, best of 45,
+# cache: the exact 64 x 64 lattice took 12.0 ms with 64-cell blocks, 7.6 ms
+# with 256, 7.7 ms with 1024 and 8.4 ms with 4096 (in-process, best of 45,
 # 2-vCPU Xeon VM).
 GRID_BLOCK_CELLS = 256
 

@@ -8,12 +8,11 @@ flags print as 0/1. JSON documents carry the same columns as objects under
 a stable metadata header, with non-finite numbers as null; ``NOTE`` columns
 appear in JSON only.
 
-Both writers turn each column into text in one pass, interleave the cells
-with the fixed text of each row and join all the pieces with a single
-``str.join``. A ``NUMBER`` column is read as float64 and each distinct bit
-pattern in it is formatted once, by one C-level ``map`` over the distinct
-values, so -0.0 and 0.0 stay apart where JSON tells them apart. The JSON
-document equals
+Both writers turn each column into text in one pass and fill one row
+template over all rows with a single ``%``. A ``NUMBER`` column is read as
+float64 and each distinct bit pattern in it is formatted once, by one
+C-level ``map`` over the distinct values, so -0.0 and 0.0 stay apart where
+JSON tells them apart. The JSON document equals
 ``json.dumps({"metadata": ..., key: rows}, indent=2, allow_nan=False)`` byte
 for byte, without the pure-Python encoder that ``json.dumps`` falls back to
 whenever ``indent`` is set.
@@ -51,27 +50,18 @@ def _column_text(kind: str, values, csv: bool) -> np.ndarray:
     return np.array(text, dtype=object)
 
 
-def _fill(spec, columns: dict, csv: bool, row_template: tuple, separator: str) -> list:
-    """Every row of ``columns`` through ``row_template``, rows joined by ``separator``.
-
-    ``row_template`` holds the text around the cells: one piece before each
-    cell and one after the last. The result is the pieces of the text, in
-    order, for one ``str.join``.
-    """
+def _fill(spec, columns: dict, csv: bool, row_template: str, separator: str) -> str:
+    """Every row of ``columns`` through ``row_template``, joined by ``separator``."""
     cells = [_column_text(kind, columns[name], csv) for name, kind in spec]
-    pieces = np.empty((len(cells[0]), 2 * len(cells) + 1), dtype=object)
-    pieces[:, 0::2] = row_template
-    pieces[:, 1::2] = np.stack(cells, axis=-1)
-    pieces[1:, 0] = separator + row_template[0]
-    return pieces.ravel().tolist()
+    flat = np.stack(cells, axis=-1).ravel().tolist()
+    return separator.join([row_template] * len(cells[0])) % tuple(flat)
 
 
 def csv_table(spec, columns: dict) -> str:
     spec = [(name, kind) for name, kind in spec if kind != NOTE]
     # Each row starts a line, so no rows leave the header alone.
-    row = ("\n",) + (",",) * (len(spec) - 1) + ("",)
-    header = ",".join(name for name, _ in spec)
-    return "".join([header, *_fill(spec, columns, True, row, ""), "\n"])
+    body = _fill(spec, columns, True, "\n" + ",".join(["%s"] * len(spec)), "")
+    return ",".join(name for name, _ in spec) + body + "\n"
 
 
 def json_document(metadata: dict, rows_key: str, spec, columns: dict) -> str:
@@ -81,13 +71,14 @@ def json_document(metadata: dict, rows_key: str, spec, columns: dict) -> str:
     there raises ``ValueError`` instead of producing invalid JSON.
     """
     head = json.dumps({"metadata": metadata, rows_key: []}, indent=2, allow_nan=False)
-    names = [encode_basestring_ascii(name) + ": " for name, _ in spec]
-    row = ("    {\n      " + names[0],) + tuple(",\n      " + n for n in names[1:]) + ("\n    }",)
-    pieces = _fill(spec, columns, False, row, ",\n")
-    if not pieces:
+    fields = ",\n".join(
+        "      " + encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name, _ in spec
+    )
+    body = _fill(spec, columns, False, "    {\n" + fields + "\n    }", ",\n")
+    if not body:
         return head + "\n"
     # head ends with `[]\n}`: the empty rows list and the closing brace.
-    return "".join([head[:-4], "[\n", *pieces, "\n  ]\n}\n"])
+    return head[:-4] + "[\n" + body + "\n  ]\n}\n"
 
 
 GRID = (

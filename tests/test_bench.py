@@ -453,6 +453,30 @@ class TestEstimators:
             assert a.shape == b.shape
             assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
+    @pytest.mark.parametrize(
+        "cells, guess_shape", [((), (5,)), ((), (2, 3)), ((3,), (2, 3)), ((3,), (4, 1))]
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_gain_broadcasts_more_guess_axes_than_cells(self, cells, guess_shape, dtype):
+        # epsilon may carry more axes than the counts have cell axes, e.g.
+        # one cell's (51, 4) counts against a vector of epsilons; the terms
+        # broadcast over them as the per-state formula does.
+        rng = np.random.default_rng(7)
+        counts = rng.integers(1, 10**6, size=cells + (51, 4)).astype(dtype)
+        eps = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=guess_shape)
+        eta = 0.5
+        m = counts.astype(float)
+        guess_v = np.expand_dims(eps - eta > TIE_ATOL, -1)
+        z = np.where(guess_v, 1.0 - TRAVERSAL_ALPHAS, TRAVERSAL_ALPHAS)
+        terms = (z * m[..., 0] + (1.0 - z) * m[..., 1]) / (m[..., 0] + m[..., 1])
+        got = gain_term_from_counts(counts, eps, eta)
+        assert got.shape == terms.shape
+        assert got.tobytes() == terms.tobytes()
+        mean = sum(np.moveaxis(terms, -1, 0)) / N_TRAVERSAL_STATES
+        got = estimate_gmax_from_counts(counts, eps, eta)
+        assert got.shape == mean.shape
+        assert np.ascontiguousarray(got).tobytes() == mean.tobytes()
+
     def test_estimators_require_full_traversal(self):
         counts = run_counts(FLAGSHIP, 1000, exact=True)
         with pytest.raises(EstimationError):
