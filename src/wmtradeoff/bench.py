@@ -12,10 +12,10 @@ contiguous axis. ``channel_probabilities`` is a view of it over broadcast
 (cells, 51, 4) count view, each channel an independent run of N photons
 drawn from a binomial law. Every cell draws its counts from its own
 keyed-counter stream (Philox; Salmon et al., SC'11): the key comes from
-(seed, product) and the counter from the cell, so a cell's numbers do not
-depend on which cells are drawn with it; exact mode records the expected
-counts instead. The count-ratio estimators reduce that array over the 51
-states, adding them in order whatever its memory layout.
+(seed, product), the counter from the cell, counted on from a call's
+``first_key``, so a cell's numbers do not depend on the cells drawn with it;
+exact mode records the expected counts instead. The count-ratio estimators
+reduce that array over the 51 states, added in order whatever its layout.
 
 The model works with arm transmissions only: (1 - epsilon, 1 - eta) on the
 primary branch and (epsilon, eta) on the complementary one, exchanged in the
@@ -28,23 +28,36 @@ never enter a count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from numbers import Integral
 
 import numpy as np
 
-from .measurement import first_guess_is_v
+from .measurement import UNIT_RANGE, check_range, first_guess_is_v
 
 # The input-state traversal uses 51 H-weights spaced by 0.02.
 N_TRAVERSAL_STATES = 51
 ALPHA_SPACING = 0.02
 TRAVERSAL_ALPHAS = ALPHA_SPACING * np.arange(N_TRAVERSAL_STATES)
-MIN_TOMOGRAPHY_COUNTS = 100
+
+# Accepted ranges (``measurement.check_range``). Binomial draws take a signed
+# 64-bit N, and a fidelity row pools the counts of up to two chains.
+MAX_PHOTONS = 2**63 - 1
+LEAKAGE_RANGE = ("[0, 0.01]", lambda v: 0.0 <= v <= 0.01)
+EFFICIENCY_RANGE = ("(0, 1]", lambda v: 0.0 < v <= 1.0)
+PHOTONS_RANGE = ("[1, 2^63 - 1]", lambda v: isinstance(v, Integral) and 1 <= v <= MAX_PHOTONS)
+POOLED_COUNTS_RANGE = (
+    "[100, 2^63 - 1]", lambda v: isinstance(v, Integral) and 100 <= v <= MAX_PHOTONS
+)
+COUNTS_PER_BASIS_RANGE = (
+    "[100, 2^62 - 1]", lambda v: isinstance(v, Integral) and 100 <= v <= MAX_PHOTONS // 2
+)
 
 # Version of the sampled random-stream scheme: a cell keyed (*prefix, cell)
 # draws all 51 x 4 of its counts from Philox with the key
 # SeedSequence(seed, spawn_key=prefix).generate_state(2, np.uint64) and the
-# counter (0, 0, 0, cell). Sampled products record it, so numbers drawn
-# under another scheme are told apart.
+# counter (0, 0, 0, cell); a call's cells follow its ``first_key``. Sampled
+# products record the scheme, so numbers drawn under another are told apart.
 STREAM_SCHEME = "per-cell-v3"
 
 
@@ -52,8 +65,7 @@ class EstimationError(RuntimeError):
     """Raised when counts cannot support a ratio estimate."""
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(namedtuple("NoiseModel", "pbs_leakage detector_efficiency")):
     """Probability-level imperfections of the bench.
 
     ``pbs_leakage`` is the chance that a photon exits the wrong port of a
@@ -61,23 +73,15 @@ class NoiseModel:
     to roughly 1e-3). Each interferometer involves two passes, so its
     effective arm-swap probability is 2*leakage*(1-leakage); the analyzer has
     a single pass. ``detector_efficiency`` thins every count channel equally
-    and therefore cancels out of all count-ratio estimators.
+    and therefore cancels out of all count-ratio estimators. Both are floats.
     """
 
-    pbs_leakage: float = 0.0
-    detector_efficiency: float = 1.0
-
-    def __post_init__(self) -> None:
-        leak = float(self.pbs_leakage)
-        eff = float(self.detector_efficiency)
-        if not (math.isfinite(leak) and math.isfinite(eff)):
-            raise ValueError("noise parameters must be finite")
-        if leak < 0.0 or leak > 0.01:
-            raise ValueError(f"pbs_leakage must lie in [0, 0.01], got {leak!r}")
-        if eff <= 0.0 or eff > 1.0:
-            raise ValueError(f"detector_efficiency must lie in (0, 1], got {eff!r}")
-        object.__setattr__(self, "pbs_leakage", leak)
-        object.__setattr__(self, "detector_efficiency", eff)
+    def __new__(cls, pbs_leakage=0.0, detector_efficiency=1.0):
+        return super().__new__(
+            cls,
+            check_range("pbs_leakage", float(pbs_leakage), LEAKAGE_RANGE),
+            check_range("detector_efficiency", float(detector_efficiency), EFFICIENCY_RANGE),
+        )
 
     @property
     def interferometer_swap_probability(self) -> float:
@@ -144,7 +148,7 @@ def simulate_counts(
     photons_per_setting: int,
     noise: NoiseModel | None = None,
     seed: int = 0,
-    cell_keys=(),
+    first_key=None,
     exact_mode: bool = False,
 ) -> np.ndarray:
     """Counts of the four channels for every traversal state of every cell.
@@ -152,19 +156,18 @@ def simulate_counts(
     ``epsilon`` and ``eta`` broadcast to one value per cell. Each channel
     sends ``photons_per_setting`` photons and records a
     Binomial(N, p * detector_efficiency) count; the result has shape
-    (cells, 51, 4), channels ordered as in ``channel_probabilities``. Cell k
-    draws all of its counts in one call on the ``STREAM_SCHEME`` stream of
-    its key cell_keys[k] = (*prefix, cell) under ``seed``: one Philox bit
-    generator is reset to that stream's key and counter before each cell,
-    so a cell's counts do not depend on the cells drawn with it. Exact mode
-    records the expected values instead, builds no generator and ignores
-    the keys.
+    (cells, 51, 4), channels ordered as in ``channel_probabilities``. With
+    ``first_key`` = (*prefix, first_cell), cell k draws all of its counts in
+    one call on the ``STREAM_SCHEME`` stream keyed (*prefix, first_cell + k)
+    under ``seed``: one Philox bit generator keyed by the prefix has its
+    counter reset before each cell, so a cell's counts do not depend on the
+    cells drawn with it. Exact mode records the expected values instead,
+    builds no generator and ignores ``first_key``.
 
     The result is a view of one state-major (4, 51, cells) buffer, so the
     cells are its contiguous axis: floats in exact mode, int64 when sampled.
     """
-    if photons_per_setting < 1:
-        raise ValueError("photons_per_setting must be at least 1")
+    check_range("photons_per_setting", photons_per_setting, PHOTONS_RANGE)
     noise = noise or NoiseModel()
     detected = _channels(
         np.atleast_1d(epsilon), np.atleast_1d(eta), TRAVERSAL_ALPHAS[:, None], noise
@@ -174,24 +177,19 @@ def simulate_counts(
     if exact_mode:
         detected *= photons_per_setting
         return detected.T
-    if len(cell_keys) != detected.shape[-1]:
-        raise ValueError(f"expected {detected.shape[-1]} cell keys, got {len(cell_keys)}")
+    if first_key is None:
+        raise ValueError("sampled counts need a first_key (*prefix, first_cell)")
+    *prefix, first_cell = (int(i) for i in first_key)
     # Each cell's counts overwrite its own probabilities once they are drawn.
     counts = detected.view(np.int64)
-    bit_generator = np.random.Philox(key=0)
+    key = np.random.SeedSequence(int(seed), spawn_key=prefix).generate_state(2, np.uint64)
+    bit_generator = np.random.Philox(key=key)
     rng = np.random.Generator(bit_generator)
     # One state dict, its buffer empty, rewritten in place: setting it
     # costs a few microseconds where a fresh generator costs about 30.
     state = bit_generator.state
-    stream_keys = {}  # Philox key of each distinct prefix
-    for k, (*prefix, cell) in enumerate(cell_keys):
-        prefix = tuple(int(i) for i in prefix)
-        if prefix not in stream_keys:
-            stream_keys[prefix] = np.random.SeedSequence(
-                int(seed), spawn_key=prefix
-            ).generate_state(2, np.uint64)
-        state["state"]["key"] = stream_keys[prefix]
-        state["state"]["counter"][3] = int(cell)
+    for k in range(counts.shape[-1]):
+        state["state"]["counter"][3] = first_cell + k
         bit_generator.state = state
         # The draws run over (state, channel) in C order; binomial reads a
         # contiguous copy of the cell's 204 probabilities faster than a view.
@@ -308,15 +306,10 @@ def simulate_tomography(
     s / max(1, |s|), and its fidelity to the input is (1 + n.s)/2. Exact mode
     uses the outcome probabilities themselves and ignores ``rng_stream``.
     Detector efficiency cancels in the per-basis ratios and is not applied
-    here.
+    here. ``counts_per_basis`` pools every chain's (``POOLED_COUNTS_RANGE``).
     """
-    a = float(alpha)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"alpha must be an H-weight in [0, 1], got {a!r}")
-    if counts_per_basis < MIN_TOMOGRAPHY_COUNTS:
-        raise ValueError(
-            f"counts_per_basis must be at least {MIN_TOMOGRAPHY_COUNTS}, got {counts_per_basis}"
-        )
+    a = check_range("alpha", float(alpha), UNIT_RANGE)
+    check_range("counts_per_basis", counts_per_basis, POOLED_COUNTS_RANGE)
     noise = noise or NoiseModel()
     leak = noise.pbs_leakage
     rng = None if exact_mode else np.random.default_rng(rng_stream)

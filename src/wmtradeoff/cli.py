@@ -4,7 +4,8 @@ Subcommands: verify, sweep-states, sweep-grid, cross-section,
 reversal-fidelity. Flags override config-file keys, which override defaults.
 Each config key's default, parser and accepted range live in one row of the
 field table ``_FIELDS``, from which ``RunConfig``, the flags and the config
-file's keys are all built.
+file's keys are all built; every range but seed's and the grid-size cap is
+the library's own, so the CLI accepts exactly the values the library does.
 Exit codes: 0 success, 1 configuration or I/O error, 2 verification failure.
 """
 
@@ -19,14 +20,16 @@ from collections import namedtuple
 import numpy as np
 
 from ._version import __version__
-from .bench import MIN_TOMOGRAPHY_COUNTS, STREAM_SCHEME, NoiseModel
-from .measurement import WeakMeasurement
+from .bench import COUNTS_PER_BASIS_RANGE, EFFICIENCY_RANGE, LEAKAGE_RANGE, PHOTONS_RANGE
+from .bench import STREAM_SCHEME, NoiseModel
+from .measurement import UNIT_RANGE, WeakMeasurement, check_range
 from . import tables
 from .sweeps import (
     DEFAULT_COUNTS_PER_BASIS,
     DEFAULT_GRID_SIZE,
     DEFAULT_PHOTONS,
     DEFAULT_SEED,
+    MIN_GRID_SIZE,
     corrupted_reversal_operators,
     cross_section,
     grid_sweep,
@@ -44,11 +47,6 @@ EXIT_VERIFY_FAIL = 2
 # generator per kernel call, 256 in all, and takes 2.3-2.6 s in-process, the
 # exact one 0.26-0.31 s. Anything larger is refused before it is allocated.
 MAX_GRID_SIZE = 256
-
-# Largest photon numbers the count path can represent: binomial draws take a
-# signed 64-bit N, and a fidelity row pools the counts of up to two chains.
-MAX_PHOTONS = 2**63 - 1
-MAX_COUNTS_PER_BASIS = MAX_PHOTONS // 2
 
 
 class ConfigError(ValueError):
@@ -86,29 +84,23 @@ def _parse_format(name: str, text: str) -> str:
 
 
 # One row per config key: name -> (default, parse(name, text), accepted range
-# as printed, test of the parsed value). A key with no range has None in both
-# range columns. Row order is RunConfig's field order and the order in which
-# values are parsed from flags and range-checked.
+# as ``check_range`` reads it, or None). Row order is RunConfig's field order
+# and the order in which values are parsed from flags and range-checked.
 _FIELDS = {
-    "epsilon": (0.25, _parse_float, "[0, 1]", lambda v: 0 <= v <= 1),
-    "eta": (0.75, _parse_float, "[0, 1]", lambda v: 0 <= v <= 1),
-    "photons_per_setting": (
-        DEFAULT_PHOTONS, _parse_int, "[1, 2^63 - 1]", lambda v: 1 <= v <= MAX_PHOTONS
-    ),
-    "counts_per_basis": (
-        DEFAULT_COUNTS_PER_BASIS, _parse_int, f"[{MIN_TOMOGRAPHY_COUNTS}, 2^62 - 1]",
-        lambda v: MIN_TOMOGRAPHY_COUNTS <= v <= MAX_COUNTS_PER_BASIS,
-    ),
-    "seed": (DEFAULT_SEED, _parse_int, "[0, 2^64)", lambda v: 0 <= v < 2**64),
-    "pbs_leakage": (0.0, _parse_float, "[0, 0.01]", lambda v: 0 <= v <= 0.01),
-    "detector_efficiency": (1.0, _parse_float, "(0, 1]", lambda v: 0 < v <= 1),
+    "epsilon": (0.25, _parse_float, UNIT_RANGE),
+    "eta": (0.75, _parse_float, UNIT_RANGE),
+    "photons_per_setting": (DEFAULT_PHOTONS, _parse_int, PHOTONS_RANGE),
+    "counts_per_basis": (DEFAULT_COUNTS_PER_BASIS, _parse_int, COUNTS_PER_BASIS_RANGE),
+    "seed": (DEFAULT_SEED, _parse_int, ("[0, 2^64)", lambda v: 0 <= v < 2**64)),
+    "pbs_leakage": (0.0, _parse_float, LEAKAGE_RANGE),
+    "detector_efficiency": (1.0, _parse_float, EFFICIENCY_RANGE),
     "grid_size": (
-        DEFAULT_GRID_SIZE, _parse_int, f"[2, {MAX_GRID_SIZE}]",
-        lambda v: 2 <= v <= MAX_GRID_SIZE,
+        DEFAULT_GRID_SIZE, _parse_int,
+        (f"[{MIN_GRID_SIZE}, {MAX_GRID_SIZE}]", lambda v: MIN_GRID_SIZE <= v <= MAX_GRID_SIZE),
     ),
-    "exact_mode": (False, _parse_bool, None, None),
-    "output_path": (None, lambda name, text: text, None, None),
-    "output_format": (None, _parse_format, None, None),
+    "exact_mode": (False, _parse_bool, None),
+    "output_path": (None, lambda name, text: text, None),
+    "output_format": (None, _parse_format, None),
 }
 RunConfig = namedtuple("RunConfig", _FIELDS, defaults=[row[0] for row in _FIELDS.values()])
 
@@ -166,10 +158,12 @@ def parse_config(argv) -> tuple[str, RunConfig, bool]:
     config = RunConfig(
         **{name: _FIELDS[name][1](name, text) for name, text in texts if text is not None}
     )
-    for name, (_, _, range_text, test) in _FIELDS.items():
-        value = getattr(config, name)
-        if test is not None and not test(value):
-            raise ConfigError(f"{name} must lie in {range_text}, got {value!r}")
+    for name, (_, _, accepted) in _FIELDS.items():
+        if accepted is not None:
+            try:
+                check_range(name, getattr(config, name), accepted)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
     return namespace.subcommand, config, namespace.mutate_reversal
 
 

@@ -44,32 +44,36 @@ the two coincide.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from .qubit import CONSTRUCTION_ATOL, PureState, inner_products
+from .qubit import PureState, inner_products
 
 # Parameter pairs closer than this count as a degenerate (beam-splitter) tie.
 TIE_ATOL = 1e-12
 
+# A range: its printed text and the test a value must pass (NaN fails all).
+UNIT_RANGE = ("[0, 1]", lambda v: 0.0 <= v <= 1.0)
 
-@dataclass(frozen=True)
-class WeakMeasurement:
-    """The (epsilon, eta) parameter pair of a two-outcome weak measurement."""
 
-    epsilon: float
-    eta: float
+def check_range(name: str, value, accepted):
+    """``value`` if it lies in ``accepted``, else ValueError; the library's and the CLI's check."""
+    text, test = accepted
+    if not test(value):
+        raise ValueError(f"{name} must lie in {text}, got {value!r}")
+    return value
 
-    def __post_init__(self) -> None:
-        for name in ("epsilon", "eta"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError("measurement parameters must be finite")
-            if v < -CONSTRUCTION_ATOL or v > 1.0 + CONSTRUCTION_ATOL:
-                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-            object.__setattr__(self, name, min(max(v, 0.0), 1.0))
+
+class WeakMeasurement(namedtuple("WeakMeasurement", "epsilon eta")):
+    """The (epsilon, eta) parameter pair of a two-outcome weak measurement, floats in [0, 1]."""
+
+    def __new__(cls, epsilon, eta):
+        return super().__new__(
+            cls,
+            check_range("epsilon", float(epsilon), UNIT_RANGE),
+            check_range("eta", float(eta), UNIT_RANGE),
+        )
 
 
 def first_guess_is_v(epsilon, eta):

@@ -42,11 +42,13 @@ from .measurement import (
     TIE_ATOL,
     WeakMeasurement,
     branch_terms,
+    check_range,
     closed_forms,
     kraus_coefficients,
     reversal_operators,
 )
 from .bench import (
+    COUNTS_PER_BASIS_RANGE,
     N_TRAVERSAL_STATES,
     TRAVERSAL_ALPHAS,
     NoiseModel,
@@ -63,6 +65,7 @@ from .bench import (
 from . import tables
 
 DEFAULT_GRID_SIZE = 16
+MIN_GRID_SIZE = 2
 DEFAULT_PHOTONS = 100_000
 DEFAULT_SEED = 42
 DEFAULT_COUNTS_PER_BASIS = 10_000
@@ -135,7 +138,7 @@ def state_sweep(
     expected values in exact mode).
     """
     (counts,) = simulate_counts(
-        wm.epsilon, wm.eta, photons_per_setting, noise, seed, [(STATES_STREAM, 0)], exact_mode
+        wm.epsilon, wm.eta, photons_per_setting, noise, seed, (STATES_STREAM, 0), exact_mode
     )
     gain_analytic, rev_analytic = _traversal_terms(wm.epsilon, wm.eta)
     return {
@@ -164,8 +167,8 @@ def _cell_columns(
     first_index + k) whatever else is drawn.
     """
     e, h = (np.ravel(a) for a in np.broadcast_arrays(np.atleast_1d(epsilon), np.atleast_1d(eta)))
-    keys = [(GRID_STREAM, first_index + k) for k in range(len(e))]
-    counts = simulate_counts(e, h, photons_per_setting, noise, seed, keys, exact_mode)
+    first_key = (GRID_STREAM, first_index)
+    counts = simulate_counts(e, h, photons_per_setting, noise, seed, first_key, exact_mode)
     gmax, prev, degenerate = closed_forms(e, h)
     gmax_mc, prev_mc = estimate_gmax_from_counts(counts, e, h), estimate_prev_from_counts(counts)
     return {
@@ -186,6 +189,13 @@ def _concatenate(parts: list[dict]) -> dict:
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
+def _grid_values(grid_size: int) -> np.ndarray:
+    """The grid_size lattice values on [0, 1]; the sweeps and verify read both edges."""
+    if grid_size < MIN_GRID_SIZE:
+        raise ValueError(f"grid size must be at least {MIN_GRID_SIZE}")
+    return np.linspace(0.0, 1.0, grid_size)
+
+
 def grid_sweep(
     grid_size: int = DEFAULT_GRID_SIZE,
     photons_per_setting: int = DEFAULT_PHOTONS,
@@ -201,9 +211,7 @@ def grid_sweep(
     ``GRID_BLOCK_CELLS`` (256) cells or one row, which keeps memory linear in
     the grid size.
     """
-    if grid_size < 2:
-        raise ValueError("grid size must be at least 2")
-    values = np.linspace(0.0, 1.0, grid_size)
+    values = _grid_values(grid_size)
     rows = max(1, GRID_BLOCK_CELLS // grid_size)
     return _concatenate([
         _cell_columns(
@@ -226,15 +234,12 @@ def cross_section(
     Exact mode emits the closed forms (3 + eta, 1 - eta, 4); otherwise the
     columns carry the count-ratio estimates from a simulated traversal.
     """
-    etas = np.array([float(eta) for eta in eta_values])
-    for eta in etas.tolist():
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
+    etas = np.array([WeakMeasurement(0.0, eta).eta for eta in eta_values])
     if exact_mode:
         gmax, prev, _ = closed_forms(0.0, etas)
     else:
-        keys = [(CROSS_SECTION_STREAM, j) for j in range(len(etas))]
-        counts = simulate_counts(0.0, etas, photons_per_setting, noise, seed, keys)
+        first_key = (CROSS_SECTION_STREAM, 0)
+        counts = simulate_counts(0.0, etas, photons_per_setting, noise, seed, first_key)
         gmax, prev = estimate_gmax_from_counts(counts, 0.0, etas), estimate_prev_from_counts(counts)
     six_gmax = 6.0 * gmax
     return {"eta": etas, "six_gmax": six_gmax, "prev": prev, "sum": six_gmax + prev}
@@ -256,6 +261,7 @@ def reversal_fidelity_sweep(
     total expected yield falls below the floor are flagged LOW_STATS, with a
     NaN fidelity, instead of fitted.
     """
+    check_range("counts_per_basis", counts_per_basis, COUNTS_PER_BASIS_RANGE)
     noise = noise or NoiseModel()
     chains = channel_probabilities(wm.epsilon, wm.eta, TRAVERSAL_ALPHAS, noise)[:, 2:]
     fidelity = np.full(N_TRAVERSAL_STATES, math.nan)
@@ -575,8 +581,8 @@ def _check_estimator_consistency(
         g_ref = float(estimate_gmax_from_counts(expected, e, h)[0])
         p_ref = float(estimate_prev_from_counts(expected)[0])
         # Five independent traversals of the same cell, one stream each.
-        keys = [(CONSISTENCY_STREAM, k) for k in range(5)]
-        sampled = simulate_counts([e] * 5, h, photons_per_setting, noise, seed, keys)
+        first_key = (CONSISTENCY_STREAM, 0)
+        sampled = simulate_counts([e] * 5, h, photons_per_setting, noise, seed, first_key)
         g_samples = estimate_gmax_from_counts(sampled, e, h).tolist()
         p_samples = estimate_prev_from_counts(sampled).tolist()
         stat_tol = 5.0 / math.sqrt(photons_per_setting)
@@ -628,7 +634,9 @@ def verify(
     as a mutation-test hook: it takes (epsilon, eta) arrays and returns
     matrices shaped as ``reversal_operators`` does. Passing
     ``corrupted_reversal_operators`` must fail the reversal-exactness check.
+    A ``grid_size`` below ``MIN_GRID_SIZE`` is refused, as by ``grid_sweep``.
     """
+    _grid_values(grid_size)  # refuses a grid too small to hold both edges
     reversal_fn = reversal_fn or reversal_operators
     # Both state-grid checks read these means; the first to run computes
     # them. A raised error is not cached, so it fails each check by name.

@@ -113,7 +113,7 @@ def test_criterion_5_oracle_equivalence():
 def test_criterion_6_estimators():
     start = time.perf_counter()
     e, h = FLAGSHIP.epsilon, FLAGSHIP.eta
-    counts = simulate_counts(e, h, 100_000, None, seed=42, cell_keys=[(0, 0)])
+    counts = simulate_counts(e, h, 100_000, None, seed=42, first_key=(0, 0))
     g_hat = float(estimate_gmax_from_counts(counts, e, h)[0])
     p_hat = float(estimate_prev_from_counts(counts)[0])
     assert abs(g_hat - 0.586667) <= 0.002  # discrete-grid expectation target

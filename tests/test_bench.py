@@ -91,7 +91,7 @@ def discrete_gain_expectation(wm):
 
 def run_counts(wm, photons, noise=None, seed=0, exact=False):
     """The (51, 4) counts of one cell's traversal."""
-    return simulate_counts(wm.epsilon, wm.eta, photons, noise, seed, [(0, 0)], exact)[0]
+    return simulate_counts(wm.epsilon, wm.eta, photons, noise, seed, (0, 0), exact)[0]
 
 
 def forced_counts(i, m_primary, m_complement):
@@ -196,9 +196,8 @@ class TestCountRecord:
         # Every count lies in [0, N]: integers when sampled, floats when exact.
         noise = NoiseModel(pbs_leakage=0.01, detector_efficiency=0.9)
         eps, etas = [0.0, 0.3, 1.0, 1.0], [0.0, 0.8, 0.0, 1.0]
-        keys = [(0, k) for k in range(4)]
         for photons in (10, LARGEST_N):
-            sampled = simulate_counts(eps, etas, photons, noise, 5, keys)
+            sampled = simulate_counts(eps, etas, photons, noise, 5, (0, 0))
             exact = simulate_counts(eps, etas, photons, noise, exact_mode=True)
             assert sampled.dtype == np.int64 and exact.dtype == np.float64
             for counts in (sampled, exact):
@@ -254,7 +253,7 @@ class TestSimulateCounts:
 
     def test_zero_photons_rejected(self):
         with pytest.raises(ValueError):
-            simulate_counts(0.25, 0.75, 0, cell_keys=[(0, 0)])
+            simulate_counts(0.25, 0.75, 0, first_key=(0, 0))
 
     @settings(max_examples=300, deadline=None)
     @given(UNIT, UNIT, UNIT, strategies.floats(0.0, 0.01))
@@ -305,8 +304,10 @@ class TestSimulateCounts:
         assert (got.view(np.int64) == expected.view(np.int64)).all()
 
     def test_cell_keys_required_when_sampled(self):
-        with pytest.raises(ValueError, match="cell keys"):
-            simulate_counts([0.25, 0.5], 0.75, 1000, cell_keys=[(0, 0)])
+        # A sampled call must name the stream of its first cell.
+        with pytest.raises(ValueError, match="first_key"):
+            simulate_counts([0.25, 0.5], 0.75, 1000)
+        assert simulate_counts([0.25, 0.5], 0.75, 1000, exact_mode=True).shape == (2, 51, 4)
 
     def test_deterministic_per_cell_streams(self):
         a = run_counts(FLAGSHIP, 10000, seed=42)
@@ -316,47 +317,44 @@ class TestSimulateCounts:
         assert not np.array_equal(a, c)
 
     def test_cell_counts_independent_of_call_grouping(self):
-        # A cell's counts depend on its key alone, not on the cells drawn with it.
+        # A cell's counts depend on its key alone, not on the cells drawn with it:
+        # one call over a run of cells, two calls splitting it, and one call per cell.
         noise = NoiseModel(pbs_leakage=0.001, detector_efficiency=0.9)
         eps, etas = [0.0, 0.25, 0.5, 0.9], [0.7, 0.75, 0.5, 0.1]
-        keys = [(1, 10 + k) for k in range(4)]
-        row = simulate_counts(eps, etas, 5000, noise, 42, keys)
-        backwards = simulate_counts(eps[::-1], etas[::-1], 5000, noise, 42, keys[::-1])
-        np.testing.assert_array_equal(backwards[::-1], row)
+        row = simulate_counts(eps, etas, 5000, noise, 42, (1, 10))
+        tail = simulate_counts(eps[2:], etas[2:], 5000, noise, 42, (1, 12))
+        head = simulate_counts(eps[:2], etas[:2], 5000, noise, 42, (1, 10))
+        np.testing.assert_array_equal(np.concatenate((head, tail)), row)
         for k in range(4):
-            (single,) = simulate_counts(eps[k], etas[k], 5000, noise, 42, [keys[k]])
+            (single,) = simulate_counts(eps[k], etas[k], 5000, noise, 42, (1, 10 + k))
             np.testing.assert_array_equal(single, row[k])
-        (other_key,) = simulate_counts(eps[0], etas[0], 5000, noise, 42, [keys[1]])
+        (other_key,) = simulate_counts(eps[0], etas[0], 5000, noise, 42, (1, 11))
         assert not np.array_equal(other_key, row[0])
+        (other_prefix,) = simulate_counts(eps[0], etas[0], 5000, noise, 42, (2, 10))
+        assert not np.array_equal(other_prefix, row[0])
 
     @settings(max_examples=100, deadline=None)
     @given(
         strategies.integers(0, 2**63),
-        strategies.lists(
-            strategies.tuples(
-                strategies.lists(strategies.integers(0, 2**32 - 1), min_size=1, max_size=3),
-                strategies.integers(0, 2**64 - 1),
-                UNIT,
-                UNIT,
-            ),
-            min_size=1,
-            max_size=5,
-        ),
+        strategies.lists(strategies.integers(0, 2**32 - 1), min_size=1, max_size=3),
+        strategies.lists(strategies.tuples(UNIT, UNIT), min_size=1, max_size=5),
         strategies.integers(1, 10**6),
+        strategies.data(),
     )
-    def test_cell_counts_equal_standalone_philox_draw(self, seed, cells, photons):
-        # The per-cell-v3 scheme: a cell keyed (*prefix, cell) draws as a
-        # fresh Philox keyed by SeedSequence(seed, spawn_key=prefix) with the
-        # counter (0, 0, 0, cell), whatever else shares the call.
+    def test_cell_counts_equal_standalone_philox_draw(self, seed, prefix, cells, photons, data):
+        # The per-cell-v3 scheme: cell k of a call whose first key is
+        # (*prefix, first_cell) draws as a fresh Philox keyed by
+        # SeedSequence(seed, spawn_key=prefix) with the counter
+        # (0, 0, 0, first_cell + k), whatever else shares the call.
         assert bench.STREAM_SCHEME == "per-cell-v3"
+        first_cell = data.draw(strategies.integers(0, 2**64 - len(cells)))
         noise = NoiseModel(pbs_leakage=0.001, detector_efficiency=0.9)
-        keys = [(*prefix, cell) for prefix, cell, _, _ in cells]
-        eps, etas = [c[2] for c in cells], [c[3] for c in cells]
-        counts = simulate_counts(eps, etas, photons, noise, seed, keys)
-        for k, (prefix, cell, e, h) in enumerate(cells):
-            key = np.random.SeedSequence(seed, spawn_key=prefix).generate_state(2, np.uint64)
+        eps, etas = [c[0] for c in cells], [c[1] for c in cells]
+        counts = simulate_counts(eps, etas, photons, noise, seed, (*prefix, first_cell))
+        key = np.random.SeedSequence(seed, spawn_key=prefix).generate_state(2, np.uint64)
+        for k, (e, h) in enumerate(cells):
             # A list holding an int above 2**63 converts through float64.
-            counter = np.array([0, 0, 0, cell], dtype=np.uint64)
+            counter = np.array([0, 0, 0, first_cell + k], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
             p = channel_probabilities(e, h, TRAVERSAL_ALPHAS, noise) * noise.detector_efficiency
             np.testing.assert_array_equal(counts[k], rng.binomial(photons, np.clip(p, 0.0, 1.0)))

@@ -486,10 +486,10 @@ _UNIT = (["0", "1", "0.5", "-0.0", "5e-324", "0.9999999999999999"],
 FUZZ_VALUES = {
     "epsilon": _UNIT,
     "eta": _UNIT,
-    "photons_per_setting": (["1", "2", str(cli.MAX_PHOTONS)],
-                            ["0", "-1", str(cli.MAX_PHOTONS + 1), "1" + "0" * 30, "1.5", ""]),
-    "counts_per_basis": (["100", "101", str(cli.MAX_COUNTS_PER_BASIS)],
-                         ["99", str(cli.MAX_COUNTS_PER_BASIS + 1), "-5", "x"]),
+    "photons_per_setting": (["1", "2", str(bench.MAX_PHOTONS)],
+                            ["0", "-1", str(bench.MAX_PHOTONS + 1), "1" + "0" * 30, "1.5", ""]),
+    "counts_per_basis": (["100", "101", str(bench.MAX_PHOTONS // 2)],
+                         ["99", str(bench.MAX_PHOTONS // 2 + 1), "-5", "x"]),
     "seed": (["0", "1", str(2**64 - 1)], [str(2**64), "-1", "0x10"]),
     "pbs_leakage": (["0", "0.01", "5e-324", "-0.0"], ["0.0100000001", "nan", "-1"]),
     "detector_efficiency": (["1", "5e-324", "0.5"], ["0", "1.0000001", "nan", "-inf"]),
