@@ -50,6 +50,7 @@ from .measurement import (
 from .bench import (
     COUNTS_PER_BASIS_RANGE,
     N_TRAVERSAL_STATES,
+    PHOTONS_RANGE,
     TRAVERSAL_ALPHAS,
     NoiseModel,
     _substream,
@@ -634,9 +635,12 @@ def verify(
     as a mutation-test hook: it takes (epsilon, eta) arrays and returns
     matrices shaped as ``reversal_operators`` does. Passing
     ``corrupted_reversal_operators`` must fail the reversal-exactness check.
-    A ``grid_size`` below ``MIN_GRID_SIZE`` is refused, as by ``grid_sweep``.
+    A ``grid_size`` below ``MIN_GRID_SIZE`` is refused, as by ``grid_sweep``,
+    and a ``photons_per_setting`` outside ``PHOTONS_RANGE`` as by
+    ``simulate_counts``, before any check runs.
     """
     _grid_values(grid_size)  # refuses a grid too small to hold both edges
+    check_range("photons_per_setting", photons_per_setting, PHOTONS_RANGE)
     reversal_fn = reversal_fn or reversal_operators
     # Both state-grid checks read these means; the first to run computes
     # them. A raised error is not cached, so it fails each check by name.

@@ -88,9 +88,17 @@ class TestOneRangeSource:
             (lambda: simulate_tomography(0.5, 2**63, exact_mode=True),
              "counts_per_basis must lie in [100, 2^63 - 1]"),
             (lambda: verify(grid_size=1), "grid size must be at least 2"),
+            # Refused before the battery runs, not as an estimator_consistency FAIL row.
+            (lambda: verify(photons_per_setting=0, exact_mode=True),
+             "photons_per_setting must lie in [1, 2^63 - 1]"),
+            (lambda: verify(photons_per_setting=1.5, exact_mode=True),
+             "photons_per_setting must lie in [1, 2^63 - 1]"),
+            (lambda: verify(photons_per_setting=2**63, exact_mode=True),
+             "photons_per_setting must lie in [1, 2^63 - 1]"),
         ],
         ids=["epsilon-slack", "eta-slack", "leakage-nan", "efficiency-inf", "photons-2^63",
-             "photons-fraction", "counts-99", "pooled-counts-2^63", "verify-grid-1"],
+             "photons-fraction", "counts-99", "pooled-counts-2^63", "verify-grid-1",
+             "verify-photons-0", "verify-photons-fraction", "verify-photons-2^63"],
     )
     def test_library_refuses_by_name(self, call, message):
         error = _error(call, ValueError)

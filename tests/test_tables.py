@@ -5,6 +5,7 @@ sweep hands them."""
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,42 @@ def test_json_document_equals_json_dumps(document):
     expected = json.dumps({"metadata": meta, key: expected_rows}, indent=2, allow_nan=False)
     columns = {name: _column(kind, cells[name]) for name, kind in spec}
     assert tables.json_document(meta, key, spec, columns) == expected + "\n"
+
+
+@pytest.mark.parametrize("short", [name for name, _ in tables.CROSS_SECTION])
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("writer", ["csv", "json"])
+def test_ragged_columns_refused(writer, delta, short):
+    # A writer that paired cells row by row up to the shortest column would
+    # silently drop rows; one column of another length must be refused.
+    columns = {name: np.zeros(3) for name, _ in tables.CROSS_SECTION}
+    columns[short] = np.zeros(3 + delta)
+    with pytest.raises(ValueError):
+        if writer == "csv":
+            tables.csv_table(tables.CROSS_SECTION, columns)
+        else:
+            tables.json_document({}, "rows", tables.CROSS_SECTION, columns)
+
+
+@pytest.mark.parametrize(
+    "writer, bound",
+    [
+        (lambda columns: tables.json_document({"seed": 1}, "rows", tables.GRID, columns), 2.0),
+        (lambda columns: tables.csv_table(tables.GRID, columns), 4.0),
+    ],
+    ids=["json", "csv"],
+)
+def test_writer_peak_memory_is_bounded_by_document_length(writer, bound):
+    # Rendering holds the document once plus per-cell references, not several
+    # whole-document copies: the 256 x 256 cap bounds memory through this ratio.
+    columns = grid_sweep(64, 1_000, None, 1, True)
+    tracemalloc.start()
+    try:
+        text = writer(columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * len(text), peak / len(text)
 
 
 NOISY = NoiseModel(pbs_leakage=0.001, detector_efficiency=0.9)
