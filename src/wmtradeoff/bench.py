@@ -10,12 +10,14 @@ measurement-plus-reversal chains) into one channel-first, state-major
 contiguous axis. ``channel_probabilities`` is a view of it over broadcast
 (epsilon, eta, alpha), and ``simulate_counts`` scales it in place into a
 (cells, 51, 4) count view, each channel an independent run of N photons
-drawn from a binomial law. Every cell draws its counts from its own
-keyed-counter stream (Philox; Salmon et al., SC'11): the key comes from
-(seed, product), the counter from the cell, counted on from a call's
-``first_key``, so a cell's numbers do not depend on the cells drawn with it;
-exact mode records the expected counts instead. The count-ratio estimators
-reduce that array over the 51 states, added in order whatever its layout.
+drawn from a binomial law. Every sampled draw of the package comes from one
+kind of stream, built by ``_substream``: keyed-counter Philox (Salmon et al.,
+SC'11), the key from (seed, product) and the counter from the cell, counted
+on from a call's ``first_key``, so a cell's numbers do not depend on the
+cells drawn with it; exact mode records the expected counts instead. The
+count-ratio estimators reduce that array over the 51 states, added in order
+whatever its layout. The analyzer tomography draws the records of all its
+input states in one call, one cell of its own stream.
 
 The model works with arm transmissions only: (1 - epsilon, 1 - eta) on the
 primary branch and (epsilon, eta) on the complementary one, exchanged in the
@@ -33,14 +35,15 @@ from numbers import Integral
 
 import numpy as np
 
-from .measurement import UNIT_RANGE, check_range, first_guess_is_v
+from .measurement import first_guess_is_v
+from .qubit import UNIT_RANGE, check_range
 
 # The input-state traversal uses 51 H-weights spaced by 0.02.
 N_TRAVERSAL_STATES = 51
 ALPHA_SPACING = 0.02
 TRAVERSAL_ALPHAS = ALPHA_SPACING * np.arange(N_TRAVERSAL_STATES)
 
-# Accepted ranges (``measurement.check_range``). Binomial draws take a signed
+# Accepted ranges (``qubit.check_range``). Binomial draws take a signed
 # 64-bit N, and a fidelity row pools the counts of up to two chains.
 MAX_PHOTONS = 2**63 - 1
 LEAKAGE_RANGE = ("[0, 0.01]", lambda v: 0.0 <= v <= 0.01)
@@ -54,11 +57,13 @@ COUNTS_PER_BASIS_RANGE = (
 )
 
 # Version of the sampled random-stream scheme: a cell keyed (*prefix, cell)
-# draws all 51 x 4 of its counts from Philox with the key
-# SeedSequence(seed, spawn_key=prefix).generate_state(2, np.uint64) and the
-# counter (0, 0, 0, cell); a call's cells follow its ``first_key``. Sampled
-# products record the scheme, so numbers drawn under another are told apart.
-STREAM_SCHEME = "per-cell-v3"
+# draws from ``_substream(seed, *prefix)``, Philox with the key
+# SeedSequence(seed, spawn_key=prefix).generate_state(2, np.uint64), at the
+# counter (0, 0, 0, cell). Counts draw all 51 x 4 of a cell's values there, a
+# call's cells following its ``first_key``; the tomography and verify draw
+# from cell 0 of their own prefix. Sampled products record the scheme, so
+# numbers drawn under another are told apart.
+STREAM_SCHEME = "per-cell-v4"
 
 
 class EstimationError(RuntimeError):
@@ -89,10 +94,14 @@ class NoiseModel(namedtuple("NoiseModel", "pbs_leakage detector_efficiency")):
         return 2.0 * self.pbs_leakage * (1.0 - self.pbs_leakage)
 
 
-def _substream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for one spawn key under the master seed."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.default_rng(ss)
+def _substream(seed: int, *prefix: int) -> np.random.Generator:
+    """The ``STREAM_SCHEME`` generator of ``prefix`` under ``seed``, at cell 0.
+
+    Every sampled draw of the package starts here; a caller that draws more
+    than one cell moves the counter of its ``bit_generator`` to each.
+    """
+    key = np.random.SeedSequence(int(seed), spawn_key=[int(k) for k in prefix])
+    return np.random.Generator(np.random.Philox(key=key.generate_state(2, np.uint64)))
 
 
 def _channels(epsilon, eta, alpha, noise: NoiseModel | None) -> np.ndarray:
@@ -159,8 +168,8 @@ def simulate_counts(
     (cells, 51, 4), channels ordered as in ``channel_probabilities``. With
     ``first_key`` = (*prefix, first_cell), cell k draws all of its counts in
     one call on the ``STREAM_SCHEME`` stream keyed (*prefix, first_cell + k)
-    under ``seed``: one Philox bit generator keyed by the prefix has its
-    counter reset before each cell, so a cell's counts do not depend on the
+    under ``seed``: the one ``_substream`` of the prefix has its counter
+    reset before each cell, so a cell's counts do not depend on the
     cells drawn with it. Exact mode records the expected values instead,
     builds no generator and ignores ``first_key``.
 
@@ -182,9 +191,8 @@ def simulate_counts(
     *prefix, first_cell = (int(i) for i in first_key)
     # Each cell's counts overwrite its own probabilities once they are drawn.
     counts = detected.view(np.int64)
-    key = np.random.SeedSequence(int(seed), spawn_key=prefix).generate_state(2, np.uint64)
-    bit_generator = np.random.Philox(key=key)
-    rng = np.random.Generator(bit_generator)
+    rng = _substream(seed, *prefix)
+    bit_generator = rng.bit_generator
     # One state dict, its buffer empty, rewritten in place: setting it
     # costs a few microseconds where a fresh generator costs about 30.
     state = bit_generator.state
@@ -289,42 +297,48 @@ def estimate_prev_from_counts(counts) -> np.ndarray:
 
 
 def simulate_tomography(
-    alpha: float,
-    counts_per_basis: int,
+    alpha,
+    counts_per_basis,
     noise: NoiseModel | None = None,
-    rng_stream: int | np.random.SeedSequence | np.random.Generator | None = 0,
+    rng_stream: np.random.Generator | None = None,
     exact_mode: bool = False,
-) -> float:
+) -> np.ndarray:
     """Fidelity to the input of an analyzer tomography in the H/V, D/A and R/L bases.
 
-    The input is sqrt(alpha)|H> + sqrt(1-alpha)|V>, of Bloch vector
+    ``alpha`` and ``counts_per_basis`` broadcast to one value per input
+    sqrt(alpha)|H> + sqrt(1-alpha)|V>, of Bloch vector
     n = (2*alpha - 1, 2*sqrt(alpha*(1-alpha)), 0). Counts in each basis are
     binomial on the leakage-mixed outcome probability (one PBS pass in the
-    analyzer), and linear inversion of the empirical ratios gives a Stokes
+    analyzer), all drawn from ``rng_stream`` in one call over (input, basis)
+    in C order, and linear inversion of the empirical ratios gives a Stokes
     vector s. The physical state nearest to (I + s.sigma)/2, its eigenvalues
     (1 +- |s|)/2 clipped to [0, 1] and renormalized, has the Stokes vector
     s / max(1, |s|), and its fidelity to the input is (1 + n.s)/2. Exact mode
-    uses the outcome probabilities themselves and ignores ``rng_stream``.
+    uses the outcome probabilities themselves and needs no ``rng_stream``.
     Detector efficiency cancels in the per-basis ratios and is not applied
     here. ``counts_per_basis`` pools every chain's (``POOLED_COUNTS_RANGE``).
     """
-    a = check_range("alpha", float(alpha), UNIT_RANGE)
-    check_range("counts_per_basis", counts_per_basis, POOLED_COUNTS_RANGE)
-    noise = noise or NoiseModel()
-    leak = noise.pbs_leakage
-    rng = None if exact_mode else np.random.default_rng(rng_stream)
+    for a in np.ravel(alpha).tolist():
+        check_range("alpha", float(a), UNIT_RANGE)
+    for n in np.ravel(counts_per_basis).tolist():
+        check_range("counts_per_basis", n, POOLED_COUNTS_RANGE)
+    if not exact_mode and rng_stream is None:
+        raise ValueError("sampled tomography needs a generator")
+    leak = (noise or NoiseModel()).pbs_leakage
+    a = np.asarray(alpha, dtype=float)
+    bloch = np.stack((2.0 * a - 1.0, 2.0 * np.sqrt(a * (1.0 - a)), np.zeros_like(a)), axis=-1)
+    p_plus = 0.5 * (1.0 + bloch)
+    p_mixed = (1.0 - leak) * p_plus + leak * (1.0 - p_plus)
+    if exact_mode:
+        estimates = 2.0 * p_mixed - 1.0
+    else:
+        total = np.asarray(counts_per_basis)[..., None]
+        n_plus = rng_stream.binomial(total, np.clip(p_mixed, 0.0, 1.0))
+        estimates = (2.0 * n_plus - total) / total
 
-    bloch = (2.0 * a - 1.0, 2.0 * math.sqrt(a * (1.0 - a)), 0.0)
-    estimates = []
-    for s_true in bloch:
-        p_plus = 0.5 * (1.0 + s_true)
-        p_mixed = (1.0 - leak) * p_plus + leak * (1.0 - p_plus)
-        if exact_mode:
-            estimates.append(2.0 * p_mixed - 1.0)
-        else:
-            n_plus = int(rng.binomial(counts_per_basis, min(max(p_mixed, 0.0), 1.0)))
-            estimates.append((2.0 * n_plus - counts_per_basis) / counts_per_basis)
-
-    scale = max(1.0, math.hypot(*estimates))
-    overlap = sum(n * (s / scale) for n, s in zip(bloch, estimates))
-    return min(max(0.5 * (1.0 + overlap), 0.0), 1.0)
+    # math.hypot rounds |s| closer than two np.hypot passes.
+    rows = estimates.reshape(-1, 3).tolist()
+    scale = np.maximum(1.0, [math.hypot(*s) for s in rows]).reshape(estimates.shape[:-1])
+    terms = bloch * (estimates / scale[..., None])
+    overlap = terms[..., 0] + terms[..., 1] + terms[..., 2]
+    return np.clip(0.5 * (1.0 + overlap), 0.0, 1.0)

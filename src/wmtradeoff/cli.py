@@ -22,7 +22,8 @@ import numpy as np
 from ._version import __version__
 from .bench import COUNTS_PER_BASIS_RANGE, EFFICIENCY_RANGE, LEAKAGE_RANGE, PHOTONS_RANGE
 from .bench import STREAM_SCHEME, NoiseModel
-from .measurement import UNIT_RANGE, WeakMeasurement, check_range
+from .measurement import WeakMeasurement
+from .qubit import UNIT_RANGE, check_range
 from . import tables
 from .sweeps import (
     DEFAULT_COUNTS_PER_BASIS,
@@ -260,7 +261,9 @@ def dispatch(subcommand: str, config: RunConfig, mutate_reversal: bool = False) 
     try:
         _emit(text, config.output_path)
     except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
+        # Named by the path given: the error's own file may be the temporary one.
+        target = config.output_path or "stdout"
+        print(f"cannot write output to {target}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
     if failing:

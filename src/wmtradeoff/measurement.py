@@ -48,21 +48,10 @@ from collections import namedtuple
 
 import numpy as np
 
-from .qubit import PureState, inner_products
+from .qubit import UNIT_RANGE, PureState, check_range, inner_products
 
 # Parameter pairs closer than this count as a degenerate (beam-splitter) tie.
 TIE_ATOL = 1e-12
-
-# A range: its printed text and the test a value must pass (NaN fails all).
-UNIT_RANGE = ("[0, 1]", lambda v: 0.0 <= v <= 1.0)
-
-
-def check_range(name: str, value, accepted):
-    """``value`` if it lies in ``accepted``, else ValueError; the library's and the CLI's check."""
-    text, test = accepted
-    if not test(value):
-        raise ValueError(f"{name} must lie in {text}, got {value!r}")
-    return value
 
 
 class WeakMeasurement(namedtuple("WeakMeasurement", "epsilon eta")):

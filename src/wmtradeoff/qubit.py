@@ -23,31 +23,39 @@ TWO_PI = 2.0 * math.pi
 # Tolerance of construction-time invariants.
 CONSTRUCTION_ATOL = 1e-12
 
+# A range: its printed text and the test a value must pass (NaN fails all).
+UNIT_RANGE = ("[0, 1]", lambda v: 0.0 <= v <= 1.0)
+
 # Below this squared norm an operator image counts as annihilated.
 ANNIHILATION_EPS = 1e-15
+
+
+def check_range(name: str, value, accepted):
+    """``value`` if it lies in ``accepted``, else ValueError; the library's and the CLI's check."""
+    text, test = accepted
+    if not test(value):
+        raise ValueError(f"{name} must lie in {text}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class PureState:
     """A pure qubit polarization state.
 
-    ``alpha_weight`` is the probability weight on |H>; the weight on |V> is
-    implied as ``1 - alpha_weight``. ``phase`` is the relative phase of the
-    V amplitude, reduced to [0, 2*pi). Endpoint states (weight 0 or 1) carry
-    no relative phase and are canonicalized to phase 0.
+    ``alpha_weight`` is the probability weight on |H>, in [0, 1]; the weight
+    on |V> is implied as ``1 - alpha_weight``. ``phase`` is the relative
+    phase of the V amplitude, reduced to [0, 2*pi). Endpoint states (weight 0
+    or 1) carry no relative phase and are canonicalized to phase 0.
     """
 
     alpha_weight: float
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        a = float(self.alpha_weight)
+        a = check_range("alpha_weight", float(self.alpha_weight), UNIT_RANGE)
         p = float(self.phase)
-        if not (math.isfinite(a) and math.isfinite(p)):
+        if not math.isfinite(p):
             raise ValueError("state parameters must be finite")
-        if a < -CONSTRUCTION_ATOL or a > 1.0 + CONSTRUCTION_ATOL:
-            raise ValueError(f"alpha_weight must lie in [0, 1], got {a!r}")
-        a = min(max(a, 0.0), 1.0)
         p = p % TWO_PI
         if a == 0.0 or a == 1.0:
             p = 0.0
@@ -117,8 +125,8 @@ def apply_operator(op: Operator2, state: PureState) -> tuple[float, PureState | 
 def state_amplitudes(alpha, phase) -> np.ndarray:
     """``PureState(alpha, phase).amplitudes`` over broadcast arrays, on a last axis.
 
-    Canonicalizes as ``PureState`` does: alpha clamped to [0, 1], the phase
-    taken mod 2*pi and set to 0 at the endpoints.
+    Canonicalizes as ``apply_operator`` does for its post states: alpha
+    clamped to [0, 1], the phase taken mod 2*pi and set to 0 at the endpoints.
     """
     alpha = np.clip(alpha, 0.0, 1.0)
     phase = np.where((alpha == 0.0) | (alpha == 1.0), 0.0, np.mod(phase, TWO_PI))

@@ -11,7 +11,8 @@ every verdict, PASS iff deviation <= tolerance; a check that raises is a
 FAIL row with deviation inf and tolerance 0. Everything is seed-pinned:
 identical configuration and seed produce byte-identical columns, and each
 lattice cell's row does not depend on the order in which cells are
-evaluated, because all randomness flows through per-cell streams.
+evaluated, because all randomness flows through per-cell streams, each
+one ``bench._substream``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .qubit import (
     CONSTRUCTION_ATOL,
     TWO_PI,
     abs_squared,
+    check_range,
     inner_products,
     post_state_amplitudes,
     state_amplitudes,
@@ -42,7 +44,6 @@ from .measurement import (
     TIE_ATOL,
     WeakMeasurement,
     branch_terms,
-    check_range,
     closed_forms,
     kraus_coefficients,
     reversal_operators,
@@ -100,13 +101,14 @@ LOW_STATS_FLOOR = 100
 # 2-vCPU Xeon VM).
 GRID_BLOCK_CELLS = 256
 
-# Spawn keys of the random streams. Sampled counts draw from the keyed
-# Philox stream of (product tag, cell) (``bench.STREAM_SCHEME``); the
-# tomography of traversal state i keeps its own ``_substream`` generator
-# with the key (0, i, 0, TOMOGRAPHY_STREAM) of the earlier per-channel
-# scheme, so its numbers are unchanged.
+# Spawn-key prefixes of the random streams, one per product or check, each a
+# ``bench._substream`` (``bench.STREAM_SCHEME``). Sampled counts draw lattice
+# cell k from (tag, k); the tomography of all traversal states and each
+# parameter draw of verify take cell 0 of their prefix, and the oracle's
+# cell k takes cell 0 of (ORACLE_STREAM, k).
 GRID_STREAM, STATES_STREAM, CROSS_SECTION_STREAM, CONSISTENCY_STREAM = 1, 2, 3, 4
-TOMOGRAPHY_STREAM = 2
+FIDELITY_STREAM = 5
+SYMMETRY_STREAM, EXACTNESS_STREAM, CONSTANCY_STREAM, ORACLE_STREAM = 1001, 1002, 1003, 1004
 
 
 OracleEstimate = namedtuple(
@@ -260,24 +262,21 @@ def reversal_fidelity_sweep(
     source budget) reaches ``LOW_STATS_FLOOR`` integrates until it has
     recorded ``counts_per_basis`` reversed photons per basis. States whose
     total expected yield falls below the floor are flagged LOW_STATS, with a
-    NaN fidelity, instead of fitted.
+    NaN fidelity, instead of fitted. The fitted states' records are drawn in
+    one ``simulate_tomography`` call from cell 0 of the stream FIDELITY_STREAM.
     """
     check_range("counts_per_basis", counts_per_basis, COUNTS_PER_BASIS_RANGE)
     noise = noise or NoiseModel()
     chains = channel_probabilities(wm.epsilon, wm.eta, TRAVERSAL_ALPHAS, noise)[:, 2:]
+    yields = counts_per_basis * chains
+    low_stats = yields.sum(axis=-1) < LOW_STATS_FLOOR
+    live_chains = np.maximum(1, (yields >= LOW_STATS_FLOOR).sum(axis=-1))[~low_stats]
+    # Exact mode draws nothing, so it builds no generator.
+    rng = None if exact_mode else _substream(seed, FIDELITY_STREAM)
     fidelity = np.full(N_TRAVERSAL_STATES, math.nan)
-    low_stats = np.zeros(N_TRAVERSAL_STATES, dtype=bool)
-    for i, (alpha, survivals) in enumerate(zip(TRAVERSAL_ALPHAS.tolist(), chains.tolist())):
-        yields = [counts_per_basis * survival for survival in survivals]
-        if sum(yields) < LOW_STATS_FLOOR:
-            low_stats[i] = True
-            continue
-        live_chains = max(1, sum(y >= LOW_STATS_FLOOR for y in yields))
-        # Exact mode draws nothing, so it builds no generator.
-        rng = None if exact_mode else _substream(seed, 0, i, 0, TOMOGRAPHY_STREAM)
-        fidelity[i] = simulate_tomography(
-            alpha, live_chains * counts_per_basis, noise, rng, exact_mode=exact_mode
-        )
+    fidelity[~low_stats] = simulate_tomography(
+        TRAVERSAL_ALPHAS[~low_stats], live_chains * counts_per_basis, noise, rng, exact_mode
+    )
     return {"alpha": TRAVERSAL_ALPHAS, "fidelity": fidelity, "low_stats_flag": low_stats}
 
 
@@ -444,10 +443,8 @@ def _check_range_bounds() -> tuple[float, float]:
 
 
 def _check_parameter_symmetries(seed: int) -> tuple[float, float]:
-    rng = _substream(seed, 1001)
-    pairs = [(rng.uniform(), rng.uniform()) for _ in range(50)]
-    pairs += [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (1.0, 1.0)]
-    e, h = np.array(pairs).T
+    drawn = _substream(seed, SYMMETRY_STREAM).uniform(size=(50, 2))
+    e, h = np.concatenate((drawn, [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (1.0, 1.0)])).T
     base_g, base_p, _ = closed_forms(e, h)
     dev = 0.0
     for other_e, other_h in ((h, e), (1.0 - e, 1.0 - h)):
@@ -467,7 +464,7 @@ def _check_phase_invariance() -> tuple[float, float]:
 
 
 def _check_reversal_exactness(seed: int, reversal_fn) -> tuple[float, float, str]:
-    rng = _substream(seed, 1002)
+    rng = _substream(seed, EXACTNESS_STREAM)
     # Each draw takes alpha, phase, epsilon, eta, then the outcome, in that order.
     draws = [
         (rng.uniform(), rng.uniform(0.0, TWO_PI), rng.uniform(), rng.uniform(),
@@ -503,7 +500,7 @@ def _check_reversal_exactness(seed: int, reversal_fn) -> tuple[float, float, str
 
 
 def _check_reversal_state_constancy(seed: int) -> tuple[float, float]:
-    rng = _substream(seed, 1003)
+    rng = _substream(seed, CONSTANCY_STREAM)
     # Each row draws epsilon, eta, then five (alpha, phase) states, in that order.
     draws = rng.uniform(0.0, (1.0, 1.0) + (1.0, TWO_PI) * 5, size=(40, 12))
     _, _, reversal = branch_terms(draws[:, :1], draws[:, 1:2], draws[:, 2::2], draws[:, 3::2])
@@ -553,7 +550,7 @@ def _check_oracle_agreement(seed: int) -> tuple[float, float]:
     multiplier = ORACLE_STDERR_MULTIPLIER
     parts = []
     for k, (e, h) in enumerate(ORACLE_CELLS):
-        stream = np.random.SeedSequence(entropy=int(seed), spawn_key=(1004, k))
+        stream = _substream(seed, ORACLE_STREAM, k)
         est = haar_average_oracle(WeakMeasurement(e, h), ORACLE_SAMPLES, stream)
         gmax, prev, _ = closed_forms(e, h)
         parts.append((abs(est.gmax_estimate - gmax), multiplier * est.gmax_stderr))

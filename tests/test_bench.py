@@ -342,16 +342,19 @@ class TestSimulateCounts:
         strategies.data(),
     )
     def test_cell_counts_equal_standalone_philox_draw(self, seed, prefix, cells, photons, data):
-        # The per-cell-v3 scheme: cell k of a call whose first key is
+        # The per-cell-v4 scheme: cell k of a call whose first key is
         # (*prefix, first_cell) draws as a fresh Philox keyed by
         # SeedSequence(seed, spawn_key=prefix) with the counter
-        # (0, 0, 0, first_cell + k), whatever else shares the call.
-        assert bench.STREAM_SCHEME == "per-cell-v3"
+        # (0, 0, 0, first_cell + k), whatever else shares the call; cell 0
+        # is where ``_substream(seed, *prefix)`` starts.
+        assert bench.STREAM_SCHEME == "per-cell-v4"
         first_cell = data.draw(strategies.integers(0, 2**64 - len(cells)))
         noise = NoiseModel(pbs_leakage=0.001, detector_efficiency=0.9)
         eps, etas = [c[0] for c in cells], [c[1] for c in cells]
         counts = simulate_counts(eps, etas, photons, noise, seed, (*prefix, first_cell))
         key = np.random.SeedSequence(seed, spawn_key=prefix).generate_state(2, np.uint64)
+        start = bench._substream(seed, *prefix).bit_generator.state["state"]
+        assert start["key"].tolist() == key.tolist() and start["counter"].tolist() == [0] * 4
         for k, (e, h) in enumerate(cells):
             # A list holding an int above 2**63 converts through float64.
             counter = np.array([0, 0, 0, first_cell + k], dtype=np.uint64)
@@ -589,14 +592,15 @@ def decimal_fidelity(alpha, stokes) -> float:
 
 
 class FixedCounts(np.random.Generator):
-    """A generator whose binomial draws return the given counts in turn."""
+    """A generator whose one binomial call returns the given (..., 3) counts."""
 
     def __init__(self, counts):
-        super().__init__(np.random.PCG64(0))
-        self._counts = iter(counts)
+        super().__init__(np.random.Philox(0))
+        self._counts = np.array(counts)
 
     def binomial(self, n, p, size=None):
-        return next(self._counts)
+        assert np.shape(p) == self._counts.shape
+        return self._counts
 
 
 # A photon budget per basis and the three H, D and R counts recorded.
@@ -618,12 +622,32 @@ class TestTomography:
 
     def test_h_state_high_fidelity_over_seeds(self):
         for seed in range(30):
-            assert simulate_tomography(1.0, 10_000, rng_stream=seed) >= 0.999
+            rng = np.random.default_rng(seed)
+            assert simulate_tomography(1.0, 10_000, rng_stream=rng) >= 0.999
 
     def test_leakage_keeps_fidelity_above_099(self):
         noise = NoiseModel(pbs_leakage=1e-3)
         for i in range(51):
-            assert simulate_tomography(0.02 * i, 10_000, noise, rng_stream=1000 + i) >= 0.99
+            rng = np.random.default_rng(1000 + i)
+            assert simulate_tomography(0.02 * i, 10_000, noise, rng_stream=rng) >= 0.99
+
+    def test_sampled_tomography_needs_a_generator(self):
+        with pytest.raises(ValueError, match="generator"):
+            simulate_tomography(0.5, 1000)
+
+    @settings(max_examples=100, deadline=None)
+    @given(strategies.lists(strategies.tuples(UNIT, TOMOGRAPHY_RECORDS), min_size=1, max_size=6))
+    def test_one_call_equals_one_call_per_input(self, inputs):
+        # Each input's fidelity is its own record's, whatever is drawn with it.
+        alphas = [alpha for alpha, _ in inputs]
+        budgets = [n for _, (n, _) in inputs]
+        records = [counts for _, (_, counts) in inputs]
+        together = simulate_tomography(alphas, budgets, rng_stream=FixedCounts(records))
+        alone = [
+            simulate_tomography(alpha, n, rng_stream=FixedCounts(counts))
+            for alpha, (n, counts) in inputs
+        ]
+        assert together.tobytes() == np.array(alone).tobytes()
 
     def test_minimum_counts_enforced(self):
         with pytest.raises(ValueError):

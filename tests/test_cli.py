@@ -330,7 +330,7 @@ class TestDispatchProducts:
             tables.json_document({"seed": float("nan")}, "rows", tables.CROSS_SECTION, rows)
 
     def test_sampled_json_names_its_stream_scheme(self, capsys):
-        for exact, stream in (("false", "per-cell-v3"), ("true", None)):
+        for exact, stream in (("false", "per-cell-v4"), ("true", None)):
             argv = ["sweep-grid", "--grid-size", "2", "--exact-mode", exact,
                     "--output-format", "json"]
             assert main(argv) == EXIT_OK
@@ -375,7 +375,9 @@ class TestDispatchProducts:
         for out in (tmp_path / "new.csv", kept):
             args = ["sweep-states", "--exact-mode", "true", "--output-path", str(out)]
             assert main(args) == EXIT_CONFIG_ERROR
-            assert "cannot write output" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"cannot write output to {out}: No space left on device" in err
+            assert ".wmtradeoff-" not in err
         assert os.listdir(tmp_path) == ["kept.csv"]
         assert kept.read_text() == "previous\n"
 
@@ -388,15 +390,13 @@ class TestDispatchProducts:
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_unwritable_path_exits_one(self, capsys):
-        code = main(
-            [
-                "cross-section",
-                "--exact-mode", "true",
-                "--output-path", "/nonexistent_dir_xyz/out.csv",
-            ]
-        )
+        # The message names the path given, not the temporary file beside it.
+        path = "/nonexistent_dir_xyz/out.csv"
+        code = main(["cross-section", "--exact-mode", "true", "--output-path", path])
         assert code == EXIT_CONFIG_ERROR
-        assert "cannot write output" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"cannot write output to {path}: " in err
+        assert ".wmtradeoff-" not in err
 
     def test_config_error_exits_one(self, capsys):
         assert main(["verify", "--epsilon", "1.5"]) == EXIT_CONFIG_ERROR

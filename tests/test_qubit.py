@@ -1,6 +1,7 @@
 """Tests for pure states, operators and the array twins of the scalar state path."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,9 +54,12 @@ class TestPureState:
             norm = float(np.sum(np.abs(st.amplitudes) ** 2))
             assert norm == pytest.approx(1.0, abs=1e-12)
 
-    def test_tiny_overshoot_clamped(self):
-        st = PureState(1.0 + 5e-13)
-        assert st.alpha_weight == 1.0
+    def test_tiny_overshoot_refused(self):
+        # No slack of its own: the weight's range is the library's [0, 1].
+        for bad in (1.0 + 5e-13, -5e-13):
+            message = f"alpha_weight must lie in [0, 1], got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                PureState(bad)
 
 
 class TestOperator2:
