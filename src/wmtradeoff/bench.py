@@ -13,10 +13,10 @@ contiguous axis. ``channel_probabilities`` is a view of it over broadcast
 drawn from a binomial law. Every sampled draw of the package comes from one
 kind of stream, built by ``_substream``: keyed-counter Philox (Salmon et al.,
 SC'11), the key from (seed, product) and the counter from the cell, counted
-on from a call's ``first_key``, so a cell's numbers do not depend on the
-cells drawn with it; exact mode records the expected counts instead. The
-count-ratio estimators reduce that array over the 51 states, added in order
-whatever its layout. The analyzer tomography draws the records of all its
+on from the first cell of a call's ``key``, so a cell's numbers do not
+depend on the cells drawn with it; a call given no key records the expected
+counts instead. The count-ratio estimators reduce that array over the 51
+states, added in order whatever its layout. The analyzer tomography draws the records of all its
 input states in one call, one cell of its own stream.
 
 The model works with arm transmissions only: (1 - epsilon, 1 - eta) on the
@@ -60,9 +60,9 @@ COUNTS_PER_BASIS_RANGE = (
 # draws from ``_substream(seed, *prefix)``, Philox with the key
 # SeedSequence(seed, spawn_key=prefix).generate_state(2, np.uint64), at the
 # counter (0, 0, 0, cell). Counts draw all 51 x 4 of a cell's values there, a
-# call's cells following its ``first_key``; the tomography and verify draw
-# from cell 0 of their own prefix. Sampled products record the scheme, so
-# numbers drawn under another are told apart.
+# call's cells counted on from the last entry of its ``key``; the tomography
+# and verify draw from cell 0 of their own prefix. Sampled products record
+# the scheme, so numbers drawn under another are told apart.
 STREAM_SCHEME = "per-cell-v4"
 
 
@@ -104,14 +104,14 @@ def _substream(seed: int, *prefix: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key.generate_state(2, np.uint64)))
 
 
-def _channels(epsilon, eta, alpha, noise: NoiseModel | None) -> np.ndarray:
+def _channels(epsilon, eta, alpha, noise: NoiseModel) -> np.ndarray:
     """The four channel survivals, channel axis first: shape (4, *broadcast shape).
 
     Each ``alpha * h`` and ``beta * v`` product is formed once and reused by
     the reversal chain: ``(alpha * h1) * v1`` is how ``alpha * h1 * v1``
     rounds, so the chain survivals keep their bits.
     """
-    swap = (noise or NoiseModel()).interferometer_swap_probability
+    swap = noise.interferometer_swap_probability
     keep = 1.0 - swap
     e, h = np.asarray(epsilon, dtype=float), np.asarray(eta, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
@@ -136,7 +136,7 @@ def _channels(epsilon, eta, alpha, noise: NoiseModel | None) -> np.ndarray:
     return out
 
 
-def channel_probabilities(epsilon, eta, alpha, noise: NoiseModel | None = None) -> np.ndarray:
+def channel_probabilities(epsilon, eta, alpha, noise: NoiseModel = NoiseModel()) -> np.ndarray:
     """Survival probabilities of the four count channels.
 
     ``epsilon``, ``eta`` and the input H-weight ``alpha`` broadcast against
@@ -152,13 +152,7 @@ def channel_probabilities(epsilon, eta, alpha, noise: NoiseModel | None = None) 
 
 
 def simulate_counts(
-    epsilon,
-    eta,
-    photons_per_setting: int,
-    noise: NoiseModel | None = None,
-    seed: int = 0,
-    first_key=None,
-    exact_mode: bool = False,
+    epsilon, eta, photons_per_setting: int, noise: NoiseModel = NoiseModel(), key=None
 ) -> np.ndarray:
     """Counts of the four channels for every traversal state of every cell.
 
@@ -166,29 +160,26 @@ def simulate_counts(
     sends ``photons_per_setting`` photons and records a
     Binomial(N, p * detector_efficiency) count; the result has shape
     (cells, 51, 4), channels ordered as in ``channel_probabilities``. With
-    ``first_key`` = (*prefix, first_cell), cell k draws all of its counts in
+    ``key`` = (seed, *prefix, first_cell), cell k draws all of its counts in
     one call on the ``STREAM_SCHEME`` stream keyed (*prefix, first_cell + k)
     under ``seed``: the one ``_substream`` of the prefix has its counter
     reset before each cell, so a cell's counts do not depend on the
-    cells drawn with it. Exact mode records the expected values instead,
-    builds no generator and ignores ``first_key``.
+    cells drawn with it. With no ``key`` the expected values are recorded
+    instead and no generator is built.
 
     The result is a view of one state-major (4, 51, cells) buffer, so the
-    cells are its contiguous axis: floats in exact mode, int64 when sampled.
+    cells are its contiguous axis: floats when expected, int64 when sampled.
     """
     check_range("photons_per_setting", photons_per_setting, PHOTONS_RANGE)
-    noise = noise or NoiseModel()
     detected = _channels(
         np.atleast_1d(epsilon), np.atleast_1d(eta), TRAVERSAL_ALPHAS[:, None], noise
     )
     detected *= noise.detector_efficiency
     np.clip(detected, 0.0, 1.0, out=detected)
-    if exact_mode:
+    if key is None:
         detected *= photons_per_setting
         return detected.T
-    if first_key is None:
-        raise ValueError("sampled counts need a first_key (*prefix, first_cell)")
-    *prefix, first_cell = (int(i) for i in first_key)
+    seed, *prefix, first_cell = (int(i) for i in key)
     # Each cell's counts overwrite its own probabilities once they are drawn.
     counts = detected.view(np.int64)
     rng = _substream(seed, *prefix)
@@ -297,39 +288,35 @@ def estimate_prev_from_counts(counts) -> np.ndarray:
 
 
 def simulate_tomography(
-    alpha,
-    counts_per_basis,
-    noise: NoiseModel | None = None,
+    alpha, counts_per_basis, noise: NoiseModel = NoiseModel(),
     rng_stream: np.random.Generator | None = None,
-    exact_mode: bool = False,
 ) -> np.ndarray:
     """Fidelity to the input of an analyzer tomography in the H/V, D/A and R/L bases.
 
     ``alpha`` and ``counts_per_basis`` broadcast to one value per input
     sqrt(alpha)|H> + sqrt(1-alpha)|V>, of Bloch vector
-    n = (2*alpha - 1, 2*sqrt(alpha*(1-alpha)), 0). Counts in each basis are
-    binomial on the leakage-mixed outcome probability (one PBS pass in the
-    analyzer), all drawn from ``rng_stream`` in one call over (input, basis)
-    in C order, and linear inversion of the empirical ratios gives a Stokes
-    vector s. The physical state nearest to (I + s.sigma)/2, its eigenvalues
-    (1 +- |s|)/2 clipped to [0, 1] and renormalized, has the Stokes vector
-    s / max(1, |s|), and its fidelity to the input is (1 + n.s)/2. Exact mode
-    uses the outcome probabilities themselves and needs no ``rng_stream``.
-    Detector efficiency cancels in the per-basis ratios and is not applied
-    here. ``counts_per_basis`` pools every chain's (``POOLED_COUNTS_RANGE``).
+    n = (2*alpha - 1, 2*sqrt(alpha*(1-alpha)), 0). Given ``rng_stream``,
+    counts in each basis are binomial on the leakage-mixed outcome
+    probability (one PBS pass in the analyzer), all drawn from it in one
+    call over (input, basis) in C order, and linear inversion of the
+    empirical ratios gives a Stokes vector s; with no ``rng_stream`` the
+    outcome probabilities themselves are inverted. The physical state
+    nearest to (I + s.sigma)/2, its eigenvalues (1 +- |s|)/2 clipped to
+    [0, 1] and renormalized, has the Stokes vector s / max(1, |s|), and its
+    fidelity to the input is (1 + n.s)/2. Detector efficiency cancels in
+    the per-basis ratios and is not applied here. ``counts_per_basis`` pools
+    every chain's (``POOLED_COUNTS_RANGE``).
     """
     for a in np.ravel(alpha).tolist():
         check_range("alpha", float(a), UNIT_RANGE)
     for n in np.ravel(counts_per_basis).tolist():
         check_range("counts_per_basis", n, POOLED_COUNTS_RANGE)
-    if not exact_mode and rng_stream is None:
-        raise ValueError("sampled tomography needs a generator")
-    leak = (noise or NoiseModel()).pbs_leakage
+    leak = noise.pbs_leakage
     a = np.asarray(alpha, dtype=float)
     bloch = np.stack((2.0 * a - 1.0, 2.0 * np.sqrt(a * (1.0 - a)), np.zeros_like(a)), axis=-1)
     p_plus = 0.5 * (1.0 + bloch)
     p_mixed = (1.0 - leak) * p_plus + leak * (1.0 - p_plus)
-    if exact_mode:
+    if rng_stream is None:
         estimates = 2.0 * p_mixed - 1.0
     else:
         total = np.asarray(counts_per_basis)[..., None]

@@ -86,6 +86,12 @@ def _parse_format(name: str, text: str) -> str:
     raise ConfigError(f"{name}: expected csv or json, got {text!r}")
 
 
+def _parse_path(name: str, text: str) -> str:
+    if text:
+        return text
+    raise ConfigError(f"{name}: expected a file path, got {text!r}")
+
+
 # One row per config key: name -> (default, parse(name, text), accepted range
 # as ``check_range`` reads it, or None). Row order is RunConfig's field order
 # and the order in which values are parsed from flags and range-checked.
@@ -102,7 +108,7 @@ _FIELDS = {
         (f"[{MIN_GRID_SIZE}, {MAX_GRID_SIZE}]", lambda v: MIN_GRID_SIZE <= v <= MAX_GRID_SIZE),
     ),
     "exact_mode": (False, _parse_bool, None),
-    "output_path": (None, lambda name, text: text, None),
+    "output_path": (None, _parse_path, None),
     "output_format": (None, _parse_format, None),
 }
 RunConfig = namedtuple("RunConfig", _FIELDS, defaults=[row[0] for row in _FIELDS.values()])
@@ -262,7 +268,7 @@ def dispatch(subcommand: str, config: RunConfig, mutate_reversal: bool = False) 
         _emit(text, config.output_path)
     except OSError as exc:
         # Named by the path given: the error's own file may be the temporary one.
-        target = config.output_path or "stdout"
+        target = "stdout" if config.output_path is None else config.output_path
         print(f"cannot write output to {target}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -130,7 +130,7 @@ def _traversal_terms(epsilon, eta) -> tuple[np.ndarray, np.ndarray]:
 def state_sweep(
     wm: WeakMeasurement,
     photons_per_setting: int = DEFAULT_PHOTONS,
-    noise: NoiseModel | None = None,
+    noise: NoiseModel = NoiseModel(),
     seed: int = DEFAULT_SEED,
     exact_mode: bool = False,
 ) -> dict:
@@ -140,9 +140,8 @@ def state_sweep(
     columns are single-state count-ratio terms from simulated counts (their
     expected values in exact mode).
     """
-    (counts,) = simulate_counts(
-        wm.epsilon, wm.eta, photons_per_setting, noise, seed, (STATES_STREAM, 0), exact_mode
-    )
+    key = None if exact_mode else (seed, STATES_STREAM, 0)
+    (counts,) = simulate_counts(wm.epsilon, wm.eta, photons_per_setting, noise, key)
     gain_analytic, rev_analytic = _traversal_terms(wm.epsilon, wm.eta)
     return {
         "alpha": TRAVERSAL_ALPHAS,
@@ -153,25 +152,17 @@ def state_sweep(
     }
 
 
-def _cell_columns(
-    epsilon,
-    eta,
-    first_index: int,
-    photons_per_setting: int,
-    noise: NoiseModel | None,
-    seed: int,
-    exact_mode: bool,
-) -> dict:
-    """``tables.GRID`` columns of lattice cells ``first_index``, ``first_index + 1``, ...
+def _cell_columns(epsilon, eta, photons_per_setting: int, noise: NoiseModel, key) -> dict:
+    """``tables.GRID`` columns of a run of lattice cells.
 
     ``epsilon`` and ``eta`` broadcast against each other, one value per
-    cell, cells taken row-major. One count-kernel call covers all of them;
-    cell ``first_index + k`` draws from the stream (GRID_STREAM,
-    first_index + k) whatever else is drawn.
+    cell, cells taken row-major. One count-kernel call covers all of them,
+    drawing from ``key`` = (seed, GRID_STREAM, first cell index), or recording
+    expected counts when ``key`` is None; cell k of the run draws from the
+    stream (GRID_STREAM, first cell index + k) whatever else is drawn.
     """
     e, h = (np.ravel(a) for a in np.broadcast_arrays(np.atleast_1d(epsilon), np.atleast_1d(eta)))
-    first_key = (GRID_STREAM, first_index)
-    counts = simulate_counts(e, h, photons_per_setting, noise, seed, first_key, exact_mode)
+    counts = simulate_counts(e, h, photons_per_setting, noise, key)
     gmax, prev, degenerate = closed_forms(e, h)
     gmax_mc, prev_mc = estimate_gmax_from_counts(counts, e, h), estimate_prev_from_counts(counts)
     return {
@@ -202,7 +193,7 @@ def _grid_values(grid_size: int) -> np.ndarray:
 def grid_sweep(
     grid_size: int = DEFAULT_GRID_SIZE,
     photons_per_setting: int = DEFAULT_PHOTONS,
-    noise: NoiseModel | None = None,
+    noise: NoiseModel = NoiseModel(),
     seed: int = DEFAULT_SEED,
     exact_mode: bool = False,
 ) -> dict:
@@ -218,8 +209,8 @@ def grid_sweep(
     rows = max(1, GRID_BLOCK_CELLS // grid_size)
     return _concatenate([
         _cell_columns(
-            values[i:i + rows, None], values, i * grid_size,
-            photons_per_setting, noise, seed, exact_mode,
+            values[i:i + rows, None], values, photons_per_setting, noise,
+            None if exact_mode else (seed, GRID_STREAM, i * grid_size),
         )
         for i in range(0, grid_size, rows)
     ])
@@ -228,7 +219,7 @@ def grid_sweep(
 def cross_section(
     eta_values,
     photons_per_setting: int = DEFAULT_PHOTONS,
-    noise: NoiseModel | None = None,
+    noise: NoiseModel = NoiseModel(),
     seed: int = DEFAULT_SEED,
     exact_mode: bool = True,
 ) -> dict:
@@ -241,8 +232,8 @@ def cross_section(
     if exact_mode:
         gmax, prev, _ = closed_forms(0.0, etas)
     else:
-        first_key = (CROSS_SECTION_STREAM, 0)
-        counts = simulate_counts(0.0, etas, photons_per_setting, noise, seed, first_key)
+        key = (seed, CROSS_SECTION_STREAM, 0)
+        counts = simulate_counts(0.0, etas, photons_per_setting, noise, key)
         gmax, prev = estimate_gmax_from_counts(counts, 0.0, etas), estimate_prev_from_counts(counts)
     six_gmax = 6.0 * gmax
     return {"eta": etas, "six_gmax": six_gmax, "prev": prev, "sum": six_gmax + prev}
@@ -251,7 +242,7 @@ def cross_section(
 def reversal_fidelity_sweep(
     wm: WeakMeasurement,
     counts_per_basis: int = DEFAULT_COUNTS_PER_BASIS,
-    noise: NoiseModel | None = None,
+    noise: NoiseModel = NoiseModel(),
     seed: int = DEFAULT_SEED,
     exact_mode: bool = False,
 ) -> dict:
@@ -266,7 +257,6 @@ def reversal_fidelity_sweep(
     one ``simulate_tomography`` call from cell 0 of the stream FIDELITY_STREAM.
     """
     check_range("counts_per_basis", counts_per_basis, COUNTS_PER_BASIS_RANGE)
-    noise = noise or NoiseModel()
     chains = channel_probabilities(wm.epsilon, wm.eta, TRAVERSAL_ALPHAS, noise)[:, 2:]
     yields = counts_per_basis * chains
     low_stats = yields.sum(axis=-1) < LOW_STATS_FLOOR
@@ -275,7 +265,7 @@ def reversal_fidelity_sweep(
     rng = None if exact_mode else _substream(seed, FIDELITY_STREAM)
     fidelity = np.full(N_TRAVERSAL_STATES, math.nan)
     fidelity[~low_stats] = simulate_tomography(
-        TRAVERSAL_ALPHAS[~low_stats], live_chains * counts_per_basis, noise, rng, exact_mode
+        TRAVERSAL_ALPHAS[~low_stats], live_chains * counts_per_basis, noise, rng
     )
     return {"alpha": TRAVERSAL_ALPHAS, "fidelity": fidelity, "low_stats_flag": low_stats}
 
@@ -559,7 +549,7 @@ def _check_oracle_agreement(seed: int) -> tuple[float, float]:
 
 
 def _check_estimator_consistency(
-    photons_per_setting: int, noise: NoiseModel | None, seed: int, exact_mode: bool
+    photons_per_setting: int, noise: NoiseModel, seed: int, exact_mode: bool
 ) -> tuple[float, float]:
     e, h = 0.25, 0.75
 
@@ -568,19 +558,19 @@ def _check_estimator_consistency(
     gains, _ = _traversal_terms(e, h)
     target_g = float(_traversal_mean(gains[:, 0]))
     _, target_p, _ = closed_forms(e, h)
-    clean = simulate_counts(e, h, photons_per_setting, None, seed, exact_mode=True)
+    clean = simulate_counts(e, h, photons_per_setting)
     parts = [
         (abs(float(estimate_gmax_from_counts(clean, e, h)[0]) - target_g), 1e-12),
         (abs(float(estimate_prev_from_counts(clean)[0]) - target_p), 1e-12),
     ]
 
     if not exact_mode:
-        expected = simulate_counts(e, h, photons_per_setting, noise, seed, exact_mode=True)
+        expected = simulate_counts(e, h, photons_per_setting, noise)
         g_ref = float(estimate_gmax_from_counts(expected, e, h)[0])
         p_ref = float(estimate_prev_from_counts(expected)[0])
         # Five independent traversals of the same cell, one stream each.
-        first_key = (CONSISTENCY_STREAM, 0)
-        sampled = simulate_counts([e] * 5, h, photons_per_setting, noise, seed, first_key)
+        key = (seed, CONSISTENCY_STREAM, 0)
+        sampled = simulate_counts([e] * 5, h, photons_per_setting, noise, key)
         g_samples = estimate_gmax_from_counts(sampled, e, h).tolist()
         p_samples = estimate_prev_from_counts(sampled).tolist()
         stat_tol = 5.0 / math.sqrt(photons_per_setting)
@@ -590,14 +580,14 @@ def _check_estimator_consistency(
     return _worst(parts)
 
 
-def _check_rng_determinism(noise: NoiseModel | None, seed: int) -> tuple[float, float]:
+def _check_rng_determinism(noise: NoiseModel, seed: int) -> tuple[float, float]:
     wm = WeakMeasurement(0.25, 0.75)
     # Cells evaluated one at a time in reverse order must reproduce the
     # sweep: no cell's stream may depend on the cells drawn before it.
     values = np.linspace(0.0, 1.0, 4).tolist()
     cells = list(enumerate((e, h) for e in values for h in values))
     reordered = [
-        _cell_columns(e, h, i, 2_000, noise, seed, False) for i, (e, h) in reversed(cells)
+        _cell_columns(e, h, 2_000, noise, (seed, GRID_STREAM, i)) for i, (e, h) in reversed(cells)
     ]
     pairs = (
         (tables.STATES, state_sweep(wm, 20_000, noise, seed), state_sweep(wm, 20_000, noise, seed)),
@@ -614,7 +604,7 @@ def _check_rng_determinism(noise: NoiseModel | None, seed: int) -> tuple[float, 
 
 def verify(
     photons_per_setting: int = DEFAULT_PHOTONS,
-    noise: NoiseModel | None = None,
+    noise: NoiseModel = NoiseModel(),
     seed: int = DEFAULT_SEED,
     grid_size: int = DEFAULT_GRID_SIZE,
     exact_mode: bool = False,

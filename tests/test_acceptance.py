@@ -113,7 +113,7 @@ def test_criterion_5_oracle_equivalence():
 def test_criterion_6_estimators():
     start = time.perf_counter()
     e, h = FLAGSHIP.epsilon, FLAGSHIP.eta
-    counts = simulate_counts(e, h, 100_000, None, seed=42, first_key=(0, 0))
+    counts = simulate_counts(e, h, 100_000, key=(42, 0, 0))
     g_hat = float(estimate_gmax_from_counts(counts, e, h)[0])
     p_hat = float(estimate_prev_from_counts(counts)[0])
     assert abs(g_hat - 0.586667) <= 0.002  # discrete-grid expectation target
@@ -130,7 +130,7 @@ def test_criterion_7_reversal_fidelity():
     assert len(noisy["fidelity"]) == 51
     assert not noisy["low_stats_flag"].any()
     assert noisy["fidelity"].min() >= 0.99
-    exact = reversal_fidelity_sweep(FLAGSHIP, 10_000, None, seed=42, exact_mode=True)
+    exact = reversal_fidelity_sweep(FLAGSHIP, 10_000, seed=42, exact_mode=True)
     assert np.abs(exact["fidelity"] - 1.0).max() <= 1e-12
     assert time.perf_counter() - start < 60.0
 

@@ -398,6 +398,22 @@ class TestDispatchProducts:
         assert f"cannot write output to {path}: " in err
         assert ".wmtradeoff-" not in err
 
+    @pytest.mark.parametrize("where", ["flag", "config file"])
+    def test_empty_output_path_refused(self, where, tmp_path, capsys, monkeypatch):
+        # An empty path names no file and is not stdout: refused while parsing.
+        monkeypatch.chdir(tmp_path)
+        args = ["sweep-states", "--exact-mode", "true"]
+        if where == "flag":
+            args += ["--output-path", ""]
+        else:
+            (tmp_path / "run.cfg").write_text("output_path =\n", encoding="utf-8")
+            args += ["--config", "run.cfg"]
+        assert main(args) == EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "config error: output_path: expected a file path, got ''\n"
+        assert sorted(os.listdir(tmp_path)) == (["run.cfg"] if where == "config file" else [])
+
     def test_config_error_exits_one(self, capsys):
         assert main(["verify", "--epsilon", "1.5"]) == EXIT_CONFIG_ERROR
         assert "epsilon" in capsys.readouterr().err

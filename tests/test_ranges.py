@@ -36,7 +36,7 @@ SHARED_KEYS = {
     "pbs_leakage": (lambda v: NoiseModel(pbs_leakage=v), near(0.0, 0.01)),
     "detector_efficiency": (lambda v: NoiseModel(detector_efficiency=v), near(0.0, 1.0)),
     "photons_per_setting": (
-        lambda v: simulate_counts(0.25, 0.75, v, exact_mode=True),
+        lambda v: simulate_counts(0.25, 0.75, v),
         near(1, 2**63 - 1) + [0, 1, 2, 2**63 - 2, 2**63 - 1, 2**63, 1.5],
     ),
     "counts_per_basis": (
@@ -79,13 +79,13 @@ class TestOneRangeSource:
             (lambda: NoiseModel(pbs_leakage=math.nan), "pbs_leakage must lie in [0, 0.01]"),
             (lambda: NoiseModel(detector_efficiency=math.inf),
              "detector_efficiency must lie in (0, 1]"),
-            (lambda: simulate_counts(0.25, 0.75, 2**63, first_key=(0, 0)),
+            (lambda: simulate_counts(0.25, 0.75, 2**63, key=(0, 0, 0)),
              "photons_per_setting must lie in [1, 2^63 - 1]"),
-            (lambda: simulate_counts(0.25, 0.75, 1.5, exact_mode=True),
+            (lambda: simulate_counts(0.25, 0.75, 1.5),
              "photons_per_setting must lie in [1, 2^63 - 1]"),
             (lambda: reversal_fidelity_sweep(FLAGSHIP, 99),
              "counts_per_basis must lie in [100, 2^62 - 1]"),
-            (lambda: simulate_tomography(0.5, 2**63, exact_mode=True),
+            (lambda: simulate_tomography(0.5, 2**63),
              "counts_per_basis must lie in [100, 2^63 - 1]"),
             (lambda: verify(grid_size=1), "grid size must be at least 2"),
             # Refused before the battery runs, not as an estimator_consistency FAIL row.

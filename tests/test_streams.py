@@ -52,8 +52,8 @@ def test_counts_are_independent_standard_binomials():
     values = np.linspace(0.05, 0.95, 8)
     e, h = (a.ravel() for a in np.meshgrid(values, values, indexing="ij"))
     photons = 10_000
-    p = simulate_counts(e, h, photons, NOISE, exact_mode=True) / photons
-    counts = np.array([simulate_counts(e, h, photons, NOISE, seed, (7, 0)) for seed in range(8)])
+    p = simulate_counts(e, h, photons, NOISE) / photons
+    counts = np.array([simulate_counts(e, h, photons, NOISE, (seed, 7, 0)) for seed in range(8)])
     z = assert_standard_binomial(counts, photons, np.broadcast_to(p, counts.shape))
     # Cells k and k + 1 of one call share the key and differ in the counter.
     assert_uncorrelated(z[:, :-1], z[:, 1:])

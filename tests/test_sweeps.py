@@ -203,7 +203,7 @@ class TestGridSweep:
         table = grid_sweep(grid_size=5, photons_per_setting=3000, seed=11)
         cells = list(enumerate(lattice_cells(5)))
         reordered = sweeps._concatenate([
-            sweeps._cell_columns(e, h, idx, 3000, None, 11, False)
+            sweeps._cell_columns(e, h, 3000, NoiseModel(), (11, sweeps.GRID_STREAM, idx))
             for idx, (e, h) in reversed(cells)
         ][::-1])
         assert rows(table) == rows(reordered)
@@ -312,7 +312,7 @@ class TestReversalFidelitySweep:
         # correct stream would fail one run in six.
         total = below = 0
         for seed in range(400):
-            for fidelity in reversal_fidelity_sweep(FLAGSHIP, 10_000, None, seed=seed)["fidelity"]:
+            for fidelity in reversal_fidelity_sweep(FLAGSHIP, 10_000, seed=seed)["fidelity"]:
                 total += 1
                 below += fidelity < 0.995
         assert below / total <= 0.01
@@ -649,6 +649,28 @@ class TestVerify:
         for detail in report["detail"][crashed].tolist():
             assert detail.startswith("ZeroDivisionError: injected at test_sweeps.py:")
             assert detail.endswith(" in boom")
+
+    @pytest.mark.parametrize(
+        "six_gmax, prev",
+        [
+            ([3.0, 3.5, 3.5, 4.0], [1.0, 0.75, 0.5, 0.0]),
+            ([3.0, 3.25, 3.5, 4.0], [1.0, 0.5, 0.5, 0.0]),
+        ],
+        ids=["six_gmax-flat-step", "prev-flat-step"],
+    )
+    def test_non_monotone_cross_section_fails_monotonicity(self, monkeypatch, six_gmax, prev):
+        # The law holds (every sum is exactly 4), but one column has a step
+        # in the wrong direction: the check fails on that step alone.
+        def section(*args, **kwargs):
+            return {"eta": np.linspace(0.0, 1.0, 4), "six_gmax": np.array(six_gmax),
+                    "prev": np.array(prev), "sum": np.full(4, 4.0)}
+
+        monkeypatch.setattr(sweeps, "cross_section", section)
+        report = verify(photons_per_setting=2_000, seed=42, grid_size=4)
+        check = row(report, "cross_section_monotonicity")
+        assert (check["verdict"], check["deviation"]) == ("FAIL", 1.0)
+        outcomes = passed(report)
+        assert [name for name, ok in outcomes.items() if not ok] == ["cross_section_monotonicity"]
 
     def test_state_grid_means_computed_once(self, monkeypatch):
         calls = []

@@ -184,7 +184,7 @@ def test_ragged_columns_refused(writer, delta, short):
 def test_writer_peak_memory_is_bounded_by_document_length(writer, bound):
     # Rendering holds the document once plus per-cell references, not several
     # whole-document copies: the 256 x 256 cap bounds memory through this ratio.
-    columns = grid_sweep(64, 1_000, None, 1, True)
+    columns = grid_sweep(64, 1_000, NoiseModel(), 1, True)
     tracemalloc.start()
     try:
         text = writer(columns)
