@@ -107,24 +107,26 @@ def _substream(seed: int, *prefix: int) -> np.random.Generator:
 def _channels(epsilon, eta, alpha, noise: NoiseModel) -> np.ndarray:
     """The four channel survivals, channel axis first: shape (4, *broadcast shape).
 
-    Each ``alpha * h`` and ``beta * v`` product is formed once and reused by
-    the reversal chain: ``(alpha * h1) * v1`` is how ``alpha * h1 * v1``
-    rounds, so the chain survivals keep their bits.
+    Leakage is a map of the operator pair: with s the interferometer swap
+    probability, every survival is the ideal one at epsilon' = (1-s)*epsilon
+    + s*eta and eta' = (1-s)*eta + s*epsilon. Each ``alpha * h`` and
+    ``beta * v`` product is formed once and reused by the reversal chain:
+    ``(alpha * h1) * v1`` is how ``alpha * h1 * v1`` rounds, so the chain
+    survivals keep their bits.
     """
     swap = noise.interferometer_swap_probability
     keep = 1.0 - swap
     e, h = np.asarray(epsilon, dtype=float), np.asarray(eta, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     beta = 1.0 - alpha
-    # Leakage-mixed H and V arm transmissions of the branch of outcome 1 and
-    # of outcome 2, on the (epsilon, eta) shape; alpha broadcasts last.
-    not_e, not_h = 1.0 - e, 1.0 - h
-    h1, v1 = keep * not_e + swap * not_h, keep * not_h + swap * not_e
+    # H and V arm transmissions of the branch of outcome 2, the mapped pair,
+    # and of outcome 1, on the (epsilon, eta) shape; alpha broadcasts last.
     h2, v2 = keep * e + swap * h, keep * h + swap * e
+    h1, v1 = 1.0 - h2, 1.0 - v2
     out = np.empty((4,) + np.broadcast(h1, alpha).shape)
     rest = np.empty(out.shape[1:])
-    # The reversal exchanges the arms, so its mixed H transmission is the V
-    # one. Indexing with ``...`` gives views even of a 0-d broadcast shape.
+    # The reversal exchanges the arms, so its H transmission is the V one.
+    # Indexing with ``...`` gives views even of a 0-d broadcast shape.
     for branch, (hr, vr) in enumerate(((h1, v1), (h2, v2))):
         measured, chain = out[branch, ...], out[branch + 2, ...]
         np.multiply(alpha, hr, out=chain)
@@ -143,10 +145,10 @@ def channel_probabilities(epsilon, eta, alpha, noise: NoiseModel = NoiseModel())
     each other; the last axis of the result holds, in this order, the chance
     that a photon exits the measurement interferometer on branch 1 and on
     branch 2, and the chance that it survives branch 1 and its reversal and
-    branch 2 and its reversal. Leakage mixes the orthogonal arm transmission
-    in at each interferometer: the ideal reversal-chain survivals,
-    (1-e)(1-h) and e*h, do not depend on the input state. Detector efficiency
-    is not applied.
+    branch 2 and its reversal. The reversal-chain survivals, (1-e)(1-h) and
+    e*h, do not depend on the input state. Leakage maps (epsilon, eta) onto
+    the pair (epsilon', eta') of ``_channels``, so the counts cannot tell it
+    from a moved operator. Detector efficiency is not applied.
     """
     return np.moveaxis(_channels(epsilon, eta, alpha, noise), 0, -1)
 
@@ -323,9 +325,12 @@ def simulate_tomography(
         n_plus = rng_stream.binomial(total, np.clip(p_mixed, 0.0, 1.0))
         estimates = (2.0 * n_plus - total) / total
 
-    # math.hypot rounds |s| closer than two np.hypot passes.
-    rows = estimates.reshape(-1, 3).tolist()
-    scale = np.maximum(1.0, [math.hypot(*s) for s in rows]).reshape(estimates.shape[:-1])
-    terms = bloch * (estimates / scale[..., None])
+    # Below |s| = 1 the scale is 1; near and above it math.hypot rounds |s|
+    # closer than numpy's norm, on those rows alone.
+    rows = estimates.reshape(-1, 3)
+    scale = np.ones(len(rows))
+    near = np.linalg.norm(rows, axis=-1) >= 1.0 - 1e-9
+    scale[near] = np.maximum(1.0, [math.hypot(*s) for s in rows[near].tolist()])
+    terms = bloch * (estimates / scale.reshape(estimates.shape[:-1] + (1,)))
     overlap = terms[..., 0] + terms[..., 1] + terms[..., 2]
     return np.clip(0.5 * (1.0 + overlap), 0.0, 1.0)

@@ -3,11 +3,6 @@
 Conventions used throughout the package: the basis order is (H, V); a pure
 state is sqrt(alpha)|H> + exp(i*phase)*sqrt(1-alpha)|V> with the global phase
 quotiented out.
-
-``state_amplitudes``, ``inner_products``, ``abs_squared`` and
-``post_state_amplitudes`` repeat the scalar arithmetic of ``PureState`` and
-``apply_operator``, and the squared overlap ``abs(np.vdot(a, b)) ** 2``, over
-stacks of states, with the same rounding.
 """
 
 from __future__ import annotations
@@ -122,33 +117,6 @@ def apply_operator(op: Operator2, state: PureState) -> tuple[float, PureState | 
     return prob, PureState(alpha, phase)
 
 
-def state_amplitudes(alpha, phase) -> np.ndarray:
-    """``PureState(alpha, phase).amplitudes`` over broadcast arrays, on a last axis.
-
-    Canonicalizes as ``apply_operator`` does for its post states: alpha
-    clamped to [0, 1], the phase taken mod 2*pi and set to 0 at the endpoints.
-    """
-    alpha = np.clip(alpha, 0.0, 1.0)
-    phase = np.where((alpha == 0.0) | (alpha == 1.0), 0.0, np.mod(phase, TWO_PI))
-    return np.stack((np.sqrt(alpha) + 0j, np.exp(1j * phase) * np.sqrt(1.0 - alpha)), axis=-1)
-
-
 def inner_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a|b> of each pair of vectors on the last axis, added in np.vdot's order."""
     return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def abs_squared(z: np.ndarray) -> np.ndarray:
-    """|z|**2 of a complex array, rounded as the scalar ``abs(z) ** 2`` is.
-
-    A complex scalar's abs is libm's hypot and a float64 scalar's ``** 2`` is
-    libm's pow; np.abs and ``** 2`` on arrays differ from them in the last
-    bit for some inputs, np.hypot and np.float_power do not.
-    """
-    return np.float_power(np.hypot(z.real, z.imag), 2.0)
-
-
-def post_state_amplitudes(images: np.ndarray, prob: np.ndarray) -> np.ndarray:
-    """Post states ``apply_operator`` forms from images of squared norm ``prob``."""
-    alpha = abs_squared(images[..., 0]) / prob
-    return state_amplitudes(alpha, np.angle(images[..., 1]) - np.angle(images[..., 0]))

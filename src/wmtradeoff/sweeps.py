@@ -20,21 +20,13 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 import traceback
 from collections import namedtuple
 
 import numpy as np
 
-from .qubit import (
-    ANNIHILATION_EPS,
-    CONSTRUCTION_ATOL,
-    TWO_PI,
-    abs_squared,
-    check_range,
-    inner_products,
-    post_state_amplitudes,
-    state_amplitudes,
-)
+from .qubit import ANNIHILATION_EPS, CONSTRUCTION_ATOL, TWO_PI, check_range
 # Bound here only for perfbench/spans.py, which wraps these three names of
 # this module: no sweep or check calls them. With PureState and Operator2
 # they are the scalar object layer, which no CLI path reaches.
@@ -271,9 +263,7 @@ def reversal_fidelity_sweep(
 
 
 def haar_average_oracle(
-    wm: WeakMeasurement,
-    n_samples: int,
-    seed: int | np.random.SeedSequence | np.random.Generator = DEFAULT_SEED,
+    wm: WeakMeasurement, n_samples: int, rng: np.random.Generator
 ) -> OracleEstimate:
     """Monte Carlo average of gain and reversibility over Haar-random states.
 
@@ -281,7 +271,8 @@ def haar_average_oracle(
     uniform relative phase, and the per-state quantities are evaluated by
     brute-force branch arithmetic on the sampled amplitudes. This is the
     independent check of the two closed forms; it shares none of their
-    algebra.
+    algebra. Every sample is drawn from ``rng``; ``verify`` passes a
+    ``bench._substream`` generator.
 
     The polar cosine is drawn in n_samples // 2 equal-width strata of
     [-1, 1], two uniform draws in each; an odd n_samples gives the last
@@ -303,7 +294,6 @@ def haar_average_oracle(
     """
     if n_samples < 10_000:
         raise ValueError("n_samples must be at least 10000")
-    rng = np.random.default_rng(seed)
     offsets = rng.uniform(0.0, 1.0, n_samples)
     phases = rng.uniform(0.0, TWO_PI, n_samples)
     last = n_samples // 2 - 1  # the last stratum, holding 2 or 3 samples
@@ -471,18 +461,18 @@ def _check_reversal_exactness(seed: int, reversal_fn) -> tuple[float, float, str
     if np.any(top > 1.0 + CONSTRUCTION_ATOL):
         raise ValueError("operator is not a physical Kraus operator (largest singular value > 1)")
 
-    # The scalar path's arithmetic on stacked arrays: apply_operator, then
-    # the reversal on the post state, then the squared overlap with the input.
-    states = state_amplitudes(alpha, phase)
+    # Measure and renormalise, reverse and renormalise, then take the
+    # squared overlap with the input; an annihilated image ends its triple.
+    states = np.stack((np.sqrt(alpha) + 0j, np.exp(1j * phase) * np.sqrt(1.0 - alpha)), axis=-1)
     images = coefficients * states
-    prob = inner_products(images, images).real
+    prob = (images.conj() * images).real.sum(axis=-1)
     live = prob >= ANNIHILATION_EPS
-    posts = post_state_amplitudes(images[live], prob[live])
+    posts = images[live] / np.sqrt(prob[live])[:, None]
     recovered = (reversals[live] @ posts[..., None])[..., 0]
-    prob_rev = inner_products(recovered, recovered).real
+    prob_rev = (recovered.conj() * recovered).real.sum(axis=-1)
     kept = prob_rev >= ANNIHILATION_EPS
-    finals = post_state_amplitudes(recovered[kept], prob_rev[kept])
-    overlap = abs_squared(inner_products(states[live][kept], finals))
+    finals = recovered[kept] / np.sqrt(prob_rev[kept])[:, None]
+    overlap = np.abs((states[live][kept].conj() * finals).sum(axis=-1)) ** 2
     tested = len(finals)
     # No tested triple is no evidence: an infinite deviation fails the check.
     dev = float(np.max(np.abs(1.0 - overlap))) if tested else math.inf
@@ -616,7 +606,9 @@ def verify(
     ``(deviation, tolerance)`` or ``(deviation, tolerance, detail)``, and one
     rule gives every verdict: PASS iff deviation <= tolerance. A check that
     raises is a FAIL row with deviation inf, tolerance 0 and the detail
-    ``Type: message at file:line in function`` of where it raised.
+    ``Type: message``; where it raised goes to stderr, one line per crashed
+    check, ``verify: <check> raised at <file>:<line> in <function>``, so the
+    product does not depend on source lines.
 
     ``reversal_fn`` overrides the reversal-operator construction and exists
     as a mutation-test hook: it takes (epsilon, eta) arrays and returns
@@ -657,7 +649,8 @@ def verify(
         except Exception as exc:  # a crashed check is a failed check
             frame = traceback.extract_tb(exc.__traceback__)[-1]
             where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
-            rows.append((name, math.inf, 0.0, f"{type(exc).__name__}: {exc} at {where}"))
+            print(f"verify: {name} raised at {where}", file=sys.stderr)
+            rows.append((name, math.inf, 0.0, f"{type(exc).__name__}: {exc}"))
     names, deviation, tolerance, detail = (np.array(column) for column in zip(*rows))
     return {
         "check": names,

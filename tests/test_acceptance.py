@@ -99,7 +99,8 @@ def test_criterion_5_oracle_equivalence():
         (0.6, 0.2), (0.75, 0.25), (0.9, 0.05), (1.0, 0.3), (0.15, 0.15),
     ]
     for k, (e, h) in enumerate(cells):
-        stream = np.random.SeedSequence(entropy=ORACLE_MASTER_SEED, spawn_key=(k,))
+        seeds = np.random.SeedSequence(entropy=ORACLE_MASTER_SEED, spawn_key=(k,))
+        stream = np.random.default_rng(seeds)
         est = haar_average_oracle(WeakMeasurement(e, h), 1_000_000, stream)
         gmax, prev, _ = closed_forms(e, h)
         assert abs(est.gmax_estimate - gmax) <= 3.0 * est.gmax_stderr

@@ -5,12 +5,13 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 
 import pytest
-from hypothesis import event, given, settings, strategies
+from hypothesis import event, example, given, settings, strategies
 
 import wmtradeoff
 from wmtradeoff import bench, cli, measurement, qubit, sweeps, tables
@@ -516,6 +517,10 @@ FUZZ_VALUES = {
 }
 
 
+# The stderr line of a verify check that raised.
+RAISED_LINE = re.compile(r"verify: [a-z_]+ raised at [\w.]+:\d+ in \w+")
+
+
 @strategies.composite
 def cli_configs(draw):
     """Config values, at most one of them rejected, and the keys set through a config file."""
@@ -550,6 +555,8 @@ class TestCliFuzz:
         mutate=strategies.booleans(),
         config=cli_configs(),
     )
+    # A check that raises: no state has a measured photon at N = 1.
+    @example("verify", False, ({"photons_per_setting": "1", "grid_size": "2"}, set()))
     def test_exit_codes_messages_and_products(self, subcommand, mutate, config):
         values, in_file = dict(config[0]), config[1]
         with tempfile.TemporaryDirectory() as tmp:
@@ -574,7 +581,11 @@ class TestCliFuzz:
             if code == EXIT_OK:
                 assert err == ""
             else:
-                assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+                assert err.endswith("\n") and "Traceback" not in err
+                # One message, after one line per crashed verify check.
+                *located, _ = err.splitlines()
+                assert code == EXIT_VERIFY_FAIL or not located
+                assert all(RAISED_LINE.fullmatch(line) for line in located), located
             fmt = values.get("output_format", "").strip().lower()
             if fmt not in ("csv", "json"):
                 fmt = "json" if subcommand == "verify" else "csv"

@@ -1,6 +1,12 @@
-"""Tests for the package's public surface."""
+"""Tests for the package's public surface and the shape of its source."""
+
+import ast
+from pathlib import Path
 
 import wmtradeoff
+
+SOURCE_DIR = Path(wmtradeoff.__file__).resolve().parent
+STREAM_CONSTRUCTORS = {"default_rng", "SeedSequence", "Philox", "PCG64", "Generator"}
 
 
 def test_exports_resolve_once():
@@ -8,3 +14,31 @@ def test_exports_resolve_once():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(wmtradeoff, name), name
+
+
+def constructor_calls(path: Path) -> list[tuple[str, str]]:
+    """(called name, enclosing top-level function or '<module>') of each stream constructor call."""
+    calls = []
+    for node in ast.parse(path.read_text()).body:
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in STREAM_CONSTRUCTORS:
+                    calls.append((name, owner))
+    return calls
+
+
+def test_one_stream_constructor():
+    # Every generator of the package is built by bench._substream.
+    found = {
+        (path.name, owner, name)
+        for path in sorted(SOURCE_DIR.glob("*.py"))
+        for name, owner in constructor_calls(path)
+    }
+    assert found == {
+        ("bench.py", "_substream", "SeedSequence"),
+        ("bench.py", "_substream", "Generator"),
+        ("bench.py", "_substream", "Philox"),
+    }

@@ -1,4 +1,4 @@
-"""Tests for pure states, operators and the array twins of the scalar state path."""
+"""Tests for pure states and operators."""
 
 import math
 import re
@@ -6,16 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from wmtradeoff.qubit import (
-    Operator2,
-    PureState,
-    TWO_PI,
-    abs_squared,
-    apply_operator,
-    inner_products,
-    post_state_amplitudes,
-    state_amplitudes,
-)
+from wmtradeoff.qubit import Operator2, PureState, apply_operator
 
 from scalar_reference import STATE_H, STATE_V, pure_overlap
 
@@ -116,32 +107,9 @@ class TestApplyOperator:
         assert post.phase == pytest.approx(math.pi, abs=1e-12)
 
 
-class TestArrayPath:
-    def test_matches_the_scalar_path_bit_for_bit(self):
-        # Per state, not only at the worst one: the array functions form each
-        # amplitude, probability, post state and overlap with the rounding of
-        # PureState, apply_operator and the squared overlap of two states.
-        rng = np.random.default_rng(15)
-        alpha, phase = rng.uniform(size=2000), rng.uniform(0.0, TWO_PI, 2000)
-        alpha[:4], phase[:4] = (0.0, 1.0, 0.5, 0.5), (1.0, 2.0, TWO_PI, -1.0)
-        coefficients = rng.uniform(size=(2000, 2))
-        states = state_amplitudes(alpha, phase)
-        images = coefficients * states
-        prob = inner_products(images, images).real
-        posts = post_state_amplitudes(images, prob)
-        overlaps = abs_squared(inner_products(states, posts))
-        for k in range(2000):
-            state = PureState(alpha[k], phase[k])
-            assert states[k].tobytes() == state.amplitudes.tobytes()
-            expected_prob, post = apply_operator(Operator2(np.diag(coefficients[k])), state)
-            assert prob[k] == expected_prob
-            assert posts[k].tobytes() == post.amplitudes.tobytes()
-            assert overlaps[k] == pure_overlap(state, post)
-
-
 class TestFidelity:
-    # The squared overlap is the reference the array path and the branch
-    # arithmetic are checked against.
+    # The squared overlap is the reference the branch arithmetic and the
+    # reversal-exactness check are checked against.
     def test_self_fidelity(self):
         st = PureState(0.42, 0.9)
         assert pure_overlap(st, st) == pytest.approx(1.0, abs=1e-12)

@@ -16,6 +16,7 @@ from wmtradeoff.qubit import (
 )
 from wmtradeoff.measurement import (
     WeakMeasurement,
+    branch_terms,
     closed_forms,
     kraus_coefficients,
     per_state_gain,
@@ -263,6 +264,45 @@ class TestStateGridMeans:
             assert mean == pytest.approx(closed_forms(e, h)[1], abs=1e-12)
 
 
+def mapped_pair(epsilon, eta, noise):
+    """The pair (epsilon', eta') onto which the bench's leakage maps (epsilon, eta)."""
+    swap = noise.interferometer_swap_probability
+    return (1.0 - swap) * epsilon + swap * eta, (1.0 - swap) * eta + swap * epsilon
+
+
+LEAKAGES = pytest.mark.parametrize("leakage", [1e-3, 1e-2])
+EFFICIENCIES = pytest.mark.parametrize("efficiency", [1.0, 0.9])
+
+
+class TestLeakageMap:
+    # Leakage moves the operator: every noisy exact product is the ideal
+    # arithmetic at (epsilon', eta'), here to 2e-15 (1.22e-15 measured).
+    @LEAKAGES
+    @EFFICIENCIES
+    @pytest.mark.parametrize("grid_size", [6, 33, 64])
+    def test_grid_is_the_closed_forms_at_the_mapped_pair(self, grid_size, leakage, efficiency):
+        noise = NoiseModel(leakage, efficiency)
+        table = grid_sweep(grid_size, noise=noise, exact_mode=True)
+        e, h = mapped_pair(table["epsilon"], table["eta"], noise)
+        gmax, prev, _ = closed_forms(e, h)
+        # The 51 traversal states add |eta' - epsilon'|/150 to the gain.
+        assert np.max(np.abs(table["gmax_mc"] - (gmax + np.abs(h - e) / 150.0))) <= 2e-15
+        assert np.max(np.abs(table["prev_mc"] - prev)) <= 2e-15
+
+    @LEAKAGES
+    @EFFICIENCIES
+    @pytest.mark.parametrize("cell", [(0.25, 0.75), (0.1, 0.6), (0.8, 0.3), (0.5, 0.5), (0.0, 1.0)])
+    def test_states_are_the_branch_terms_at_the_mapped_pair(self, cell, leakage, efficiency):
+        noise = NoiseModel(leakage, efficiency)
+        table = state_sweep(WeakMeasurement(*cell), noise=noise, exact_mode=True)
+        prob, guess_fidelity, reversal = branch_terms(
+            *mapped_pair(*cell, noise), bench.TRAVERSAL_ALPHAS
+        )
+        gain = (prob * guess_fidelity).sum(axis=-1)
+        assert np.max(np.abs(table["gain_mc"] - gain)) <= 2e-15
+        assert np.max(np.abs(table["rev_mc"] - reversal.sum(axis=-1))) <= 2e-15
+
+
 class TestCrossSection:
     def test_analytic_rows(self):
         section = rows(cross_section([0.0, 0.4, 1.0], exact_mode=True))
@@ -442,7 +482,7 @@ ORACLE_HEX = {
 class TestHaarOracle:
     @pytest.mark.parametrize("cell,n_samples", ORACLE_HEX)
     def test_estimates_equal_pinned_bits(self, cell, n_samples):
-        est = haar_average_oracle(WeakMeasurement(*cell), n_samples, seed=7)
+        est = haar_average_oracle(WeakMeasurement(*cell), n_samples, np.random.default_rng(7))
         fields = (est.gmax_estimate, est.gmax_stderr, est.prev_estimate, est.prev_stderr)
         assert tuple(map(float.hex, fields)) == ORACLE_HEX[cell, n_samples]
         assert est.n_samples == n_samples
@@ -451,7 +491,7 @@ class TestHaarOracle:
     def test_estimates_do_not_depend_on_the_slicing(self, monkeypatch, block):
         monkeypatch.setattr(sweeps, "ORACLE_BLOCK", block)
         cell, n_samples = (0.1, 0.6), 10001
-        est = haar_average_oracle(WeakMeasurement(*cell), n_samples, seed=7)
+        est = haar_average_oracle(WeakMeasurement(*cell), n_samples, np.random.default_rng(7))
         fields = (est.gmax_estimate, est.gmax_stderr, est.prev_estimate, est.prev_stderr)
         assert tuple(map(float.hex, fields)) == ORACLE_HEX[cell, n_samples]
 
@@ -462,31 +502,36 @@ class TestHaarOracle:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            haar_average_oracle(FLAGSHIP, 1_000_000, seed=1)
+            haar_average_oracle(FLAGSHIP, 1_000_000, np.random.default_rng(1))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert peak <= 48 * 2**20
 
     def test_flagship_agreement(self):
-        est = haar_average_oracle(FLAGSHIP, 1_000_000, seed=42)
+        est = haar_average_oracle(FLAGSHIP, 1_000_000, np.random.default_rng(42))
         assert abs(est.gmax_estimate - FLAGSHIP_GMAX) <= 3.0 * est.gmax_stderr
         assert est.prev_estimate == pytest.approx(FLAGSHIP_PREV, abs=1e-12)
 
     def test_prev_has_zero_sample_variance(self):
-        est = haar_average_oracle(FLAGSHIP, 100_000, seed=1)
+        est = haar_average_oracle(FLAGSHIP, 100_000, np.random.default_rng(1))
         sample_variance = est.prev_stderr**2 * est.n_samples
         assert sample_variance < 1e-20
 
     def test_degenerate_cell(self):
         wm = WeakMeasurement(0.3, 0.3)
-        est = haar_average_oracle(wm, 200_000, seed=2)
+        est = haar_average_oracle(wm, 200_000, np.random.default_rng(2))
         assert abs(est.gmax_estimate - 0.5) <= 3.0 * est.gmax_stderr
         assert est.prev_estimate == pytest.approx(0.58, abs=1e-12)
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
-            haar_average_oracle(FLAGSHIP, 9_999)
+            haar_average_oracle(FLAGSHIP, 9_999, np.random.default_rng(0))
+
+    def test_int_seed_refused(self):
+        # The oracle draws from the generator it is given and builds none.
+        with pytest.raises(AttributeError, match="'int' object has no attribute 'uniform'"):
+            haar_average_oracle(FLAGSHIP, 10_000, 7)
 
     @pytest.mark.parametrize("k", range(len(sweeps.ORACLE_CELLS)))
     def test_stratified_stderr_is_calibrated(self, k):
@@ -531,9 +576,13 @@ def doubled_reversal_operators(epsilon, eta):
 class TestOperatorChecks:
     @pytest.mark.parametrize("reversal_fn", [reversal_operators, corrupted_reversal_operators])
     def test_reversal_exactness_matches_the_scalar_loop(self, reversal_fn):
+        # Same tolerance and triples; the deviation to rounding, as the
+        # check renormalises in plain numpy (at most 8.9e-16 over 500 seeds).
         for seed in range(50):
-            check = sweeps._check_reversal_exactness(seed, reversal_fn)
-            assert check == scalar_reversal_exactness(seed, reversal_fn), seed
+            dev, tol, detail = sweeps._check_reversal_exactness(seed, reversal_fn)
+            scalar_dev, scalar_tol, scalar_detail = scalar_reversal_exactness(seed, reversal_fn)
+            assert (tol, detail) == (scalar_tol, scalar_detail), seed
+            assert abs(dev - scalar_dev) <= 2e-15, seed
 
     def test_unphysical_reversal_fails_by_name(self):
         report = verify(
@@ -627,7 +676,7 @@ class TestVerify:
         assert outcomes["oracle_agreement"] is False
         assert outcomes["kraus_completeness"] is True
 
-    def test_crashed_checks_name_themselves(self, monkeypatch):
+    def test_crashed_checks_name_themselves(self, monkeypatch, capsys):
         def boom(*args):
             raise ZeroDivisionError("injected")
 
@@ -646,9 +695,13 @@ class TestVerify:
         assert report["check"][crashed].tolist() == ["kraus_completeness", "state_grid_prev_mean"]
         assert report["verdict"][crashed].tolist() == ["FAIL", "FAIL"]
         assert report["tolerance"][crashed].tolist() == [0.0, 0.0]
-        for detail in report["detail"][crashed].tolist():
-            assert detail.startswith("ZeroDivisionError: injected at test_sweeps.py:")
-            assert detail.endswith(" in boom")
+        # The product holds no source line; stderr says where each raised.
+        assert report["detail"][crashed].tolist() == ["ZeroDivisionError: injected"] * 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for name, line in zip(("kraus_completeness", "state_grid_prev_mean"), lines):
+            assert line.startswith(f"verify: {name} raised at test_sweeps.py:")
+            assert line.endswith(" in boom")
 
     @pytest.mark.parametrize(
         "six_gmax, prev",
@@ -686,7 +739,7 @@ class TestVerify:
         outcomes = passed(report)
         assert outcomes["state_grid_prev_mean"] and outcomes["state_grid_gain_gap"]
 
-    def test_failed_state_grid_means_fail_both_checks(self, monkeypatch):
+    def test_failed_state_grid_means_fail_both_checks(self, monkeypatch, capsys):
         def boom(grid_size):
             raise FloatingPointError("injected")
 
@@ -695,9 +748,12 @@ class TestVerify:
         crashed = report["deviation"] == math.inf
         assert report["check"][crashed].tolist() == ["state_grid_prev_mean", "state_grid_gain_gap"]
         assert report["verdict"][crashed].tolist() == ["FAIL", "FAIL"]
-        for detail in report["detail"][crashed].tolist():
-            assert detail.startswith("FloatingPointError: injected at test_sweeps.py:")
-            assert detail.endswith(" in boom")
+        assert report["detail"][crashed].tolist() == ["FloatingPointError: injected"] * 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for name, line in zip(("state_grid_prev_mean", "state_grid_gain_gap"), lines):
+            assert line.startswith(f"verify: {name} raised at test_sweeps.py:")
+            assert line.endswith(" in boom")
 
     def test_mutated_reversal_fails_exactness(self):
         report = verify(
