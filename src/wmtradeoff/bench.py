@@ -56,6 +56,23 @@ COUNTS_PER_BASIS_RANGE = (
     "[100, 2^62 - 1]", lambda v: isinstance(v, Integral) and 100 <= v <= MAX_PHOTONS // 2
 )
 
+# Floor of photons_per_setting * detector_efficiency (N*d) for sampled runs.
+# A state with no measured photon has no count ratio. Every traversal state's
+# expected measured total is N*d, and it measures none with probability
+# (1 - d*p1)^N * (1 - d*p2)^N <= e^(-N*d), as p1 + p2 = 1. At N*d = 40 that
+# is 4.2e-18, so over the largest lattice, 256^2 cells x 51 states, the union
+# bound leaves less than 2e-11. Exact runs record expected counts: no floor.
+MIN_SAMPLED_DETECTED = 40
+
+
+def check_sampled_photons(photons_per_setting, detector_efficiency) -> None:
+    """Refuse a sampled run below ``MIN_SAMPLED_DETECTED`` expected measured photons per state."""
+    if not photons_per_setting * detector_efficiency >= MIN_SAMPLED_DETECTED:
+        raise ValueError(
+            f"sampled runs need photons_per_setting * detector_efficiency >= "
+            f"{MIN_SAMPLED_DETECTED}, got {photons_per_setting!r} * {detector_efficiency!r}"
+        )
+
 # Version of the sampled random-stream scheme: a cell keyed (*prefix, cell)
 # draws from ``_substream(seed, *prefix)``, Philox with the key
 # SeedSequence(seed, spawn_key=prefix).generate_state(2, np.uint64), at the
@@ -100,8 +117,9 @@ def _substream(seed: int, *prefix: int) -> np.random.Generator:
     Every sampled draw of the package starts here; a caller that draws more
     than one cell moves the counter of its ``bit_generator`` to each.
     """
-    key = np.random.SeedSequence(int(seed), spawn_key=[int(k) for k in prefix])
-    return np.random.Generator(np.random.Philox(key=key.generate_state(2, np.uint64)))
+    # Philox keys itself with the SeedSequence's generate_state(2, np.uint64).
+    sequence = np.random.SeedSequence(int(seed), spawn_key=[int(k) for k in prefix])
+    return np.random.Generator(np.random.Philox(sequence))
 
 
 def _channels(epsilon, eta, alpha, noise: NoiseModel) -> np.ndarray:

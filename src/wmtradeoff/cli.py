@@ -21,7 +21,7 @@ import numpy as np
 
 from ._version import __version__
 from .bench import COUNTS_PER_BASIS_RANGE, EFFICIENCY_RANGE, LEAKAGE_RANGE, PHOTONS_RANGE
-from .bench import STREAM_SCHEME, NoiseModel
+from .bench import STREAM_SCHEME, NoiseModel, check_sampled_photons
 from .measurement import WeakMeasurement
 from .qubit import UNIT_RANGE, check_range
 from . import tables
@@ -157,7 +157,8 @@ def _build_parser() -> _Parser:
 def parse_config(argv) -> tuple[str, RunConfig, bool]:
     """Resolve (subcommand, config, mutate flag) from argv.
 
-    Precedence: command-line flags over config-file keys over defaults.
+    Precedence: command-line flags over config-file keys over defaults. A
+    sampled config must also clear ``bench.check_sampled_photons``.
     """
     namespace = _build_parser().parse_args(argv)
     # Every text is parsed, the file's in line order and then the flags' in
@@ -167,12 +168,14 @@ def parse_config(argv) -> tuple[str, RunConfig, bool]:
     config = RunConfig(
         **{name: _FIELDS[name][1](name, text) for name, text in texts if text is not None}
     )
-    for name, (_, _, accepted) in _FIELDS.items():
-        if accepted is not None:
-            try:
+    try:
+        for name, (_, _, accepted) in _FIELDS.items():
+            if accepted is not None:
                 check_range(name, getattr(config, name), accepted)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+        if not config.exact_mode:
+            check_sampled_photons(config.photons_per_setting, config.detector_efficiency)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return namespace.subcommand, config, namespace.mutate_reversal
 
 

@@ -108,8 +108,8 @@ def branch_terms(epsilon, eta, alpha, phase=0.0):
         first_guess_is_v(e, h)[..., None], basis_fidelity[..., ::-1], basis_fidelity
     )
     # Each reversal operator flips the two coefficients of its branch operator.
-    overlap = np.sum(amps.conj()[..., None, :] * kraus[..., ::-1] * images, axis=-1)
-    return prob, guess_fidelity, np.abs(overlap) ** 2
+    terms = amps.conj()[..., None, :] * kraus[..., ::-1] * images
+    return prob, guess_fidelity, np.abs(terms[..., 0] + terms[..., 1]) ** 2
 
 
 def per_state_gain(wm: WeakMeasurement, state: PureState) -> float:

@@ -49,6 +49,7 @@ from .bench import (
     _substream,
     _traversal_mean,
     channel_probabilities,
+    check_sampled_photons,
     estimate_gmax_from_counts,
     estimate_prev_from_counts,
     gain_term_from_counts,
@@ -65,11 +66,13 @@ DEFAULT_SEED = 42
 DEFAULT_COUNTS_PER_BASIS = 10_000
 
 # Samples per slice of the Haar oracle's per-sample arithmetic. A slice's
-# temporaries (64 KiB real, 128 KiB complex each) then stay within a 2 MiB
-# per-core L2 cache; on a 2-vCPU Xeon, 4096 to 16384 ran three 200,000-sample
-# cells equally fast and one unsliced 200,000-sample pass took 60% longer.
-# verify's 20,000-sample cells take three slices each.
-ORACLE_BLOCK = 8192
+# temporaries (32 KiB real, 64 KiB complex each) then stay cache-sized. With
+# the caches cold, as after another process has run, verify's oracle check
+# took 13.5 ms at 4096, 13.4 ms at 2048 and 15.4 ms at 8192 (median of 60
+# alternating runs, a fresh interpreter before each, 2-vCPU Xeon VM); one
+# unsliced 200,000-sample pass took 60% longer than sliced ones. verify's
+# 20,000-sample cells take five slices each.
+ORACLE_BLOCK = 4096
 
 # Cells and samples per cell of verify's oracle check, and the multiple of
 # the oracle's standard error that the check accepts (read when it runs).
@@ -116,7 +119,9 @@ def _traversal_terms(epsilon, eta) -> tuple[np.ndarray, np.ndarray]:
     column per cell.
     """
     prob, guess_fidelity, reversal = branch_terms(epsilon, eta, TRAVERSAL_ALPHAS[:, None])
-    return (prob * guess_fidelity).sum(axis=-1), reversal.sum(axis=-1)
+    gain = prob * guess_fidelity
+    # The two outcomes in one addition, as a sum over the length-2 axis adds them.
+    return gain[..., 0] + gain[..., 1], reversal[..., 0] + reversal[..., 1]
 
 
 def state_sweep(
@@ -289,7 +294,7 @@ def haar_average_oracle(
     arrays. Every operation is elementwise, so each sample's terms do not
     depend on the slicing. Means and standard errors are taken over the two
     full arrays. Memory is the four n_samples float arrays plus one slice of
-    temporaries or one half-length array of pair differences: about 35 MiB
+    temporaries or one half-length array of pair differences: about 34 MiB
     at 10^6 samples.
     """
     if n_samples < 10_000:
@@ -443,6 +448,20 @@ def _check_phase_invariance() -> tuple[float, float]:
     return float(max(np.ptp(terms, axis=-1).max() for terms in per_state)), 1e-12
 
 
+def _largest_singular_values(m: np.ndarray) -> np.ndarray:
+    """Largest singular value of each 2x2 matrix ``m[..., :, :]``, in closed form.
+
+    It is the square root of the larger eigenvalue of the Gram matrix
+    G = M^dagger M, (g00 + g11)/2 + hypot((g00 - g11)/2, |g01|), with G's
+    entries formed elementwise; within a few ulp of ``np.linalg.svd``.
+    """
+    sq = np.abs(m) ** 2
+    g00 = sq[..., 0, 0] + sq[..., 1, 0]
+    g11 = sq[..., 0, 1] + sq[..., 1, 1]
+    g01 = m[..., 0, 0].conj() * m[..., 0, 1] + m[..., 1, 0].conj() * m[..., 1, 1]
+    return np.sqrt((g00 + g11) / 2 + np.hypot((g00 - g11) / 2, np.abs(g01)))
+
+
 def _check_reversal_exactness(seed: int, reversal_fn) -> tuple[float, float, str]:
     rng = _substream(seed, EXACTNESS_STREAM)
     # Each draw takes alpha, phase, epsilon, eta, then the outcome, in that order.
@@ -457,8 +476,9 @@ def _check_reversal_exactness(seed: int, reversal_fn) -> tuple[float, float, str
     reversals = reversal_fn(e, h)[pick]
     # Each branch operator and each reversal must be a physical Kraus operator.
     operators = np.concatenate((coefficients[:, :, None] * np.eye(2), reversals))
-    top = np.linalg.svd(operators, compute_uv=False)[:, 0]
-    if np.any(top > 1.0 + CONSTRUCTION_ATOL):
+    top = _largest_singular_values(operators)
+    # Written so that NaN fails too.
+    if not np.all(top <= 1.0 + CONSTRUCTION_ATOL):
         raise ValueError("operator is not a physical Kraus operator (largest singular value > 1)")
 
     # Measure and renormalise, reverse and renormalise, then take the
@@ -615,11 +635,14 @@ def verify(
     matrices shaped as ``reversal_operators`` does. Passing
     ``corrupted_reversal_operators`` must fail the reversal-exactness check.
     A ``grid_size`` below ``MIN_GRID_SIZE`` is refused, as by ``grid_sweep``,
-    and a ``photons_per_setting`` outside ``PHOTONS_RANGE`` as by
-    ``simulate_counts``, before any check runs.
+    a ``photons_per_setting`` outside ``PHOTONS_RANGE`` as by
+    ``simulate_counts``, and a sampled run below the floor of
+    ``bench.check_sampled_photons``, before any check runs.
     """
     _grid_values(grid_size)  # refuses a grid too small to hold both edges
     check_range("photons_per_setting", photons_per_setting, PHOTONS_RANGE)
+    if not exact_mode:
+        check_sampled_photons(photons_per_setting, noise.detector_efficiency)
     reversal_fn = reversal_fn or reversal_operators
     # Both state-grid checks read these means; the first to run computes
     # them. A raised error is not cached, so it fails each check by name.

@@ -375,6 +375,18 @@ class TestSimulateCounts:
             p = channel_probabilities(e, h, TRAVERSAL_ALPHAS, noise) * noise.detector_efficiency
             np.testing.assert_array_equal(counts[k], rng.binomial(photons, np.clip(p, 0.0, 1.0)))
 
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    @pytest.mark.parametrize("prefix", [(1, 0), (1, 5), (1, 2**40), (1004, 0)])
+    def test_substream_is_philox_keyed_by_generate_state(self, seed, prefix):
+        # Philox built from the SeedSequence keys itself with its
+        # generate_state(2, np.uint64): the same state and draws as the
+        # explicit key of STREAM_SCHEME.
+        key = np.random.SeedSequence(seed, spawn_key=prefix).generate_state(2, np.uint64)
+        explicit = np.random.Generator(np.random.Philox(key=key))
+        stream = bench._substream(seed, *prefix)
+        assert repr(stream.bit_generator.state) == repr(explicit.bit_generator.state)
+        assert stream.random(100).tobytes() == explicit.random(100).tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(
         strategies.lists(strategies.tuples(UNIT, UNIT), min_size=1, max_size=5),

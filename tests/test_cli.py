@@ -555,8 +555,10 @@ class TestCliFuzz:
         mutate=strategies.booleans(),
         config=cli_configs(),
     )
-    # A check that raises: no state has a measured photon at N = 1.
+    # Sampled N = 1 is below the floor on N * d: refused before any check runs.
     @example("verify", False, ({"photons_per_setting": "1", "grid_size": "2"}, set()))
+    # A check that raises: rng_determinism's 2,000-photon cells at d = 0.001.
+    @example("verify", False, ({"detector_efficiency": "0.001", "grid_size": "2"}, set()))
     def test_exit_codes_messages_and_products(self, subcommand, mutate, config):
         values, in_file = dict(config[0]), config[1]
         with tempfile.TemporaryDirectory() as tmp:

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies
+from hypothesis.extra import numpy as hnp
 
+from wmtradeoff import sweeps
 from wmtradeoff.qubit import PureState, apply_operator
 from wmtradeoff.measurement import (
     TIE_ATOL,
@@ -368,6 +370,42 @@ class TestBranchTerms:
         terms = np.stack(branch_terms(eps, eta, alpha, phase), axis=-1)
         np.testing.assert_allclose(terms, expected, rtol=0.0, atol=1e-12)
         assert terms[:, 0].sum() == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.mutually_broadcastable_shapes(num_shapes=4, max_dims=3, max_side=3),
+        strategies.data(),
+    )
+    def test_two_term_sums_equal_a_reduction_over_the_outcome_axis(self, shapes, data):
+        # The overlap's two basis terms, and the two outcomes of sweeps'
+        # per-state gain and reversal, are added as x[..., 0] + x[..., 1]: bit
+        # for bit what np.sum(x, axis=-1) gives over a length-2 axis.
+        edges = (0.0, 1.0, 5e-324, 1e-13, 0.5, 1.0 - 2**-53)
+        values = {
+            "edge": strategies.sampled_from(edges) | strategies.floats(0.0, 1.0),
+            "alpha": strategies.sampled_from((0.0, 1.0)) | strategies.floats(0.0, 1.0),
+            "phase": strategies.sampled_from((0.0, -0.0, math.pi)) | strategies.floats(-10.0, 10.0),
+        }
+        e, h, alpha, phase = (
+            data.draw(hnp.arrays(float, shape, elements=values[kind]))
+            for shape, kind in zip(shapes.input_shapes, ("edge", "edge", "alpha", "phase"))
+        )
+        if data.draw(strategies.booleans()):
+            phase = data.draw(values["phase"])  # a Python scalar phase
+        _, _, reversal = branch_terms(e, h, alpha, phase)
+
+        a, ph = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (alpha, phase)))
+        amps = np.stack((np.sqrt(a) + 0j, np.exp(1j * ph) * np.sqrt(1.0 - a)), axis=-1)
+        kraus = kraus_coefficients(e, h)
+        images = kraus * amps[..., None, :]
+        overlap = np.sum(amps.conj()[..., None, :] * kraus[..., ::-1] * images, axis=-1)
+        assert bits(reversal) == bits(np.abs(overlap) ** 2)
+
+        cells = [np.ravel(x) for x in np.broadcast_arrays(e, h)]
+        gain, rev = sweeps._traversal_terms(*cells)
+        prob, guess_fidelity, reversal = branch_terms(*cells, sweeps.TRAVERSAL_ALPHAS[:, None])
+        assert bits(gain) == bits(np.sum(prob * guess_fidelity, axis=-1))
+        assert bits(rev) == bits(np.sum(reversal, axis=-1))
 
 
 class TestPerStateReversalProb:

@@ -14,7 +14,7 @@ from wmtradeoff import (
     simulate_tomography,
     verify,
 )
-from wmtradeoff.cli import ConfigError, parse_config
+from wmtradeoff.cli import EXIT_CONFIG_ERROR, ConfigError, main, parse_config
 
 FLAGSHIP = WeakMeasurement(0.25, 0.75)
 
@@ -64,7 +64,10 @@ class TestOneRangeSource:
         value = data.draw(strategies.sampled_from(values))
         text = str(value) if isinstance(value, int) else repr(value)
         flag = "--" + key.replace("_", "-")
-        cli_error = _error(lambda: parse_config(["verify", flag, text]), ConfigError)
+        # In exact mode: the sampled floor on photons x efficiency is a rule
+        # of two keys, held by TestSampledFloor.
+        argv = ["verify", "--exact-mode", "true", flag, text]
+        cli_error = _error(lambda: parse_config(argv), ConfigError)
         library_error = _error(lambda: library(value), ValueError)
         assert (cli_error is None) == (library_error is None), (cli_error, library_error)
         # A value the CLI parses is refused with the library's own message.
@@ -103,3 +106,52 @@ class TestOneRangeSource:
     def test_library_refuses_by_name(self, call, message):
         error = _error(call, ValueError)
         assert error is not None and error.startswith(message), error
+
+
+# (photons_per_setting, detector_efficiency) on the sampled floor N*d = 40, or
+# just below it.
+FLOOR_CASES = {
+    "40x1": (40, 1.0, True),
+    "39x1": (39, 1.0, False),
+    "40x(1-ulp)": (40, math.nextafter(1.0, 0.0), False),
+    "80x0.5": (80, 0.5, True),
+    "80x(0.5-ulp)": (80, math.nextafter(0.5, 0.0), False),
+    "1x1": (1, 1.0, False),
+}
+
+
+class TestSampledFloor:
+    @pytest.mark.parametrize("case", sorted(FLOOR_CASES))
+    def test_cli_and_verify_share_the_floor(self, case):
+        photons, efficiency, accepted = FLOOR_CASES[case]
+        argv = ["verify", "--grid-size", "2", "--photons-per-setting", str(photons),
+                "--detector-efficiency", repr(efficiency)]
+        cli_error = _error(lambda: parse_config(argv), ConfigError)
+        noise = NoiseModel(detector_efficiency=efficiency)
+        try:
+            report, verify_error = verify(photons, noise, grid_size=2), None
+        except ValueError as exc:
+            verify_error = str(exc)
+        assert cli_error == verify_error
+        if accepted:
+            assert cli_error is None
+            # Every check ran to a verdict; none crashed.
+            assert len(report["check"]) == 15 and all(map(math.isfinite, report["deviation"]))
+        else:
+            assert cli_error == (
+                "sampled runs need photons_per_setting * detector_efficiency >= 40, "
+                f"got {photons} * {efficiency!r}"
+            )
+        # Exact runs record expected counts: no floor.
+        assert _error(lambda: parse_config(argv + ["--exact-mode", "true"]), ConfigError) is None
+        exact = _error(lambda: verify(photons, noise, grid_size=2, exact_mode=True), ValueError)
+        assert exact is None
+
+    def test_verify_below_the_floor_is_refused_not_a_crashed_row(self, capsys):
+        assert main(["verify", "--photons-per-setting", "1"]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: sampled runs need photons_per_setting * detector_efficiency >= 40, "
+            "got 1 * 1.0\n"
+        )

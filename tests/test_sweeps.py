@@ -487,7 +487,7 @@ class TestHaarOracle:
         assert tuple(map(float.hex, fields)) == ORACLE_HEX[cell, n_samples]
         assert est.n_samples == n_samples
 
-    @pytest.mark.parametrize("block", [999, 4096])
+    @pytest.mark.parametrize("block", [999, 8192])
     def test_estimates_do_not_depend_on_the_slicing(self, monkeypatch, block):
         monkeypatch.setattr(sweeps, "ORACLE_BLOCK", block)
         cell, n_samples = (0.1, 0.6), 10001
@@ -593,6 +593,43 @@ class TestOperatorChecks:
         assert check["verdict"] == "FAIL" and check["deviation"] == math.inf
         assert check["detail"].startswith("ValueError: operator is not a physical Kraus operator")
         assert passed(report)["kraus_completeness"]
+
+    @pytest.mark.parametrize("kind", ["complex", "real", "diagonal", "rank-1", "zero"])
+    def test_gate_singular_value_matches_svd(self, kind):
+        # Within 8 ulp (8 * eps relative) of LAPACK's largest singular value.
+        rng = np.random.default_rng(len(kind))
+        n = 20_000
+        z = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        u, v = z[:, 0], z[:, 1]
+        m = {
+            "complex": z,
+            "real": z.real + 0j,
+            "diagonal": z * np.eye(2),
+            "rank-1": u[:, :, None] * v[:, None, :].conj(),
+            "zero": np.zeros((4, 2, 2), dtype=complex),
+        }[kind]
+        top = sweeps._largest_singular_values(m)
+        reference = np.linalg.svd(m, compute_uv=False)[:, 0]
+        assert np.all(np.abs(top - reference) <= 8 * np.finfo(float).eps * reference)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-9, math.nan])
+    def test_physicality_gate_at_unit_norm(self, scale):
+        # Each reversal rescaled to a largest singular value of 1 passes the
+        # gate; 1 + 1e-9 times that, or NaN entries, fail the check by name.
+        def rescaled(epsilon, eta):
+            m = reversal_operators(epsilon, eta)
+            return scale * m / m.max(axis=(-2, -1), keepdims=True)
+
+        report = verify(photons_per_setting=2_000, seed=42, grid_size=4, reversal_fn=rescaled)
+        check = row(report, "reversal_exactness")
+        if scale == 1.0:
+            assert check["verdict"] == "PASS"
+            return
+        assert check["verdict"] == "FAIL" and check["deviation"] == math.inf
+        assert check["detail"] == (
+            "ValueError: operator is not a physical Kraus operator (largest singular value > 1)"
+        )
+        assert [name for name, ok in passed(report).items() if not ok] == ["reversal_exactness"]
 
     def test_one_hook_call_per_verify(self):
         calls = []
