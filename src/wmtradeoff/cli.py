@@ -17,8 +17,6 @@ import sys
 import tempfile
 from collections import namedtuple
 
-import numpy as np
-
 from ._version import __version__
 from .bench import COUNTS_PER_BASIS_RANGE, EFFICIENCY_RANGE, LEAKAGE_RANGE, PHOTONS_RANGE
 from .bench import STREAM_SCHEME, NoiseModel, check_sampled_photons
@@ -31,6 +29,7 @@ from .sweeps import (
     DEFAULT_PHOTONS,
     DEFAULT_SEED,
     MIN_GRID_SIZE,
+    _grid_values,
     corrupted_reversal_operators,
     cross_section,
     grid_sweep,
@@ -209,39 +208,36 @@ def _metadata(config: RunConfig) -> dict:
     return meta
 
 
-# subcommand -> (run(config, noise, wm, mutate_reversal) -> column table,
-# column spec, JSON rows key, default format). Each runner looks its sweep up
-# by name when it runs, so a patched module attribute takes effect.
+# subcommand -> (run(config, noise, wm, seed, mutate_reversal) -> column table,
+# column spec, JSON rows key, default format), seed None when exact. Each runner
+# looks its sweep up by name when it runs, so a patched module attribute takes effect.
 _PRODUCTS = {
     "verify": (
-        lambda c, noise, wm, mutate: verify(
+        lambda c, noise, wm, seed, mutate: verify(
             c.photons_per_setting, noise, c.seed, c.grid_size, c.exact_mode,
             reversal_fn=corrupted_reversal_operators if mutate else None,
         ),
         tables.VERIFY, "checks", "json",
     ),
     "sweep-states": (
-        lambda c, noise, wm, mutate: state_sweep(
-            wm, c.photons_per_setting, noise, c.seed, c.exact_mode
-        ),
+        lambda c, noise, wm, seed, mutate: state_sweep(wm, c.photons_per_setting, noise, seed),
         tables.STATES, "rows", "csv",
     ),
     "sweep-grid": (
-        lambda c, noise, wm, mutate: grid_sweep(
-            c.grid_size, c.photons_per_setting, noise, c.seed, c.exact_mode
+        lambda c, noise, wm, seed, mutate: grid_sweep(
+            c.grid_size, c.photons_per_setting, noise, seed
         ),
         tables.GRID, "rows", "csv",
     ),
     "cross-section": (
-        lambda c, noise, wm, mutate: cross_section(
-            np.linspace(0.0, 1.0, c.grid_size), c.photons_per_setting, noise, c.seed,
-            c.exact_mode,
+        lambda c, noise, wm, seed, mutate: cross_section(
+            _grid_values(c.grid_size), c.photons_per_setting, noise, seed
         ),
         tables.CROSS_SECTION, "rows", "csv",
     ),
     "reversal-fidelity": (
-        lambda c, noise, wm, mutate: reversal_fidelity_sweep(
-            wm, c.counts_per_basis, noise, c.seed, c.exact_mode
+        lambda c, noise, wm, seed, mutate: reversal_fidelity_sweep(
+            wm, c.counts_per_basis, noise, seed
         ),
         tables.FIDELITIES, "rows", "csv",
     ),
@@ -256,7 +252,7 @@ def dispatch(subcommand: str, config: RunConfig, mutate_reversal: bool = False) 
     run, spec, rows_key, default_format = _PRODUCTS[subcommand]
     noise = NoiseModel(config.pbs_leakage, config.detector_efficiency)
     wm = WeakMeasurement(config.epsilon, config.eta)
-    columns = run(config, noise, wm, mutate_reversal)
+    columns = run(config, noise, wm, None if config.exact_mode else config.seed, mutate_reversal)
     # Only verify's table has check and verdict columns.
     failing = [
         name

@@ -12,7 +12,9 @@ FAIL row with deviation inf and tolerance 0. Everything is seed-pinned:
 identical configuration and seed produce byte-identical columns, and each
 lattice cell's row does not depend on the order in which cells are
 evaluated, because all randomness flows through per-cell streams, each
-one ``bench._substream``.
+one ``bench._substream``. A product driver draws exactly when it is given
+a seed: with ``seed=None`` it records expected values and builds no
+generator, as the kernels do with no key or stream.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .measurement import (
 )
 from .bench import (
     COUNTS_PER_BASIS_RANGE,
+    MIN_SAMPLED_DETECTED,
     N_TRAVERSAL_STATES,
     PHOTONS_RANGE,
     TRAVERSAL_ALPHAS,
@@ -128,16 +131,15 @@ def state_sweep(
     wm: WeakMeasurement,
     photons_per_setting: int = DEFAULT_PHOTONS,
     noise: NoiseModel = NoiseModel(),
-    seed: int = DEFAULT_SEED,
-    exact_mode: bool = False,
+    seed: int | None = DEFAULT_SEED,
 ) -> dict:
     """Per-state gain and reversibility over the 51-state traversal (``tables.STATES``).
 
     Analytic columns come from the branch enumeration; the Monte Carlo
-    columns are single-state count-ratio terms from simulated counts (their
-    expected values in exact mode).
+    columns are single-state count-ratio terms from counts drawn under
+    ``seed`` (their expected values when ``seed`` is None).
     """
-    key = None if exact_mode else (seed, STATES_STREAM, 0)
+    key = None if seed is None else (seed, STATES_STREAM, 0)
     (counts,) = simulate_counts(wm.epsilon, wm.eta, photons_per_setting, noise, key)
     gain_analytic, rev_analytic = _traversal_terms(wm.epsilon, wm.eta)
     return {
@@ -154,9 +156,9 @@ def _cell_columns(epsilon, eta, photons_per_setting: int, noise: NoiseModel, key
 
     ``epsilon`` and ``eta`` broadcast against each other, one value per
     cell, cells taken row-major. One count-kernel call covers all of them,
-    drawing from ``key`` = (seed, GRID_STREAM, first cell index), or recording
+    drawing from ``key`` = (seed, stream tag, first cell index), or recording
     expected counts when ``key`` is None; cell k of the run draws from the
-    stream (GRID_STREAM, first cell index + k) whatever else is drawn.
+    stream (tag, first cell index + k) whatever else is drawn.
     """
     e, h = (np.ravel(a) for a in np.broadcast_arrays(np.atleast_1d(epsilon), np.atleast_1d(eta)))
     counts = simulate_counts(e, h, photons_per_setting, noise, key)
@@ -191,23 +193,22 @@ def grid_sweep(
     grid_size: int = DEFAULT_GRID_SIZE,
     photons_per_setting: int = DEFAULT_PHOTONS,
     noise: NoiseModel = NoiseModel(),
-    seed: int = DEFAULT_SEED,
-    exact_mode: bool = False,
+    seed: int | None = DEFAULT_SEED,
 ) -> dict:
     """Tradeoff columns (``tables.GRID``) over the full operator lattice.
 
     Rows run row-major by epsilon, then eta. Diagonal (beam-splitter) cells
     are flagged, never dropped, so downstream consumers can mask them. The
-    counts are simulated in blocks of whole epsilon rows, at most
-    ``GRID_BLOCK_CELLS`` (256) cells or one row, which keeps memory linear in
-    the grid size.
+    counts are drawn under ``seed``, or expected when it is None, in blocks
+    of whole epsilon rows, at most ``GRID_BLOCK_CELLS`` (256) cells or one
+    row, which keeps memory linear in the grid size.
     """
     values = _grid_values(grid_size)
     rows = max(1, GRID_BLOCK_CELLS // grid_size)
     return _concatenate([
         _cell_columns(
             values[i:i + rows, None], values, photons_per_setting, noise,
-            None if exact_mode else (seed, GRID_STREAM, i * grid_size),
+            None if seed is None else (seed, GRID_STREAM, i * grid_size),
         )
         for i in range(0, grid_size, rows)
     ])
@@ -217,31 +218,28 @@ def cross_section(
     eta_values,
     photons_per_setting: int = DEFAULT_PHOTONS,
     noise: NoiseModel = NoiseModel(),
-    seed: int = DEFAULT_SEED,
-    exact_mode: bool = True,
+    seed: int | None = None,
 ) -> dict:
     """Columns eta, 6*gmax, prev, sum (``tables.CROSS_SECTION``) along epsilon = 0.
 
-    Exact mode emits the closed forms (3 + eta, 1 - eta, 4); otherwise the
-    columns carry the count-ratio estimates from a simulated traversal.
+    The epsilon = 0 run of lattice cells (``_cell_columns``), its counts
+    drawn from cell 0 on of the stream CROSS_SECTION_STREAM: with no
+    ``seed`` the closed forms (3 + eta, 1 - eta, 4), otherwise the
+    count-ratio estimates.
     """
     etas = np.array([WeakMeasurement(0.0, eta).eta for eta in eta_values])
-    if exact_mode:
-        gmax, prev, _ = closed_forms(0.0, etas)
-    else:
-        key = (seed, CROSS_SECTION_STREAM, 0)
-        counts = simulate_counts(0.0, etas, photons_per_setting, noise, key)
-        gmax, prev = estimate_gmax_from_counts(counts, 0.0, etas), estimate_prev_from_counts(counts)
-    six_gmax = 6.0 * gmax
-    return {"eta": etas, "six_gmax": six_gmax, "prev": prev, "sum": six_gmax + prev}
+    key = None if seed is None else (seed, CROSS_SECTION_STREAM, 0)
+    cells = _cell_columns(0.0, etas, photons_per_setting, noise, key)
+    kind = "_analytic" if seed is None else "_mc"
+    gmax, prev = cells["gmax" + kind], cells["prev" + kind]
+    return {"eta": etas, "six_gmax": 6.0 * gmax, "prev": prev, "sum": cells["sum" + kind]}
 
 
 def reversal_fidelity_sweep(
     wm: WeakMeasurement,
     counts_per_basis: int = DEFAULT_COUNTS_PER_BASIS,
     noise: NoiseModel = NoiseModel(),
-    seed: int = DEFAULT_SEED,
-    exact_mode: bool = False,
+    seed: int | None = DEFAULT_SEED,
 ) -> dict:
     """Tomography fidelity of the reversed output per traversal state (``tables.FIDELITIES``).
 
@@ -251,15 +249,15 @@ def reversal_fidelity_sweep(
     recorded ``counts_per_basis`` reversed photons per basis. States whose
     total expected yield falls below the floor are flagged LOW_STATS, with a
     NaN fidelity, instead of fitted. The fitted states' records are drawn in
-    one ``simulate_tomography`` call from cell 0 of the stream FIDELITY_STREAM.
+    one ``simulate_tomography`` call from cell 0 of the stream FIDELITY_STREAM,
+    or their expected values inverted when ``seed`` is None.
     """
     check_range("counts_per_basis", counts_per_basis, COUNTS_PER_BASIS_RANGE)
     chains = channel_probabilities(wm.epsilon, wm.eta, TRAVERSAL_ALPHAS, noise)[:, 2:]
     yields = counts_per_basis * chains
     low_stats = yields.sum(axis=-1) < LOW_STATS_FLOOR
     live_chains = np.maximum(1, (yields >= LOW_STATS_FLOOR).sum(axis=-1))[~low_stats]
-    # Exact mode draws nothing, so it builds no generator.
-    rng = None if exact_mode else _substream(seed, FIDELITY_STREAM)
+    rng = None if seed is None else _substream(seed, FIDELITY_STREAM)
     fidelity = np.full(N_TRAVERSAL_STATES, math.nan)
     fidelity[~low_stats] = simulate_tomography(
         TRAVERSAL_ALPHAS[~low_stats], live_chains * counts_per_basis, noise, rng
@@ -391,7 +389,7 @@ def _check_kraus_completeness() -> tuple[float, float]:
 
 def _lattice(grid_size: int) -> tuple[np.ndarray, ...]:
     """epsilon, eta, gmax and prev on a grid_size x grid_size lattice, one row per epsilon."""
-    values = np.linspace(0.0, 1.0, grid_size)
+    values = _grid_values(grid_size)
     e, h = values[:, None], values[None, :]
     gmax, prev, _ = closed_forms(e, h)
     return e, h, gmax, prev
@@ -421,8 +419,7 @@ def _check_pvnm_corners() -> tuple[float, float]:
 
 
 def _check_range_bounds() -> tuple[float, float]:
-    values = np.linspace(0.0, 1.0, 101)
-    g, p, _ = closed_forms(values[:, None], values[None, :])
+    _, _, g, p = _lattice(101)
     worst = max(float(np.max(x)) for x in (0.5 - g, g - 2.0 / 3.0, -p, p - 1.0))
     return max(0.0, worst), 1e-12
 
@@ -515,7 +512,7 @@ def _state_grid_means(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     kernel call per epsilon row keeps memory linear in the grid size (a
     single call over a 256 x 256 lattice would hold about 1 GB).
     """
-    values = np.linspace(0.0, 1.0, grid_size)
+    values = _grid_values(grid_size)
     means = np.array(
         [[_traversal_mean(terms) for terms in _traversal_terms(e, values)] for e in values]
     )
@@ -538,7 +535,7 @@ def _check_state_grid_gain_gap(grid_means) -> tuple[float, float]:
 
 
 def _check_cross_section_monotonicity(grid_size: int) -> tuple[float, float]:
-    section = cross_section(np.linspace(0.0, 1.0, grid_size), exact_mode=True)
+    section = cross_section(_grid_values(grid_size))
     dev = float(np.max(np.abs(section["sum"] - 4.0)))
     six_gmax, prev = section["six_gmax"], section["prev"]
     if np.any(six_gmax[1:] <= six_gmax[:-1]) or np.any(prev[1:] >= prev[:-1]):
@@ -559,7 +556,7 @@ def _check_oracle_agreement(seed: int) -> tuple[float, float]:
 
 
 def _check_estimator_consistency(
-    photons_per_setting: int, noise: NoiseModel, seed: int, exact_mode: bool
+    photons_per_setting: int, noise: NoiseModel, seed: int | None
 ) -> tuple[float, float]:
     e, h = 0.25, 0.75
 
@@ -574,7 +571,7 @@ def _check_estimator_consistency(
         (abs(float(estimate_prev_from_counts(clean)[0]) - target_p), 1e-12),
     ]
 
-    if not exact_mode:
+    if seed is not None:
         expected = simulate_counts(e, h, photons_per_setting, noise)
         g_ref = float(estimate_gmax_from_counts(expected, e, h)[0])
         p_ref = float(estimate_prev_from_counts(expected)[0])
@@ -592,16 +589,21 @@ def _check_estimator_consistency(
 
 def _check_rng_determinism(noise: NoiseModel, seed: int) -> tuple[float, float]:
     wm = WeakMeasurement(0.25, 0.75)
+    # Enough photons to clear the sampled floor at the configured efficiency:
+    # the least N that passes its test, N * d >= MIN_SAMPLED_DETECTED.
+    least = math.ceil(MIN_SAMPLED_DETECTED / noise.detector_efficiency)
+    least += least * noise.detector_efficiency < MIN_SAMPLED_DETECTED
+    n_cell, n_state = max(2_000, least), max(20_000, least)
     # Cells evaluated one at a time in reverse order must reproduce the
     # sweep: no cell's stream may depend on the cells drawn before it.
-    values = np.linspace(0.0, 1.0, 4).tolist()
+    values = _grid_values(4).tolist()
     cells = list(enumerate((e, h) for e in values for h in values))
     reordered = [
-        _cell_columns(e, h, 2_000, noise, (seed, GRID_STREAM, i)) for i, (e, h) in reversed(cells)
+        _cell_columns(e, h, n_cell, noise, (seed, GRID_STREAM, i)) for i, (e, h) in reversed(cells)
     ]
     pairs = (
-        (tables.STATES, state_sweep(wm, 20_000, noise, seed), state_sweep(wm, 20_000, noise, seed)),
-        (tables.GRID, grid_sweep(4, 2_000, noise, seed), _concatenate(reordered[::-1])),
+        (tables.STATES, *(state_sweep(wm, n_state, noise, seed) for _ in range(2))),
+        (tables.GRID, grid_sweep(4, n_cell, noise, seed), _concatenate(reordered[::-1])),
     )
     identical = all(
         a.keys() == b.keys()
@@ -661,7 +663,7 @@ def verify(
         ("state_grid_gain_gap", (grid_means,)),
         ("cross_section_monotonicity", (grid_size,)),
         ("oracle_agreement", (seed,)),
-        ("estimator_consistency", (photons_per_setting, noise, seed, exact_mode)),
+        ("estimator_consistency", (photons_per_setting, noise, None if exact_mode else seed)),
         ("rng_determinism", (noise, seed)),
     )
     rows = []

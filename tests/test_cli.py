@@ -220,6 +220,31 @@ class TestDispatchProducts:
                     float(row[name + "_analytic"]), abs=2e-9
                 )
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_verify_passes_at_low_detector_efficiency(self, exact, capsys):
+        # 2,000 photons at d = 0.001 expect 2 measured per state: the
+        # determinism check draws enough to clear the sampled floor at d.
+        noise = bench.NoiseModel(detector_efficiency=0.001)
+        report = sweeps.verify(100_000, noise, exact_mode=exact)
+        assert report["verdict"].tolist() == ["PASS"] * 15
+        argv = ["verify", "--detector-efficiency", "0.001", "--exact-mode", str(exact).lower()]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("grid_size", [2, 5, 64])
+    def test_cross_section_is_the_lattice_edge(self, grid_size, capsys):
+        # The exact cross section is the epsilon = 0 row of the exact lattice.
+        argv = ["cross-section", "--exact-mode", "true", "--grid-size", str(grid_size)]
+        assert main(argv) == EXIT_OK
+        edge = {
+            name: column[:grid_size]
+            for name, column in sweeps.grid_sweep(grid_size, seed=None).items()
+        }
+        assert (edge["epsilon"] == 0.0).all()
+        section = {"eta": edge["eta"], "six_gmax": 6.0 * edge["gmax_analytic"],
+                   "prev": edge["prev_analytic"], "sum": edge["sum_analytic"]}
+        assert capsys.readouterr().out == tables.csv_table(tables.CROSS_SECTION, section)
+
     def test_cross_section_exact_sum_column(self, tmp_path):
         out = tmp_path / "cross.csv"
         code = main(["cross-section", "--exact-mode", "true", "--output-path", str(out)])
@@ -326,7 +351,7 @@ class TestDispatchProducts:
     def test_json_refuses_non_finite_numbers(self):
         # Row cells write non-finite numbers as null; a non-finite metadata
         # value fails the document instead of producing invalid JSON.
-        rows = cross_section([0.5], exact_mode=True)
+        rows = cross_section([0.5], seed=None)
         with pytest.raises(ValueError):
             tables.json_document({"seed": float("nan")}, "rows", tables.CROSS_SECTION, rows)
 

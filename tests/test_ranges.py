@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies
 from wmtradeoff import (
     NoiseModel,
     WeakMeasurement,
+    cross_section,
     reversal_fidelity_sweep,
     simulate_counts,
     simulate_tomography,
@@ -40,7 +41,7 @@ SHARED_KEYS = {
         near(1, 2**63 - 1) + [0, 1, 2, 2**63 - 2, 2**63 - 1, 2**63, 1.5],
     ),
     "counts_per_basis": (
-        lambda v: reversal_fidelity_sweep(FLAGSHIP, v, exact_mode=True),
+        lambda v: reversal_fidelity_sweep(FLAGSHIP, v, seed=None),
         near(100, 2**62 - 1) + [99, 100, 101, 2**62 - 2, 2**62 - 1, 2**62],
     ),
 }
@@ -91,6 +92,8 @@ class TestOneRangeSource:
             (lambda: simulate_tomography(0.5, 2**63),
              "counts_per_basis must lie in [100, 2^63 - 1]"),
             (lambda: verify(grid_size=1), "grid size must be at least 2"),
+            # The exact cross section runs the count kernel, which refuses N = 0.
+            (lambda: cross_section([0.5], 0), "photons_per_setting must lie in [1, 2^63 - 1]"),
             # Refused before the battery runs, not as an estimator_consistency FAIL row.
             (lambda: verify(photons_per_setting=0, exact_mode=True),
              "photons_per_setting must lie in [1, 2^63 - 1]"),
@@ -101,7 +104,8 @@ class TestOneRangeSource:
         ],
         ids=["epsilon-slack", "eta-slack", "leakage-nan", "efficiency-inf", "photons-2^63",
              "photons-fraction", "counts-99", "pooled-counts-2^63", "verify-grid-1",
-             "verify-photons-0", "verify-photons-fraction", "verify-photons-2^63"],
+             "exact-cross-section-photons-0", "verify-photons-0", "verify-photons-fraction",
+             "verify-photons-2^63"],
     )
     def test_library_refuses_by_name(self, call, message):
         error = _error(call, ValueError)

@@ -55,7 +55,7 @@ def rows(table: dict) -> list[dict]:
 
 @pytest.fixture(scope="module")
 def analytic_points():
-    return rows(grid_sweep(exact_mode=True))
+    return rows(grid_sweep(seed=None))
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +97,7 @@ class TestStateSweep:
         elif relation == "near tie":
             eta = min(1.0, eps + 0.5e-12)
         wm = WeakMeasurement(eps, eta)
-        table = state_sweep(wm, 1_000, NoiseModel(pbs_leakage=leakage), seed=3, exact_mode=exact)
+        table = state_sweep(wm, 1_000, NoiseModel(pbs_leakage=leakage), seed=None if exact else 3)
         assert len(table["alpha"]) == len(TRAVERSAL_STATES)
         for row, state in zip(rows(table), TRAVERSAL_STATES):
             assert row["alpha"] == state.alpha_weight
@@ -105,7 +105,7 @@ class TestStateSweep:
             assert row["rev_analytic"] == per_state_reversal_prob(wm, state)
 
     def test_flagship_curves(self):
-        table = rows(state_sweep(FLAGSHIP, exact_mode=True))
+        table = rows(state_sweep(FLAGSHIP, seed=None))
         assert len(table) == 51
         for row in table:
             expected = 0.75 - row["alpha"] + row["alpha"] ** 2
@@ -116,7 +116,7 @@ class TestStateSweep:
             assert row["rev_mc"] == pytest.approx(row["rev_analytic"], abs=1e-12)
 
     def test_gain_exceeds_two_thirds_at_low_alpha(self):
-        gains = state_sweep(FLAGSHIP, exact_mode=True)["gain_analytic"].tolist()
+        gains = state_sweep(FLAGSHIP, seed=None)["gain_analytic"].tolist()
         for gain in gains[:3]:
             assert gain >= 0.7112
             assert gain > 2.0 / 3.0
@@ -124,7 +124,7 @@ class TestStateSweep:
         assert 0.5 <= mean <= 2.0 / 3.0 + 0.0067
 
     def test_identity_channel_degenerate_convention(self):
-        for row in rows(state_sweep(WeakMeasurement(0.0, 0.0), exact_mode=True)):
+        for row in rows(state_sweep(WeakMeasurement(0.0, 0.0), seed=None)):
             assert row["gain_analytic"] == pytest.approx(row["alpha"], abs=1e-12)
             assert row["rev_analytic"] == pytest.approx(1.0, abs=1e-12)
 
@@ -148,7 +148,7 @@ class TestGridSweep:
 
     @pytest.mark.parametrize("grid_size", [*range(2, 18), 64])
     def test_array_columns_equal_scalar_path(self, grid_size):
-        table = grid_sweep(grid_size, exact_mode=True)
+        table = grid_sweep(grid_size, seed=None)
         points = rows(table)
         assert [(p["epsilon"], p["eta"]) for p in points] == lattice_cells(grid_size)
         for p in points:
@@ -195,7 +195,7 @@ class TestGridSweep:
             assert p["diagonal_flag"] == expected
 
     def test_exact_mode_estimated_columns(self):
-        for p in rows(grid_sweep(grid_size=4, exact_mode=True)):
+        for p in rows(grid_sweep(grid_size=4, seed=None)):
             assert p["sum_mc"] == pytest.approx(6.0 * p["gmax_mc"] + p["prev_mc"], abs=1e-12)
             assert p["prev_mc"] == pytest.approx(p["prev_analytic"], abs=1e-12)
             assert abs(p["gmax_mc"] - p["gmax_analytic"]) <= 0.0067 + 1e-12
@@ -218,8 +218,8 @@ class TestGridSweep:
 
         def products():
             return [
-                tables.csv_table(tables.GRID, grid_sweep(grid_size, 2000, noise, 5, exact))
-                for exact in (False, True)
+                tables.csv_table(tables.GRID, grid_sweep(grid_size, 2000, noise, seed))
+                for seed in (5, None)
             ]
 
         expected = products()
@@ -282,7 +282,7 @@ class TestLeakageMap:
     @pytest.mark.parametrize("grid_size", [6, 33, 64])
     def test_grid_is_the_closed_forms_at_the_mapped_pair(self, grid_size, leakage, efficiency):
         noise = NoiseModel(leakage, efficiency)
-        table = grid_sweep(grid_size, noise=noise, exact_mode=True)
+        table = grid_sweep(grid_size, noise=noise, seed=None)
         e, h = mapped_pair(table["epsilon"], table["eta"], noise)
         gmax, prev, _ = closed_forms(e, h)
         # The 51 traversal states add |eta' - epsilon'|/150 to the gain.
@@ -294,7 +294,7 @@ class TestLeakageMap:
     @pytest.mark.parametrize("cell", [(0.25, 0.75), (0.1, 0.6), (0.8, 0.3), (0.5, 0.5), (0.0, 1.0)])
     def test_states_are_the_branch_terms_at_the_mapped_pair(self, cell, leakage, efficiency):
         noise = NoiseModel(leakage, efficiency)
-        table = state_sweep(WeakMeasurement(*cell), noise=noise, exact_mode=True)
+        table = state_sweep(WeakMeasurement(*cell), noise=noise, seed=None)
         prob, guess_fidelity, reversal = branch_terms(
             *mapped_pair(*cell, noise), bench.TRAVERSAL_ALPHAS
         )
@@ -305,7 +305,7 @@ class TestLeakageMap:
 
 class TestCrossSection:
     def test_analytic_rows(self):
-        section = rows(cross_section([0.0, 0.4, 1.0], exact_mode=True))
+        section = rows(cross_section([0.0, 0.4, 1.0], seed=None))
         assert [(r["six_gmax"], r["prev"], r["sum"]) for r in section] == [
             pytest.approx((3.0, 1.0, 4.0), abs=1e-12),
             pytest.approx((3.4, 0.6, 4.0), abs=1e-12),
@@ -314,13 +314,13 @@ class TestCrossSection:
 
     def test_linearity_over_full_section(self):
         etas = np.linspace(0.0, 1.0, 16)
-        for eta, row in zip(etas, rows(cross_section(etas, exact_mode=True))):
+        for eta, row in zip(etas, rows(cross_section(etas, seed=None))):
             assert row["six_gmax"] == pytest.approx(3.0 + eta, abs=1e-12)
             assert row["prev"] == pytest.approx(1.0 - eta, abs=1e-12)
             assert row["sum"] == pytest.approx(4.0, abs=1e-12)
 
     def test_monte_carlo_rows_track_theory(self):
-        section = cross_section([0.0, 0.5, 1.0], 100_000, seed=5, exact_mode=False)
+        section = cross_section([0.0, 0.5, 1.0], 100_000, seed=5)
         for eta, row in zip((0.0, 0.5, 1.0), rows(section)):
             assert abs(row["six_gmax"] - (3.0 + eta)) <= 0.05
             assert abs(row["prev"] - (1.0 - eta)) <= 0.02
@@ -332,7 +332,7 @@ class TestCrossSection:
 
 class TestReversalFidelitySweep:
     def test_exact_mode_all_ones(self):
-        table = rows(reversal_fidelity_sweep(FLAGSHIP, exact_mode=True))
+        table = rows(reversal_fidelity_sweep(FLAGSHIP, seed=None))
         assert len(table) == 51
         for row in table:
             assert not row["low_stats_flag"]
@@ -384,11 +384,11 @@ class TestReversalFidelitySweep:
         monkeypatch.setattr(np.random, "default_rng", no_generator)
         monkeypatch.setattr(np.random, "Philox", no_generator)
         noise = NoiseModel(pbs_leakage=1e-3)
-        table = reversal_fidelity_sweep(FLAGSHIP, 10_000, noise, seed=42, exact_mode=True)
+        table = reversal_fidelity_sweep(FLAGSHIP, 10_000, noise, seed=None)
         assert not table["low_stats_flag"].any()
-        grid_sweep(5, 10_000, noise, seed=42, exact_mode=True)
-        state_sweep(FLAGSHIP, 10_000, noise, seed=42, exact_mode=True)
-        cross_section([0.0, 0.5, 1.0], 10_000, noise, seed=42, exact_mode=True)
+        grid_sweep(5, 10_000, noise, seed=None)
+        state_sweep(FLAGSHIP, 10_000, noise, seed=None)
+        cross_section([0.0, 0.5, 1.0], 10_000, noise, seed=None)
 
 
 # float.hex of (gmax_estimate, gmax_stderr, prev_estimate, prev_stderr) at

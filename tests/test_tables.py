@@ -184,7 +184,7 @@ def test_ragged_columns_refused(writer, delta, short):
 def test_writer_peak_memory_is_bounded_by_document_length(writer, bound):
     # Rendering holds the document once plus per-cell references, not several
     # whole-document copies: the 256 x 256 cap bounds memory through this ratio.
-    columns = grid_sweep(64, 1_000, NoiseModel(), 1, True)
+    columns = grid_sweep(64, 1_000, NoiseModel(), None)
     tracemalloc.start()
     try:
         text = writer(columns)
@@ -197,18 +197,18 @@ def test_writer_peak_memory_is_bounded_by_document_length(writer, bound):
 NOISY = NoiseModel(pbs_leakage=0.001, detector_efficiency=0.9)
 WM = WeakMeasurement(0.3, 0.6)
 SWEEPS = {
-    "grid": (tables.GRID, lambda exact: grid_sweep(3, 1_000, NOISY, 1, exact)),
-    "states": (tables.STATES, lambda exact: state_sweep(WM, 1_000, NOISY, 1, exact)),
+    "grid": (tables.GRID, lambda seed: grid_sweep(3, 1_000, NOISY, seed)),
+    "states": (tables.STATES, lambda seed: state_sweep(WM, 1_000, NOISY, seed)),
     "cross_section": (
-        tables.CROSS_SECTION, lambda exact: cross_section([0.0, 0.5, 1.0], 1_000, NOISY, 1, exact)
+        tables.CROSS_SECTION, lambda seed: cross_section([0.0, 0.5, 1.0], 1_000, NOISY, seed)
     ),
     "fidelities": (
-        tables.FIDELITIES, lambda exact: reversal_fidelity_sweep(WM, 1_000, NOISY, 1, exact)
+        tables.FIDELITIES, lambda seed: reversal_fidelity_sweep(WM, 1_000, NOISY, seed)
     ),
     # (0, 1) flags every state LOW_STATS: a column of NaN fidelities.
     "fidelities_low_stats": (
         tables.FIDELITIES,
-        lambda exact: reversal_fidelity_sweep(WeakMeasurement(0.0, 1.0), 1_000, NOISY, 1, exact),
+        lambda seed: reversal_fidelity_sweep(WeakMeasurement(0.0, 1.0), 1_000, NOISY, seed),
     ),
 }
 
@@ -219,7 +219,7 @@ def test_every_sweep_emits_float64_number_columns(product, exact):
     # The writers read NUMBER columns as float64 bit patterns: a sweep that
     # handed over Python ints or objects would print them differently.
     spec, sweep = SWEEPS[product]
-    table = sweep(exact)
+    table = sweep(None if exact else 1)
     assert list(table) == [name for name, _ in spec]
     assert len({len(column) for column in table.values()}) == 1
     for name, kind in spec:
