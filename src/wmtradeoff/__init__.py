@@ -5,7 +5,7 @@ boundary of the parameter square)."""
 from types import ModuleType as _ModuleType
 
 from ._version import __version__
-from .qubit import Operator2, PureState, apply_operator
+from .qubit import Operator2, apply_operator
 from .measurement import (
     WeakMeasurement,
     closed_forms,

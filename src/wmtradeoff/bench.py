@@ -73,6 +73,26 @@ def check_sampled_photons(photons_per_setting, detector_efficiency) -> None:
             f"{MIN_SAMPLED_DETECTED}, got {photons_per_setting!r} * {detector_efficiency!r}"
         )
 
+
+def least_sampled_photons(detector_efficiency) -> int:
+    """Least photon count that ``check_sampled_photons`` accepts at ``detector_efficiency``.
+
+    Refused with a ValueError when not even ``MAX_PHOTONS`` is accepted,
+    that is below d = 40 / 2^63, about 4.34e-18.
+    """
+    if not MAX_PHOTONS * detector_efficiency >= MIN_SAMPLED_DETECTED:
+        raise ValueError(
+            f"detector_efficiency must let some photons_per_setting up to 2^63 - 1 reach "
+            f"photons_per_setting * detector_efficiency >= {MIN_SAMPLED_DETECTED}, "
+            f"got {detector_efficiency!r}"
+        )
+    least = math.ceil(MIN_SAMPLED_DETECTED / detector_efficiency)
+    # The quotient may have rounded down: step up to a count the test accepts.
+    while least * detector_efficiency < MIN_SAMPLED_DETECTED:
+        least = math.ceil(math.nextafter(least, math.inf))
+    return min(least, MAX_PHOTONS)
+
+
 # Version of the sampled random-stream scheme: a cell keyed (*prefix, cell)
 # draws from ``_substream(seed, *prefix)``, Philox with the key
 # SeedSequence(seed, spawn_key=prefix).generate_state(2, np.uint64), at the

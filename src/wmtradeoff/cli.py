@@ -249,6 +249,8 @@ def dispatch(subcommand: str, config: RunConfig, mutate_reversal: bool = False) 
     """Run one subcommand and write its product; returns the exit code."""
     if subcommand not in _PRODUCTS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+    if mutate_reversal and subcommand != "verify":
+        raise ConfigError(f"--mutate-reversal applies to verify only, not {subcommand}")
     run, spec, rows_key, default_format = _PRODUCTS[subcommand]
     noise = NoiseModel(config.pbs_leakage, config.detector_efficiency)
     wm = WeakMeasurement(config.epsilon, config.eta)

@@ -21,7 +21,8 @@ estimator applies too.
 ``branch_terms`` is the one place the per-state arithmetic happens: over
 broadcast (epsilon, eta, alpha, phase) arrays it returns each outcome's
 probability, guess fidelity and reversal term from the complex amplitudes.
-``per_state_gain`` and ``per_state_reversal_prob`` are its scalar views.
+``per_state_gain`` and ``per_state_reversal_prob`` are its outcome sums
+over the same broadcast arguments, as ``verify``'s per-state checks read them.
 ``closed_forms`` evaluates the state-averaged closed forms below and the
 beam-splitter flag over floats or broadcast (epsilon, eta) arrays.
 
@@ -48,7 +49,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .qubit import UNIT_RANGE, PureState, check_range, inner_products
+from .qubit import UNIT_RANGE, check_range, inner_products
 
 # Parameter pairs closer than this count as a degenerate (beam-splitter) tie.
 TIE_ATOL = 1e-12
@@ -101,7 +102,7 @@ def branch_terms(epsilon, eta, alpha, phase=0.0):
     amps = np.stack((np.sqrt(a) + 0j, np.exp(1j * ph) * np.sqrt(1.0 - a)), axis=-1)
     kraus = kraus_coefficients(e, h)
     images = kraus * amps[..., None, :]
-    # Added in np.vdot's order, the probabilities equal apply_operator's bit for bit.
+    # Added in np.vdot's order, as a per-state loop over np.vdot adds them.
     prob = inner_products(images, images).real
     basis_fidelity = np.abs(amps) ** 2
     guess_fidelity = np.where(
@@ -112,10 +113,11 @@ def branch_terms(epsilon, eta, alpha, phase=0.0):
     return prob, guess_fidelity, np.abs(terms[..., 0] + terms[..., 1]) ** 2
 
 
-def per_state_gain(wm: WeakMeasurement, state: PureState) -> float:
-    """Outcome-averaged guess fidelity sum_r p(r) * |<guess_r|phi>|^2."""
-    prob, guess_fidelity, _ = branch_terms(wm.epsilon, wm.eta, state.alpha_weight, state.phase)
-    return float((prob * guess_fidelity).sum())
+def per_state_gain(epsilon, eta, alpha, phase=0.0) -> np.ndarray:
+    """sum_r p(r) * |<guess_r|phi>|^2 of each state, over ``branch_terms``' broadcast arguments."""
+    prob, guess_fidelity, _ = branch_terms(epsilon, eta, alpha, phase)
+    gain = prob * guess_fidelity
+    return gain[..., 0] + gain[..., 1]
 
 
 def closed_forms(epsilon, eta):
@@ -144,11 +146,10 @@ def reversal_operators(epsilon, eta) -> np.ndarray:
     return kraus_coefficients(epsilon, eta)[..., ::-1, None] * np.eye(2)
 
 
-def per_state_reversal_prob(wm: WeakMeasurement, state: PureState) -> float:
-    """Success probability of reversing the measurement on one input state.
+def per_state_reversal_prob(epsilon, eta, alpha, phase=0.0) -> np.ndarray:
+    """Reversal success sum_r |<phi|R_r A_r|phi>|^2 of each state, as ``per_state_gain`` takes them.
 
-    Evaluates sum_r |<phi|R_r A_r|phi>|^2 (see ``branch_terms``). The result
-    is state independent and equals the ``prev`` of ``closed_forms``.
+    It is state independent and equals the ``prev`` of ``closed_forms``.
     """
-    _, _, reversal = branch_terms(wm.epsilon, wm.eta, state.alpha_weight, state.phase)
-    return float(reversal.sum())
+    _, _, reversal = branch_terms(epsilon, eta, alpha, phase)
+    return reversal[..., 0] + reversal[..., 1]

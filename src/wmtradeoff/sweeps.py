@@ -28,23 +28,19 @@ from collections import namedtuple
 
 import numpy as np
 
-from .qubit import ANNIHILATION_EPS, CONSTRUCTION_ATOL, TWO_PI, check_range
-# Bound here only for perfbench/spans.py, which wraps these three names of
-# this module: no sweep or check calls them. With PureState and Operator2
-# they are the scalar object layer, which no CLI path reaches.
-from .qubit import apply_operator  # noqa: F401
-from .measurement import per_state_gain, per_state_reversal_prob  # noqa: F401
+from .qubit import TWO_PI, Operator2, apply_operator, check_range
 from .measurement import (
     TIE_ATOL,
     WeakMeasurement,
     branch_terms,
     closed_forms,
     kraus_coefficients,
+    per_state_gain,
+    per_state_reversal_prob,
     reversal_operators,
 )
 from .bench import (
     COUNTS_PER_BASIS_RANGE,
-    MIN_SAMPLED_DETECTED,
     N_TRAVERSAL_STATES,
     PHOTONS_RANGE,
     TRAVERSAL_ALPHAS,
@@ -56,6 +52,7 @@ from .bench import (
     estimate_gmax_from_counts,
     estimate_prev_from_counts,
     gain_term_from_counts,
+    least_sampled_photons,
     rev_term_from_counts,
     simulate_counts,
     simulate_tomography,
@@ -439,24 +436,12 @@ def _check_phase_invariance() -> tuple[float, float]:
     phases = (0.0, math.pi / 3.0, math.pi / 2.0, math.pi, 1.7)
     alphas = np.array([0.0, 0.3, 0.5, 0.77, 1.0])[:, None]
     epsilons, etas = np.array([(0.25, 0.75), (0.7, 0.2), (0.5, 0.5), (0.0, 1.0)]).T[..., None, None]
-    prob, guess_fidelity, reversal = branch_terms(epsilons, etas, alphas, phases)
-    per_state = ((prob * guess_fidelity).sum(axis=-1), reversal.sum(axis=-1))
+    per_state = (
+        per_state_gain(epsilons, etas, alphas, phases),
+        per_state_reversal_prob(epsilons, etas, alphas, phases),
+    )
     # Largest spread over the phases of any (measurement, alpha) pair.
     return float(max(np.ptp(terms, axis=-1).max() for terms in per_state)), 1e-12
-
-
-def _largest_singular_values(m: np.ndarray) -> np.ndarray:
-    """Largest singular value of each 2x2 matrix ``m[..., :, :]``, in closed form.
-
-    It is the square root of the larger eigenvalue of the Gram matrix
-    G = M^dagger M, (g00 + g11)/2 + hypot((g00 - g11)/2, |g01|), with G's
-    entries formed elementwise; within a few ulp of ``np.linalg.svd``.
-    """
-    sq = np.abs(m) ** 2
-    g00 = sq[..., 0, 0] + sq[..., 1, 0]
-    g11 = sq[..., 0, 1] + sq[..., 1, 1]
-    g01 = m[..., 0, 0].conj() * m[..., 0, 1] + m[..., 1, 0].conj() * m[..., 1, 1]
-    return np.sqrt((g00 + g11) / 2 + np.hypot((g00 - g11) / 2, np.abs(g01)))
 
 
 def _check_reversal_exactness(seed: int, reversal_fn) -> tuple[float, float, str]:
@@ -469,28 +454,18 @@ def _check_reversal_exactness(seed: int, reversal_fn) -> tuple[float, float, str
     ]
     alpha, phase, e, h, branch = np.array(draws).T
     pick = (np.arange(len(draws)), branch.astype(int))
-    coefficients = kraus_coefficients(e, h)[pick]
-    reversals = reversal_fn(e, h)[pick]
-    # Each branch operator and each reversal must be a physical Kraus operator.
-    operators = np.concatenate((coefficients[:, :, None] * np.eye(2), reversals))
-    top = _largest_singular_values(operators)
-    # Written so that NaN fails too.
-    if not np.all(top <= 1.0 + CONSTRUCTION_ATOL):
-        raise ValueError("operator is not a physical Kraus operator (largest singular value > 1)")
+    branches = Operator2(kraus_coefficients(e, h)[pick][:, :, None] * np.eye(2))
+    reversals = Operator2(reversal_fn(e, h)[pick])
 
-    # Measure and renormalise, reverse and renormalise, then take the
-    # squared overlap with the input; an annihilated image ends its triple.
+    # Measure and renormalise, reverse and renormalise, then take the squared
+    # overlap with the input. Each call refuses an unphysical operator, and an
+    # annihilated image leaves a NaN state that ends its triple.
     states = np.stack((np.sqrt(alpha) + 0j, np.exp(1j * phase) * np.sqrt(1.0 - alpha)), axis=-1)
-    images = coefficients * states
-    prob = (images.conj() * images).real.sum(axis=-1)
-    live = prob >= ANNIHILATION_EPS
-    posts = images[live] / np.sqrt(prob[live])[:, None]
-    recovered = (reversals[live] @ posts[..., None])[..., 0]
-    prob_rev = (recovered.conj() * recovered).real.sum(axis=-1)
-    kept = prob_rev >= ANNIHILATION_EPS
-    finals = recovered[kept] / np.sqrt(prob_rev[kept])[:, None]
-    overlap = np.abs((states[live][kept].conj() * finals).sum(axis=-1)) ** 2
-    tested = len(finals)
+    _, posts = apply_operator(branches, states)
+    _, finals = apply_operator(reversals, posts)
+    kept = ~np.isnan(finals[:, 0])
+    overlap = np.abs((states[kept].conj() * finals[kept]).sum(axis=-1)) ** 2
+    tested = len(overlap)
     # No tested triple is no evidence: an infinite deviation fails the check.
     dev = float(np.max(np.abs(1.0 - overlap))) if tested else math.inf
     return dev, 1e-12, f"{tested} triples"
@@ -500,9 +475,10 @@ def _check_reversal_state_constancy(seed: int) -> tuple[float, float]:
     rng = _substream(seed, CONSTANCY_STREAM)
     # Each row draws epsilon, eta, then five (alpha, phase) states, in that order.
     draws = rng.uniform(0.0, (1.0, 1.0) + (1.0, TWO_PI) * 5, size=(40, 12))
-    _, _, reversal = branch_terms(draws[:, :1], draws[:, 1:2], draws[:, 2::2], draws[:, 3::2])
-    _, expected, _ = closed_forms(draws[:, :1], draws[:, 1:2])
-    return float(np.max(np.abs(reversal.sum(axis=-1) - expected))), 1e-12
+    e, h = draws[:, :1], draws[:, 1:2]
+    reversal = per_state_reversal_prob(e, h, draws[:, 2::2], draws[:, 3::2])
+    _, expected, _ = closed_forms(e, h)
+    return float(np.max(np.abs(reversal - expected))), 1e-12
 
 
 def _state_grid_means(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -589,10 +565,8 @@ def _check_estimator_consistency(
 
 def _check_rng_determinism(noise: NoiseModel, seed: int) -> tuple[float, float]:
     wm = WeakMeasurement(0.25, 0.75)
-    # Enough photons to clear the sampled floor at the configured efficiency:
-    # the least N that passes its test, N * d >= MIN_SAMPLED_DETECTED.
-    least = math.ceil(MIN_SAMPLED_DETECTED / noise.detector_efficiency)
-    least += least * noise.detector_efficiency < MIN_SAMPLED_DETECTED
+    # Enough photons to clear the sampled floor at the configured efficiency.
+    least = least_sampled_photons(noise.detector_efficiency)
     n_cell, n_state = max(2_000, least), max(20_000, least)
     # Cells evaluated one at a time in reverse order must reproduce the
     # sweep: no cell's stream may depend on the cells drawn before it.
@@ -638,13 +612,16 @@ def verify(
     ``corrupted_reversal_operators`` must fail the reversal-exactness check.
     A ``grid_size`` below ``MIN_GRID_SIZE`` is refused, as by ``grid_sweep``,
     a ``photons_per_setting`` outside ``PHOTONS_RANGE`` as by
-    ``simulate_counts``, and a sampled run below the floor of
-    ``bench.check_sampled_photons``, before any check runs.
+    ``simulate_counts``, a sampled run below the floor of
+    ``bench.check_sampled_photons``, and a detector efficiency at which no
+    photon count clears that floor (``rng_determinism`` draws at it in both
+    modes), before any check runs.
     """
     _grid_values(grid_size)  # refuses a grid too small to hold both edges
     check_range("photons_per_setting", photons_per_setting, PHOTONS_RANGE)
     if not exact_mode:
         check_sampled_photons(photons_per_setting, noise.detector_efficiency)
+    least_sampled_photons(noise.detector_efficiency)
     reversal_fn = reversal_fn or reversal_operators
     # Both state-grid checks read these means; the first to run computes
     # them. A raised error is not cached, so it fails each check by name.

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings, strategies
 from hypothesis.extra import numpy as hnp
 
-from wmtradeoff.qubit import PureState
 from wmtradeoff.measurement import (
     TIE_ATOL,
     WeakMeasurement,
@@ -33,7 +32,7 @@ from wmtradeoff.bench import (
     simulate_tomography,
 )
 
-from scalar_reference import kraus_pair
+from scalar_reference import PureState, kraus_pair
 
 PI = math.pi
 FLAGSHIP = WeakMeasurement(0.25, 0.75)

@@ -37,6 +37,14 @@ STALE = {"measurement.apply_operator"} | {
     for product in ("grid", "states", "cross_section", "fidelities", "verify")
     for kind in ("csv", "json_rows")
 }
+# Per-op call counts of the scalar names verify reaches (tests/test_cli.py
+# counts them per CLI run).
+SCALAR_CALL_METRICS = (
+    "qubit.apply_operator.calls",
+    "qubit.svd.calls",
+    "measurement.per_state_gain.calls",
+    "measurement.per_state_reversal_prob.calls",
+)
 
 
 def _load_spans():
@@ -93,3 +101,9 @@ def test_traced_run_reports_every_per_layer_metric(workload):
             if not result["metrics"][metric]["value"] > 0.0
         ]
         assert not untimed, untimed
+        # verify's operator and per-state checks run through the four traced
+        # scalar names, so their metrics measure calls, not an unreached layer.
+        unreached = [
+            name for name in SCALAR_CALL_METRICS if not result["metrics"][name]["value"] > 0.0
+        ]
+        assert not unreached, unreached

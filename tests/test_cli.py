@@ -1,5 +1,6 @@
 """Tests for the command-line front end: parsing, dispatch, outputs, exit codes."""
 
+import collections
 import contextlib
 import csv
 import io
@@ -13,8 +14,7 @@ import tempfile
 import pytest
 from hypothesis import event, example, given, settings, strategies
 
-import wmtradeoff
-from wmtradeoff import bench, cli, measurement, qubit, sweeps, tables
+from wmtradeoff import bench, cli, qubit, sweeps, tables
 from wmtradeoff.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -230,6 +230,37 @@ class TestDispatchProducts:
         argv = ["verify", "--detector-efficiency", "0.001", "--exact-mode", str(exact).lower()]
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().err == ""
+
+    def test_verify_passes_at_the_least_drawable_efficiency(self, capsys):
+        # At d = 5e-18 the determinism sweeps draw 8e18 photons, under 2^63.
+        argv = ["verify", "--exact-mode", "true", "--detector-efficiency", "5e-18"]
+        assert main([*argv, "--grid-size", "4"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert [c["verdict"] for c in json.loads(captured.out)["checks"]] == ["PASS"] * 15
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("efficiency", [4.3e-18, 1e-20, 5e-324])
+    def test_verify_refuses_an_undrawable_efficiency(self, efficiency, capsys):
+        # No photon count up to 2^63 - 1 clears the sampled floor, so the
+        # determinism sweeps could not draw: refused before any check runs.
+        message = (
+            "detector_efficiency must let some photons_per_setting up to 2^63 - 1 reach "
+            f"photons_per_setting * detector_efficiency >= 40, got {efficiency!r}"
+        )
+        noise = bench.NoiseModel(detector_efficiency=efficiency)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweeps.verify(100_000, noise, exact_mode=True, grid_size=4)
+        argv = ["verify", "--exact-mode", "true", "--detector-efficiency", repr(efficiency)]
+        assert main(argv) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("subcommand", [s for s in cli.SUBCOMMANDS if s != "verify"])
+    def test_mutate_reversal_refused_outside_verify(self, subcommand, capsys):
+        # The hook corrupts verify's reversal operators; no product reads it.
+        assert main([subcommand, "--mutate-reversal"]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr() == (
+            "", f"config error: --mutate-reversal applies to verify only, not {subcommand}\n"
+        )
 
     @pytest.mark.parametrize("grid_size", [2, 5, 64])
     def test_cross_section_is_the_lattice_edge(self, grid_size, capsys):
@@ -453,33 +484,40 @@ CLI_RUNS = [
 ] + [["verify", "--exact-mode", exact, "--mutate-reversal"] for exact in ("true", "false")]
 
 
-def _refuse_scalar_layer(*args, **kwargs):
-    raise AssertionError("a CLI path reached the scalar object layer")
+# The names perfbench/spans.py wraps: three functions that sweeps calls, and
+# the physicality gate of qubit.Operator2, and how often one verify reaches each.
+TRACED_SCALAR_CALLS = {
+    "apply_operator": 2, "per_state_gain": 1, "per_state_reversal_prob": 2, "is_physical_kraus": 2,
+}
 
 
-class TestScalarLayerUnreached:
-    def test_no_cli_path_builds_a_state_or_an_operator(self, monkeypatch, capsys):
-        # The scalar object layer (PureState, Operator2, apply_operator and
-        # the per-state views) is kept only for the benchmark's tracer; each
-        # product must come out the same with all of it made to raise.
-        def run_all():
-            results = []
-            for argv in CLI_RUNS:
-                code = main(argv)
-                results.append((argv, code, *capsys.readouterr()))
-            return results
+class TestScalarLayerReached:
+    def test_verify_reaches_every_traced_scalar_name(self, monkeypatch, capsys):
+        # reversal_exactness measures and reverses through apply_operator,
+        # whose gate is the property; phase_invariance and
+        # reversal_state_constancy read the per-state views. The other
+        # products reach none of them.
+        calls = collections.Counter()
 
-        expected = run_all()
-        monkeypatch.setattr(qubit.PureState, "__post_init__", _refuse_scalar_layer)
-        monkeypatch.setattr(qubit.Operator2, "__post_init__", _refuse_scalar_layer)
-        scalar = (qubit.apply_operator, measurement.per_state_gain,
-                  measurement.per_state_reversal_prob)
-        for module in (wmtradeoff, qubit, measurement, bench, sweeps, tables, cli):
-            for name, value in list(vars(module).items()):
-                if any(value is fn for fn in scalar):
-                    monkeypatch.setattr(module, name, _refuse_scalar_layer)
-        assert [code for _, code, _, _ in expected].count(EXIT_VERIFY_FAIL) == 2
-        assert run_all() == expected
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("apply_operator", "per_state_gain", "per_state_reversal_prob"):
+            monkeypatch.setattr(sweeps, name, counted(name, getattr(sweeps, name)))
+        gate = vars(qubit.Operator2)["is_physical_kraus"].fget
+        monkeypatch.setattr(
+            qubit.Operator2, "is_physical_kraus", property(counted("is_physical_kraus", gate))
+        )
+        for argv in CLI_RUNS:
+            calls.clear()
+            code = main(argv)
+            capsys.readouterr()
+            expected = TRACED_SCALAR_CALLS if argv[0] == "verify" else {}
+            assert (code == EXIT_VERIFY_FAIL) == ("--mutate-reversal" in argv), argv
+            assert dict(calls) == expected, argv
 
 
 class TestProcessLevelExitCodes:
@@ -582,7 +620,7 @@ class TestCliFuzz:
     )
     # Sampled N = 1 is below the floor on N * d: refused before any check runs.
     @example("verify", False, ({"photons_per_setting": "1", "grid_size": "2"}, set()))
-    # A check that raises: rng_determinism's 2,000-photon cells at d = 0.001.
+    # Low efficiency: rng_determinism draws enough photons to clear the floor at d.
     @example("verify", False, ({"detector_efficiency": "0.001", "grid_size": "2"}, set()))
     def test_exit_codes_messages_and_products(self, subcommand, mutate, config):
         values, in_file = dict(config[0]), config[1]

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies
 from hypothesis.extra import numpy as hnp
 
 from wmtradeoff import sweeps
-from wmtradeoff.qubit import PureState, apply_operator
 from wmtradeoff.measurement import (
     TIE_ATOL,
     WeakMeasurement,
@@ -23,6 +22,8 @@ from wmtradeoff.measurement import (
 from scalar_reference import (
     STATE_H,
     STATE_V,
+    PureState,
+    apply_scalar,
     kraus_pair,
     pure_overlap,
     scalar_reversal,
@@ -103,8 +104,8 @@ class TestKrausPair:
         for _ in range(100):
             wm = WeakMeasurement(rng.uniform(), rng.uniform())
             st = PureState(rng.uniform(), rng.uniform(0, 2 * math.pi))
-            p1, _ = apply_operator(kraus_pair(wm)[0], st)
-            p2, _ = apply_operator(kraus_pair(wm)[1], st)
+            p1, _ = apply_scalar(kraus_pair(wm)[0], st)
+            p2, _ = apply_scalar(kraus_pair(wm)[1], st)
             assert p1 + p2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -180,12 +181,12 @@ class TestOutcomeDistribution:
 
 class TestPerStateGain:
     def test_flagship_endpoint(self):
-        assert per_state_gain(WeakMeasurement(0.25, 0.75), PureState(0.0)) == pytest.approx(
+        assert per_state_gain(0.25, 0.75, 0.0) == pytest.approx(
             0.75, abs=1e-12
         )
 
     def test_flagship_balanced(self):
-        assert per_state_gain(WeakMeasurement(0.25, 0.75), PureState(0.5)) == pytest.approx(
+        assert per_state_gain(0.25, 0.75, 0.5) == pytest.approx(
             0.5, abs=1e-12
         )
 
@@ -194,7 +195,7 @@ class TestPerStateGain:
         wm = WeakMeasurement(0.25, 0.75)
         for alpha in np.linspace(0.0, 1.0, 21):
             expected = 0.75 - alpha + alpha * alpha
-            assert per_state_gain(wm, PureState(float(alpha))) == pytest.approx(
+            assert per_state_gain(*wm, alpha) == pytest.approx(
                 expected, abs=1e-12
             )
 
@@ -203,24 +204,40 @@ class TestPerStateGain:
         for eps in (0.0, 0.3, 0.8, 1.0):
             wm = WeakMeasurement(eps, eps)
             for alpha in (0.0, 0.2, 0.5, 0.9, 1.0):
-                assert per_state_gain(wm, PureState(alpha)) == pytest.approx(
+                assert per_state_gain(*wm, alpha) == pytest.approx(
                     alpha * (1.0 - eps) + (1.0 - alpha) * eps, abs=1e-12
                 )
 
     def test_degenerate_gain_mean_is_half(self):
         wm = WeakMeasurement(0.3, 0.3)
         alphas = [0.02 * i for i in range(51)]
-        mean = sum(per_state_gain(wm, PureState(a)) for a in alphas) / 51
+        mean = sum(per_state_gain(*wm, a) for a in alphas) / 51
         assert mean == pytest.approx(0.5, abs=1e-12)
 
     def test_phase_invariance(self):
         wm = WeakMeasurement(0.25, 0.75)
         for alpha in (0.0, 0.3, 0.5, 0.77, 1.0):
             gains = {
-                per_state_gain(wm, PureState(alpha, ph))
+                per_state_gain(*wm, alpha, ph)
                 for ph in (0.0, math.pi / 3, math.pi / 2, math.pi, 1.7)
             }
             assert max(gains) - min(gains) <= 1e-12
+
+    def test_views_broadcast_like_per_state_calls(self):
+        # One call over broadcast arrays gives each state's scalar call bit
+        # for bit, and the sum of branch_terms over the outcome axis.
+        rng = np.random.default_rng(8)
+        e, h = rng.uniform(size=(2, 6, 1))
+        alpha, phase = rng.uniform(0.0, (1.0, 2 * math.pi), size=(5, 2)).T
+        for view, terms in (
+            (per_state_gain, lambda p, g, _: p * g),
+            (per_state_reversal_prob, lambda p, g, r: r),
+        ):
+            values = view(e, h, alpha, phase)
+            assert values.shape == (6, 5)
+            assert bits(values) == bits(np.sum(terms(*branch_terms(e, h, alpha, phase)), axis=-1))
+            for i, j in np.ndindex(6, 5):
+                assert bits(values[i, j]) == bits(view(e[i, 0], h[i, 0], alpha[j], phase[j]))
 
 
 class TestAnalyticGmax:
@@ -307,10 +324,10 @@ class TestReversalExactness:
             wm = WeakMeasurement(rng.uniform(), rng.uniform())
             st = PureState(rng.uniform(), rng.uniform(0, 2 * math.pi))
             r = int(rng.integers(1, 3))
-            prob, post = apply_operator(kraus_pair(wm)[r - 1], st)
+            prob, post = apply_scalar(kraus_pair(wm)[r - 1], st)
             if post is None:
                 continue
-            prob_rev, recovered = apply_operator(scalar_reversal(wm, r), post)
+            prob_rev, recovered = apply_scalar(scalar_reversal(wm, r), post)
             if recovered is None:
                 continue
             assert pure_overlap(st, recovered) == pytest.approx(1.0, abs=1e-12)
@@ -360,10 +377,10 @@ class TestBranchTerms:
         guesses = (STATE_V, STATE_H) if eps - eta > TIE_ATOL else (STATE_H, STATE_V)
         expected = []
         for r, (op, guess) in enumerate(zip(kraus_pair(wm), guesses), start=1):
-            prob, post = apply_operator(op, state)
+            prob, post = apply_scalar(op, state)
             reversal = 0.0
             if post is not None:
-                prob_rev, recovered = apply_operator(scalar_reversal(wm, r), post)
+                prob_rev, recovered = apply_scalar(scalar_reversal(wm, r), post)
                 if recovered is not None:
                     reversal = prob * prob_rev * pure_overlap(state, recovered)
             expected.append((prob, pure_overlap(guess, state), reversal))
@@ -412,25 +429,21 @@ class TestPerStateReversalProb:
     def test_flagship_constant_over_states(self):
         wm = WeakMeasurement(0.25, 0.75)
         for i in range(51):
-            value = per_state_reversal_prob(wm, PureState(0.02 * i))
+            value = per_state_reversal_prob(*wm, 0.02 * i)
             assert value == pytest.approx(0.375, abs=1e-12)
 
     def test_identity_channel_fully_reversible(self):
-        assert per_state_reversal_prob(
-            WeakMeasurement(0.0, 0.0), PureState(0.3, 1.0)
-        ) == pytest.approx(1.0, abs=1e-12)
+        assert per_state_reversal_prob(0.0, 0.0, 0.3, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_projective_irreversible(self):
-        assert per_state_reversal_prob(
-            WeakMeasurement(0.0, 1.0), PureState(0.3, 1.0)
-        ) == pytest.approx(0.0, abs=1e-12)
+        assert per_state_reversal_prob(0.0, 1.0, 0.3, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_closed_form_everywhere(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
             wm = WeakMeasurement(rng.uniform(), rng.uniform())
             st = PureState(rng.uniform(), rng.uniform(0, 2 * math.pi))
-            assert per_state_reversal_prob(wm, st) == pytest.approx(
+            assert per_state_reversal_prob(*wm, *st) == pytest.approx(
                 prev(wm.epsilon, wm.eta), abs=1e-12
             )
 

@@ -42,3 +42,27 @@ def test_one_stream_constructor():
         ("bench.py", "_substream", "Generator"),
         ("bench.py", "_substream", "Philox"),
     }
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names that a module imports and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_every_import_is_used():
+    # A name bound only for something outside the package to find is dead
+    # code here; the package's __init__ imports to export.
+    found = {
+        path.name: unused
+        for path in sorted(SOURCE_DIR.glob("*.py"))
+        if path.name != "__init__.py" and (unused := unused_imports(path))
+    }
+    assert found == {}

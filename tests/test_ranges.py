@@ -15,6 +15,7 @@ from wmtradeoff import (
     simulate_tomography,
     verify,
 )
+from wmtradeoff.bench import MAX_PHOTONS, check_sampled_photons, least_sampled_photons
 from wmtradeoff.cli import EXIT_CONFIG_ERROR, ConfigError, main, parse_config
 
 FLAGSHIP = WeakMeasurement(0.25, 0.75)
@@ -150,6 +151,27 @@ class TestSampledFloor:
         assert _error(lambda: parse_config(argv + ["--exact-mode", "true"]), ConfigError) is None
         exact = _error(lambda: verify(photons, noise, grid_size=2, exact_mode=True), ValueError)
         assert exact is None
+
+    # At 7.8e-18 the ceiling of 40 / d and the integer after it both fall
+    # short of the floor: above 2^53 the next count is the next float.
+    @pytest.mark.parametrize(
+        "efficiency",
+        [1.0, 0.9, 0.5, 1 / 3, 0.001, 0.0004, 3e-7, 1e-12, 7.8e-18, 5e-18, 4.34e-18],
+    )
+    def test_least_count_is_the_edge_of_the_floor(self, efficiency):
+        least = least_sampled_photons(efficiency)
+        assert 40 <= least <= MAX_PHOTONS
+        check_sampled_photons(least, efficiency)
+        if least < 2**53:  # below it, a count one less is a different float
+            with pytest.raises(ValueError, match="sampled runs need"):
+                check_sampled_photons(least - 1, efficiency)
+
+    @pytest.mark.parametrize("efficiency", [4.33e-18, 4.3e-18, 1e-20, 5e-324])
+    def test_no_count_clears_the_floor(self, efficiency):
+        with pytest.raises(ValueError, match="sampled runs need"):
+            check_sampled_photons(MAX_PHOTONS, efficiency)
+        with pytest.raises(ValueError, match=r"^detector_efficiency must let some"):
+            least_sampled_photons(efficiency)
 
     def test_verify_below_the_floor_is_refused_not_a_crashed_row(self, capsys):
         assert main(["verify", "--photons-per-setting", "1"]) == EXIT_CONFIG_ERROR

@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies
 
-from wmtradeoff.qubit import (
-    ANNIHILATION_EPS,
-    TWO_PI,
-    Operator2,
-    PureState,
-    apply_operator,
-)
+from wmtradeoff.qubit import ANNIHILATION_EPS, TWO_PI, Operator2, _largest_singular_values
 from wmtradeoff.measurement import (
     WeakMeasurement,
     branch_terms,
@@ -35,7 +29,7 @@ from wmtradeoff.sweeps import (
     verify,
 )
 
-from scalar_reference import kraus_pair, pure_overlap
+from scalar_reference import PureState, apply_scalar, kraus_pair, pure_overlap
 
 FLAGSHIP = WeakMeasurement(0.25, 0.75)
 FLAGSHIP_GMAX, FLAGSHIP_PREV, _ = closed_forms(0.25, 0.75)
@@ -101,8 +95,8 @@ class TestStateSweep:
         assert len(table["alpha"]) == len(TRAVERSAL_STATES)
         for row, state in zip(rows(table), TRAVERSAL_STATES):
             assert row["alpha"] == state.alpha_weight
-            assert row["gain_analytic"] == per_state_gain(wm, state)
-            assert row["rev_analytic"] == per_state_reversal_prob(wm, state)
+            assert row["gain_analytic"] == per_state_gain(*wm, *state)
+            assert row["rev_analytic"] == per_state_reversal_prob(*wm, *state)
 
     def test_flagship_curves(self):
         table = rows(state_sweep(FLAGSHIP, seed=None))
@@ -234,7 +228,7 @@ class TestStateGridMeans:
         # exactly (eta - eps)/150 for eps < eta: mean(alpha^2) - 1/3 = 1/300.
         for eta in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0):
             wm = WeakMeasurement(0.0, eta)
-            mean = sum(per_state_gain(wm, st) for st in TRAVERSAL_STATES) / 51
+            mean = sum(per_state_gain(*wm, *st) for st in TRAVERSAL_STATES) / 51
             gap = mean - closed_forms(0.0, eta)[0]
             assert gap == pytest.approx(eta / 150.0, abs=1e-12)
 
@@ -260,7 +254,7 @@ class TestStateGridMeans:
     def test_prev_mean_exact_for_sampled_cells(self):
         for e, h in ((0.0, 0.0), (0.25, 0.75), (0.4, 0.4), (1.0, 0.2)):
             wm = WeakMeasurement(e, h)
-            mean = sum(per_state_reversal_prob(wm, st) for st in TRAVERSAL_STATES) / 51
+            mean = sum(per_state_reversal_prob(*wm, *st) for st in TRAVERSAL_STATES) / 51
             assert mean == pytest.approx(closed_forms(e, h)[1], abs=1e-12)
 
 
@@ -549,7 +543,7 @@ class TestHaarOracle:
 
 
 def scalar_reversal_exactness(seed, reversal_fn):
-    """reversal_exactness as a loop of validated operators, one SVD per branch."""
+    """reversal_exactness as a loop over the scalar reference, one SVD per operator."""
     rng = sweeps._substream(seed, sweeps.EXACTNESS_STREAM)
     dev = 0.0
     tested = 0
@@ -557,11 +551,11 @@ def scalar_reversal_exactness(seed, reversal_fn):
         state = PureState(float(rng.uniform()), float(rng.uniform(0.0, TWO_PI)))
         wm = WeakMeasurement(float(rng.uniform()), float(rng.uniform()))
         r = int(rng.integers(1, 3))
-        prob, post = apply_operator(kraus_pair(wm)[r - 1], state)
+        prob, post = apply_scalar(kraus_pair(wm)[r - 1], state)
         if post is None:
             continue
         reversal = Operator2(reversal_fn(wm.epsilon, wm.eta)[r - 1])
-        prob_rev, recovered = apply_operator(reversal, post)
+        prob_rev, recovered = apply_scalar(reversal, post)
         if recovered is None or prob_rev < ANNIHILATION_EPS:
             continue
         dev = max(dev, abs(1.0 - pure_overlap(state, recovered)))
@@ -608,7 +602,7 @@ class TestOperatorChecks:
             "rank-1": u[:, :, None] * v[:, None, :].conj(),
             "zero": np.zeros((4, 2, 2), dtype=complex),
         }[kind]
-        top = sweeps._largest_singular_values(m)
+        top = _largest_singular_values(m)
         reference = np.linalg.svd(m, compute_uv=False)[:, 0]
         assert np.all(np.abs(top - reference) <= 8 * np.finfo(float).eps * reference)
 
