@@ -3,21 +3,23 @@
 The bench realizes the measurement with one polarizing Sagnac interferometer
 (a half-wave plate in each arm, angles ``a`` and ``b``) and the reversal with
 a second, identical interferometer whose arm angles are exchanged. Photon
-counting is simulated at the probability level by one array kernel that
+counting is simulated at the probability level, and the whole count path
+holds one layout, channel first and state major: ``channel_probabilities``
 writes the four channel survivals (two measurement branches, two
-measurement-plus-reversal chains) into one channel-first, state-major
-(4, 51, cells) buffer, so every array pass runs over the cells as its
-contiguous axis. ``channel_probabilities`` is a view of it over broadcast
-(epsilon, eta, alpha), and ``simulate_counts`` scales it in place into a
-(cells, 51, 4) count view, each channel an independent run of N photons
-drawn from a binomial law. Every sampled draw of the package comes from one
-kind of stream, built by ``_substream``: keyed-counter Philox (Salmon et al.,
-SC'11), the key from (seed, product) and the counter from the cell, counted
-on from the first cell of a call's ``key``, so a cell's numbers do not
-depend on the cells drawn with it; a call given no key records the expected
-counts instead. The count-ratio estimators reduce that array over the 51
-states, added in order whatever its layout. The analyzer tomography draws the records of all its
-input states in one call, one cell of its own stream.
+measurement-plus-reversal chains) over broadcast (epsilon, eta, alpha) into
+a (4, ...) array, ``simulate_counts`` scales that array in place into the
+(4, 51, cells) counts of every traversal state of every cell, each channel
+an independent run of N photons drawn from a binomial law, and the
+count-ratio estimators read those counts and return per-state terms of
+shape (51, cells) or their means over the 51 states, added in order. Every
+array pass runs over the cells as its contiguous axis. Every sampled draw
+of the package comes from one kind of stream, built by ``_substream``:
+keyed-counter Philox (Salmon et al., SC'11), the key from (seed, product)
+and the counter from the cell, counted on from the first cell of a call's
+``key``, so a cell's numbers do not depend on the cells drawn with it; a
+call given no key records the expected counts instead. The analyzer
+tomography draws the records of all its input states in one call, one cell
+of its own stream.
 
 The model works with arm transmissions only: (1 - epsilon, 1 - eta) on the
 primary branch and (epsilon, eta) on the complementary one, exchanged in the
@@ -142,20 +144,30 @@ def _substream(seed: int, *prefix: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(sequence))
 
 
-def _channels(epsilon, eta, alpha, noise: NoiseModel) -> np.ndarray:
-    """The four channel survivals, channel axis first: shape (4, *broadcast shape).
+def channel_probabilities(epsilon, eta, alpha, noise: NoiseModel = NoiseModel()) -> np.ndarray:
+    """Survival probabilities of the four count channels, shape (4, *broadcast shape).
+
+    ``epsilon``, ``eta`` and the input H-weight ``alpha`` lie in [0, 1] and
+    broadcast against each other; the first axis of the result holds, in
+    this order, the chance that a photon exits the measurement
+    interferometer on branch 1 and on branch 2, and the chance that it
+    survives branch 1 and its reversal and branch 2 and its reversal. The
+    reversal-chain survivals, (1-e)(1-h) and e*h, do not depend on the input
+    state. Detector efficiency is not applied.
 
     Leakage is a map of the operator pair: with s the interferometer swap
     probability, every survival is the ideal one at epsilon' = (1-s)*epsilon
-    + s*eta and eta' = (1-s)*eta + s*epsilon. Each ``alpha * h`` and
-    ``beta * v`` product is formed once and reused by the reversal chain:
-    ``(alpha * h1) * v1`` is how ``alpha * h1 * v1`` rounds, so the chain
-    survivals keep their bits.
+    + s*eta and eta' = (1-s)*eta + s*epsilon, so the counts cannot tell it
+    from a moved operator. Each ``alpha * h`` and ``beta * v`` product is
+    formed once and reused by the reversal chain: ``(alpha * h1) * v1`` is
+    how ``alpha * h1 * v1`` rounds, so the chain survivals keep their bits.
     """
+    e, h, alpha = (
+        _unit_array(name, value)
+        for name, value in (("epsilon", epsilon), ("eta", eta), ("alpha", alpha))
+    )
     swap = noise.interferometer_swap_probability
     keep = 1.0 - swap
-    e, h = np.asarray(epsilon, dtype=float), np.asarray(eta, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
     beta = 1.0 - alpha
     # H and V arm transmissions of the branch of outcome 2, the mapped pair,
     # and of outcome 1, on the (epsilon, eta) shape; alpha broadcasts last.
@@ -176,49 +188,41 @@ def _channels(epsilon, eta, alpha, noise: NoiseModel) -> np.ndarray:
     return out
 
 
-def channel_probabilities(epsilon, eta, alpha, noise: NoiseModel = NoiseModel()) -> np.ndarray:
-    """Survival probabilities of the four count channels.
-
-    ``epsilon``, ``eta`` and the input H-weight ``alpha`` broadcast against
-    each other; the last axis of the result holds, in this order, the chance
-    that a photon exits the measurement interferometer on branch 1 and on
-    branch 2, and the chance that it survives branch 1 and its reversal and
-    branch 2 and its reversal. The reversal-chain survivals, (1-e)(1-h) and
-    e*h, do not depend on the input state. Leakage maps (epsilon, eta) onto
-    the pair (epsilon', eta') of ``_channels``, so the counts cannot tell it
-    from a moved operator. Detector efficiency is not applied.
-    """
-    return np.moveaxis(_channels(epsilon, eta, alpha, noise), 0, -1)
+def _unit_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array, refused by ``check_range`` at its first entry outside [0, 1]."""
+    values = np.asarray(value, dtype=float)
+    outside = ~((values >= 0.0) & (values <= 1.0))
+    if outside.any():
+        check_range(name, values[outside][0].item(), UNIT_RANGE)
+    return values
 
 
 def simulate_counts(
     epsilon, eta, photons_per_setting: int, noise: NoiseModel = NoiseModel(), key=None
 ) -> np.ndarray:
-    """Counts of the four channels for every traversal state of every cell.
+    """Counts of the four channels for every traversal state of every cell, shape (4, 51, cells).
 
-    ``epsilon`` and ``eta`` broadcast to one value per cell. Each channel
-    sends ``photons_per_setting`` photons and records a
-    Binomial(N, p * detector_efficiency) count; the result has shape
-    (cells, 51, 4), channels ordered as in ``channel_probabilities``. With
-    ``key`` = (seed, *prefix, first_cell), cell k draws all of its counts in
-    one call on the ``STREAM_SCHEME`` stream keyed (*prefix, first_cell + k)
-    under ``seed``: the one ``_substream`` of the prefix has its counter
-    reset before each cell, so a cell's counts do not depend on the
-    cells drawn with it. With no ``key`` the expected values are recorded
-    instead and no generator is built.
-
-    The result is a view of one state-major (4, 51, cells) buffer, so the
-    cells are its contiguous axis: floats when expected, int64 when sampled.
+    ``epsilon`` and ``eta`` lie in [0, 1] and broadcast to one value per
+    cell. Each channel sends ``photons_per_setting`` photons and records a
+    Binomial(N, p * detector_efficiency) count; channels are ordered as in
+    ``channel_probabilities``, and the cells are the contiguous axis:
+    floats when expected, int64 when sampled. With ``key`` = (seed, *prefix,
+    first_cell), cell k draws all of its counts in one call on the
+    ``STREAM_SCHEME`` stream keyed (*prefix, first_cell + k) under ``seed``:
+    the one ``_substream`` of the prefix has its counter reset before each
+    cell, so a cell's counts do not depend on the cells drawn with it. With
+    no ``key`` the expected values are recorded instead and no generator is
+    built.
     """
     check_range("photons_per_setting", photons_per_setting, PHOTONS_RANGE)
-    detected = _channels(
+    detected = channel_probabilities(
         np.atleast_1d(epsilon), np.atleast_1d(eta), TRAVERSAL_ALPHAS[:, None], noise
     )
     detected *= noise.detector_efficiency
     np.clip(detected, 0.0, 1.0, out=detected)
     if key is None:
         detected *= photons_per_setting
-        return detected.T
+        return detected
     seed, *prefix, first_cell = (int(i) for i in key)
     # Each cell's counts overwrite its own probabilities once they are drawn.
     counts = detected.view(np.int64)
@@ -233,20 +237,17 @@ def simulate_counts(
         # The draws run over (state, channel) in C order; binomial reads a
         # contiguous copy of the cell's 204 probabilities faster than a view.
         counts[..., k] = rng.binomial(photons_per_setting, detected[..., k].T.copy()).T
-    return counts.T
+    return counts
 
 
 def _state_major(counts) -> np.ndarray:
-    """``counts`` of shape (..., 51, 4) as a (4, 51, ...) view, channels then states.
-
-    On the output of ``simulate_counts`` that view is C-contiguous.
-    """
+    """``counts`` as an array of shape (4, 51, cells...), channels then states; else raise."""
     counts = np.asarray(counts)
-    if counts.shape[-2:] != (N_TRAVERSAL_STATES, 4):
+    if counts.shape[:2] != (4, N_TRAVERSAL_STATES):
         raise EstimationError(
-            f"expected counts of shape (..., {N_TRAVERSAL_STATES}, 4), got {counts.shape}"
+            f"expected counts of shape (4, {N_TRAVERSAL_STATES}, ...), got {counts.shape}"
         )
-    return counts.transpose((-1, -2, *range(counts.ndim - 2)))
+    return counts
 
 
 def _per_measured(terms: np.ndarray, channels: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -259,23 +260,35 @@ def _per_measured(terms: np.ndarray, channels: np.ndarray, total: np.ndarray) ->
     total += channels[1]
     # A fractional count is an expected value, so any positive total is one.
     if total.min(initial=1.0) <= 0.0:
-        empty = np.argwhere(np.moveaxis(total, 0, -1) <= 0.0)
+        empty = np.argwhere(total <= 0.0)
         raise EstimationError(
-            f"no measured counts for state index {empty[0, -1]}; cannot form ratio"
+            f"no measured counts for state index {empty[0, 0]}; cannot form ratio"
         )
     terms /= total
     return terms
 
 
-def _gain_terms(counts, epsilon, eta) -> np.ndarray:
-    channels = _state_major(counts)
+def gain_term_from_counts(counts, epsilon, eta) -> np.ndarray:
+    """Count-weighted guess fidelity of each traversal state, shape (51, cells...).
+
+    State i weighs the primary channel by 0.02*i where outcome 1 guesses |H>
+    and by 1 - 0.02*i where it guesses |V> (the package's one guess rule,
+    ``first_guess_is_v``), and the complementary channel by the rest.
+    ``epsilon`` and ``eta`` broadcast to the cell axes of ``counts``; a
+    shape that does not is refused, rather than spread over the states.
+    """
+    m1, m2 = _state_major(counts)[:2]
+    cells = m1.shape[1:]
     guess_v = first_guess_is_v(np.asarray(epsilon), np.asarray(eta))
-    # More guess axes than cell axes: pad the cells' on the left.
-    pad = max(0, guess_v.ndim + 2 - channels.ndim)
-    m1, m2 = np.expand_dims(channels, tuple(range(2, 2 + pad)))[:2]
-    alphas = TRAVERSAL_ALPHAS.reshape((N_TRAVERSAL_STATES,) + (1,) * (m1.ndim - 1))
+    try:
+        guess_v = np.broadcast_to(guess_v, cells)
+    except ValueError:
+        raise EstimationError(
+            f"epsilon and eta of shape {guess_v.shape} do not broadcast to the cells {cells}"
+        ) from None
+    alphas = TRAVERSAL_ALPHAS.reshape((N_TRAVERSAL_STATES,) + (1,) * len(cells))
     # z, then (1 - z) * m2 and the total in place: two block-sized arrays.
-    z = np.empty(np.broadcast(alphas, guess_v, m1).shape)
+    z = np.empty(m1.shape)
     z[...] = alphas
     np.copyto(z, 1.0 - alphas, where=guess_v)
     terms = z * m1
@@ -285,26 +298,12 @@ def _gain_terms(counts, epsilon, eta) -> np.ndarray:
     return _per_measured(terms, (m1, m2), z)
 
 
-def _rev_terms(counts) -> np.ndarray:
+def rev_term_from_counts(counts) -> np.ndarray:
+    """Fraction of measured photons that also survived the reversal, shape (51, cells...)."""
     channels = _state_major(counts)
     terms = channels[2].astype(float)
     terms += channels[3]
     return _per_measured(terms, channels, np.empty_like(terms))
-
-
-def gain_term_from_counts(counts, epsilon, eta) -> np.ndarray:
-    """Count-weighted guess fidelity of each traversal state, shape (..., 51).
-
-    State i weighs the primary channel by 0.02*i where outcome 1 guesses |H>
-    and by 1 - 0.02*i where it guesses |V> (the package's one guess rule,
-    ``first_guess_is_v``), and the complementary channel by the rest.
-    """
-    return np.moveaxis(_gain_terms(counts, epsilon, eta), 0, -1)
-
-
-def rev_term_from_counts(counts) -> np.ndarray:
-    """Fraction of measured photons that also survived the reversal, shape (..., 51)."""
-    return np.moveaxis(_rev_terms(counts), 0, -1)
 
 
 def _traversal_mean(terms: np.ndarray) -> np.ndarray:
@@ -319,12 +318,12 @@ def _traversal_mean(terms: np.ndarray) -> np.ndarray:
 
 def estimate_gmax_from_counts(counts, epsilon, eta) -> np.ndarray:
     """Count-ratio estimate of the mean maximal estimation fidelity of each cell."""
-    return _traversal_mean(_gain_terms(counts, epsilon, eta))
+    return _traversal_mean(gain_term_from_counts(counts, epsilon, eta))
 
 
 def estimate_prev_from_counts(counts) -> np.ndarray:
     """Count-ratio estimate of the mean reversal probability of each cell."""
-    return _traversal_mean(_rev_terms(counts))
+    return _traversal_mean(rev_term_from_counts(counts))
 
 
 def simulate_tomography(

@@ -21,8 +21,10 @@ estimator applies too.
 ``branch_terms`` is the one place the per-state arithmetic happens: over
 broadcast (epsilon, eta, alpha, phase) arrays it returns each outcome's
 probability, guess fidelity and reversal term from the complex amplitudes.
-``per_state_gain`` and ``per_state_reversal_prob`` are its outcome sums
-over the same broadcast arguments, as ``verify``'s per-state checks read them.
+``per_state_terms`` forms its two outcome sums, the per-state gain and
+reversal probability, over the same broadcast arguments;
+``per_state_gain`` and ``per_state_reversal_prob`` each return one of them,
+as ``verify``'s per-state checks read them.
 ``closed_forms`` evaluates the state-averaged closed forms below and the
 beam-splitter flag over floats or broadcast (epsilon, eta) arrays.
 
@@ -113,11 +115,22 @@ def branch_terms(epsilon, eta, alpha, phase=0.0):
     return prob, guess_fidelity, np.abs(terms[..., 0] + terms[..., 1]) ** 2
 
 
-def per_state_gain(epsilon, eta, alpha, phase=0.0) -> np.ndarray:
-    """sum_r p(r) * |<guess_r|phi>|^2 of each state, over ``branch_terms``' broadcast arguments."""
-    prob, guess_fidelity, _ = branch_terms(epsilon, eta, alpha, phase)
+def per_state_terms(epsilon, eta, alpha, phase=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Gain and reversal success of each state, over ``branch_terms``' broadcast arguments.
+
+    The gain is sum_r p(r) * |<guess_r|phi>|^2 and the reversal success
+    sum_r |<phi|R_r A_r|phi>|^2; the latter is state independent and equals
+    the ``prev`` of ``closed_forms``.
+    """
+    prob, guess_fidelity, reversal = branch_terms(epsilon, eta, alpha, phase)
     gain = prob * guess_fidelity
-    return gain[..., 0] + gain[..., 1]
+    # The two outcomes in one addition, as a sum over the length-2 axis adds them.
+    return gain[..., 0] + gain[..., 1], reversal[..., 0] + reversal[..., 1]
+
+
+def per_state_gain(epsilon, eta, alpha, phase=0.0) -> np.ndarray:
+    """The gain of ``per_state_terms``."""
+    return per_state_terms(epsilon, eta, alpha, phase)[0]
 
 
 def closed_forms(epsilon, eta):
@@ -147,9 +160,5 @@ def reversal_operators(epsilon, eta) -> np.ndarray:
 
 
 def per_state_reversal_prob(epsilon, eta, alpha, phase=0.0) -> np.ndarray:
-    """Reversal success sum_r |<phi|R_r A_r|phi>|^2 of each state, as ``per_state_gain`` takes them.
-
-    It is state independent and equals the ``prev`` of ``closed_forms``.
-    """
-    _, _, reversal = branch_terms(epsilon, eta, alpha, phase)
-    return reversal[..., 0] + reversal[..., 1]
+    """The reversal success of ``per_state_terms``."""
+    return per_state_terms(epsilon, eta, alpha, phase)[1]

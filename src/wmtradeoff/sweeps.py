@@ -32,11 +32,11 @@ from .qubit import TWO_PI, Operator2, apply_operator, check_range
 from .measurement import (
     TIE_ATOL,
     WeakMeasurement,
-    branch_terms,
     closed_forms,
     kraus_coefficients,
     per_state_gain,
     per_state_reversal_prob,
+    per_state_terms,
     reversal_operators,
 )
 from .bench import (
@@ -111,19 +111,6 @@ OracleEstimate = namedtuple(
 )
 
 
-def _traversal_terms(epsilon, eta) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state gain and reversal probability over the 51 traversal states.
-
-    ``epsilon`` and ``eta`` broadcast to a row of cells; one kernel call
-    covers the row. Both results hold one row per state (axis 0) and one
-    column per cell.
-    """
-    prob, guess_fidelity, reversal = branch_terms(epsilon, eta, TRAVERSAL_ALPHAS[:, None])
-    gain = prob * guess_fidelity
-    # The two outcomes in one addition, as a sum over the length-2 axis adds them.
-    return gain[..., 0] + gain[..., 1], reversal[..., 0] + reversal[..., 1]
-
-
 def state_sweep(
     wm: WeakMeasurement,
     photons_per_setting: int = DEFAULT_PHOTONS,
@@ -137,12 +124,12 @@ def state_sweep(
     ``seed`` (their expected values when ``seed`` is None).
     """
     key = None if seed is None else (seed, STATES_STREAM, 0)
-    (counts,) = simulate_counts(wm.epsilon, wm.eta, photons_per_setting, noise, key)
-    gain_analytic, rev_analytic = _traversal_terms(wm.epsilon, wm.eta)
+    counts = simulate_counts(wm.epsilon, wm.eta, photons_per_setting, noise, key)[..., 0]
+    gain_analytic, rev_analytic = per_state_terms(wm.epsilon, wm.eta, TRAVERSAL_ALPHAS)
     return {
         "alpha": TRAVERSAL_ALPHAS,
-        "gain_analytic": gain_analytic[:, 0],
-        "rev_analytic": rev_analytic[:, 0],
+        "gain_analytic": gain_analytic,
+        "rev_analytic": rev_analytic,
         "gain_mc": gain_term_from_counts(counts, wm.epsilon, wm.eta),
         "rev_mc": rev_term_from_counts(counts),
     }
@@ -250,10 +237,10 @@ def reversal_fidelity_sweep(
     or their expected values inverted when ``seed`` is None.
     """
     check_range("counts_per_basis", counts_per_basis, COUNTS_PER_BASIS_RANGE)
-    chains = channel_probabilities(wm.epsilon, wm.eta, TRAVERSAL_ALPHAS, noise)[:, 2:]
+    chains = channel_probabilities(wm.epsilon, wm.eta, TRAVERSAL_ALPHAS, noise)[2:]
     yields = counts_per_basis * chains
-    low_stats = yields.sum(axis=-1) < LOW_STATS_FLOOR
-    live_chains = np.maximum(1, (yields >= LOW_STATS_FLOOR).sum(axis=-1))[~low_stats]
+    low_stats = yields.sum(axis=0) < LOW_STATS_FLOOR
+    live_chains = np.maximum(1, (yields >= LOW_STATS_FLOOR).sum(axis=0))[~low_stats]
     rng = None if seed is None else _substream(seed, FIDELITY_STREAM)
     fidelity = np.full(N_TRAVERSAL_STATES, math.nan)
     fidelity[~low_stats] = simulate_tomography(
@@ -489,8 +476,9 @@ def _state_grid_means(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     single call over a 256 x 256 lattice would hold about 1 GB).
     """
     values = _grid_values(grid_size)
+    alphas = TRAVERSAL_ALPHAS[:, None]
     means = np.array(
-        [[_traversal_mean(terms) for terms in _traversal_terms(e, values)] for e in values]
+        [[_traversal_mean(terms) for terms in per_state_terms(e, values, alphas)] for e in values]
     )
     return means[:, 0], means[:, 1]
 
@@ -538,8 +526,8 @@ def _check_estimator_consistency(
 
     # Logic identity: the exact-count pipeline reproduces the discrete-grid
     # expectations bit for bit in the noiseless model.
-    gains, _ = _traversal_terms(e, h)
-    target_g = float(_traversal_mean(gains[:, 0]))
+    gains, _ = per_state_terms(e, h, TRAVERSAL_ALPHAS)
+    target_g = float(_traversal_mean(gains))
     _, target_p, _ = closed_forms(e, h)
     clean = simulate_counts(e, h, photons_per_setting)
     parts = [

@@ -90,15 +90,15 @@ def discrete_gain_expectation(wm):
 
 
 def run_counts(wm, photons, noise=NoiseModel(), seed=0, exact=False):
-    """The (51, 4) counts of one cell's traversal."""
+    """The (4, 51) counts of one cell's traversal."""
     key = None if exact else (seed, 0, 0)
-    return simulate_counts(wm.epsilon, wm.eta, photons, noise, key)[0]
+    return simulate_counts(wm.epsilon, wm.eta, photons, noise, key)[..., 0]
 
 
 def forced_counts(i, m_primary, m_complement):
-    """Counts with one photon in every measurement channel except state ``i``'s."""
-    counts = np.ones((51, 4))
-    counts[i] = (m_primary, m_complement, 0, 0)
+    """(4, 51) counts with one photon in every measurement channel except state ``i``'s."""
+    counts = np.ones((4, 51))
+    counts[:, i] = (m_primary, m_complement, 0, 0)
     return counts
 
 
@@ -170,7 +170,7 @@ class TestZeta:
         # A state axis that stops short of index 50 or runs past it is refused.
         for n_states in (50, 52):
             with pytest.raises(EstimationError, match="51"):
-                gain_term_from_counts(np.ones((n_states, 4)), 0.25, 0.75)
+                gain_term_from_counts(np.ones((4, n_states)), 0.25, 0.75)
 
 
 class TestNoiseModel:
@@ -191,7 +191,7 @@ UNIT = strategies.one_of(strategies.sampled_from([0.0, 1.0]), strategies.floats(
 
 
 class TestCountRecord:
-    """Bounds of every count in the (cells, 51, 4) count array."""
+    """Bounds of every count in the (4, 51, cells) count array."""
 
     def test_count_bounds(self):
         # Every count lies in [0, N]: integers when sampled, floats when exact.
@@ -208,12 +208,12 @@ class TestCountRecord:
 
 class TestSimulateCounts:
     def test_no_measurement_expectations(self):
-        counts = simulate_counts(0.0, 0.0, 1000)[0, 10]
+        counts = simulate_counts(0.0, 0.0, 1000)[:, 10, 0]
         assert counts[0] == pytest.approx(1000.0, abs=1e-9)
         assert counts[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_flagship_expected_fractions(self):
-        counts = run_counts(FLAGSHIP, 100000, exact=True)[25]
+        counts = run_counts(FLAGSHIP, 100000, exact=True)[:, 25]
         assert counts[0] / 100000 == pytest.approx(0.5, abs=1e-12)
         oracle = chain_survival_oracle(FLAGSHIP, PureState(0.5), 1)
         assert oracle == pytest.approx(0.1875, abs=1e-12)
@@ -250,7 +250,7 @@ class TestSimulateCounts:
         bound = 4.0 * math.sqrt(p1 * (1 - p1) / 1e6)
         for seed in range(20):
             counts = run_counts(FLAGSHIP, 1_000_000, seed=seed)
-            assert abs(counts[15, 0] / 1e6 - p1) <= bound
+            assert abs(counts[0, 15] / 1e6 - p1) <= bound
 
     def test_zero_photons_rejected(self):
         with pytest.raises(ValueError):
@@ -306,11 +306,11 @@ class TestSimulateCounts:
         }[layout]
         got = channel_probabilities(eps, eta, alpha, noise)
         e, h, a = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (eps, eta, alpha)))
-        assert got.shape == e.shape + (4,)
+        assert got.shape == (4,) + e.shape
         expected, mixed = (
             np.array(
                 [formula(float(e[i]), float(h[i]), float(a[i])) for i in np.ndindex(e.shape)]
-            ).reshape(got.shape)
+            ).T.reshape(got.shape)
             for formula in (channels, mixed_channels)
         )
         assert (got.view(np.int64) == expected.view(np.int64)).all()
@@ -319,7 +319,7 @@ class TestSimulateCounts:
 
     def test_cell_keys_required_when_sampled(self):
         # A call given no key records expected counts for every cell.
-        assert simulate_counts([0.25, 0.5], 0.75, 1000).shape == (2, 51, 4)
+        assert simulate_counts([0.25, 0.5], 0.75, 1000).shape == (4, 51, 2)
 
     def test_deterministic_per_cell_streams(self):
         a = run_counts(FLAGSHIP, 10000, seed=42)
@@ -336,14 +336,14 @@ class TestSimulateCounts:
         row = simulate_counts(eps, etas, 5000, noise, (42, 1, 10))
         tail = simulate_counts(eps[2:], etas[2:], 5000, noise, (42, 1, 12))
         head = simulate_counts(eps[:2], etas[:2], 5000, noise, (42, 1, 10))
-        np.testing.assert_array_equal(np.concatenate((head, tail)), row)
+        np.testing.assert_array_equal(np.concatenate((head, tail), axis=-1), row)
         for k in range(4):
-            (single,) = simulate_counts(eps[k], etas[k], 5000, noise, (42, 1, 10 + k))
-            np.testing.assert_array_equal(single, row[k])
-        (other_key,) = simulate_counts(eps[0], etas[0], 5000, noise, (42, 1, 11))
-        assert not np.array_equal(other_key, row[0])
-        (other_prefix,) = simulate_counts(eps[0], etas[0], 5000, noise, (42, 2, 10))
-        assert not np.array_equal(other_prefix, row[0])
+            single = simulate_counts(eps[k], etas[k], 5000, noise, (42, 1, 10 + k))[..., 0]
+            np.testing.assert_array_equal(single, row[..., k])
+        other_key = simulate_counts(eps[0], etas[0], 5000, noise, (42, 1, 11))[..., 0]
+        assert not np.array_equal(other_key, row[..., 0])
+        other_prefix = simulate_counts(eps[0], etas[0], 5000, noise, (42, 2, 10))[..., 0]
+        assert not np.array_equal(other_prefix, row[..., 0])
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -357,8 +357,9 @@ class TestSimulateCounts:
         # The per-cell-v4 scheme: cell k of a call whose first key is
         # (*prefix, first_cell) draws as a fresh Philox keyed by
         # SeedSequence(seed, spawn_key=prefix) with the counter
-        # (0, 0, 0, first_cell + k), whatever else shares the call; cell 0
-        # is where ``_substream(seed, *prefix)`` starts.
+        # (0, 0, 0, first_cell + k), whatever else shares the call, and
+        # draws over (state, channel) in C order; cell 0 is where
+        # ``_substream(seed, *prefix)`` starts.
         assert bench.STREAM_SCHEME == "per-cell-v4"
         first_cell = data.draw(strategies.integers(0, 2**64 - len(cells)))
         noise = NoiseModel(pbs_leakage=0.001, detector_efficiency=0.9)
@@ -372,7 +373,8 @@ class TestSimulateCounts:
             counter = np.array([0, 0, 0, first_cell + k], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
             p = channel_probabilities(e, h, TRAVERSAL_ALPHAS, noise) * noise.detector_efficiency
-            np.testing.assert_array_equal(counts[k], rng.binomial(photons, np.clip(p, 0.0, 1.0)))
+            drawn = rng.binomial(photons, np.clip(p, 0.0, 1.0).T).T
+            np.testing.assert_array_equal(counts[..., k], drawn)
 
     @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
     @pytest.mark.parametrize("prefix", [(1, 0), (1, 5), (1, 2**40), (1004, 0)])
@@ -404,7 +406,7 @@ class TestSimulateCounts:
         for k, (e, h) in enumerate(cells):
             p = channel_probabilities(e, h, TRAVERSAL_ALPHAS, noise) * efficiency
             expected = photons * np.clip(p, 0.0, 1.0)
-            assert np.ascontiguousarray(counts[k]).tobytes() == expected.tobytes()
+            assert np.ascontiguousarray(counts[..., k]).tobytes() == expected.tobytes()
 
 
 class TestEstimators:
@@ -417,15 +419,15 @@ class TestEstimators:
         assert terms[0] == pytest.approx(0.9, abs=1e-12)
 
     def test_zero_denominator_names_state(self):
-        counts = np.ones((3, 51, 4))
-        counts[1, 7] = 0
+        counts = np.ones((4, 51, 3))
+        counts[:, 7, 1] = 0
         with pytest.raises(EstimationError, match="state index 7"):
             gain_term_from_counts(counts, [0.25] * 3, 0.75)
         with pytest.raises(EstimationError, match="state index 7"):
             rev_term_from_counts(counts)
 
     def test_no_cells_estimate_to_nothing(self):
-        counts = np.ones((0, 51, 4))
+        counts = np.ones((4, 51, 0))
         assert estimate_gmax_from_counts(counts, np.zeros(0), 0.5).shape == (0,)
         assert estimate_prev_from_counts(counts).shape == (0,)
 
@@ -458,15 +460,15 @@ class TestEstimators:
         strategies.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
     )
     def test_estimators_do_not_depend_on_the_layout(self, seed, cells, dtype, eta):
-        # simulate_counts hands out a (cells, 51, 4) view of a state-major
-        # buffer; the same values held C-contiguous must estimate to the
-        # same bytes, as floats (exact mode) and as int64 (sampled).
+        # simulate_counts hands out its (4, 51, cells) buffer C-contiguous;
+        # the same values held cell-major must estimate to the same bytes,
+        # as floats (exact mode) and as int64 (sampled).
         rng = np.random.default_rng(seed)
-        values = rng.integers(0, 10**6, size=(cells, 51, 4))
-        values[..., 0] += 1  # every state measured at least one photon
+        values = rng.integers(0, 10**6, size=(4, 51, cells))
+        values[0] += 1  # every state measured at least one photon
         contiguous = values.astype(dtype)
-        state_major = np.ascontiguousarray(contiguous.T).T
-        assert not state_major.flags.c_contiguous or cells <= 1
+        cell_major = np.asfortranarray(contiguous)
+        assert not cell_major.flags.c_contiguous or cells <= 1
         eps = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=cells)
         for estimate in (
             lambda c: gain_term_from_counts(c, eps, eta),
@@ -474,40 +476,54 @@ class TestEstimators:
             lambda c: estimate_gmax_from_counts(c, eps, eta),
             estimate_prev_from_counts,
         ):
-            a, b = estimate(contiguous), estimate(state_major)
+            a, b = estimate(contiguous), estimate(cell_major)
             assert a.shape == b.shape
             assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
     @pytest.mark.parametrize(
-        "cells, guess_shape", [((), (5,)), ((), (2, 3)), ((3,), (2, 3)), ((3,), (4, 1))]
+        "cells, guess_shape",
+        [((), (5,)), ((), (2, 3)), ((3,), (2, 3)), ((3,), (4, 1)), ((3,), (4,)), ((), (51,))],
     )
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
-    def test_gain_broadcasts_more_guess_axes_than_cells(self, cells, guess_shape, dtype):
-        # epsilon may carry more axes than the counts have cell axes, e.g.
-        # one cell's (51, 4) counts against a vector of epsilons; the terms
-        # broadcast over them as the per-state formula does.
+    def test_gain_refuses_guess_shapes_beyond_the_cells(self, cells, guess_shape, dtype):
+        # epsilon and eta give one guess per cell: a shape that does not
+        # broadcast to the counts' cell axes is refused, not spread over the
+        # states, as one cell's (4, 51) counts against 51 epsilons would be.
         rng = np.random.default_rng(7)
-        counts = rng.integers(1, 10**6, size=cells + (51, 4)).astype(dtype)
+        counts = rng.integers(1, 10**6, size=(4, 51) + cells).astype(dtype)
         eps = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=guess_shape)
-        eta = 0.5
+        message = re.escape(f"shape {guess_shape} do not broadcast to the cells {cells}")
+        for estimate in (gain_term_from_counts, estimate_gmax_from_counts):
+            with pytest.raises(EstimationError, match=message):
+                estimate(counts, eps, 0.5)
+
+    @pytest.mark.parametrize(
+        "cells, guess_shape", [((), ()), ((3,), ()), ((3,), (1,)), ((3,), (3,))]
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_gain_takes_a_guess_shape_that_broadcasts_to_the_cells(self, cells, guess_shape, dtype):
+        # The per-state formula, one guess per cell broadcast over the states.
+        rng = np.random.default_rng(7)
+        counts = rng.integers(1, 10**6, size=(4, 51) + cells).astype(dtype)
+        eps = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=guess_shape)
         m = counts.astype(float)
-        guess_v = np.expand_dims(eps - eta > TIE_ATOL, -1)
-        z = np.where(guess_v, 1.0 - TRAVERSAL_ALPHAS, TRAVERSAL_ALPHAS)
-        terms = (z * m[..., 0] + (1.0 - z) * m[..., 1]) / (m[..., 0] + m[..., 1])
-        got = gain_term_from_counts(counts, eps, eta)
-        assert got.shape == terms.shape
+        alphas = TRAVERSAL_ALPHAS.reshape((51,) + (1,) * len(cells))
+        z = np.where(eps - 0.5 > TIE_ATOL, 1.0 - alphas, alphas)
+        terms = (z * m[0] + (1.0 - z) * m[1]) / (m[0] + m[1])
+        got = gain_term_from_counts(counts, eps, 0.5)
+        assert got.shape == terms.shape == (51,) + cells
         assert got.tobytes() == terms.tobytes()
-        mean = sum(np.moveaxis(terms, -1, 0)) / N_TRAVERSAL_STATES
-        got = estimate_gmax_from_counts(counts, eps, eta)
+        mean = sum(terms) / N_TRAVERSAL_STATES
+        got = estimate_gmax_from_counts(counts, eps, 0.5)
         assert got.shape == mean.shape
         assert np.ascontiguousarray(got).tobytes() == mean.tobytes()
 
     def test_estimators_require_full_traversal(self):
         counts = run_counts(FLAGSHIP, 1000, exact=True)
         with pytest.raises(EstimationError):
-            estimate_gmax_from_counts(counts[:-1], 0.25, 0.75)
+            estimate_gmax_from_counts(counts[:, :-1], 0.25, 0.75)
         with pytest.raises(EstimationError):
-            estimate_prev_from_counts(counts[:, :3])
+            estimate_prev_from_counts(counts[:3])
 
     def test_exact_pipeline_reproduces_discrete_expectation(self):
         target = discrete_gain_expectation(FLAGSHIP)

@@ -1,11 +1,14 @@
 """Golden bytes of the four sweep products in exact mode, CSV and JSON, of
-the sampled reversal-fidelity product, CSV, and of the ``verify`` check rows.
+the same four products sampled at seed 42, CSV, and of the ``verify`` check
+rows.
 
 Exact mode replaces every binomial draw with its expected value, so these
 products are fixed by the code alone; the ``-noisy`` ones add PBS leakage
 and detector efficiency. The ``-sampled`` ones are fixed by the seed: they
-pin the analyzer counts the tomography draws and the fidelity it
-reconstructs from them. The ``verify-*`` files hold the 15 check rows
+pin the photon counts each lattice cell and the state traversal draw, the
+estimates formed from them, the analyzer counts the tomography draws and
+the fidelity it reconstructs from them; they change only with a new
+``bench.STREAM_SCHEME``. The ``verify-*`` files hold the 15 check rows
 (check, verdict, deviation, tolerance, detail) of the JSON report at full
 float precision, without its metadata; sampled checks are fixed by the seed.
 Any refactor of the sweeps, the count kernel, the Haar oracle, the checks,
@@ -42,6 +45,11 @@ PRODUCTS = {
 }
 CASES = [(name, fmt) for name in PRODUCTS for fmt in ("csv", "json")]
 SAMPLED = {
+    "sweep-grid-sampled": ["sweep-grid", "--grid-size", "6", "--seed", "42"],
+    "sweep-grid-sampled-noisy": ["sweep-grid", "--grid-size", "6", "--seed", "42", *NOISE],
+    "sweep-states-sampled": ["sweep-states", "--seed", "42"],
+    "sweep-states-sampled-noisy": ["sweep-states", "--seed", "42", *NOISE],
+    "cross-section-sampled": ["cross-section", "--grid-size", "6", "--seed", "42"],
     "reversal-fidelity-sampled": ["reversal-fidelity", "--seed", "42"],
     "reversal-fidelity-sampled-noisy": ["reversal-fidelity", "--seed", "42", *NOISE],
 }

@@ -16,6 +16,7 @@ from wmtradeoff.measurement import (
     kraus_coefficients,
     per_state_gain,
     per_state_reversal_prob,
+    per_state_terms,
     reversal_operators,
 )
 
@@ -394,9 +395,10 @@ class TestBranchTerms:
         strategies.data(),
     )
     def test_two_term_sums_equal_a_reduction_over_the_outcome_axis(self, shapes, data):
-        # The overlap's two basis terms, and the two outcomes of sweeps'
-        # per-state gain and reversal, are added as x[..., 0] + x[..., 1]: bit
-        # for bit what np.sum(x, axis=-1) gives over a length-2 axis.
+        # The overlap's two basis terms, and the two outcomes of the
+        # per-state gain and reversal of ``per_state_terms``, are added as
+        # x[..., 0] + x[..., 1]: bit for bit what np.sum(x, axis=-1) gives
+        # over a length-2 axis.
         edges = (0.0, 1.0, 5e-324, 1e-13, 0.5, 1.0 - 2**-53)
         values = {
             "edge": strategies.sampled_from(edges) | strategies.floats(0.0, 1.0),
@@ -419,7 +421,7 @@ class TestBranchTerms:
         assert bits(reversal) == bits(np.abs(overlap) ** 2)
 
         cells = [np.ravel(x) for x in np.broadcast_arrays(e, h)]
-        gain, rev = sweeps._traversal_terms(*cells)
+        gain, rev = per_state_terms(*cells, sweeps.TRAVERSAL_ALPHAS[:, None])
         prob, guess_fidelity, reversal = branch_terms(*cells, sweeps.TRAVERSAL_ALPHAS[:, None])
         assert bits(gain) == bits(np.sum(prob * guess_fidelity, axis=-1))
         assert bits(rev) == bits(np.sum(reversal, axis=-1))

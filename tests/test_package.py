@@ -1,6 +1,7 @@
 """Tests for the package's public surface and the shape of its source."""
 
 import ast
+import re
 from pathlib import Path
 
 import wmtradeoff
@@ -66,3 +67,13 @@ def test_every_import_is_used():
         if path.name != "__init__.py" and (unused := unused_imports(path))
     }
     assert found == {}
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_sketch_runs():
+    # The sketch's one python block runs against the installed API.
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies
 from wmtradeoff import (
     NoiseModel,
     WeakMeasurement,
+    channel_probabilities,
     cross_section,
     reversal_fidelity_sweep,
     simulate_counts,
@@ -88,6 +89,21 @@ class TestOneRangeSource:
              "photons_per_setting must lie in [1, 2^63 - 1]"),
             (lambda: simulate_counts(0.25, 0.75, 1.5),
              "photons_per_setting must lie in [1, 2^63 - 1]"),
+            # The count kernel refuses an operator outside the square, exact
+            # or keyed, naming the first value outside [0, 1].
+            (lambda: simulate_counts(1.5, 0.5, 1000), "epsilon must lie in [0, 1], got 1.5"),
+            (lambda: simulate_counts(math.nan, 0.5, 1000), "epsilon must lie in [0, 1], got nan"),
+            (lambda: simulate_counts(1.5, 0.5, 1000, key=(0, 0, 0)),
+             "epsilon must lie in [0, 1], got 1.5"),
+            (lambda: simulate_counts(math.nan, 0.5, 1000, key=(0, 0, 0)),
+             "epsilon must lie in [0, 1], got nan"),
+            (lambda: simulate_counts([0.5, -0.5, math.nan], 0.5, 1000),
+             "epsilon must lie in [0, 1], got -0.5"),
+            (lambda: channel_probabilities(1.5, 0.5, 0.5), "epsilon must lie in [0, 1], got 1.5"),
+            (lambda: channel_probabilities(math.nan, 0.5, 0.5),
+             "epsilon must lie in [0, 1], got nan"),
+            (lambda: channel_probabilities(0.5, [0.5, 2.0], 0.5), "eta must lie in [0, 1], got 2.0"),
+            (lambda: channel_probabilities(0.5, 0.5, 1.2), "alpha must lie in [0, 1], got 1.2"),
             (lambda: reversal_fidelity_sweep(FLAGSHIP, 99),
              "counts_per_basis must lie in [100, 2^62 - 1]"),
             (lambda: simulate_tomography(0.5, 2**63),
@@ -104,7 +120,10 @@ class TestOneRangeSource:
              "photons_per_setting must lie in [1, 2^63 - 1]"),
         ],
         ids=["epsilon-slack", "eta-slack", "leakage-nan", "efficiency-inf", "photons-2^63",
-             "photons-fraction", "counts-99", "pooled-counts-2^63", "verify-grid-1",
+             "photons-fraction", "counts-epsilon-1.5", "counts-epsilon-nan",
+             "keyed-counts-epsilon-1.5", "keyed-counts-epsilon-nan", "counts-first-bad-epsilon",
+             "channels-epsilon-1.5", "channels-epsilon-nan", "channels-eta-2", "channels-alpha-1.2",
+             "counts-99", "pooled-counts-2^63", "verify-grid-1",
              "exact-cross-section-photons-0", "verify-photons-0", "verify-photons-fraction",
              "verify-photons-2^63"],
     )

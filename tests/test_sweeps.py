@@ -15,6 +15,7 @@ from wmtradeoff.measurement import (
     kraus_coefficients,
     per_state_gain,
     per_state_reversal_prob,
+    per_state_terms,
     reversal_operators,
 )
 from wmtradeoff import bench, sweeps, tables
@@ -247,7 +248,7 @@ class TestStateGridMeans:
         values = np.linspace(0.0, 1.0, grid_size)
         gains, revs = sweeps._state_grid_means(grid_size)
         for i, e in enumerate(values):
-            gain, rev = sweeps._traversal_terms(e, values)
+            gain, rev = per_state_terms(e, values, bench.TRAVERSAL_ALPHAS[:, None])
             assert gains[i].tobytes() == (sum(gain) / bench.N_TRAVERSAL_STATES).tobytes()
             assert revs[i].tobytes() == (sum(rev) / bench.N_TRAVERSAL_STATES).tobytes()
 
