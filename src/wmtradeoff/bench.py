@@ -1,25 +1,27 @@
 """Model of the two-interferometer polarization bench.
 
-The bench realizes the measurement with one polarizing Sagnac interferometer
-(a half-wave plate in each arm, angles ``a`` and ``b``) and the reversal with
-a second, identical interferometer whose arm angles are exchanged. Photon
-counting is simulated at the probability level, and the whole count path
-holds one layout, channel first and state major: ``channel_probabilities``
-writes the four channel survivals (two measurement branches, two
-measurement-plus-reversal chains) over broadcast (epsilon, eta, alpha) into
-a (4, ...) array, ``simulate_counts`` scales that array in place into the
-(4, 51, cells) counts of every traversal state of every cell, each channel
-an independent run of N photons drawn from a binomial law, and the
-count-ratio estimators read those counts and return per-state terms of
-shape (51, cells) or their means over the 51 states, added in order. Every
-array pass runs over the cells as its contiguous axis. Every sampled draw
-of the package comes from one kind of stream, built by ``_substream``:
-keyed-counter Philox (Salmon et al., SC'11), the key from (seed, product)
-and the counter from the cell, counted on from the first cell of a call's
-``key``, so a cell's numbers do not depend on the cells drawn with it; a
-call given no key records the expected counts instead. The analyzer
-tomography draws the records of all its input states in one call, one cell
-of its own stream.
+The bench realizes the measurement with one polarizing Sagnac
+interferometer (a half-wave plate in each arm, angles ``a`` and ``b``) and
+the reversal with a second, identical interferometer whose arm angles are
+exchanged. Photon counting is simulated at the probability level, and the
+whole count path holds one layout, channel first and state major:
+``channel_probabilities`` writes the four channel survivals (two
+measurement branches, two measurement-plus-reversal chains) over broadcast
+(epsilon, eta, alpha) into a (4, ...) array, ``simulate_counts`` scales
+that array in place into the (4, 51, cells) counts of every traversal state
+of every cell, the cells on one axis, each channel an independent run of N
+photons drawn from a binomial law, and the count-ratio estimators read
+those counts and return per-state terms of shape (51, cells) or their means
+over the 51 states, added in order. Every array pass runs over the cells as
+its contiguous axis, and each ``*_RANGE`` test below holds entry by entry,
+so ``qubit.check_range`` refuses an array argument in one pass. Every
+sampled draw of the package comes from one kind of stream, built by
+``_substream``: keyed-counter Philox (Salmon et al., SC'11), the key from
+(seed, product) and the counter from the cell, counted on from the first
+cell of a call's ``key``, so a cell's numbers do not depend on the cells
+drawn with it; a call given no key records the expected counts instead. The
+analyzer tomography draws the records of all its input states in one call,
+one cell of its own stream.
 
 The model works with arm transmissions only: (1 - epsilon, 1 - eta) on the
 primary branch and (epsilon, eta) on the complementary one, exchanged in the
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from numbers import Integral
 
 import numpy as np
 
@@ -45,18 +46,21 @@ N_TRAVERSAL_STATES = 51
 ALPHA_SPACING = 0.02
 TRAVERSAL_ALPHAS = ALPHA_SPACING * np.arange(N_TRAVERSAL_STATES)
 
-# Accepted ranges (``qubit.check_range``). Binomial draws take a signed
-# 64-bit N, and a fidelity row pools the counts of up to two chains.
+# Accepted ranges (``qubit.check_range``, elementwise). Binomial draws take a
+# signed 64-bit N, and a fidelity row pools the counts of up to two chains.
 MAX_PHOTONS = 2**63 - 1
-LEAKAGE_RANGE = ("[0, 0.01]", lambda v: 0.0 <= v <= 0.01)
-EFFICIENCY_RANGE = ("(0, 1]", lambda v: 0.0 < v <= 1.0)
-PHOTONS_RANGE = ("[1, 2^63 - 1]", lambda v: isinstance(v, Integral) and 1 <= v <= MAX_PHOTONS)
-POOLED_COUNTS_RANGE = (
-    "[100, 2^63 - 1]", lambda v: isinstance(v, Integral) and 100 <= v <= MAX_PHOTONS
-)
-COUNTS_PER_BASIS_RANGE = (
-    "[100, 2^62 - 1]", lambda v: isinstance(v, Integral) and 100 <= v <= MAX_PHOTONS // 2
-)
+LEAKAGE_RANGE = ("[0, 0.01]", lambda v: (0.0 <= v) & (v <= 0.01))
+EFFICIENCY_RANGE = ("(0, 1]", lambda v: (0.0 < v) & (v <= 1.0))
+
+
+def _counts(low: int, high: int):
+    """Test of a count: a Python int, or each entry of an integer dtype, in [low, high]."""
+    return lambda v: np.asarray(v).dtype.kind in "iu" and (low <= v) & (v <= high)
+
+
+PHOTONS_RANGE = ("[1, 2^63 - 1]", _counts(1, MAX_PHOTONS))
+POOLED_COUNTS_RANGE = ("[100, 2^63 - 1]", _counts(100, MAX_PHOTONS))
+COUNTS_PER_BASIS_RANGE = ("[100, 2^62 - 1]", _counts(100, MAX_PHOTONS // 2))
 
 # Floor of photons_per_setting * detector_efficiency (N*d) for sampled runs.
 # A state with no measured photon has no count ratio. Every traversal state's
@@ -163,7 +167,7 @@ def channel_probabilities(epsilon, eta, alpha, noise: NoiseModel = NoiseModel())
     how ``alpha * h1 * v1`` rounds, so the chain survivals keep their bits.
     """
     e, h, alpha = (
-        _unit_array(name, value)
+        check_range(name, np.asarray(value, dtype=float), UNIT_RANGE)
         for name, value in (("epsilon", epsilon), ("eta", eta), ("alpha", alpha))
     )
     swap = noise.interferometer_swap_probability
@@ -188,36 +192,28 @@ def channel_probabilities(epsilon, eta, alpha, noise: NoiseModel = NoiseModel())
     return out
 
 
-def _unit_array(name: str, value) -> np.ndarray:
-    """``value`` as a float array, refused by ``check_range`` at its first entry outside [0, 1]."""
-    values = np.asarray(value, dtype=float)
-    outside = ~((values >= 0.0) & (values <= 1.0))
-    if outside.any():
-        check_range(name, values[outside][0].item(), UNIT_RANGE)
-    return values
-
-
 def simulate_counts(
     epsilon, eta, photons_per_setting: int, noise: NoiseModel = NoiseModel(), key=None
 ) -> np.ndarray:
     """Counts of the four channels for every traversal state of every cell, shape (4, 51, cells).
 
     ``epsilon`` and ``eta`` lie in [0, 1] and broadcast to one value per
-    cell. Each channel sends ``photons_per_setting`` photons and records a
-    Binomial(N, p * detector_efficiency) count; channels are ordered as in
-    ``channel_probabilities``, and the cells are the contiguous axis:
-    floats when expected, int64 when sampled. With ``key`` = (seed, *prefix,
-    first_cell), cell k draws all of its counts in one call on the
-    ``STREAM_SCHEME`` stream keyed (*prefix, first_cell + k) under ``seed``:
-    the one ``_substream`` of the prefix has its counter reset before each
-    cell, so a cell's counts do not depend on the cells drawn with it. With
-    no ``key`` the expected values are recorded instead and no generator is
-    built.
+    cell, on at most one axis. Each channel sends ``photons_per_setting``
+    photons and records a Binomial(N, p * detector_efficiency) count;
+    channels are ordered as in ``channel_probabilities``, and the cells are
+    the contiguous axis: floats when expected, int64 when sampled. With
+    ``key`` = (seed, *prefix, first_cell), cell k draws all of its counts in
+    one call on the ``STREAM_SCHEME`` stream keyed (*prefix, first_cell + k)
+    under ``seed``: the one ``_substream`` of the prefix has its counter
+    reset before each cell, so a cell's counts do not depend on the cells
+    drawn with it. With no ``key`` the expected values are recorded instead
+    and no generator is built.
     """
     check_range("photons_per_setting", photons_per_setting, PHOTONS_RANGE)
-    detected = channel_probabilities(
-        np.atleast_1d(epsilon), np.atleast_1d(eta), TRAVERSAL_ALPHAS[:, None], noise
-    )
+    cells = np.broadcast_shapes(np.shape(epsilon), np.shape(eta))
+    if len(cells) > 1:
+        raise ValueError(f"epsilon and eta must broadcast to at most one cell axis, got {cells}")
+    detected = channel_probabilities(epsilon, eta, TRAVERSAL_ALPHAS[:, None], noise)
     detected *= noise.detector_efficiency
     np.clip(detected, 0.0, 1.0, out=detected)
     if key is None:
@@ -346,19 +342,16 @@ def simulate_tomography(
     the per-basis ratios and is not applied here. ``counts_per_basis`` pools
     every chain's (``POOLED_COUNTS_RANGE``).
     """
-    for a in np.ravel(alpha).tolist():
-        check_range("alpha", float(a), UNIT_RANGE)
-    for n in np.ravel(counts_per_basis).tolist():
-        check_range("counts_per_basis", n, POOLED_COUNTS_RANGE)
+    a = check_range("alpha", np.asarray(alpha, dtype=float), UNIT_RANGE)
+    counts = check_range("counts_per_basis", np.asarray(counts_per_basis), POOLED_COUNTS_RANGE)
     leak = noise.pbs_leakage
-    a = np.asarray(alpha, dtype=float)
     bloch = np.stack((2.0 * a - 1.0, 2.0 * np.sqrt(a * (1.0 - a)), np.zeros_like(a)), axis=-1)
     p_plus = 0.5 * (1.0 + bloch)
     p_mixed = (1.0 - leak) * p_plus + leak * (1.0 - p_plus)
     if rng_stream is None:
         estimates = 2.0 * p_mixed - 1.0
     else:
-        total = np.asarray(counts_per_basis)[..., None]
+        total = counts[..., None]
         n_plus = rng_stream.binomial(total, np.clip(p_mixed, 0.0, 1.0))
         estimates = (2.0 * n_plus - total) / total
 

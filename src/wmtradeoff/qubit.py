@@ -3,6 +3,8 @@
 Conventions used throughout the package: the basis order is (H, V); a pure
 state is sqrt(alpha)|H> + exp(i*phase)*sqrt(1-alpha)|V> with the global phase
 quotiented out, held as its amplitude pair on the last axis of an array.
+``check_range`` is the one refusal of a value outside an accepted range, for
+the library and the CLI; it names an array's first entry outside, in C order.
 ``Operator2`` is a stack of 2x2 matrices with a closed-form physicality
 gate, and ``apply_operator`` measures and renormalises a whole stack of
 states in one call; ``verify``'s reversal-exactness check is two such calls.
@@ -20,18 +22,21 @@ TWO_PI = 2.0 * math.pi
 # Slack of the physicality gate on an operator's largest singular value.
 CONSTRUCTION_ATOL = 1e-12
 
-# A range: its printed text and the test a value must pass (NaN fails all).
-UNIT_RANGE = ("[0, 1]", lambda v: 0.0 <= v <= 1.0)
+# A range: its printed text and the test each value or entry must pass (NaN fails all).
+UNIT_RANGE = ("[0, 1]", lambda v: (0.0 <= v) & (v <= 1.0))
 
 # Below this squared norm an operator image counts as annihilated.
 ANNIHILATION_EPS = 1e-15
 
 
 def check_range(name: str, value, accepted):
-    """``value`` if it lies in ``accepted``, else ValueError; the library's and the CLI's check."""
+    """``value`` if each entry lies in ``accepted``, else ValueError naming the first outside."""
     text, test = accepted
-    if not test(value):
-        raise ValueError(f"{name} must lie in {text}, got {value!r}")
+    inside = test(value)
+    # A Python scalar's test gives a bool; one in range skips numpy's per-call cost.
+    if inside is not True and not np.asarray(inside).all():
+        first = np.asarray(value).item(np.argmin(inside))
+        raise ValueError(f"{name} must lie in {text}, got {first!r}")
     return value
 
 

@@ -209,9 +209,11 @@ def cross_section(
     The epsilon = 0 run of lattice cells (``_cell_columns``), its counts
     drawn from cell 0 on of the stream CROSS_SECTION_STREAM: with no
     ``seed`` the closed forms (3 + eta, 1 - eta, 4), otherwise the
-    count-ratio estimates.
+    count-ratio estimates. ``eta_values`` is one-dimensional, each in [0, 1].
     """
-    etas = np.array([WeakMeasurement(0.0, eta).eta for eta in eta_values])
+    etas = np.array(eta_values, dtype=float)
+    if etas.ndim != 1:
+        raise ValueError(f"eta_values must be one-dimensional, got shape {etas.shape}")
     key = None if seed is None else (seed, CROSS_SECTION_STREAM, 0)
     cells = _cell_columns(0.0, etas, photons_per_setting, noise, key)
     kind = "_analytic" if seed is None else "_mc"

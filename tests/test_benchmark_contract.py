@@ -94,7 +94,11 @@ def test_traced_run_reports_every_per_layer_metric(workload):
     report = json.loads(report_line)["report"]
     assert result["correct"] and result["failed"] == 0, report["failures"]
     assert set(result["metrics"]) == PER_LAYER
-    assert set(report["absent"]) <= STALE
+    # A metric fed by several boundaries (the four estimators of
+    # bench.estimate) is reported while any one of them is bound, so an
+    # unbound boundary shows only here; equality also catches a stale name
+    # bound again.
+    assert set(report["absent"]) == STALE
     if workload == "verify_battery":
         untimed = [
             name for name, metric in CHECK_METRICS.items()

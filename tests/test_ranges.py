@@ -3,6 +3,7 @@ when the library does, and the library refuses the rest by name."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
@@ -16,8 +17,10 @@ from wmtradeoff import (
     simulate_tomography,
     verify,
 )
+from wmtradeoff import bench
 from wmtradeoff.bench import MAX_PHOTONS, check_sampled_photons, least_sampled_photons
 from wmtradeoff.cli import EXIT_CONFIG_ERROR, ConfigError, main, parse_config
+from wmtradeoff.qubit import UNIT_RANGE, check_range
 
 FLAGSHIP = WeakMeasurement(0.25, 0.75)
 
@@ -47,6 +50,24 @@ SHARED_KEYS = {
         near(100, 2**62 - 1) + [99, 100, 101, 2**62 - 2, 2**62 - 1, 2**62],
     ),
 }
+
+
+# Every accepted range, and float and integer entries at and beside each
+# range's edges, with NaN, both infinities and both zeros.
+RANGES = {
+    "epsilon": UNIT_RANGE,
+    "pbs_leakage": bench.LEAKAGE_RANGE,
+    "detector_efficiency": bench.EFFICIENCY_RANGE,
+    "photons_per_setting": bench.PHOTONS_RANGE,
+    "counts_per_basis": bench.COUNTS_PER_BASIS_RANGE,
+    "pooled_counts": bench.POOLED_COUNTS_RANGE,
+}
+EDGES = [0, 1, 100, 2**62 - 1, 2**63 - 1]
+ENTRIES = [
+    (np.float64, near(0.0, 0.01, 1.0, *map(float, EDGES)) + [-0.0, 0.5]),
+    (np.int64, [-(2**63), -1] + [n + d for n in EDGES for d in (-1, 0, 1) if n + d < 2**63]),
+    (np.uint64, [n + d for n in EDGES for d in (-1, 0, 1) if n + d >= 0] + [2**64 - 1]),
+]
 
 
 def _error(call, error_type):
@@ -118,6 +139,19 @@ class TestOneRangeSource:
              "photons_per_setting must lie in [1, 2^63 - 1]"),
             (lambda: verify(photons_per_setting=2**63, exact_mode=True),
              "photons_per_setting must lie in [1, 2^63 - 1]"),
+            # An array is refused at its first entry outside, in C order.
+            (lambda: simulate_tomography([0.2, 0.5, 1.5, 0.7, -0.1], 1000),
+             "alpha must lie in [0, 1], got 1.5"),
+            (lambda: simulate_tomography(0.5, [100, 2**40, 99, 100]),
+             "counts_per_basis must lie in [100, 2^63 - 1], got 99"),
+            # Cells lie on at most one axis: a (51, k) epsilon would otherwise
+            # pair state i with row i.
+            (lambda: simulate_counts(np.full((51, 2), 0.5), 0.5, 1000),
+             "epsilon and eta must broadcast to at most one cell axis, got (51, 2)"),
+            (lambda: simulate_counts(np.full((2, 3), 0.5), 0.5, 1000, key=(0, 0, 0)),
+             "epsilon and eta must broadcast to at most one cell axis, got (2, 3)"),
+            (lambda: cross_section([[0.0, 0.5]]),
+             "eta_values must be one-dimensional, got shape (1, 2)"),
         ],
         ids=["epsilon-slack", "eta-slack", "leakage-nan", "efficiency-inf", "photons-2^63",
              "photons-fraction", "counts-epsilon-1.5", "counts-epsilon-nan",
@@ -125,11 +159,29 @@ class TestOneRangeSource:
              "channels-epsilon-1.5", "channels-epsilon-nan", "channels-eta-2", "channels-alpha-1.2",
              "counts-99", "pooled-counts-2^63", "verify-grid-1",
              "exact-cross-section-photons-0", "verify-photons-0", "verify-photons-fraction",
-             "verify-photons-2^63"],
+             "verify-photons-2^63", "tomography-first-bad-alpha", "pooled-counts-99",
+             "counts-epsilon-51x2", "counts-epsilon-2x3", "cross-section-2d"],
     )
     def test_library_refuses_by_name(self, call, message):
         error = _error(call, ValueError)
         assert error is not None and error.startswith(message), error
+
+    @pytest.mark.parametrize("name", sorted(RANGES))
+    @settings(max_examples=150, deadline=None)
+    @given(data=strategies.data())
+    def test_an_array_is_refused_at_its_first_entry_outside(self, name, data):
+        accepted = RANGES[name]
+        dtype, entries = data.draw(strategies.sampled_from(ENTRIES))
+        shape = data.draw(strategies.lists(strategies.integers(1, 3), max_size=2))
+        size = math.prod(shape)
+        values = data.draw(strategies.lists(strategies.sampled_from(entries),
+                                            min_size=size, max_size=size))
+        array = np.array(values, dtype=dtype).reshape(shape)
+        scalar_errors = [
+            _error(lambda: check_range(name, v, accepted), ValueError) for v in array.ravel().tolist()
+        ]
+        first = next((error for error in scalar_errors if error is not None), None)
+        assert _error(lambda: check_range(name, array, accepted), ValueError) == first
 
 
 # (photons_per_setting, detector_efficiency) on the sampled floor N*d = 40, or

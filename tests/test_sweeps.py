@@ -370,6 +370,15 @@ class TestReversalFidelitySweep:
         assert table["low_stats_flag"].all()
         assert np.isnan(table["fidelity"]).all()
 
+    # At (0, 0.99) only the first chain survives, with 0.01 whatever the
+    # state: 9,999 photons per basis yield 99.99 reversed photons, below the
+    # floor of 100, and 10,000 yield 100.
+    @pytest.mark.parametrize("counts_per_basis, flagged", [(9_999, True), (10_000, False)])
+    def test_low_stats_floor_is_100_reversed_photons(self, counts_per_basis, flagged):
+        table = reversal_fidelity_sweep(WeakMeasurement(0.0, 0.99), counts_per_basis, seed=None)
+        assert (table["low_stats_flag"] == flagged).all()
+        assert (np.isnan(table["fidelity"]) == flagged).all()
+
     def test_exact_mode_builds_no_generator(self, monkeypatch):
         def no_generator(*args, **kwargs):
             raise AssertionError("exact mode built a random generator")
