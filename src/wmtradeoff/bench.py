@@ -55,7 +55,7 @@ EFFICIENCY_RANGE = ("(0, 1]", lambda v: (0.0 < v) & (v <= 1.0))
 
 def _counts(low: int, high: int):
     """Test of a count: a Python int, or each entry of an integer dtype, in [low, high]."""
-    return lambda v: np.asarray(v).dtype.kind in "iu" and (low <= v) & (v <= high)
+    return lambda v: (np.asarray(v).dtype.kind in "iu") & (low <= v) & (v <= high)
 
 
 PHOTONS_RANGE = ("[1, 2^63 - 1]", _counts(1, MAX_PHOTONS))

@@ -33,8 +33,7 @@ def check_range(name: str, value, accepted):
     """``value`` if each entry lies in ``accepted``, else ValueError naming the first outside."""
     text, test = accepted
     inside = test(value)
-    # A Python scalar's test gives a bool; one in range skips numpy's per-call cost.
-    if inside is not True and not np.asarray(inside).all():
+    if not np.asarray(inside).all():
         first = np.asarray(value).item(np.argmin(inside))
         raise ValueError(f"{name} must lie in {text}, got {first!r}")
     return value
