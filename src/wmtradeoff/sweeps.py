@@ -65,14 +65,14 @@ DEFAULT_PHOTONS = 100_000
 DEFAULT_SEED = 42
 DEFAULT_COUNTS_PER_BASIS = 10_000
 
-# Samples per slice of the Haar oracle's per-sample arithmetic. A slice's
-# temporaries (32 KiB real, 64 KiB complex each) then stay cache-sized. With
-# the caches cold, as after another process has run, verify's oracle check
-# took 13.5 ms at 4096, 13.4 ms at 2048 and 15.4 ms at 8192 (median of 60
-# alternating runs, a fresh interpreter before each, 2-vCPU Xeon VM); one
-# unsliced 200,000-sample pass took 60% longer than sliced ones. verify's
-# 20,000-sample cells take five slices each.
-ORACLE_BLOCK = 4096
+# Samples per slice of the Haar oracle's per-sample arithmetic, whose
+# temporaries (16 KiB real, 32 KiB complex each) are all it holds beyond the
+# two draws. verify's oracle check took 7.5 ms at 2048, 8.0 ms at 4096 and
+# 8.8 ms at 1024 (medians of 60 alternating in-process runs, 2-vCPU Xeon VM;
+# 1024 was slowest in each of three such batches), and a process looping
+# verify peaked at 36.9 MiB RSS at 2048 or 1024 against 37.5 at 4096: 2048
+# takes the memory without the time.
+ORACLE_BLOCK = 2048
 
 # Cells and samples per cell of verify's oracle check, and the multiple of
 # the oracle's standard error that the check accepts (read when it runs).
@@ -274,12 +274,12 @@ def haar_average_oracle(
     Both draws are taken in full first (every offset within a stratum, then
     every phase). The per-sample arithmetic then runs over slices of
     ``ORACLE_BLOCK`` samples, so its complex temporaries stay cache-sized,
-    and writes each slice's gains and reversal terms into two preallocated
-    arrays. Every operation is elementwise, so each sample's terms do not
-    depend on the slicing. Means and standard errors are taken over the two
-    full arrays. Memory is the four n_samples float arrays plus one slice of
-    temporaries or one half-length array of pair differences: about 34 MiB
-    at 10^6 samples.
+    and each slice's gains and reversal terms overwrite the slice of offsets
+    and phases they were computed from. Every operation is elementwise, so
+    each sample's terms do not depend on the slicing. Means and standard
+    errors are taken over the two full arrays. Memory is the two n_samples
+    float arrays plus one slice of temporaries or one half-length array of
+    pair differences: about 19 MiB at 10^6 samples.
     """
     if n_samples < 10_000:
         raise ValueError("n_samples must be at least 10000")
@@ -299,8 +299,8 @@ def haar_average_oracle(
     else:
         guess_h = (True, True)
 
-    gains = np.empty(n_samples)
-    revs = np.empty(n_samples)
+    # Each slice's terms overwrite the draws they came from, read first.
+    gains, revs = offsets, phases
     for start in range(0, n_samples, ORACLE_BLOCK):
         block = slice(start, start + ORACLE_BLOCK)
         # alpha = (1 + cos theta) / 2, so stratum j of cos theta is

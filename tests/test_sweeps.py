@@ -397,8 +397,8 @@ class TestReversalFidelitySweep:
 
 # float.hex of (gmax_estimate, gmax_stderr, prev_estimate, prev_stderr) at
 # seed 7 from the stratified oracle. Every sample count here ends in a
-# partial ORACLE_BLOCK slice; 10_001 gives the last polar-cosine stratum
-# three samples, and 20_000 is the count verify uses.
+# partial ORACLE_BLOCK slice (asserted below); 10_001 gives the last
+# polar-cosine stratum three samples, and 20_000 is the count verify uses.
 ORACLE_HEX = {
     ((0.25, 0.75), 10000): (
         "0x1.2aaab1699c90bp-1", "0x1.6b24429fc205dp-22",
@@ -491,7 +491,10 @@ class TestHaarOracle:
         assert tuple(map(float.hex, fields)) == ORACLE_HEX[cell, n_samples]
         assert est.n_samples == n_samples
 
-    @pytest.mark.parametrize("block", [999, 8192])
+    def test_pinned_sample_counts_end_in_a_partial_slice(self):
+        assert {n % sweeps.ORACLE_BLOCK for _, n in ORACLE_HEX} == {1344, 1568, 1808, 1809}
+
+    @pytest.mark.parametrize("block", [999, 4096, 8192])
     def test_estimates_do_not_depend_on_the_slicing(self, monkeypatch, block):
         monkeypatch.setattr(sweeps, "ORACLE_BLOCK", block)
         cell, n_samples = (0.1, 0.6), 10001
@@ -500,8 +503,9 @@ class TestHaarOracle:
         assert tuple(map(float.hex, fields)) == ORACLE_HEX[cell, n_samples]
 
     def test_peak_memory_at_a_million_samples(self):
-        # The two draws and the two per-sample arrays take 30.5 MiB; the
-        # per-sample temporaries stay one slice long.
+        # The two draws, whose slices the per-sample terms overwrite, take
+        # 15.3 MiB; the rest is one slice of temporaries and the half-length
+        # array of pair differences.
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -510,7 +514,7 @@ class TestHaarOracle:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 48 * 2**20
+        assert peak <= 24 * 2**20
 
     def test_flagship_agreement(self):
         est = haar_average_oracle(FLAGSHIP, 1_000_000, np.random.default_rng(42))
@@ -700,6 +704,21 @@ class TestVerify:
         # the one pass rule
         expected = np.where(deviation <= tolerance, "PASS", "FAIL")
         assert verify_report["verdict"].tolist() == expected.tolist()
+
+    def test_peak_memory_of_one_default_run(self):
+        # The oracle check sets the peak: two 20,000-sample arrays and one
+        # slice of temporaries. The first run of a process may import
+        # numpy.random, so only the second is traced.
+        verify()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            verify()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
     @pytest.mark.slow
     def test_oracle_check_rarely_fails_a_correct_program(self):
