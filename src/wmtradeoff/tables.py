@@ -1,12 +1,12 @@
-"""Fixed CSV and JSON table schemas shared by the sweep drivers and the CLI.
+"""Fixed CSV and JSON table schemas of the sweep products: the CLI's render layer.
 
 A table is a column table: a dict that maps each column name of a spec to
-one sequence of cells, all of one length. Each product has one column spec:
-a tuple of (column name, kind). Headers are bit-exact contracts; numeric
-fields print with nine digits after the decimal point (NaN as ``nan``) and
-flags print as 0/1. JSON documents carry the same columns as objects under
-a stable metadata header, with non-finite numbers as null; ``NOTE`` columns
-appear in JSON only.
+one sequence of cells, all of one length; the sweep drivers return them
+unrendered (``verify`` compares them as arrays) and the CLI renders them.
+Each product has one column spec, a tuple of (column name, kind). Headers
+are bit-exact contracts; numbers print nine digits after the decimal point
+(NaN as ``nan``), flags 0/1. JSON holds the same rows under a stable
+metadata header, non-finite numbers as null, and ``NOTE`` columns only there.
 
 Both writers turn each column into a list of cell texts in one pass and
 render the document with one ``"".join`` over one preallocated flat list:

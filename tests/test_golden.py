@@ -1,6 +1,6 @@
 """Golden bytes of the four sweep products in exact mode, CSV and JSON, of
-the same four products sampled at seed 42, CSV, and of the ``verify`` check
-rows.
+the same four products sampled at seed 42, CSV and JSON, and of the
+``verify`` check rows.
 
 Exact mode replaces every binomial draw with its expected value, so these
 products are fixed by the code alone; the ``-noisy`` ones add PBS leakage
@@ -8,9 +8,12 @@ and detector efficiency. The ``-sampled`` ones are fixed by the seed: they
 pin the photon counts each lattice cell and the state traversal draw, the
 estimates formed from them, the analyzer counts the tomography draws and
 the fidelity it reconstructs from them; they change only with a new
-``bench.STREAM_SCHEME``. The ``verify-*`` files hold the 15 check rows
-(check, verdict, deviation, tolerance, detail) of the JSON report at full
-float precision, without its metadata; sampled checks are fixed by the seed.
+``bench.STREAM_SCHEME``. Their JSON prints every number at full float
+precision, so it also pins the bits that the CSV's nine decimals round
+away, such as the last digits of a reconstructed fidelity. The
+``verify-*`` files hold the 15 check rows (check, verdict, deviation,
+tolerance, detail) of the JSON report at full float precision, without its
+metadata; sampled checks are fixed by the seed.
 Any refactor of the sweeps, the count kernel, the Haar oracle, the checks,
 the table schemas or the CLI must reproduce them byte for byte. After an
 intended change of a product, regenerate the files from the repository root
@@ -53,6 +56,7 @@ SAMPLED = {
     "reversal-fidelity-sampled": ["reversal-fidelity", "--seed", "42"],
     "reversal-fidelity-sampled-noisy": ["reversal-fidelity", "--seed", "42", *NOISE],
 }
+SAMPLED_CASES = [(name, fmt) for name in SAMPLED for fmt in ("csv", "json")]
 # verify config -> (extra flags, expected exit code)
 VERIFY_CONFIGS = {
     "verify": ([], EXIT_OK),
@@ -80,8 +84,8 @@ def render(name: str, fmt: str) -> str:
     return run_cli(PRODUCTS[name] + ["--exact-mode", "true", "--output-format", fmt], EXIT_OK)
 
 
-def render_sampled(name: str) -> str:
-    return run_cli(SAMPLED[name] + ["--output-format", "csv"], EXIT_OK)
+def render_sampled(name: str, fmt: str) -> str:
+    return run_cli(SAMPLED[name] + ["--output-format", fmt], EXIT_OK)
 
 
 def render_checks(name: str) -> str:
@@ -96,10 +100,14 @@ def test_exact_product_matches_golden_bytes(name, fmt):
     assert render(name, fmt).encode("utf-8") == golden
 
 
-@pytest.mark.parametrize("name", SAMPLED)
-def test_sampled_product_matches_golden_bytes(name):
-    golden = (GOLDEN_DIR / f"{name}.csv").read_bytes()
-    assert render_sampled(name).encode("utf-8") == golden
+@pytest.mark.parametrize(
+    "name,fmt",
+    SAMPLED_CASES,
+    ids=[name if fmt == "csv" else f"{name}-{fmt}" for name, fmt in SAMPLED_CASES],
+)
+def test_sampled_product_matches_golden_bytes(name, fmt):
+    golden = (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()
+    assert render_sampled(name, fmt).encode("utf-8") == golden
 
 
 @pytest.mark.parametrize("name", VERIFY_CONFIGS)
@@ -119,7 +127,7 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, fmt in CASES:
         (GOLDEN_DIR / f"{name}.{fmt}").write_bytes(render(name, fmt).encode("utf-8"))
-    for name in SAMPLED:
-        (GOLDEN_DIR / f"{name}.csv").write_bytes(render_sampled(name).encode("utf-8"))
+    for name, fmt in SAMPLED_CASES:
+        (GOLDEN_DIR / f"{name}.{fmt}").write_bytes(render_sampled(name, fmt).encode("utf-8"))
     for name in VERIFY_CONFIGS:
         (GOLDEN_DIR / f"{name}.json").write_bytes(render_checks(name).encode("utf-8"))

@@ -69,6 +69,37 @@ def test_every_import_is_used():
     assert found == {}
 
 
+# The package's layers, lowest first: a module imports, by relative import,
+# only from a lower layer. Rendering (tables) sits beside the sweeps, not
+# under them, so the sweep layer returns columns and the CLI renders them.
+LAYERS = (
+    {"_version", "qubit"}, {"measurement"}, {"bench"}, {"sweeps", "tables"}, {"cli"},
+    {"__init__", "__main__"},
+)
+
+
+def relative_imports(path: Path) -> set[str]:
+    """Names of the package's modules that a module imports by relative import."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def test_modules_import_only_lower_layers():
+    rank = {name: k for k, layer in enumerate(LAYERS) for name in layer}
+    paths = sorted(SOURCE_DIR.glob("*.py"))
+    assert {path.stem for path in paths} == set(rank)
+    upward = [
+        (path.stem, name)
+        for path in paths
+        for name in sorted(relative_imports(path))
+        if rank[name] >= rank[path.stem]
+    ]
+    assert upward == []
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

@@ -1,5 +1,6 @@
 """Tests for the sweep drivers, the Haar oracle, and the verification battery."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -704,6 +705,39 @@ class TestVerify:
         # the one pass rule
         expected = np.where(deviation <= tolerance, "PASS", "FAIL")
         assert verify_report["verdict"].tolist() == expected.tolist()
+
+    def test_determinism_row_passes_exactly(self, verify_report):
+        check = row(verify_report, "rng_determinism")
+        assert (check["verdict"], check["deviation"], check["tolerance"]) == ("PASS", 0.0, 0.0)
+
+    def test_call_dependent_streams_fail_determinism(self, monkeypatch):
+        # Each count stream also keys on how many streams came before it, so
+        # a second run of the same seed draws other counts.
+        calls = itertools.count()
+        substream = bench._substream
+        monkeypatch.setattr(
+            bench, "_substream", lambda seed, *prefix: substream(seed, *prefix, next(calls))
+        )
+        check = row(verify(photons_per_setting=2_000, seed=42, grid_size=4), "rng_determinism")
+        assert (check["verdict"], check["deviation"], check["tolerance"]) == ("FAIL", 1.0, 0.0)
+
+    def test_a_difference_below_the_printed_digits_fails_determinism(self, monkeypatch):
+        # Every second state sweep moves gain_mc by 1e-12, which the CSV's
+        # nine decimals do not show: the column comparison decides the row.
+        sweeps_run = []
+
+        def drifting(*args):
+            table = state_sweep(*args)
+            if len(sweeps_run) % 2:
+                table["gain_mc"] = table["gain_mc"] + 1e-12
+            sweeps_run.append(table)
+            return table
+
+        monkeypatch.setattr(sweeps, "state_sweep", drifting)
+        check = row(verify(photons_per_setting=2_000, seed=42, grid_size=4), "rng_determinism")
+        assert (check["verdict"], check["deviation"], check["tolerance"]) == ("FAIL", 1.0, 0.0)
+        first, second = sweeps_run
+        assert tables.csv_table(tables.STATES, first) == tables.csv_table(tables.STATES, second)
 
     def test_peak_memory_of_one_default_run(self):
         # The oracle check sets the peak: two 20,000-sample arrays and one
