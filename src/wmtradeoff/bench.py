@@ -61,6 +61,7 @@ def _counts(low: int, high: int):
 PHOTONS_RANGE = ("[1, 2^63 - 1]", _counts(1, MAX_PHOTONS))
 POOLED_COUNTS_RANGE = ("[100, 2^63 - 1]", _counts(100, MAX_PHOTONS))
 COUNTS_PER_BASIS_RANGE = ("[100, 2^62 - 1]", _counts(100, MAX_PHOTONS // 2))
+SEED_RANGE = ("[0, 2^64 - 1]", _counts(0, 2**64 - 1))
 
 # Floor of photons_per_setting * detector_efficiency (N*d) for sampled runs.
 # A state with no measured photon has no count ratio. Every traversal state's
@@ -140,9 +141,11 @@ class NoiseModel(namedtuple("NoiseModel", "pbs_leakage detector_efficiency")):
 def _substream(seed: int, *prefix: int) -> np.random.Generator:
     """The ``STREAM_SCHEME`` generator of ``prefix`` under ``seed``, at cell 0.
 
-    Every sampled draw of the package starts here; a caller that draws more
-    than one cell moves the counter of its ``bit_generator`` to each.
+    Every sampled draw of the package starts here, so a ``seed`` outside
+    ``SEED_RANGE`` is refused here by name; a caller that draws more than
+    one cell moves the counter of its ``bit_generator`` to each.
     """
+    check_range("seed", seed, SEED_RANGE)
     # Philox keys itself with the SeedSequence's generate_state(2, np.uint64).
     sequence = np.random.SeedSequence(int(seed), spawn_key=[int(k) for k in prefix])
     return np.random.Generator(np.random.Philox(sequence))
@@ -219,10 +222,9 @@ def simulate_counts(
     if key is None:
         detected *= photons_per_setting
         return detected
-    seed, *prefix, first_cell = (int(i) for i in key)
     # Each cell's counts overwrite its own probabilities once they are drawn.
     counts = detected.view(np.int64)
-    rng = _substream(seed, *prefix)
+    rng, first_cell = _substream(*key[:-1]), int(key[-1])
     bit_generator = rng.bit_generator
     # One state dict, its buffer empty, rewritten in place: setting it
     # costs a few microseconds where a fresh generator costs about 30.

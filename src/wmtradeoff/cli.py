@@ -4,8 +4,8 @@ Subcommands: verify, sweep-states, sweep-grid, cross-section,
 reversal-fidelity. Flags override config-file keys, which override defaults.
 Each config key's default, parser and accepted range live in one row of the
 field table ``_FIELDS``, from which ``RunConfig``, the flags and the config
-file's keys are all built; every range but seed's and the grid-size cap is
-the library's own, so the CLI accepts exactly the values the library does.
+file's keys are all built; every range but the grid-size cap is the
+library's own, so the CLI accepts exactly the values the library does.
 Exit codes: 0 success, 1 configuration or I/O error, 2 verification failure.
 """
 
@@ -19,7 +19,7 @@ from collections import namedtuple
 
 from ._version import __version__
 from .bench import COUNTS_PER_BASIS_RANGE, EFFICIENCY_RANGE, LEAKAGE_RANGE, PHOTONS_RANGE
-from .bench import STREAM_SCHEME, NoiseModel, check_sampled_photons
+from .bench import SEED_RANGE, STREAM_SCHEME, NoiseModel, check_sampled_photons
 from .measurement import WeakMeasurement
 from .qubit import UNIT_RANGE, check_range
 from . import tables
@@ -99,7 +99,7 @@ _FIELDS = {
     "eta": (0.75, _parse_float, UNIT_RANGE),
     "photons_per_setting": (DEFAULT_PHOTONS, _parse_int, PHOTONS_RANGE),
     "counts_per_basis": (DEFAULT_COUNTS_PER_BASIS, _parse_int, COUNTS_PER_BASIS_RANGE),
-    "seed": (DEFAULT_SEED, _parse_int, ("[0, 2^64)", lambda v: 0 <= v < 2**64)),
+    "seed": (DEFAULT_SEED, _parse_int, SEED_RANGE),
     "pbs_leakage": (0.0, _parse_float, LEAKAGE_RANGE),
     "detector_efficiency": (1.0, _parse_float, EFFICIENCY_RANGE),
     "grid_size": (
@@ -209,37 +209,38 @@ def _metadata(config: RunConfig) -> dict:
 
 
 # subcommand -> (run(config, noise, wm, seed, mutate_reversal) -> column table,
-# column spec, JSON rows key, default format), seed None when exact. Each runner
-# looks its sweep up by name when it runs, so a patched module attribute takes effect.
+# the table's JSON-only columns, JSON rows key, default format), seed None when
+# exact. The table is the product's schema (``tables``). Each runner looks its
+# sweep up by name when it runs, so a patched module attribute takes effect.
 _PRODUCTS = {
     "verify": (
         lambda c, noise, wm, seed, mutate: verify(
             c.photons_per_setting, noise, c.seed, c.grid_size, c.exact_mode,
             reversal_fn=corrupted_reversal_operators if mutate else None,
         ),
-        tables.VERIFY, "checks", "json",
+        ("detail",), "checks", "json",
     ),
     "sweep-states": (
         lambda c, noise, wm, seed, mutate: state_sweep(wm, c.photons_per_setting, noise, seed),
-        tables.STATES, "rows", "csv",
+        (), "rows", "csv",
     ),
     "sweep-grid": (
         lambda c, noise, wm, seed, mutate: grid_sweep(
             c.grid_size, c.photons_per_setting, noise, seed
         ),
-        tables.GRID, "rows", "csv",
+        (), "rows", "csv",
     ),
     "cross-section": (
         lambda c, noise, wm, seed, mutate: cross_section(
             _grid_values(c.grid_size), c.photons_per_setting, noise, seed
         ),
-        tables.CROSS_SECTION, "rows", "csv",
+        (), "rows", "csv",
     ),
     "reversal-fidelity": (
         lambda c, noise, wm, seed, mutate: reversal_fidelity_sweep(
             wm, c.counts_per_basis, noise, seed
         ),
-        tables.FIDELITIES, "rows", "csv",
+        (), "rows", "csv",
     ),
 }
 SUBCOMMANDS = tuple(_PRODUCTS)
@@ -251,7 +252,7 @@ def dispatch(subcommand: str, config: RunConfig, mutate_reversal: bool = False) 
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     if mutate_reversal and subcommand != "verify":
         raise ConfigError(f"--mutate-reversal applies to verify only, not {subcommand}")
-    run, spec, rows_key, default_format = _PRODUCTS[subcommand]
+    run, json_only, rows_key, default_format = _PRODUCTS[subcommand]
     noise = NoiseModel(config.pbs_leakage, config.detector_efficiency)
     wm = WeakMeasurement(config.epsilon, config.eta)
     columns = run(config, noise, wm, None if config.exact_mode else config.seed, mutate_reversal)
@@ -262,9 +263,9 @@ def dispatch(subcommand: str, config: RunConfig, mutate_reversal: bool = False) 
         if verdict != "PASS"
     ]
     if (config.output_format or default_format) == "csv":
-        text = tables.csv_table(spec, columns)
+        text = tables.csv_table({n: v for n, v in columns.items() if n not in json_only})
     else:
-        text = tables.json_document(_metadata(config), rows_key, spec, columns)
+        text = tables.json_document(_metadata(config), rows_key, columns)
     try:
         _emit(text, config.output_path)
     except OSError as exc:

@@ -2,19 +2,19 @@
 
 The drivers here reproduce the standard campaigns: a 51-state input traversal
 at a fixed measurement, a full operator-lattice sweep of tradeoff points, the
-epsilon = 0 cross section, and the reversed-state fidelity sweep. Each driver,
-``verify`` included, returns a column table (see ``tables``): a dict from the
-column names of its spec to numpy arrays, float64 for numbers (NaN for a
-missing value) and bool for flags. ``verify`` holds one row per check: each
-``_check_<name>`` returns its deviation and tolerance, and one rule gives
-every verdict, PASS iff deviation <= tolerance; a check that raises is a
-FAIL row with deviation inf and tolerance 0. Everything is seed-pinned:
-identical configuration and seed produce byte-identical columns, and each
-lattice cell's row does not depend on the order in which cells are
-evaluated, because all randomness flows through per-cell streams, each
-one ``bench._substream``. A product driver draws exactly when it is given
-a seed: with ``seed=None`` it records expected values and builds no
-generator, as the kernels do with no key or stream.
+epsilon = 0 cross section, and the reversed-state fidelity sweep. Each
+driver, ``verify`` included, returns its product's schema, a column table
+(see ``tables``): a dict from column name, in header order, to numpy arrays,
+float64 for numbers (NaN for a missing value), bool for flags, str for text.
+``verify`` holds one row per check: each ``_check_<name>`` returns its
+deviation and tolerance, and one rule gives every verdict, PASS iff deviation
+<= tolerance; a check that raises is a FAIL row with deviation inf and
+tolerance 0. Everything is seed-pinned: identical configuration and seed
+produce byte-identical columns, and each lattice cell's row does not depend
+on the order in which cells are evaluated, because all randomness flows
+through per-cell streams, each one ``bench._substream``. A product driver
+draws exactly when it is given a seed: with ``seed=None`` it records expected
+values and builds no generator, as the kernels do with no key or stream.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .bench import (
     COUNTS_PER_BASIS_RANGE,
     N_TRAVERSAL_STATES,
     PHOTONS_RANGE,
+    SEED_RANGE,
     TRAVERSAL_ALPHAS,
     NoiseModel,
     _substream,
@@ -116,7 +117,7 @@ def state_sweep(
     noise: NoiseModel = NoiseModel(),
     seed: int | None = DEFAULT_SEED,
 ) -> dict:
-    """Per-state gain and reversibility over the 51-state traversal (``tables.STATES``).
+    """Columns alpha, gain_analytic, rev_analytic, gain_mc, rev_mc of the 51-state traversal.
 
     Analytic columns come from the branch enumeration; the Monte Carlo
     columns are single-state count-ratio terms from counts drawn under
@@ -135,7 +136,8 @@ def state_sweep(
 
 
 def _cell_columns(epsilon, eta, photons_per_setting: int, noise: NoiseModel, key) -> dict:
-    """``tables.GRID`` columns of a run of lattice cells.
+    """Columns epsilon, eta, gmax_analytic, prev_analytic, sum_analytic,
+    gmax_mc, prev_mc, sum_mc, diagonal_flag of a run of lattice cells.
 
     ``epsilon`` and ``eta`` broadcast against each other, one value per
     cell, cells taken row-major. One count-kernel call covers all of them,
@@ -178,7 +180,7 @@ def grid_sweep(
     noise: NoiseModel = NoiseModel(),
     seed: int | None = DEFAULT_SEED,
 ) -> dict:
-    """Tradeoff columns (``tables.GRID``) over the full operator lattice.
+    """Tradeoff columns (those of ``_cell_columns``) over the full operator lattice.
 
     Rows run row-major by epsilon, then eta. Diagonal (beam-splitter) cells
     are flagged, never dropped, so downstream consumers can mask them. The
@@ -203,7 +205,7 @@ def cross_section(
     noise: NoiseModel = NoiseModel(),
     seed: int | None = None,
 ) -> dict:
-    """Columns eta, 6*gmax, prev, sum (``tables.CROSS_SECTION``) along epsilon = 0.
+    """Columns eta, six_gmax, prev, sum along epsilon = 0.
 
     The epsilon = 0 run of lattice cells (``_cell_columns``), its counts
     drawn from cell 0 on of the stream CROSS_SECTION_STREAM: with no
@@ -226,7 +228,7 @@ def reversal_fidelity_sweep(
     noise: NoiseModel = NoiseModel(),
     seed: int | None = DEFAULT_SEED,
 ) -> dict:
-    """Tomography fidelity of the reversed output per traversal state (``tables.FIDELITIES``).
+    """Columns alpha, fidelity, low_stats_flag: reversed-output tomography per state.
 
     Both branch chains are exercised and their analyzer records pooled: every
     chain whose expected reversed-photon yield (from a ``counts_per_basis``
@@ -583,7 +585,8 @@ def verify(
     exact_mode: bool = False,
     reversal_fn=None,
 ) -> dict:
-    """Run the invariant battery; one row per check, in order (``tables.VERIFY``).
+    """Run the invariant battery into columns check, verdict, deviation, tolerance and
+    detail, one row per check, in order.
 
     Check ``<name>`` is ``_check_<name>``, looked up when it runs. It returns
     ``(deviation, tolerance)`` or ``(deviation, tolerance, detail)``, and one
@@ -599,13 +602,15 @@ def verify(
     ``corrupted_reversal_operators`` must fail the reversal-exactness check.
     A ``grid_size`` below ``MIN_GRID_SIZE`` is refused, as by ``grid_sweep``,
     a ``photons_per_setting`` outside ``PHOTONS_RANGE`` as by
-    ``simulate_counts``, a sampled run below the floor of
+    ``simulate_counts``, a ``seed`` outside ``SEED_RANGE`` as by
+    ``bench._substream``, a sampled run below the floor of
     ``bench.check_sampled_photons``, and a detector efficiency at which no
     photon count clears that floor (``rng_determinism`` draws at it in both
     modes), before any check runs.
     """
     _grid_values(grid_size)  # refuses a grid too small to hold both edges
     check_range("photons_per_setting", photons_per_setting, PHOTONS_RANGE)
+    check_range("seed", seed, SEED_RANGE)
     if not exact_mode:
         check_sampled_photons(photons_per_setting, noise.detector_efficiency)
     least_sampled_photons(noise.detector_efficiency)

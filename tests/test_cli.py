@@ -182,6 +182,22 @@ class TestDispatchProducts:
         assert doc["metadata"]["seed"] == 42
         assert all(check["verdict"] == "PASS" for check in doc["checks"])
 
+    @pytest.mark.parametrize("mutate", [False, True])
+    def test_verify_detail_is_json_only(self, mutate, capsys):
+        # The detail column is free text (a count, a crashed check's message):
+        # the CSV leaves it out by verify's _PRODUCTS row; JSON keeps it per row.
+        argv = ["verify", "--exact-mode", "true", "--grid-size", "2"]
+        argv += ["--mutate-reversal"] * mutate
+        assert main(argv + ["--output-format", "csv"]) == (EXIT_VERIFY_FAIL if mutate else EXIT_OK)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "check,verdict,deviation,tolerance"
+        assert len(lines) == 16 and all(line.count(",") == 3 for line in lines)
+        main(argv)
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert len(checks) == 15
+        header = ["check", "verdict", "deviation", "tolerance", "detail"]
+        assert [list(check) for check in checks] == [header] * 15
+
     @pytest.mark.parametrize("seed", [80, 160, 180, 380])
     def test_verify_passes_where_three_stderr_oracle_failed(self, seed, capsys):
         assert main(["verify", "--seed", str(seed)]) == EXIT_OK
@@ -274,7 +290,7 @@ class TestDispatchProducts:
         assert (edge["epsilon"] == 0.0).all()
         section = {"eta": edge["eta"], "six_gmax": 6.0 * edge["gmax_analytic"],
                    "prev": edge["prev_analytic"], "sum": edge["sum_analytic"]}
-        assert capsys.readouterr().out == tables.csv_table(tables.CROSS_SECTION, section)
+        assert capsys.readouterr().out == tables.csv_table(section)
 
     def test_cross_section_exact_sum_column(self, tmp_path):
         out = tmp_path / "cross.csv"
@@ -384,7 +400,7 @@ class TestDispatchProducts:
         # value fails the document instead of producing invalid JSON.
         rows = cross_section([0.5], seed=None)
         with pytest.raises(ValueError):
-            tables.json_document({"seed": float("nan")}, "rows", tables.CROSS_SECTION, rows)
+            tables.json_document({"seed": float("nan")}, "rows", rows)
 
     def test_sampled_json_names_its_stream_scheme(self, capsys):
         for exact, stream in (("false", "per-cell-v4"), ("true", None)):

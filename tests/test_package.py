@@ -1,10 +1,12 @@
 """Tests for the package's public surface and the shape of its source."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import wmtradeoff
+from wmtradeoff import cli
 
 SOURCE_DIR = Path(wmtradeoff.__file__).resolve().parent
 STREAM_CONSTRUCTORS = {"default_rng", "SeedSequence", "Philox", "PCG64", "Generator"}
@@ -15,6 +17,18 @@ def test_exports_resolve_once():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(wmtradeoff, name), name
+
+
+def test_settable_surface_is_pinned():
+    # What a user can set or import: the CLI's options (help aside), the
+    # config keys and the exports. A change to any count is a change of the
+    # package's surface, made on purpose and reported.
+    options = [
+        action.dest
+        for action in cli._build_parser()._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    ]
+    assert (len(options), len(cli.RunConfig._fields), len(wmtradeoff.__all__)) == (13, 11, 22)
 
 
 def constructor_calls(path: Path) -> list[tuple[str, str]]:

@@ -12,9 +12,11 @@ from wmtradeoff import (
     WeakMeasurement,
     channel_probabilities,
     cross_section,
+    grid_sweep,
     reversal_fidelity_sweep,
     simulate_counts,
     simulate_tomography,
+    state_sweep,
     verify,
 )
 from wmtradeoff import bench
@@ -49,6 +51,10 @@ SHARED_KEYS = {
         lambda v: reversal_fidelity_sweep(FLAGSHIP, v, seed=None),
         near(100, 2**62 - 1) + [99, 100, 101, 2**62 - 2, 2**62 - 1, 2**62],
     ),
+    "seed": (
+        lambda v: bench._substream(v, 0),
+        [-(2**64), -1, 0, 1, 2**63, 2**64 - 2, 2**64 - 1, 2**64, 2**100],
+    ),
 }
 
 
@@ -61,6 +67,7 @@ RANGES = {
     "photons_per_setting": bench.PHOTONS_RANGE,
     "counts_per_basis": bench.COUNTS_PER_BASIS_RANGE,
     "pooled_counts": bench.POOLED_COUNTS_RANGE,
+    "seed": bench.SEED_RANGE,
 }
 EDGES = [0, 1, 100, 2**62 - 1, 2**63 - 1]
 ENTRIES = [
@@ -152,6 +159,22 @@ class TestOneRangeSource:
              "epsilon and eta must broadcast to at most one cell axis, got (2, 3)"),
             (lambda: cross_section([[0.0, 0.5]]),
              "eta_values must be one-dimensional, got shape (1, 2)"),
+            # A seed is refused by name before any check runs or any stream
+            # is built, sampled or exact.
+            (lambda: verify(seed=-1), "seed must lie in [0, 2^64 - 1], got -1"),
+            (lambda: verify(seed=2**64, exact_mode=True),
+             "seed must lie in [0, 2^64 - 1], got 18446744073709551616"),
+            (lambda: verify(seed=1.0, exact_mode=True), "seed must lie in [0, 2^64 - 1], got 1.0"),
+            (lambda: grid_sweep(2, 1000, seed=2**64),
+             "seed must lie in [0, 2^64 - 1], got 18446744073709551616"),
+            (lambda: state_sweep(FLAGSHIP, 1000, seed=-1),
+             "seed must lie in [0, 2^64 - 1], got -1"),
+            (lambda: cross_section([0.5], 1000, seed=True),
+             "seed must lie in [0, 2^64 - 1], got True"),
+            (lambda: reversal_fidelity_sweep(FLAGSHIP, 1000, seed=-1),
+             "seed must lie in [0, 2^64 - 1], got -1"),
+            (lambda: simulate_counts(0.25, 0.75, 1000, key=(-1, 0, 0)),
+             "seed must lie in [0, 2^64 - 1], got -1"),
         ],
         ids=["epsilon-slack", "eta-slack", "leakage-nan", "efficiency-inf", "photons-2^63",
              "photons-fraction", "counts-epsilon-1.5", "counts-epsilon-nan",
@@ -160,7 +183,10 @@ class TestOneRangeSource:
              "counts-99", "pooled-counts-2^63", "verify-grid-1",
              "exact-cross-section-photons-0", "verify-photons-0", "verify-photons-fraction",
              "verify-photons-2^63", "tomography-first-bad-alpha", "pooled-counts-99",
-             "counts-epsilon-51x2", "counts-epsilon-2x3", "cross-section-2d"],
+             "counts-epsilon-51x2", "counts-epsilon-2x3", "cross-section-2d",
+             "verify-seed-minus-1", "exact-verify-seed-2^64", "exact-verify-seed-float",
+             "grid-seed-2^64", "states-seed-minus-1", "cross-section-seed-bool",
+             "fidelity-seed-minus-1", "keyed-counts-seed-minus-1"],
     )
     def test_library_refuses_by_name(self, call, message):
         error = _error(call, ValueError)
