@@ -67,21 +67,24 @@ DEFAULT_COUNTS_PER_BASIS = 10_000
 
 # Samples per slice of the Haar oracle's per-sample arithmetic, whose
 # temporaries (16 KiB real, 32 KiB complex each) are all it holds beyond the
-# two draws. verify's oracle check took 7.5 ms at 2048, 8.0 ms at 4096 and
-# 8.8 ms at 1024 (medians of 60 alternating in-process runs, 2-vCPU Xeon VM;
-# 1024 was slowest in each of three such batches), and a process looping
-# verify peaked at 36.9 MiB RSS at 2048 or 1024 against 37.5 at 4096: 2048
-# takes the memory without the time.
+# two draws. Three 20,000-sample oracle runs took 7.5 ms at 2048, 8.0 ms at
+# 4096 and 8.8 ms at 1024 (medians of 60 alternating in-process runs, 2-vCPU
+# Xeon VM; 1024 was slowest in each of three such batches), and a process
+# looping verify with them peaked at 36.9 MiB RSS at 2048 or 1024 against
+# 37.5 at 4096: 2048 takes the memory without the time.
 ORACLE_BLOCK = 2048
 
-# Cells and samples per cell of verify's oracle check, and the multiple of
-# the oracle's standard error that the check accepts (read when it runs).
-# The three gain parts are the check's only random ones (the reversal term
-# does not depend on the state), so at 4.5 standard errors a correct program
-# fails the check in about 3 * 6.8e-6 = 2e-5 of seeds.
+# Instruments and states of verify's oracle check: the diagonal cells, then
+# ORACLE_ROTATED instruments drawn from the oracle's stream, each averaged
+# over the four tetrahedral (SIC) states. Those are a 2-design: their mean of
+# any term quadratic in |phi><phi| is its Haar average exactly (Renes et al.,
+# J. Math. Phys. 45, 2171, 2004), and both per-state terms are quadratic.
 ORACLE_CELLS = ((0.25, 0.75), (0.1, 0.6), (0.8, 0.3))
-ORACLE_SAMPLES = 20_000
-ORACLE_STDERR_MULTIPLIER = 4.5
+ORACLE_ROTATED = 100
+ORACLE_STATES = np.array(
+    [(1.0, 0.0)]
+    + [(math.sqrt(1 / 3), math.sqrt(2 / 3) * np.exp(2j * math.pi * k / 3)) for k in range(3)]
+)
 
 # Expected reversed-photon yield below which a fidelity row is flagged
 # LOW_STATS instead of fitted.
@@ -99,8 +102,8 @@ GRID_BLOCK_CELLS = 256
 # Spawn-key prefixes of the random streams, one per product or check, each a
 # ``bench._substream`` (``bench.STREAM_SCHEME``). Sampled counts draw lattice
 # cell k from (tag, k); the tomography of all traversal states and each
-# parameter draw of verify take cell 0 of their prefix, and the oracle's
-# cell k takes cell 0 of (ORACLE_STREAM, k).
+# parameter draw of verify, the oracle's instruments included, take cell 0
+# of their prefix.
 GRID_STREAM, STATES_STREAM, CROSS_SECTION_STREAM, CONSISTENCY_STREAM = 1, 2, 3, 4
 FIDELITY_STREAM = 5
 SYMMETRY_STREAM, EXACTNESS_STREAM, CONSTANCY_STREAM, ORACLE_STREAM = 1001, 1002, 1003, 1004
@@ -261,8 +264,10 @@ def haar_average_oracle(
     uniform relative phase, and the per-state quantities are evaluated by
     brute-force branch arithmetic on the sampled amplitudes. This is the
     independent check of the two closed forms; it shares none of their
-    algebra. Every sample is drawn from ``rng``; ``verify`` passes a
-    ``bench._substream`` generator.
+    algebra. Every sample is drawn from ``rng``. ``verify`` does not run it:
+    its ``oracle_agreement`` row is the exact design average of
+    ``_check_oracle_agreement``, and this Monte Carlo average serves the
+    library and the tests.
 
     The polar cosine is drawn in n_samples // 2 equal-width strata of
     [-1, 1], two uniform draws in each; an odd n_samples gives the last
@@ -510,16 +515,77 @@ def _check_cross_section_monotonicity(grid_size: int) -> tuple[float, float]:
     return dev, 1e-12
 
 
-def _check_oracle_agreement(seed: int) -> tuple[float, float]:
-    multiplier = ORACLE_STDERR_MULTIPLIER
-    parts = []
-    for k, (e, h) in enumerate(ORACLE_CELLS):
-        stream = _substream(seed, ORACLE_STREAM, k)
-        est = haar_average_oracle(WeakMeasurement(e, h), ORACLE_SAMPLES, stream)
-        gmax, prev, _ = closed_forms(e, h)
-        parts.append((abs(est.gmax_estimate - gmax), multiplier * est.gmax_stderr))
-        parts.append((abs(est.prev_estimate - prev), max(multiplier * est.prev_stderr, 1e-12)))
-    return _worst(parts)
+def _oracle_instruments(seed: int) -> tuple[np.ndarray, ...]:
+    """epsilon, eta, U (n, 2, 2, 2) and V (n, 2, 2) of the oracle's n instruments.
+
+    The ``ORACLE_CELLS`` come first, with U_1 = U_2 = V = I, then
+    ``ORACLE_ROTATED`` instruments drawn from cell 0 of ORACLE_STREAM, each
+    taking epsilon, eta, then U_1, U_2 and V, a (weight, phase, phase)
+    triple each, in that order. A triple (w, p, q) gives the SU(2) matrix
+    [[a, -b*], [b, a*]] of (a, b) = (sqrt(w) e^(ip), sqrt(1 - w) e^(iq)), a
+    Haar-random state for uniform w, p and q, so the matrix is Haar-random
+    in SU(2); a global phase would cancel wherever it is used.
+    """
+    highs = (1.0, 1.0) + (1.0, TWO_PI, TWO_PI) * 3
+    draws = _substream(seed, ORACLE_STREAM).uniform(0.0, highs, size=(ORACLE_ROTATED, 11))
+    weight, p, q = draws[:, 2:].reshape(-1, 3, 3).transpose(2, 0, 1)
+    a = np.sqrt(weight) * np.exp(1j * p)
+    b = np.sqrt(1.0 - weight) * np.exp(1j * q)
+    rotations = np.stack((a, -b.conj(), b, a.conj()), axis=-1).reshape(-1, 3, 2, 2)
+    identities = np.broadcast_to(np.eye(2), (len(ORACLE_CELLS), 3, 2, 2))
+    rotations = np.concatenate((identities, rotations))
+    e, h = np.concatenate((ORACLE_CELLS, draws[:, :2])).T
+    return e, h, rotations[:, :2], rotations[:, 2]
+
+
+def _oracle_operators(e, h, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Branch and exchanged-arm reversal operators, each shape (n, 2, 2, 2), outcome second.
+
+    A_r = U_r V D_r V^dagger with D_1 = diag(sqrt(1-e), sqrt(1-h)) and
+    D_2 = diag(sqrt(e), sqrt(h)); R_r = V flip(D_r) V^dagger U_r^dagger,
+    flip exchanging the two diagonal entries.
+    """
+    d = np.sqrt(np.stack((1.0 - e, 1.0 - h, e, h), axis=-1)).reshape(-1, 2, 2)
+    v, v_dagger = v[:, None], v.conj().swapaxes(-1, -2)[:, None]
+    branches = u @ ((v * d[..., None, :]) @ v_dagger)
+    reversals = (v * d[..., None, ::-1]) @ v_dagger @ u.conj().swapaxes(-1, -2)
+    return branches, reversals
+
+
+def _check_oracle_agreement(seed: int) -> tuple[float, float, str]:
+    # The exact Haar averages of gain and reversal success of every oracle
+    # instrument, as means over the design ORACLE_STATES, against gmax and prev.
+    e, h, u, v = _oracle_instruments(seed)
+    branches, reversals = _oracle_operators(e, h, u, v)
+    states = ORACLE_STATES.T  # one state per column
+    images = branches @ states
+    prob = (np.abs(images) ** 2).sum(axis=-2)
+
+    # The guess is the top eigenvector of the Gram matrix [[g00, g01],
+    # [g01*, g11]] = A^dagger A, from whichever of its two forms cannot
+    # vanish. Both vanish at a tie, a multiple of I, where spread == 0 adds
+    # 1 to make the guess |H>, as good as any there.
+    sq = np.abs(branches) ** 2
+    g00, g11 = sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1]
+    g01 = branches[..., 0, 0].conj() * branches[..., 0, 1]
+    g01 += branches[..., 1, 0].conj() * branches[..., 1, 1]
+    half_gap = (g00 - g11) / 2
+    spread = np.hypot(half_gap, np.abs(g01))
+    upper = half_gap >= 0.0
+    guess = np.stack(
+        (np.where(upper, spread + half_gap + (spread == 0.0), g01),
+         np.where(upper, g01.conj(), spread - half_gap)),
+        axis=-1,
+    )
+    overlap = np.abs(guess.conj() @ states) ** 2 / (np.abs(guess) ** 2).sum(axis=-1)[..., None]
+    gain = (prob * overlap).sum(axis=1).mean(axis=-1)
+
+    restored = (states.conj() * (reversals @ images)).sum(axis=-2)
+    reversal = (np.abs(restored) ** 2).sum(axis=1).mean(axis=-1)
+
+    gmax, prev, _ = closed_forms(e, h)
+    dev = max(float(np.max(np.abs(gain - gmax))), float(np.max(np.abs(reversal - prev))))
+    return dev, 1e-12, f"{len(e)} instruments, {len(ORACLE_STATES)} SIC states"
 
 
 def _check_estimator_consistency(
@@ -594,7 +660,12 @@ def verify(
     raises is a FAIL row with deviation inf, tolerance 0 and the detail
     ``Type: message``; where it raised goes to stderr, one line per crashed
     check, ``verify: <check> raised at <file>:<line> in <function>``, so the
-    product does not depend on source lines.
+    product does not depend on source lines. Every row is exact, with no
+    statistical tolerance, except the sampled part of
+    ``estimator_consistency``: ``oracle_agreement`` averages each of 103
+    instruments, the three diagonal ``ORACLE_CELLS`` and 100 rotated ones
+    drawn under ``seed``, over the four SIC states, a 2-design, which gives
+    its Haar average exactly.
 
     ``reversal_fn`` overrides the reversal-operator construction and exists
     as a mutation-test hook: it takes (epsilon, eta) arrays and returns

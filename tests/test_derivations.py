@@ -10,12 +10,26 @@ A_r^dagger A_r to a permuted copy with the same trace and eigenvalues, so
 every quantity here is symmetric and the half e <= h covers the square.
 The derived expressions are then turned into float functions and compared
 with the package's on a lattice, to a few ulps.
+
+The last part derives the leakage map of ``bench.channel_probabilities``
+over the whole square: two misrouting beam-splitter passes per
+interferometer give an arm swap with probability s = 2 l (1 - l), and the
+average over the swap patterns of measurement and reversal is the ideal
+bench at a moved operator.
 """
+
+import itertools
 
 import numpy as np
 import sympy
 
-from wmtradeoff.bench import TRAVERSAL_ALPHAS, N_TRAVERSAL_STATES, _traversal_mean
+from wmtradeoff.bench import (
+    N_TRAVERSAL_STATES,
+    TRAVERSAL_ALPHAS,
+    NoiseModel,
+    _traversal_mean,
+    channel_probabilities,
+)
 from wmtradeoff.measurement import closed_forms, per_state_terms
 
 e, t, alpha = sympy.symbols("epsilon t alpha", nonnegative=True)
@@ -158,3 +172,85 @@ def test_simpson_weights_give_gmax_exactly():
     gmax, _, _ = closed_forms(grid[:, None], grid[None, :])
     assert np.max(np.abs((weights * gains).sum(axis=0) - gmax)) <= ULPS
 
+
+# The leakage map. Each interferometer sends a photon through a polarizing
+# beam splitter twice, and each pass misroutes it with probability ell: one
+# misroute exchanges the interferometer's two arms, two put them back.
+eta, ell, s = sympy.symbols("eta ell s", nonnegative=True)
+
+
+def _swap_probability():
+    """The chance of exactly one misroute, summed over the four patterns of two passes."""
+    return sum(
+        (ell if first else 1 - ell) * (ell if second else 1 - ell)
+        for first, second in itertools.product((False, True), repeat=2)
+        if first != second
+    )
+
+
+def _survival(m):
+    """||m phi||^2 of a real diagonal m at the H-weight alpha; phi's phase cancels."""
+    return alpha * m[0, 0] ** 2 + (1 - alpha) * m[1, 1] ** 2
+
+
+def _flip(m):
+    return sympy.diag(m[1, 1], m[0, 0])
+
+
+def _channel_survivals(epsilon, eta_, swap):
+    """The four channels of ``channel_probabilities``, averaged over the swap patterns.
+
+    Branch r measures with A_r, or with probability ``swap`` with its
+    arm-exchanged partner flip(A_r); its reversal R_r = flip(A_r) is
+    independently exchanged the same way. In order: both branches' measured
+    survivals, then both chains' survivals through measurement and reversal.
+    """
+    branches = (
+        sympy.diag(sympy.sqrt(1 - epsilon), sympy.sqrt(1 - eta_)),
+        sympy.diag(sympy.sqrt(epsilon), sympy.sqrt(eta_)),
+    )
+    measured, chained = [], []
+    for a in branches:
+        measurements = ((1 - swap, a), (swap, _flip(a)))
+        reversals = ((1 - swap, _flip(a)), (swap, a))
+        measured.append(sum(p * _survival(m) for p, m in measurements))
+        chained.append(sum(
+            p * q * _survival(r * m) for p, m in measurements for q, r in reversals
+        ))
+    return measured + chained
+
+
+def test_two_passes_swap_the_arms_with_probability_s():
+    assert sympy.expand(_swap_probability() - 2 * ell * (1 - ell)) == 0
+    for leak in (0.0, 1e-3, 0.01):
+        swap = float(_swap_probability().subs(ell, leak))
+        assert abs(NoiseModel(pbs_leakage=leak).interferometer_swap_probability - swap) <= ULPS
+
+
+def test_leakage_moves_the_operator():
+    moved = ((1 - s) * e + s * eta, (1 - s) * eta + s * e)
+    leaky = _channel_survivals(e, eta, s)
+    for survival, ideal in zip(leaky, _channel_survivals(*moved, 0)):
+        assert sympy.expand(survival - ideal) == 0
+    # The chain of branch 1: the two matched patterns keep (1-e)(1-h), the
+    # two mismatched ones give a square each.
+    chain = ((1 - s) ** 2 + s**2) * (1 - e) * (1 - eta) + s * (1 - s) * (
+        (1 - e) ** 2 + (1 - eta) ** 2
+    )
+    assert sympy.expand(leaky[2] - chain) == 0
+    assert sympy.expand(chain - (1 - moved[0]) * (1 - moved[1])) == 0
+
+
+def test_leakage_map_meets_channel_probabilities():
+    survivals = [
+        sympy.lambdify((e, eta, alpha, ell), expr, "numpy")
+        for expr in _channel_survivals(e, eta, _swap_probability())
+    ]
+    grid = LATTICE[::5]
+    eps, eta_, alphas = grid[:, None, None], grid[None, :, None], grid[None, None, ::2]
+    for leak in (0.0, 1e-3, 5e-3, 0.01):
+        kernel = channel_probabilities(eps, eta_, alphas, NoiseModel(pbs_leakage=leak))
+        derived = np.array(
+            [np.broadcast_to(f(eps, eta_, alphas, leak), kernel.shape[1:]) for f in survivals]
+        )
+        assert np.max(np.abs(kernel - derived)) <= ULPS

@@ -59,6 +59,46 @@ def test_one_stream_constructor():
     }
 
 
+def linalg_names(source: str) -> set[str]:
+    """Each ``numpy.linalg`` routine that ``source`` names; ``linalg`` where it takes the module."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            parent = parents[node]
+            found.add(parent.attr if isinstance(parent, ast.Attribute) else "linalg")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found |= {"linalg" for alias in node.names if alias.name == "linalg"}
+        elif isinstance(node, ast.Import):
+            found |= {"linalg" for alias in node.names if alias.name.startswith("numpy.linalg")}
+    return found
+
+
+def test_linalg_names_are_found():
+    assert linalg_names("import numpy as np\nnp.linalg.eigh(m)\nnp.linalg.norm(v)") == {
+        "eigh", "norm",
+    }
+    assert linalg_names("from numpy.linalg import svd") == {"svd"}
+    assert linalg_names("from numpy import linalg") == {"linalg"}
+    assert linalg_names("import numpy.linalg") == {"linalg"}
+    assert linalg_names("import numpy as np\nla = np.linalg") == {"linalg"}
+
+
+def test_no_lapack():
+    # No module calls a numpy.linalg routine but norm, which is plain
+    # arithmetic: 2x2 eigen- and singular values are closed forms here, so
+    # no CLI path reaches LAPACK.
+    found = {
+        (path.name, name)
+        for path in sorted(SOURCE_DIR.glob("*.py"))
+        for name in linalg_names(path.read_text())
+    }
+    assert found == {("bench.py", "norm")}
+
+
 def unused_imports(path: Path) -> list[str]:
     """Names that a module imports and never reads."""
     tree = ast.parse(path.read_text())

@@ -16,6 +16,10 @@ statistic is held within Z_BOUND = 5 standard errors. Two-sided, a normal
 variate passes 5 with probability 5.7e-7, so the six statistics here fail a
 correct scheme with probability below 3.5e-6; every M is above 10**5, where
 the normal approximation of these means is close at that depth.
+
+The last test is the exception: it pins numpy's own uniform and binomial
+kernels on one Philox key, literal values, so that a failing sampled golden
+can be told apart from a change of numpy's streams.
 """
 
 import math
@@ -92,3 +96,29 @@ def test_tomography_counts_are_independent_standard_binomials(monkeypatch):
     assert (n == 20_000).all()
     z = assert_standard_binomial(k, n, p)
     assert_uncorrelated(z[:, :-1], z[:, 1:])
+
+
+# The Philox key that bench._substream(42, 1) builds: SeedSequence(42,
+# spawn_key=[1]).generate_state(2, np.uint64).
+KNOWN_KEY = (0x1DCB763F3E63CBA, 0x6AEE7DD615DE6F6E)
+
+
+def test_numpy_stream_kernels_give_known_answers():
+    # The sampled goldens pin numpy's draws byte for byte, and numpy's RNG
+    # policy (NEP 19) lets a Generator's stream change between feature
+    # releases. These literals were drawn with numpy 2.4.6. If they fail
+    # together with the sampled goldens, numpy's kernels moved, and the mend
+    # is a STREAM_SCHEME bump or a numpy bound; if they pass, the program did.
+    assert tuple(sweeps._substream(42, 1).bit_generator.state["state"]["key"]) == KNOWN_KEY
+    rng = np.random.Generator(np.random.Philox(key=KNOWN_KEY))
+    assert [float.hex(x) for x in rng.uniform(size=3)] == [
+        "0x1.8bdaec636abfep-1", "0x1.b236a1d43f5fap-2", "0x1.d4b61cd7354c0p-7",
+    ]
+    # Large N p takes numpy's BTPE sampler, small N p its inversion sampler.
+    assert rng.binomial(100_000, [0.1875, 0.5, 0.9, 1e-4, 0.0, 1.0]).tolist() == [
+        18758, 49892, 90083, 6, 0, 100000,
+    ]
+    # Cell 5 of the key, at the counter simulate_counts sets for it.
+    rng = np.random.Generator(np.random.Philox(key=KNOWN_KEY, counter=(0, 0, 0, 5)))
+    assert rng.binomial(100_000, [0.1875, 1e-4]).tolist() == [18809, 16]
+    assert float.hex(rng.uniform()) == "0x1.86fcaa937f8bfp-1"
