@@ -20,7 +20,9 @@ estimator applies too.
 
 ``branch_terms`` is the one place the per-state arithmetic happens: over
 broadcast (epsilon, eta, alpha, phase) arrays it returns each outcome's
-probability, guess fidelity and reversal term from the complex amplitudes.
+probability, guess fidelity and reversal term from the complex amplitudes,
+each factor evaluated on the shape of its own arguments and every sum
+written out elementwise, so its bits do not depend on a BLAS kernel.
 ``per_state_terms`` forms its two outcome sums, the per-state gain and
 reversal probability, over the same broadcast arguments;
 ``per_state_gain`` and ``per_state_reversal_prob`` each return one of them,
@@ -51,7 +53,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .qubit import UNIT_RANGE, check_range, inner_products
+from .qubit import UNIT_RANGE, check_range
 
 # Parameter pairs closer than this count as a degenerate (beam-splitter) tie.
 TIE_ATOL = 1e-12
@@ -97,15 +99,19 @@ def branch_terms(epsilon, eta, alpha, phase=0.0):
     overlap |<guess_r|phi>|^2 and |<phi|R_r A_r|phi>|^2. The last is
     p(r) * |<phi|R_r|phi_r>|^2 with |phi_r> the normalized post state, and
     vanishes on an annihilated branch. Arguments are not validated.
+
+    The amplitudes are formed on the shape of (alpha, phase), the
+    coefficients and guess rule on that of (epsilon, eta), and only the
+    products on the full shape: the bits of broadcasting first, as each
+    operation is elementwise. No sum goes through a BLAS kernel.
     """
-    e, h, a, ph = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (epsilon, eta, alpha, phase))
-    )
-    amps = np.stack((np.sqrt(a) + 0j, np.exp(1j * ph) * np.sqrt(1.0 - a)), axis=-1)
+    e, h, a, ph = (np.asarray(x, dtype=float) for x in (epsilon, eta, alpha, phase))
+    second = np.exp(1j * ph) * np.sqrt(1.0 - a)
+    amps = np.stack(np.broadcast_arrays(np.sqrt(a) + 0j, second), axis=-1)
     kraus = kraus_coefficients(e, h)
     images = kraus * amps[..., None, :]
-    # Added in np.vdot's order, as a per-state loop over np.vdot adds them.
-    prob = inner_products(images, images).real
+    square = images.real**2 + images.imag**2
+    prob = square[..., 0] + square[..., 1]
     basis_fidelity = np.abs(amps) ** 2
     guess_fidelity = np.where(
         first_guess_is_v(e, h)[..., None], basis_fidelity[..., ::-1], basis_fidelity

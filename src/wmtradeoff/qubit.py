@@ -88,7 +88,3 @@ def apply_operator(op: Operator2, amplitudes: np.ndarray) -> tuple[np.ndarray, n
     post = np.divide(image, np.sqrt(prob)[..., None], out=np.full_like(image, np.nan), where=live)
     return prob, post
 
-
-def inner_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a|b> of each pair of vectors on the last axis, added in np.vdot's order."""
-    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]

@@ -99,6 +99,16 @@ LOW_STATS_FLOOR = 100
 # 2-vCPU Xeon VM).
 GRID_BLOCK_CELLS = 256
 
+# States (51 per cell) per kernel call of verify's state-grid means: whole
+# epsilon rows, at most this many states and at least one row, so a 16 x 16
+# lattice takes 2 rows a call and a 33 x 33 or larger one 1. The state-grid
+# row of a default verify took 2.5 ms at 1 row a call, 2.0 at 2 or 3 and
+# 2.6 at 4; at 33 x 33, 7.7 ms at 1 row and 8.9 at 2; at 64 x 64, 24.7 at
+# 1 and 32.5 at 2 (CPU-time medians of 80, 30 and 15 interleaved in-process
+# verify runs, 2-vCPU Xeon VM); 3 rows would lift a default verify's traced
+# peak from 553 to 766 KiB.
+STATE_GRID_BLOCK_STATES = 2048
+
 # Spawn-key prefixes of the random streams, one per product or check, each a
 # ``bench._substream`` (``bench.STREAM_SCHEME``). Sampled counts draw lattice
 # cell k from (tag, k); the tomography of all traversal states and each
@@ -441,14 +451,9 @@ def _check_phase_invariance() -> tuple[float, float]:
 
 def _check_reversal_exactness(seed: int, reversal_fn) -> tuple[float, float, str]:
     rng = _substream(seed, EXACTNESS_STREAM)
-    # Each draw takes alpha, phase, epsilon, eta, then the outcome, in that order.
-    draws = [
-        (rng.uniform(), rng.uniform(0.0, TWO_PI), rng.uniform(), rng.uniform(),
-         rng.integers(1, 3) - 1)
-        for _ in range(100)
-    ]
-    alpha, phase, e, h, branch = np.array(draws).T
-    pick = (np.arange(len(draws)), branch.astype(int))
+    # One table of rows (alpha, phase, epsilon, eta), then each row's outcome.
+    alpha, phase, e, h = rng.uniform(0.0, (1.0, TWO_PI, 1.0, 1.0), size=(100, 4)).T
+    pick = (np.arange(100), rng.integers(0, 2, size=100))
     branches = Operator2(kraus_coefficients(e, h)[pick][:, :, None] * np.eye(2))
     reversals = Operator2(reversal_fn(e, h)[pick])
 
@@ -479,16 +484,19 @@ def _check_reversal_state_constancy(seed: int) -> tuple[float, float]:
 def _state_grid_means(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell means of the per-state gain and reversal probability over the 51 states.
 
-    Both results are grid_size x grid_size arrays, one row per epsilon. One
-    kernel call per epsilon row keeps memory linear in the grid size (a
-    single call over a 256 x 256 lattice would hold about 1 GB).
+    Both results are grid_size x grid_size arrays, one row per epsilon. The
+    kernel runs on blocks of whole epsilon rows, at most
+    ``STATE_GRID_BLOCK_STATES`` states or one row, which keeps memory linear
+    in the grid size (a single call over a 256 x 256 lattice would hold
+    about 1 GB); each cell still adds its 51 states in order.
     """
     values = _grid_values(grid_size)
-    alphas = TRAVERSAL_ALPHAS[:, None]
-    means = np.array(
-        [[_traversal_mean(terms) for terms in per_state_terms(e, values, alphas)] for e in values]
-    )
-    return means[:, 0], means[:, 1]
+    alphas = TRAVERSAL_ALPHAS[:, None, None]
+    rows = max(1, STATE_GRID_BLOCK_STATES // (N_TRAVERSAL_STATES * grid_size))
+    starts = range(0, grid_size, rows)
+    blocks = (per_state_terms(values[i:i + rows, None], values, alphas) for i in starts)
+    gains, revs = zip(*([_traversal_mean(terms) for terms in block] for block in blocks))
+    return np.concatenate(gains), np.concatenate(revs)
 
 
 def _check_state_grid_prev_mean(grid_means) -> tuple[float, float]:

@@ -200,8 +200,25 @@ class TestDispatchProducts:
 
     @pytest.mark.parametrize("seed", [80, 160, 180, 380])
     def test_verify_passes_where_three_stderr_oracle_failed(self, seed, capsys):
+        # Seeds on which the former Monte Carlo oracle row failed at three
+        # standard errors; the exact 2-design row must pass on them too.
         assert main(["verify", "--seed", str(seed)]) == EXIT_OK
         assert "FAILED" not in capsys.readouterr().err
+
+    def test_reversal_mutant_dies_on_every_redrawn_table(self, capsys):
+        # Each seed redraws reversal_exactness's 100 triples: the true
+        # reversal passes all of them, and the mutant fails the check by name
+        # on every table, not only on the default seed's.
+        for seed in range(20):
+            argv = ["verify", "--seed", str(seed)]
+            assert main(argv) == EXIT_OK, seed
+            captured = capsys.readouterr()
+            assert "FAILED" not in captured.err, seed
+            checks = json.loads(captured.out)["checks"]
+            (row,) = [check for check in checks if check["check"] == "reversal_exactness"]
+            assert (row["verdict"], row["detail"]) == ("PASS", "100 triples"), seed
+            assert main(argv + ["--mutate-reversal"]) == EXIT_VERIFY_FAIL, seed
+            assert capsys.readouterr().err == "verification FAILED: reversal_exactness\n", seed
 
     def test_verify_mutated_exits_two_with_names_on_stderr(self, capsys):
         code = main(

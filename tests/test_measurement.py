@@ -426,6 +426,47 @@ class TestBranchTerms:
         assert bits(gain) == bits(np.sum(prob * guess_fidelity, axis=-1))
         assert bits(rev) == bits(np.sum(reversal, axis=-1))
 
+    @staticmethod
+    def mixed_shape_arguments(data):
+        """(epsilon, eta, alpha, phase), each 0-d, (m,), (n, 1) or (1, m); phase may be a float."""
+        n, m = data.draw(strategies.integers(1, 4)), data.draw(strategies.integers(1, 4))
+        shapes = strategies.sampled_from([(), (m,), (n, 1), (1, m)])
+        edge = strategies.sampled_from((0.0, 1.0, 0.5, 1e-13)) | strategies.floats(0.0, 1.0)
+        e, h, alpha = (data.draw(hnp.arrays(float, shapes, elements=edge)) for _ in range(3))
+        phase = strategies.sampled_from((0.0, -0.0, math.pi)) | strategies.floats(-10.0, 10.0)
+        if data.draw(strategies.booleans()):
+            return e, h, alpha, data.draw(phase)
+        return e, h, alpha, data.draw(hnp.arrays(float, shapes, elements=phase))
+
+    @settings(max_examples=300, deadline=None)
+    @given(strategies.data())
+    def test_mixed_shapes_equal_their_broadcast_copies(self, data):
+        # Each factor may be evaluated on its own argument's shape; the bits
+        # are those of broadcasting every argument first.
+        args = self.mixed_shape_arguments(data)
+        copies = [np.array(x) for x in np.broadcast_arrays(*(np.asarray(a) for a in args))]
+        for got, expected in zip(branch_terms(*args), branch_terms(*copies)):
+            assert got.shape == expected.shape
+            assert bits(got) == bits(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(strategies.data())
+    def test_probability_is_the_plain_sum_of_squares(self, data):
+        # p(r) = (re_0^2 + im_0^2) + (re_1^2 + im_1^2) of the branch image,
+        # in that order, as Python floats add it: no BLAS dot and no fused
+        # multiply-add, so the bits do not depend on the machine's kernels.
+        e, h, alpha, phase = self.mixed_shape_arguments(data)
+        prob, _, _ = branch_terms(e, h, alpha, phase)
+        a, ph = np.broadcast_arrays(np.asarray(alpha), np.asarray(phase, dtype=float))
+        amps = np.stack((np.sqrt(a) + 0j, np.exp(1j * ph) * np.sqrt(1.0 - a)), axis=-1)
+        images = kraus_coefficients(e, h) * amps[..., None, :]
+        expected = [
+            (x.real * x.real + x.imag * x.imag) + (y.real * y.real + y.imag * y.imag)
+            for x, y in images.reshape(-1, 2).tolist()
+        ]
+        assert prob.shape == images.shape[:-1]
+        assert prob.ravel().tolist() == expected
+
 
 class TestPerStateReversalProb:
     def test_flagship_constant_over_states(self):

@@ -253,6 +253,30 @@ class TestStateGridMeans:
             assert gains[i].tobytes() == (sum(gain) / bench.N_TRAVERSAL_STATES).tobytes()
             assert revs[i].tobytes() == (sum(rev) / bench.N_TRAVERSAL_STATES).tobytes()
 
+    @pytest.mark.parametrize("grid_size", [2, 3, 16, 33])
+    def test_row_blocks_match_one_row_per_call(self, monkeypatch, grid_size):
+        # Reference: one kernel call per epsilon row. The blocks hold whole
+        # rows, at most STATE_GRID_BLOCK_STATES states, and each cell still
+        # adds its 51 states in order, so the bits are the same.
+        values = np.linspace(0.0, 1.0, grid_size)
+        alphas = bench.TRAVERSAL_ALPHAS[:, None]
+        reference = np.array(
+            [[bench._traversal_mean(t) for t in per_state_terms(e, values, alphas)] for e in values]
+        )
+        calls = []
+
+        def counted(*args):
+            calls.append(math.prod(np.broadcast_shapes(*(np.shape(a) for a in args))))
+            return per_state_terms(*args)
+
+        monkeypatch.setattr(sweeps, "per_state_terms", counted)
+        gains, revs = sweeps._state_grid_means(grid_size)
+        assert gains.shape == revs.shape == (grid_size, grid_size)
+        assert gains.tobytes() == reference[:, 0].tobytes()
+        assert revs.tobytes() == reference[:, 1].tobytes()
+        assert sum(calls) == bench.N_TRAVERSAL_STATES * grid_size**2
+        assert max(calls) <= sweeps.STATE_GRID_BLOCK_STATES
+
     def test_prev_mean_exact_for_sampled_cells(self):
         for e, h in ((0.0, 0.0), (0.25, 0.75), (0.4, 0.4), (1.0, 0.2)):
             wm = WeakMeasurement(e, h)
@@ -561,12 +585,13 @@ class TestHaarOracle:
 def scalar_reversal_exactness(seed, reversal_fn):
     """reversal_exactness as a loop over the scalar reference, one SVD per operator."""
     rng = sweeps._substream(seed, sweeps.EXACTNESS_STREAM)
+    table = rng.uniform(0.0, (1.0, TWO_PI, 1.0, 1.0), size=(100, 4)).tolist()
+    outcomes = (rng.integers(0, 2, size=100) + 1).tolist()
     dev = 0.0
     tested = 0
-    for _ in range(100):
-        state = PureState(float(rng.uniform()), float(rng.uniform(0.0, TWO_PI)))
-        wm = WeakMeasurement(float(rng.uniform()), float(rng.uniform()))
-        r = int(rng.integers(1, 3))
+    for (alpha, phase, epsilon, eta), r in zip(table, outcomes):
+        state = PureState(alpha, phase)
+        wm = WeakMeasurement(epsilon, eta)
         prob, post = apply_scalar(kraus_pair(wm)[r - 1], state)
         if post is None:
             continue
@@ -583,11 +608,24 @@ def doubled_reversal_operators(epsilon, eta):
     return 2.0 * reversal_operators(epsilon, eta)
 
 
+def second_outcome_corrupted_reversal_operators(epsilon, eta):
+    """The true reversals but for outcome 2's V entry, halved: a fault that
+    only the triples drawn on outcome 2 can show."""
+    operators = reversal_operators(epsilon, eta)
+    operators[..., 1, 1, 1] *= 0.5
+    return operators
+
+
 class TestOperatorChecks:
-    @pytest.mark.parametrize("reversal_fn", [reversal_operators, corrupted_reversal_operators])
+    @pytest.mark.parametrize(
+        "reversal_fn",
+        [reversal_operators, corrupted_reversal_operators,
+         second_outcome_corrupted_reversal_operators],
+    )
     def test_reversal_exactness_matches_the_scalar_loop(self, reversal_fn):
         # Same tolerance and triples; the deviation to rounding, as the
-        # check renormalises in plain numpy (at most 8.9e-16 over 500 seeds).
+        # check renormalises in plain numpy (at most 4.4e-16 on these seeds;
+        # over seeds 0-499 the mutants' deviations of about 0.11 reach 2.3e-15).
         for seed in range(50):
             dev, tol, detail = sweeps._check_reversal_exactness(seed, reversal_fn)
             scalar_dev, scalar_tol, scalar_detail = scalar_reversal_exactness(seed, reversal_fn)
@@ -741,10 +779,12 @@ class TestVerify:
         assert tables.csv_table(first) == tables.csv_table(second)
 
     def test_peak_memory_of_one_default_run(self):
-        # range_bounds sets the peak, about 480 KiB: the closed forms and
-        # their bound gaps on its 101 x 101 lattice, 80 KiB an array. The
-        # oracle row's 103 instruments take about 190 KiB. The first run of
-        # a process may import numpy.random, so only the second is traced.
+        # The state-grid means set the peak, about 550 KiB: each kernel call
+        # on two rows of the 16 x 16 lattice holds 1,632 states' terms.
+        # range_bounds takes about 480 KiB, the closed forms and their bound
+        # gaps on its 101 x 101 lattice, 80 KiB an array; the oracle row's 103
+        # instruments take about 190 KiB. The first run of a process may
+        # import numpy.random, so only the second is traced.
         verify()
         tracemalloc.start()
         try:
