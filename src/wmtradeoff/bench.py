@@ -357,11 +357,11 @@ def simulate_tomography(
         n_plus = rng_stream.binomial(total, np.clip(p_mixed, 0.0, 1.0))
         estimates = (2.0 * n_plus - total) / total
 
-    # Below |s| = 1 the scale is 1; near and above it math.hypot rounds |s|
-    # closer than numpy's norm, on those rows alone.
+    # Below |s| = 1 the scale is 1, either side of the |s|^2 threshold; near
+    # and above it math.hypot rounds |s| closer, on those rows alone.
     rows = estimates.reshape(-1, 3)
     scale = np.ones(len(rows))
-    near = np.linalg.norm(rows, axis=-1) >= 1.0 - 1e-9
+    near = (rows * rows).sum(axis=-1) >= 1.0 - 1e-9
     scale[near] = np.maximum(1.0, [math.hypot(*s) for s in rows[near].tolist()])
     terms = bloch * (estimates / scale.reshape(estimates.shape[:-1] + (1,)))
     overlap = terms[..., 0] + terms[..., 1] + terms[..., 2]

@@ -1,4 +1,4 @@
-"""Qubit conventions, accepted ranges and stacked 2x2 operator algebra.
+"""Qubit conventions, accepted ranges and the package's stacked 2x2 algebra.
 
 Conventions used throughout the package: the basis order is (H, V); a pure
 state is sqrt(alpha)|H> + exp(i*phase)*sqrt(1-alpha)|V> with the global phase
@@ -8,6 +8,10 @@ the library and the CLI; it names an array's first entry outside, in C order.
 ``Operator2`` is a stack of 2x2 matrices with a closed-form physicality
 gate, and ``apply_operator`` measures and renormalises a whole stack of
 states in one call; ``verify``'s reversal-exactness check is two such calls.
+
+``matmul2`` and ``gram_eigen`` are the package's one 2x2 product and one
+Gram eigen-decomposition: elementwise numpy with no BLAS or LAPACK call, so
+their bits do not depend on the CPU's BLAS kernel.
 """
 
 from __future__ import annotations
@@ -59,18 +63,26 @@ class Operator2(namedtuple("Operator2", "matrix")):
         return bool(np.all(_largest_singular_values(self.matrix) <= 1.0 + CONSTRUCTION_ATOL))
 
 
-def _largest_singular_values(m: np.ndarray) -> np.ndarray:
-    """Largest singular value of each 2x2 matrix ``m[..., :, :]``, in closed form.
+def matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked product of (..., m, 2) and (..., 2, n) arrays, each entry a plain two-term sum."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
 
-    It is the square root of the larger eigenvalue of the Gram matrix
-    G = M^dagger M, (g00 + g11)/2 + hypot((g00 - g11)/2, |g01|), with G's
-    entries formed elementwise; within a few ulp of ``np.linalg.svd``.
-    """
+
+def gram_eigen(m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(mean, half_gap, g01, spread)`` of each Gram matrix [[g00, g01], [g01*, g11]] =
+    m^dagger m, formed elementwise: its eigenvalues are mean +- spread."""
     sq = np.abs(m) ** 2
     g00 = sq[..., 0, 0] + sq[..., 1, 0]
     g11 = sq[..., 0, 1] + sq[..., 1, 1]
     g01 = m[..., 0, 0].conj() * m[..., 0, 1] + m[..., 1, 0].conj() * m[..., 1, 1]
-    return np.sqrt((g00 + g11) / 2 + np.hypot((g00 - g11) / 2, np.abs(g01)))
+    half_gap = (g00 - g11) / 2
+    return (g00 + g11) / 2, half_gap, g01, np.hypot(half_gap, np.abs(g01))
+
+
+def _largest_singular_values(m: np.ndarray) -> np.ndarray:
+    """Largest singular value of each 2x2 ``m``, from its Gram matrix; a few ulp from an SVD."""
+    mean, _, _, spread = gram_eigen(m)
+    return np.sqrt(mean + spread)
 
 
 def apply_operator(op: Operator2, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,7 +94,7 @@ def apply_operator(op: Operator2, amplitudes: np.ndarray) -> tuple[np.ndarray, n
     """
     if not op.is_physical_kraus:
         raise ValueError("operator is not a physical Kraus operator (largest singular value > 1)")
-    image = (op.matrix @ amplitudes[..., None])[..., 0]
+    image = matmul2(op.matrix, amplitudes[..., None])[..., 0]
     prob = (image.conj() * image).real.sum(axis=-1)
     live = (prob >= ANNIHILATION_EPS)[..., None]
     post = np.divide(image, np.sqrt(prob)[..., None], out=np.full_like(image, np.nan), where=live)

@@ -28,9 +28,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .qubit import TWO_PI, Operator2, apply_operator, check_range
+from .qubit import TWO_PI, Operator2, apply_operator, check_range, gram_eigen, matmul2
 from .measurement import (
-    TIE_ATOL,
     WeakMeasurement,
     closed_forms,
     kraus_coefficients,
@@ -274,8 +273,10 @@ def haar_average_oracle(
     uniform relative phase, and the per-state quantities are evaluated by
     brute-force branch arithmetic on the sampled amplitudes. This is the
     independent check of the two closed forms; it shares none of their
-    algebra. Every sample is drawn from ``rng``. ``verify`` does not run it:
-    its ``oracle_agreement`` row is the exact design average of
+    algebra. Its instrument, U_1 = U_2 = V = I, and guesses come from the
+    design row's ``_oracle_operators`` and ``_oracle_guess``. Every sample
+    is drawn from ``rng``. ``verify`` does not run it: its
+    ``oracle_agreement`` row is the exact design average of
     ``_check_oracle_agreement``, and this Monte Carlo average serves the
     library and the tests.
 
@@ -303,17 +304,12 @@ def haar_average_oracle(
     phases = rng.uniform(0.0, TWO_PI, n_samples)
     last = n_samples // 2 - 1  # the last stratum, holding 2 or 3 samples
 
-    e, h = wm.epsilon, wm.eta
-    d1 = (math.sqrt(1.0 - e), math.sqrt(1.0 - h))
-    d2 = (math.sqrt(e), math.sqrt(h))
-    r1 = (math.sqrt(1.0 - h), math.sqrt(1.0 - e))
-    r2 = (math.sqrt(h), math.sqrt(e))
-    if e < h - TIE_ATOL:
-        guess_h = (True, False)
-    elif e > h + TIE_ATOL:
-        guess_h = (False, True)
-    else:
-        guess_h = (True, True)
+    # Unrotated, the diagonals hold every entry, and each guess is |H> or |V>.
+    identities = np.broadcast_to(np.eye(2), (1, 2, 2, 2))
+    branches, reversals = _oracle_operators(wm.epsilon, wm.eta, identities, identities[:, 0])
+    (d1, d2), (r1, r2) = (ops[0].diagonal(axis1=1, axis2=2).real for ops in (branches, reversals))
+    guess = _oracle_guess(branches)[0]
+    guess_h = (np.abs(guess[:, 0]) > np.abs(guess[:, 1])).tolist()
 
     # Each slice's terms overwrite the draws they came from, read first.
     gains, revs = offsets, phases
@@ -555,9 +551,23 @@ def _oracle_operators(e, h, u, v) -> tuple[np.ndarray, np.ndarray]:
     """
     d = np.sqrt(np.stack((1.0 - e, 1.0 - h, e, h), axis=-1)).reshape(-1, 2, 2)
     v, v_dagger = v[:, None], v.conj().swapaxes(-1, -2)[:, None]
-    branches = u @ ((v * d[..., None, :]) @ v_dagger)
-    reversals = (v * d[..., None, ::-1]) @ v_dagger @ u.conj().swapaxes(-1, -2)
+    branches = matmul2(u, matmul2(v * d[..., None, :], v_dagger))
+    reversals = matmul2(matmul2(v * d[..., None, ::-1], v_dagger), u.conj().swapaxes(-1, -2))
     return branches, reversals
+
+
+def _oracle_guess(branches: np.ndarray) -> np.ndarray:
+    """Guess of each branch A, shape (..., 2), unnormalised: the top eigenvector of A^dagger A.
+
+    It takes whichever of the eigenvector's two forms cannot vanish. Both vanish at a
+    tie, a multiple of I, where spread == 0 adds 1 to make the guess |H>, as good as any."""
+    _, half_gap, g01, spread = gram_eigen(branches)
+    upper = half_gap >= 0.0
+    return np.stack(
+        (np.where(upper, spread + half_gap + (spread == 0.0), g01),
+         np.where(upper, g01.conj(), spread - half_gap)),
+        axis=-1,
+    )
 
 
 def _check_oracle_agreement(seed: int) -> tuple[float, float, str]:
@@ -566,29 +576,14 @@ def _check_oracle_agreement(seed: int) -> tuple[float, float, str]:
     e, h, u, v = _oracle_instruments(seed)
     branches, reversals = _oracle_operators(e, h, u, v)
     states = ORACLE_STATES.T  # one state per column
-    images = branches @ states
+    images = matmul2(branches, states)
     prob = (np.abs(images) ** 2).sum(axis=-2)
-
-    # The guess is the top eigenvector of the Gram matrix [[g00, g01],
-    # [g01*, g11]] = A^dagger A, from whichever of its two forms cannot
-    # vanish. Both vanish at a tie, a multiple of I, where spread == 0 adds
-    # 1 to make the guess |H>, as good as any there.
-    sq = np.abs(branches) ** 2
-    g00, g11 = sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1]
-    g01 = branches[..., 0, 0].conj() * branches[..., 0, 1]
-    g01 += branches[..., 1, 0].conj() * branches[..., 1, 1]
-    half_gap = (g00 - g11) / 2
-    spread = np.hypot(half_gap, np.abs(g01))
-    upper = half_gap >= 0.0
-    guess = np.stack(
-        (np.where(upper, spread + half_gap + (spread == 0.0), g01),
-         np.where(upper, g01.conj(), spread - half_gap)),
-        axis=-1,
-    )
-    overlap = np.abs(guess.conj() @ states) ** 2 / (np.abs(guess) ** 2).sum(axis=-1)[..., None]
+    guess = _oracle_guess(branches)
+    overlap = np.abs(matmul2(guess.conj(), states)) ** 2
+    overlap /= (np.abs(guess) ** 2).sum(axis=-1)[..., None]
     gain = (prob * overlap).sum(axis=1).mean(axis=-1)
 
-    restored = (states.conj() * (reversals @ images)).sum(axis=-2)
+    restored = (states.conj() * matmul2(reversals, images)).sum(axis=-2)
     reversal = (np.abs(restored) ** 2).sum(axis=1).mean(axis=-1)
 
     gmax, prev, _ = closed_forms(e, h)

@@ -88,15 +88,38 @@ def test_linalg_names_are_found():
 
 
 def test_no_lapack():
-    # No module calls a numpy.linalg routine but norm, which is plain
-    # arithmetic: 2x2 eigen- and singular values are closed forms here, so
-    # no CLI path reaches LAPACK.
+    # No module names a numpy.linalg routine: 2x2 eigen- and singular
+    # values are closed forms here, so no CLI path reaches LAPACK.
     found = {
         (path.name, name)
         for path in sorted(SOURCE_DIR.glob("*.py"))
         for name in linalg_names(path.read_text())
     }
-    assert found == {("bench.py", "norm")}
+    assert found == set()
+
+
+def matmul_lines(source: str) -> list[int]:
+    """Line of each ``@`` or ``@=`` in ``source``: numpy hands a stacked product to BLAS."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    )
+
+
+def test_matmul_lines_are_found():
+    assert matmul_lines("c = a @ b\nc @= a\nd = a * b\n@decorator\ndef f(): pass") == [1, 2]
+
+
+def test_no_matmul():
+    # Every 2x2 product is qubit.matmul2's elementwise two-term sums, whose
+    # bits do not depend on the BLAS kernel the CPU selects.
+    found = {
+        (path.name, line)
+        for path in sorted(SOURCE_DIR.glob("*.py"))
+        for line in matmul_lines(path.read_text())
+    }
+    assert found == set()
 
 
 def unused_imports(path: Path) -> list[str]:

@@ -82,6 +82,36 @@ class TestOperator2:
         assert Operator2(stack).matrix.dtype == complex
 
 
+# Non-diagonal complex operators and states, each with float.hex of the
+# probability and of the post state's (re H, re V, im H, im V) that
+# apply_operator gives it. The image is qubit.matmul2's elementwise sums; a
+# stacked BLAS product (OpenBLAS's Haswell kernel, for one) rounds every
+# case here differently.
+PINNED_APPLICATIONS = [
+    (
+        [[-0.35 - 0.34j, -0.07 - 0.27j], [-0.27 + 0.37j, 0.45 - 0.28j]],
+        [-0.37 - 0.05j, -0.69 - 0.38j],
+        "0x1.d63d6ff80a931p-3",
+        ("0x1.f17e8bf0a57b5p-4", "-0x1.3ef29d587749cp-1",
+         "0x1.7c99aa2de03fcp-1", "-0x1.b087889f13d4ep-3"),
+    ),
+    (
+        [[-0.02 + 0.23j, 0.54 + 0.56j], [-0.37 + 0.17j, -0.37 + 0.09j]],
+        [0.58 + 0.61j, -0.36 - 0.71j],
+        "0x1.f1d4e0419eb0cp-3",
+        ("0x1.aa301816ba978p-4", "-0x1.f77332e972205p-3",
+         "-0x1.e1a4631531ef8p-1", "0x1.acae21364ce65p-3"),
+    ),
+    (
+        [[0.23 - 0.59j, -0.11 + 0.12j], [0.33 - 0.29j, 0.24 + 0.51j]],
+        [0.2 + 0.5j, 0.64 - 0.14j],
+        "0x1.c3103023df2d6p-2",
+        ("0x1.bb6c3a3329c19p-2", "0x1.5058dcdea87ddp-1",
+         "0x1.133fcbc3d582bp-3", "0x1.346bca0fcfd0ep-1"),
+    ),
+]
+
+
 class TestApplyOperator:
     def test_identity_returns_same_state(self):
         amps = amplitudes(0.37, 1.1)
@@ -131,6 +161,12 @@ class TestApplyOperator:
             assert prob[k] == pytest.approx(float(one_prob), rel=1e-15)
             np.testing.assert_allclose(post[k], one_post, rtol=0.0, atol=1e-15)
             assert np.sum(np.abs(post[k]) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("matrix,state,prob_hex,post_hex", PINNED_APPLICATIONS, ids=range(3))
+    def test_non_diagonal_bits_are_pinned(self, matrix, state, prob_hex, post_hex):
+        prob, post = apply_operator(Operator2(matrix), np.array(state))
+        assert float.hex(float(prob)) == prob_hex
+        assert tuple(map(float.hex, np.concatenate((post.real, post.imag)).tolist())) == post_hex
 
 
 class TestFidelity:

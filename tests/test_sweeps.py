@@ -805,6 +805,18 @@ class TestVerify:
         assert np.all(tolerance == 1e-12)
         assert deviation.max() <= 1e-14
 
+    def test_oracle_deviations_equal_pinned_bits(self):
+        # Every product of the row is qubit.matmul2's elementwise sums; a
+        # stacked BLAS product rounds these deviations differently, and
+        # differently again under another OpenBLAS kernel.
+        deviations = [sweeps._check_oracle_agreement(seed)[0] for seed in range(10)]
+        assert [float.hex(d) for d in deviations] == [
+            "0x1.4000000000000p-50", "0x1.c000000000000p-51", "0x1.0000000000000p-50",
+            "0x1.c000000000000p-51", "0x1.4000000000000p-51", "0x1.6000000000000p-50",
+            "0x1.4000000000000p-50", "0x1.2000000000000p-50", "0x1.0000000000000p-50",
+            "0x1.2000000000000p-50",
+        ]
+
     def test_oracle_check_takes_ties(self, monkeypatch):
         # A Gram matrix that is a multiple of I, zero included, has no top
         # eigenvector of its own: the guess is then |H>.
